@@ -29,12 +29,20 @@ from typing import Any
 
 import numpy as np
 
-from .conserve import AdditiveQuantity, check_conservation, qfi, variance, yanase_conditions
-from .cpmaps import apply_dual, apply_map
+from .conserve import (
+    AdditiveQuantity,
+    _scheme_composite,
+    check_conservation,
+    qfi,
+    variance,
+    yanase_conditions,
+)
+from .cpmaps import apply_map
 from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
+    _repeat_first_kind,
     measured_observable,
     restriction_maps,
     scheme_to_instrument,
@@ -151,15 +159,6 @@ def _gamma_moment_defect(m: MeasurementScheme, n: Operator, tol: Tolerance) -> f
     first = apply_map(maps.gamma_xi_e, n).mat
     second = apply_map(maps.gamma_xi_e, n @ n).mat
     return float(op_norm_mat(second - first @ first))
-
-
-def _check_quantity(m: MeasurementScheme, q: AdditiveQuantity) -> Operator:
-    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
-        raise ValueError(
-            f"quantity dimensions ({q.n_sys.dim}, {q.n_app.dim}) do not match the scheme "
-            f"({m.sys_dim}, {m.app_dim})"
-        )
-    return q.composite()
 
 
 def _scheme_digest_items(m: MeasurementScheme) -> list:
@@ -280,7 +279,7 @@ def eval_disturbance_bounds(
     if q is None:
         return reports
 
-    n_comp = _check_quantity(m, q)
+    n_comp = _scheme_composite(m, q)
     cons = check_conservation(m.coupling, n_comp, tol)
     ns_norm = op_norm(q.n_sys)
     gamma_defect = _gamma_moment_defect(m, n_comp, tol)
@@ -377,7 +376,7 @@ def eval_measurability_bounds(
     bound plus its extremal ``eps = 0`` refinement when requested.
     """
     prof = error_profile(m, target, tol)
-    n_comp = _check_quantity(m, q)
+    n_comp = _scheme_composite(m, q)
     cons = check_conservation(m.coupling, n_comp, tol)
     maps = restriction_maps(m, tol)
     ns_norm = op_norm(q.n_sys)
@@ -465,17 +464,13 @@ def eval_way(
     """
     inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
-    n_comp = _check_quantity(m, q)
+    n_comp = _scheme_composite(m, q)
     cons = check_conservation(m.coupling, n_comp, tol)
     yan = yanase_conditions(m, q, tol)
     ns_norm = op_norm(q.n_sys)
     digest = digest_inputs("way", *_scheme_digest_items(m), q.n_sys, q.n_app)
 
-    eye = np.eye(m.sys_dim)
-    repeat_gap = np.zeros((m.sys_dim, m.sys_dim), dtype=complex)
-    for x, eff in e_obs.items():
-        repeat_gap += eff.mat - inst.apply_dual(x, eff).mat
-    repeat_defect = float(op_norm_mat(repeat_gap))
+    repeat_defect = _repeat_first_kind(inst, e_obs)[0]
     repeatable = repeat_defect <= tol.eq_tol
     yanase_ok = yan.yanase_defect <= tol.eq_tol
 
@@ -550,11 +545,14 @@ def eval_distinguishability_bounds(
     """Limits on coherently connecting two orthogonal input vectors.
 
     Emits the fidelity bound for the supplied pair (error if the vectors are
-    not orthonormal), norm-gap bounds for every outcome whose extreme
-    eigenspaces contain the pair (or the named ``thm7_outcome``, which raises
-    if membership fails), and, for repeatable instruments, the commutation
-    check of each measured effect against the support-compressed system
-    quantity.
+    not orthonormal), ``|<psi|N_S|phi>| <= ||N_A|| F_out + ||N_S|| F_conj``
+    with the root fidelities ``F = tr|sqrt(rho) sqrt(sigma)|`` (square roots
+    of ``opcore.fidelity``) of the two inputs' images under the measurement
+    channel and under the conjugate channel; norm-gap bounds for every
+    outcome whose extreme eigenspaces contain the pair (or the named
+    ``thm7_outcome``, which raises if membership fails); and, for repeatable
+    instruments, the commutation check of each measured effect against the
+    support-compressed system quantity.
     """
     dS = m.sys_dim
     psi_v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -571,7 +569,7 @@ def eval_distinguishability_bounds(
     inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
     maps = restriction_maps(m, tol)
-    n_comp = _check_quantity(m, q)
+    n_comp = _scheme_composite(m, q)
     cons = check_conservation(m.coupling, n_comp, tol)
     digest = digest_inputs(
         "distinguishability", *_scheme_digest_items(m), q.n_sys, q.n_app, psi_v, phi_v
@@ -594,7 +592,7 @@ def eval_distinguishability_bounds(
             "distinguish-fidelity",
             "",
             lhs_overlap,
-            na_norm * out_fid + ns_norm * conj_fid,
+            na_norm * np.sqrt(out_fid) + ns_norm * np.sqrt(conj_fid),
             tol,
             digest,
             hypothesis_satisfied=cons.average_holds,
@@ -602,9 +600,7 @@ def eval_distinguishability_bounds(
         )
     ]
 
-    fk_defect = 0.0
-    for x, eff in e_obs.items():
-        fk_defect = max(fk_defect, float(op_norm(inst.apply_dual_total(eff) - eff)))
+    repeat_defect, fk_defect, _ = _repeat_first_kind(inst, e_obs)
     first_kind = fk_defect <= tol.eq_tol
 
     eye = np.eye(dS)
@@ -647,10 +643,6 @@ def eval_distinguishability_bounds(
             )
         )
 
-    repeat_gap = np.zeros((dS, dS), dtype=complex)
-    for x, eff in e_obs.items():
-        repeat_gap += eff.mat - inst.apply_dual(x, eff).mat
-    repeat_defect = float(op_norm_mat(repeat_gap))
     if repeat_defect <= tol.eq_tol:
         p_total = np.zeros((dS, dS), dtype=complex)
         for x, eff in e_obs.items():

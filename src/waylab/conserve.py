@@ -68,6 +68,16 @@ class AdditiveQuantity:
         return tensor(self.n_sys, np.eye(da)) + tensor(np.eye(ds), self.n_app)
 
 
+def _scheme_composite(m: MeasurementScheme, q: AdditiveQuantity) -> Operator:
+    """``q.composite()``, after checking that ``q`` lives on the spaces of ``m``."""
+    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
+        raise ValueError(
+            f"quantity dimensions ({q.n_sys.dim}, {q.n_app.dim}) do not match the scheme "
+            f"({m.sys_dim}, {m.app_dim})"
+        )
+    return q.composite()
+
+
 @dataclasses.dataclass(frozen=True)
 class ConservationReport:
     average_defect: float
@@ -257,9 +267,7 @@ class YanaseReport:
 def yanase_conditions(
     m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
 ) -> YanaseReport:
-    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
-        raise ValueError("quantity dimensions do not match the scheme")
-    n_comp = q.composite()
+    n_comp = _scheme_composite(m, q)
     per_y: dict[str, float] = {}
     for x, zx in m.pointer.items():
         per_y[x] = float(op_norm(commutator(zx, q.n_app)))

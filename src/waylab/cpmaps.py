@@ -1,13 +1,21 @@
 """Completely positive maps in Kraus form.
 
 :class:`OperationMap` stores a Kraus family ``{K_i}`` with ``K_i: in -> out``
-(shape ``out_dim x in_dim``).  ``apply`` is the state-side action
-``t -> sum K t K^dag`` and ``apply_dual`` the observable-side action
-``a -> sum K^dag a K``.  The constructor validates shapes only; whether the
-family is trace non-increasing (``is_operation``) or trace preserving
-(``is_channel``) is a predicate, because several useful Kraus views (duals of
-non-unital channels, restriction maps) intentionally live outside the
-trace-non-increasing cone while their ``apply`` is still the map we want.
+as one read-only stacked array of shape ``(k, out_dim, in_dim)``.  Every
+Kraus application goes through one kernel, :func:`_apply`, which takes a
+stack ``(n, d, d)`` of inputs (or a single matrix) and returns
+``sum_i K_i t K_i^dag`` (state side) or ``sum_i K_i^dag a K_i`` (dual side)
+for each input as one broadcast ``matmul`` summed over the Kraus axis.
+``apply_map``/``apply_dual`` are its one-matrix public forms; checks that
+run over the ``d**2`` matrix units apply the map once to the stack
+``np.eye(d * d).reshape(d * d, d, d)`` (unit ``i * d + j`` has its one at
+``(i, j)``) and take one batched operator norm.
+
+The constructor validates shapes only; whether the family is trace
+non-increasing (``is_operation``) or trace preserving (``is_channel``) is a
+predicate, because several useful Kraus views (duals of non-unital channels,
+restriction maps) intentionally live outside the trace-non-increasing cone
+while their ``apply`` is still the map we want.
 
 Vectorization is column-stacking: ``vec(ABC) = (C^T kron A) vec(B)``, so the
 dual map's supermatrix is ``sum K^T kron K^dag`` and the state-side
@@ -25,6 +33,7 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    max_op_norm,
     op_norm_mat,
 )
 from . import serialize
@@ -71,7 +80,7 @@ class OperationMap:
             m = k.mat if isinstance(k, Operator) else np.asarray(k, dtype=complex)
             if m.ndim != 2:
                 raise ValueError(f"Kraus operators must be matrices, got shape {m.shape}")
-            mats.append(np.array(m, copy=True))
+            mats.append(m)
         if not mats:
             raise ValueError("OperationMap needs at least one Kraus operator")
         shape = mats[0].shape
@@ -80,14 +89,15 @@ class OperationMap:
                 raise ValueError(
                     f"inconsistent Kraus shapes: {m.shape} vs {shape}"
                 )
-        for m in mats:
-            m.setflags(write=False)
-        self._kraus = tuple(mats)
+        stack = np.array(mats, dtype=complex)
+        stack.setflags(write=False)
+        self._kraus = stack
         self.out_dim, self.in_dim = shape
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:
-        return self._kraus
+        """The Kraus matrices, as read-only views into the stacked array."""
+        return tuple(self._kraus)
 
     def __len__(self) -> int:
         return len(self._kraus)
@@ -100,7 +110,7 @@ class OperationMap:
 
     def kraus_gram(self) -> np.ndarray:
         """``sum K^dag K`` (equals the identity for channels)."""
-        return sum(k.conj().T @ k for k in self._kraus)
+        return _apply(self, np.eye(self.out_dim), True)
 
     def is_operation(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Trace non-increasing: ``sum K^dag K <= 1``."""
@@ -114,8 +124,8 @@ class OperationMap:
     def is_unital(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         if self.in_dim != self.out_dim:
             return False
-        acc = sum(k @ k.conj().T for k in self._kraus)
-        return op_norm_mat(acc - np.eye(self.out_dim)) <= tol.eq_tol
+        eye = np.eye(self.out_dim)
+        return op_norm_mat(_apply(self, eye, False) - eye) <= tol.eq_tol
 
     @classmethod
     def identity(cls, dim: int) -> "OperationMap":
@@ -152,22 +162,27 @@ def _as_square(a: Any, dim: int, what: str) -> np.ndarray:
     return m
 
 
+def _apply(phi: OperationMap, x: np.ndarray, dual: bool) -> np.ndarray:
+    """The Kraus kernel: ``sum_i K_i x K_i^dag``, or ``sum_i K_i^dag x K_i``
+    when ``dual``, for one matrix ``x`` or each matrix of a stack ``(..., d, d)``.
+
+    One broadcast ``matmul`` over the Kraus axis, summed in Kraus order; the
+    intermediate holds ``k`` matrices per input.
+    """
+    k = phi._kraus
+    kh = k.conj().swapaxes(1, 2)
+    left, right = (kh, k) if dual else (k, kh)
+    return (left @ np.expand_dims(x, -3) @ right).sum(axis=-3)
+
+
 def apply_map(phi: OperationMap, t: Any) -> Operator:
     """State-side action ``sum K t K^dag``."""
-    m = _as_square(t, phi.in_dim, "input")
-    acc = np.zeros((phi.out_dim, phi.out_dim), dtype=complex)
-    for k in phi.kraus:
-        acc += k @ m @ k.conj().T
-    return Operator(acc)
+    return Operator(_apply(phi, _as_square(t, phi.in_dim, "input"), False))
 
 
 def apply_dual(phi: OperationMap, a: Any) -> Operator:
     """Observable-side action ``sum K^dag a K``."""
-    m = _as_square(a, phi.out_dim, "input")
-    acc = np.zeros((phi.in_dim, phi.in_dim), dtype=complex)
-    for k in phi.kraus:
-        acc += k.conj().T @ m @ k
-    return Operator(acc)
+    return Operator(_apply(phi, _as_square(a, phi.out_dim, "input"), True))
 
 
 def sesquilinear(phi: OperationMap, a: Any, b: Any) -> Operator:
@@ -249,15 +264,8 @@ def check_multiplicability(
         return MultiplicabilityResult(False, float(pre), None, None)
     d = phi.out_dim
     fb = apply_dual(phi, bm).mat
-    worst = 0.0
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            defect = op_norm_mat(
-                apply_dual(phi, unit @ bm).mat - apply_dual(phi, unit).mat @ fb
-            )
-            worst = max(worst, defect)
+    units = np.eye(d * d).reshape(d * d, d, d)
+    worst = max_op_norm(_apply(phi, units @ bm, True) - _apply(phi, units, True) @ fb)
     # Cauchy-Schwarz gives ||defect||^2 <= precondition * ||<<a|a>>||, and
     # ||<<a|a>>|| <= 2 for matrix units under a unital dual, hence the scale.
     threshold = float(np.sqrt(2.0 * tol.eq_tol) + tol.eq_tol)
@@ -270,18 +278,20 @@ def compose(phi2: OperationMap, phi1: OperationMap) -> OperationMap:
         raise ValueError(
             f"cannot compose: inner output dim {phi1.out_dim} != outer input dim {phi2.in_dim}"
         )
-    return OperationMap([k2 @ k1 for k2 in phi2.kraus for k1 in phi1.kraus])
+    products = phi2._kraus[:, None] @ phi1._kraus
+    return OperationMap(products.reshape(-1, phi2.out_dim, phi1.in_dim))
 
 
 def dual_view(phi: OperationMap) -> OperationMap:
     """Kraus view whose ``apply`` equals ``phi``'s ``apply_dual``."""
-    return OperationMap([k.conj().T for k in phi.kraus])
+    return OperationMap(phi._kraus.conj().swapaxes(1, 2))
 
 
 def to_supermatrix(phi: OperationMap) -> SuperMatrix:
-    m = np.zeros((phi.in_dim**2, phi.out_dim**2), dtype=complex)
-    for k in phi.kraus:
-        m += np.kron(k.T, k.conj().T)
+    # Not built through _apply: the kernel's BLAS products differ from these at
+    # rounding level, enough to rotate the SVD null-space basis of a degenerate
+    # fixed space, which the fixed-point report prints.
+    m = sum(np.kron(k.T, k.conj().T) for k in phi._kraus)
     return SuperMatrix(m=m, in_dim=phi.in_dim, out_dim=phi.out_dim)
 
 

@@ -23,10 +23,11 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .conserve import AdditiveQuantity, check_conservation
+from .conserve import AdditiveQuantity, _scheme_composite, check_conservation
 from .cpmaps import (
     OperationMap,
     SuperMatrix,
+    _apply,
     apply_dual,
     apply_map,
     to_supermatrix,
@@ -37,6 +38,7 @@ from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
+    _repeat_first_kind,
     luders_instrument,
     measured_observable,
     scheme_to_instrument,
@@ -48,6 +50,7 @@ from .opcore import (
     commutator,
     eigenspace_projector,
     hermitian_basis,
+    max_op_norm,
     op_norm,
     op_norm_mat,
 )
@@ -147,7 +150,7 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
         for mat in (k, k.conj().T):
             blocks.append(np.kron(mat.T, eye) - np.kron(eye, mat))
     stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked)
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
     n_null = int(np.sum(s <= rank_tol * max(1.0, float(s[0]))))
     if n_null == 0:
         return np.zeros((d * d, 0), dtype=complex)
@@ -300,12 +303,14 @@ def check_minimal_support(
     unital_defect = op_norm(av(p) - Operator.identity(d))
     kernel_defect = op_norm(av(p_perp))
 
-    sandwich = 0.0
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            sandwich = max(sandwich, op_norm(av(unit) - av(p @ unit @ p)))
+    # ``av`` on a stack of d*d inputs; the product stays one matrix-vector
+    # product per input, so it rounds exactly as ``av`` does
+    def av_stack(x: np.ndarray) -> np.ndarray:
+        vecs = x.swapaxes(1, 2).reshape(d * d, d * d, 1)
+        return (analysis.projector.m @ vecs).reshape(d * d, d, d).swapaxes(1, 2)
+
+    units = np.eye(d * d).reshape(d * d, d, d)
+    sandwich = max_op_norm(av_stack(units) - av_stack(p @ units @ p))
 
     m_dual = to_supermatrix(phi).m
     _, left = _null_spaces(m_dual - np.eye(d * d), tol.rank_tol)
@@ -466,7 +471,7 @@ def structural_necessary_conditions(
     """
     if f.dim != m.sys_dim:
         raise ValueError("observable dimension does not match the system")
-    n_comp = _quantity_for_scheme(m, q)
+    n_comp = _scheme_composite(m, q)
     inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
     analysis = analyze_fixed_points(inst.total(), tol)
@@ -477,13 +482,9 @@ def structural_necessary_conditions(
         delta_max = max(delta_max, op_norm(inst.apply_dual_total(eff) - eff))
     nondisturbed = delta_max <= tol.eq_tol
 
-    fk_defect = 0.0
-    repeat_gap = np.zeros((m.sys_dim, m.sys_dim), dtype=complex)
-    for x, eff in e_obs.items():
-        fk_defect = max(fk_defect, op_norm(inst.apply_dual_total(eff) - eff))
-        repeat_gap += eff.mat - inst.apply_dual(x, eff).mat
+    repeat_defect, fk_defect, _ = _repeat_first_kind(inst, e_obs)
     first_kind = fk_defect <= tol.eq_tol
-    repeatable = op_norm_mat(repeat_gap) <= tol.eq_tol
+    repeatable = repeat_defect <= tol.eq_tol
 
     rp = analysis.p_isometry.shape[1]
     qubit_collapse = m.sys_dim == 2 and rp == 1
@@ -550,15 +551,10 @@ def structural_necessary_conditions(
     # instrument forces full commutation with the system quantity
     luders_defect = 0.0
     ref = luders_instrument(e_obs, tol)
+    units = np.eye(m.sys_dim**2).reshape(m.sys_dim**2, m.sys_dim, m.sys_dim)
     for x in e_obs.outcomes:
-        for i in range(m.sys_dim):
-            for j in range(m.sys_dim):
-                unit = np.zeros((m.sys_dim, m.sys_dim), dtype=complex)
-                unit[i, j] = 1.0
-                luders_defect = max(
-                    luders_defect,
-                    float(op_norm(inst.apply(x, unit) - ref.apply(x, unit))),
-                )
+        gap = _apply(inst.operation(x), units, False) - _apply(ref.operation(x), units, False)
+        luders_defect = max(luders_defect, max_op_norm(gap))
     luders_like = luders_defect <= tol.eq_tol
     applicable_luders = (
         cons.average_holds and luders_like and e_obs.is_commutative(tol)
@@ -585,12 +581,6 @@ def structural_necessary_conditions(
         qubit_support_collapse=qubit_collapse,
         conditions=conditions,
     )
-
-
-def _quantity_for_scheme(m: MeasurementScheme, q: AdditiveQuantity) -> Operator:
-    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
-        raise ValueError("quantity dimensions do not match the scheme")
-    return q.composite()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -757,9 +747,7 @@ def post_processing_decomposition(
     e_obs = inst.induced_observable(tol)
     if e_obs.is_trivial(tol):
         raise ValueError("induced observable is trivial; no decomposition")
-    fk_defect = 0.0
-    for _, eff in e_obs.items():
-        fk_defect = max(fk_defect, op_norm(inst.apply_dual_total(eff) - eff))
+    fk_defect = _repeat_first_kind(inst, e_obs)[1]
     if fk_defect > tol.eq_tol:
         raise ValueError(
             f"instrument is not first-kind (fixed-point defect {fk_defect:.3e})"

@@ -24,6 +24,7 @@ import numpy as np
 from . import serialize
 from .cpmaps import (
     OperationMap,
+    _apply,
     apply_dual,
     apply_map,
     compose,
@@ -36,6 +37,7 @@ from .opcore import (
     Operator,
     Tolerance,
     eigenspace_projector,
+    max_op_norm,
     op_norm,
     op_norm_mat,
     partial_trace,
@@ -185,7 +187,7 @@ class Observable:
 class Instrument:
     """Outcome-indexed operations summing to a channel."""
 
-    __slots__ = ("_outcomes", "_operations", "dim")
+    __slots__ = ("_outcomes", "_operations", "_total", "dim")
 
     def __init__(
         self,
@@ -206,16 +208,17 @@ class Instrument:
         for op in ops:
             if op.in_dim != d or op.out_dim != d:
                 raise ValueError("instrument operations must be endomorphisms of one space")
+        total = OperationMap([k for op in ops for k in op.kraus])
         if validate:
             for x, op in zip(labels, ops):
                 if not op.is_operation(tol):
                     raise ValueError(f"operation {x!r} is not trace non-increasing")
-            gram = sum(op.kraus_gram() for op in ops)
-            gap = op_norm_mat(gram - np.eye(d))
+            gap = op_norm_mat(total.kraus_gram() - np.eye(d))
             if gap > tol.eq_tol:
                 raise ValueError(f"total map is not a channel (completeness defect {gap:.3e})")
         self._outcomes = labels
         self._operations = ops
+        self._total = total
         self.dim = d
 
     @property
@@ -237,10 +240,7 @@ class Instrument:
 
     def total(self) -> OperationMap:
         """The measurement channel ``I_X = sum_x I_x``."""
-        ks: list[np.ndarray] = []
-        for op in self._operations:
-            ks.extend(op.kraus)
-        return OperationMap(ks)
+        return self._total
 
     def apply(self, x: str, t: Any) -> Operator:
         return apply_map(self.operation(x), t)
@@ -249,10 +249,7 @@ class Instrument:
         return apply_dual(self.operation(x), a)
 
     def apply_dual_total(self, a: Any) -> Operator:
-        acc = Operator.zero(self.dim)
-        for op in self._operations:
-            acc = acc + apply_dual(op, a)
-        return acc
+        return apply_dual(self._total, a)
 
     def induced_observable(self, tol: Tolerance = DEFAULT_TOL) -> Observable:
         """``x -> I*_x(1)``, validated as an observable."""
@@ -556,14 +553,24 @@ class RepeatabilityReport:
         }
 
 
-def _matrix_units(d: int) -> list[np.ndarray]:
-    units = []
-    for i in range(d):
-        for j in range(d):
-            m = np.zeros((d, d), dtype=complex)
-            m[i, j] = 1.0
-            units.append(m)
-    return units
+def _repeat_first_kind(
+    inst: Instrument, e: Observable
+) -> tuple[float, float, dict[str, float]]:
+    """Repeatability and first-kind defects of ``inst`` against ``e``.
+
+    Returns ``||sum_x E(x) - I*_x(E(x))||``, ``max_x ||I*_X(E(x)) - E(x)||``
+    and the per-outcome ``||I*_x(E(x)) - E(x)||``.  ``e`` is the instrument's
+    induced observable, or the measured observable of the scheme behind it.
+    """
+    per_outcome: dict[str, float] = {}
+    gap_sum = np.zeros((inst.dim, inst.dim), dtype=complex)
+    for x, eff in e.items():
+        back = inst.apply_dual(x, eff).mat
+        per_outcome[x] = op_norm_mat(back - eff.mat)
+        gap_sum += eff.mat - back
+    effects = np.array([eff.mat for eff in e.effects])
+    first_kind = max_op_norm(_apply(inst.total(), effects, True) - effects)
+    return op_norm_mat(gap_sum), first_kind, per_outcome
 
 
 def repeatability_report(
@@ -588,47 +595,30 @@ def repeatability_report(
     e_obs = inst.induced_observable(tol)
     eye = np.eye(d)
 
-    per_outcome: dict[str, float] = {}
-    gap_sum = np.zeros((d, d), dtype=complex)
-    for x, eff in e_obs.items():
-        back = inst.apply_dual(x, eff).mat
-        per_outcome[x] = op_norm_mat(back - eff.mat)
-        gap_sum += eff.mat - back
-    repeat_defect = op_norm_mat(gap_sum)
+    repeat_defect, fk_defect, per_outcome = _repeat_first_kind(inst, e_obs)
     repeatable = repeat_defect <= tol.eq_tol
-
-    fk_defect = 0.0
-    for x, eff in e_obs.items():
-        fk_defect = max(fk_defect, op_norm_mat(inst.apply_dual_total(eff).mat - eff.mat))
     first_kind = fk_defect <= tol.eq_tol
 
     sharp_flag: bool | None = None
     if e_obs.is_sharp(tol):
         sharp_flag = repeatable == first_kind
 
-    units = _matrix_units(d)
+    # each identity below is checked on every matrix unit A at once
+    units = np.eye(d * d).reshape(d * d, d, d)
+    unit_images = {x: _apply(inst.operation(x), units, True) for x in inst.outcomes}
     items: dict[str, ItemCheck] = {}
 
     # (i) I*_x(A) = I*_x(E(x) A) = I*_x(A E(x)) = I*_x(E(x) A E(x))
-    worst = 0.0
-    for x, eff in e_obs.items():
-        em = eff.mat
-        for a in units:
-            base = inst.apply_dual(x, a).mat
-            for probe in (em @ a, a @ em, em @ a @ em):
-                worst = max(worst, op_norm_mat(inst.apply_dual(x, probe).mat - base))
-    items["sandwich-own-effect"] = ItemCheck(worst, worst <= tol.eq_tol)
-
     # (ii) the total dual agrees with the single-outcome dual on E(x)-framed forms
-    worst = 0.0
+    sandwich = localizes = 0.0
     for x, eff in e_obs.items():
         em = eff.mat
-        for a in units:
-            for probe in (em @ a, a @ em, em @ a @ em):
-                total_img = inst.apply_dual_total(probe).mat
-                own_img = inst.apply_dual(x, probe).mat
-                worst = max(worst, op_norm_mat(total_img - own_img))
-    items["total-localizes"] = ItemCheck(worst, worst <= tol.eq_tol)
+        probes = np.stack([em @ units, units @ em, em @ units @ em])
+        own = _apply(inst.operation(x), probes, True)
+        sandwich = max(sandwich, max_op_norm(own - unit_images[x]))
+        localizes = max(localizes, max_op_norm(_apply(inst.total(), probes, True) - own))
+    items["sandwich-own-effect"] = ItemCheck(sandwich, sandwich <= tol.eq_tol)
+    items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
     # (iv)/(v): eigenvalue-1 projectors of the effects and their exclusivity
     proj: dict[str, Operator] = {}
@@ -664,10 +654,8 @@ def repeatability_report(
     worst = 0.0
     evaluated_vi = bool(proj)
     for x, p in proj.items():
-        pm = p.mat
-        for a in units:
-            base = inst.apply_dual(x, a).mat
-            worst = max(worst, op_norm_mat(inst.apply_dual(x, pm @ a @ pm).mat - base))
+        sandwiched = _apply(inst.operation(x), p.mat @ units @ p.mat, True)
+        worst = max(worst, max_op_norm(sandwiched - unit_images[x]))
     items["projector-sandwich"] = ItemCheck(
         worst, worst <= tol.eq_tol, evaluated=evaluated_vi,
         note="" if evaluated_vi else "no eigenvalue-1 projectors available",
@@ -748,11 +736,10 @@ def repeatability_report(
         if qproj and not q_missing:
             q_total = sum(q.mat for q in qproj.values())
             # (vii) the apparatus restriction only sees the pointer support
-            worst = 0.0
-            for b in _matrix_units(dA):
-                base = apply_dual(maps.conj_channel, b).mat
-                sand = apply_dual(maps.conj_channel, q_total @ b @ q_total).mat
-                worst = max(worst, op_norm_mat(sand - base))
+            units_a = np.eye(dA * dA).reshape(dA * dA, dA, dA)
+            base = _apply(maps.conj_channel, units_a, True)
+            sand = _apply(maps.conj_channel, q_total @ units_a @ q_total, True)
+            worst = max_op_norm(sand - base)
             items["conjugate-pointer-support"] = ItemCheck(worst, worst <= tol.eq_tol)
 
             # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x))
@@ -760,11 +747,9 @@ def repeatability_report(
             for x in inst.outcomes:
                 if x not in qproj:
                     continue
-                qm = qproj[x].mat
-                for a in units:
-                    lhs_img = inst.apply_dual(x, a).mat
-                    rhs_img = apply_map(maps.gamma_xi_e, np.kron(a, qm)).mat
-                    worst = max(worst, op_norm_mat(rhs_img - lhs_img))
+                lifted = np.kron(units, qproj[x].mat[None])
+                rhs_img = _apply(maps.gamma_xi_e, lifted, False)
+                worst = max(worst, max_op_norm(rhs_img - unit_images[x]))
             items["restriction-identity"] = ItemCheck(worst, worst <= tol.eq_tol)
         else:
             note = "pointer effects do not attain norm one"

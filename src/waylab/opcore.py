@@ -180,6 +180,11 @@ def op_norm_mat(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def max_op_norm(stack: np.ndarray) -> float:
+    """Largest operator norm over a stack ``(..., r, c)`` of matrices."""
+    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+
+
 def op_norm(a: MatrixLike) -> float:
     """Operator norm (largest singular value)."""
     return op_norm_mat(_as_matrix(a))

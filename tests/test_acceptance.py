@@ -147,8 +147,8 @@ def test_criterion_03_conservative_vs_generic_unitaries():
     assert time.monotonic() - start < 5.0
 
 
-def _bound_battery_scenario(i):
-    rng = np.random.default_rng(1000 + i)
+def _bound_battery_scenario(i, offset=1000):
+    rng = np.random.default_rng(offset + i)
     d_sys, d_app = [(2, 2), (2, 3), (3, 2), (3, 3)][i % 4]
 
     def integer_spectrum(d):
@@ -173,6 +173,15 @@ def _bound_battery_scenario(i):
     return m, f, q, target, v[:, 0], v[:, 1]
 
 
+def _battery_reports(m, f, q, target, psi, phi_vec):
+    reports = []
+    reports += eval_disturbance_bounds(m, f, q=q)
+    reports += eval_measurability_bounds(m, target, q)
+    reports += eval_way(m, q)
+    reports += eval_distinguishability_bounds(m, q, psi, phi_vec)
+    return reports
+
+
 def test_criterion_04_bound_battery_random_scenarios():
     start = time.monotonic()
     required = {
@@ -189,13 +198,7 @@ def test_criterion_04_bound_battery_random_scenarios():
     seen_satisfying = set()
     checked = 0
     for i in range(200):
-        m, f, q, target, psi, phi_vec = _bound_battery_scenario(i)
-        reports = []
-        reports += eval_disturbance_bounds(m, f, q=q)
-        reports += eval_measurability_bounds(m, target, q)
-        reports += eval_way(m, q)
-        reports += eval_distinguishability_bounds(m, q, psi, phi_vec)
-        for r in reports:
+        for r in _battery_reports(*_bound_battery_scenario(i)):
             if not r.hypothesis_satisfied:
                 continue
             checked += 1
@@ -204,6 +207,18 @@ def test_criterion_04_bound_battery_random_scenarios():
     assert checked > 1000
     assert required <= seen_satisfying, required - seen_satisfying
     assert time.monotonic() - start < 60.0
+
+
+def test_distinguish_fidelity_uses_root_fidelity():
+    # with the squared fidelity on its right side, distinguish-fidelity was
+    # violated under its hypothesis here (slack -0.603 and -0.252)
+    for offset, i in ((5600, 140), (24692600, 180)):
+        reports = _battery_reports(*_bound_battery_scenario(i, offset))
+        fid = [r for r in reports if r.bound_id == "distinguish-fidelity"]
+        assert len(fid) == 1 and fid[0].hypothesis_satisfied
+        for r in reports:
+            if r.hypothesis_satisfied:
+                assert r.slack >= -1e-7, (offset, i, r.bound_id, r.outcome, r.slack)
 
 
 def _ensemble_qfi_floor(rho, n, n_theta=181, n_phi=361):

@@ -1,0 +1,238 @@
+"""The batched matrix-unit checks against a plain per-unit loop.
+
+Each check applies a map once to the stack of all ``d**2`` matrix units and
+takes one batched operator norm.  The reference here walks the units one at a
+time through the public ``apply_dual``/``apply_map`` and keeps the worst
+defect, the way the checks were first written; both must agree to 1e-12 on
+random instruments, channels and schemes.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from waylab import Instrument, Observable, OperationMap, Tolerance
+from waylab.conserve import AdditiveQuantity, conservative_unitary
+from waylab.cpmaps import apply_dual, apply_map, check_multiplicability
+from waylab.fixpt import (
+    analyze_fixed_points,
+    check_minimal_support,
+    structural_necessary_conditions,
+)
+from waylab.measure import (
+    MeasurementScheme,
+    luders_instrument,
+    measured_observable,
+    normal_dilation,
+    repeatability_report,
+    restriction_maps,
+    scheme_to_instrument,
+    sharp_observable,
+)
+from waylab.opcore import DEFAULT_TOL, eigenspace_projector, op_norm, op_norm_mat, psd_sqrt
+from waylab.rand import haar_unitary, random_channel, random_hermitian, random_state
+
+AGREE = 1e-12
+DIMS = st.sampled_from([2, 3, 4])
+SEEDS = st.integers(0, 2**32 - 1)
+KINDS = st.sampled_from(["instrument", "norm-one", "scheme", "dilation"])
+SETTINGS = settings(derandomize=True, max_examples=20, deadline=None)
+
+
+def units(d):
+    for i in range(d):
+        for j in range(d):
+            a = np.zeros((d, d), dtype=complex)
+            a[i, j] = 1.0
+            yield a
+
+
+def dual_total(inst, a):
+    return sum(apply_dual(op, a).mat for op in inst.operations)
+
+
+def eigen_one_projectors(obs, tol):
+    """Eigenvalue-1 projectors of the effects that have one, and whether any
+    effect of nonzero norm lacks one."""
+    proj, missing = {}, False
+    for x, eff in obs.items():
+        if op_norm(eff) <= tol.rank_tol:
+            continue
+        p = eigenspace_projector(eff, 1.0, tol)
+        if op_norm(p) <= tol.rank_tol:
+            missing = True
+        else:
+            proj[x] = p.mat
+    return proj, missing
+
+
+def reference_items(inst, m, tol=DEFAULT_TOL):
+    d = inst.dim
+    e_obs = inst.induced_observable(tol)
+    ref = {"sandwich-own-effect": 0.0, "total-localizes": 0.0}
+    for x, eff in e_obs.items():
+        op, em = inst.operation(x), eff.mat
+        for a in units(d):
+            base = apply_dual(op, a).mat
+            for probe in (em @ a, a @ em, em @ a @ em):
+                own = apply_dual(op, probe).mat
+                ref["sandwich-own-effect"] = max(
+                    ref["sandwich-own-effect"], op_norm_mat(own - base)
+                )
+                ref["total-localizes"] = max(
+                    ref["total-localizes"], op_norm_mat(dual_total(inst, probe) - own)
+                )
+
+    proj, _ = eigen_one_projectors(e_obs, tol)
+    if proj:
+        worst = 0.0
+        for x, pm in proj.items():
+            op = inst.operation(x)
+            for a in units(d):
+                worst = max(
+                    worst, op_norm_mat(apply_dual(op, pm @ a @ pm).mat - apply_dual(op, a).mat)
+                )
+        ref["projector-sandwich"] = worst
+
+    if m is not None:
+        qproj, q_missing = eigen_one_projectors(m.pointer, tol)
+        if qproj and not q_missing:
+            maps = restriction_maps(m, tol)
+            q_total = sum(qproj.values())
+            worst = 0.0
+            for b in units(m.app_dim):
+                base = apply_dual(maps.conj_channel, b).mat
+                sand = apply_dual(maps.conj_channel, q_total @ b @ q_total).mat
+                worst = max(worst, op_norm_mat(sand - base))
+            ref["conjugate-pointer-support"] = worst
+            worst = 0.0
+            for x, qm in qproj.items():
+                for a in units(d):
+                    lhs = apply_dual(inst.operation(x), a).mat
+                    rhs = apply_map(maps.gamma_xi_e, np.kron(a, qm)).mat
+                    worst = max(worst, op_norm_mat(rhs - lhs))
+            ref["restriction-identity"] = worst
+    return ref
+
+
+def norm_one_effects(d, rng):
+    """Two effects with eigenvalue 1 on one basis vector each of a random
+    basis; the other basis vectors are shared at random weights, so for
+    ``d > 2`` the effects are unsharp and their eigenvalue-1 projectors do
+    not sum to the identity."""
+    v = haar_unitary(d, rng).mat
+    w = np.zeros((2, d))
+    w[[0, 1], [0, 1]] = 1.0
+    w[:, 2:] = rng.dirichlet([1.0, 1.0], size=d - 2).T
+    return [v @ np.diag(w[x]) @ v.conj().T for x in range(2)]
+
+
+def random_scheme(rng, d_sys, d_app):
+    coupling = OperationMap([haar_unitary(d_sys * d_app, rng).mat])
+    xi = random_state(d_app, rng, rank=min(2, d_app))
+    pointer = Observable(["p0", "p1"], norm_one_effects(d_app, rng))
+    return MeasurementScheme(d_sys, d_app, xi, coupling, pointer)
+
+
+@given(seed=SEEDS, d_sys=DIMS, d_app=DIMS, kind=KINDS)
+@SETTINGS
+def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
+    rng = np.random.default_rng(seed)
+    m = None
+    if kind == "instrument":
+        kraus = random_channel(d_sys, d_sys, 3, rng).kraus
+        inst = Instrument(["a", "b"], [OperationMap(kraus[:1]), OperationMap(kraus[1:])])
+    elif kind == "norm-one":
+        # effects with eigenvalue 1, each followed by a random unitary
+        ops = [
+            OperationMap([haar_unitary(d_sys, rng).mat @ psd_sqrt(e).mat])
+            for e in norm_one_effects(d_sys, rng)
+        ]
+        inst = Instrument(["a", "b"], ops)
+    else:
+        if kind == "scheme":
+            m = random_scheme(rng, d_sys, d_app)
+        else:
+            m = normal_dilation(sharp_observable(random_hermitian(d_sys, rng)))
+        inst = scheme_to_instrument(m)
+    rep = repeatability_report(inst, m)
+    ref = reference_items(inst, m)
+    assert ref, "the reference evaluated nothing"
+    for key, value in ref.items():
+        item = rep.items[key]
+        assert item.evaluated, key
+        assert abs(item.defect - value) <= AGREE, (key, item.defect, value)
+    for key in ("projector-sandwich", "conjugate-pointer-support", "restriction-identity"):
+        if key not in ref:
+            assert not rep.items[key].evaluated, key
+
+
+@given(seed=SEEDS, d=DIMS, extra=st.integers(0, 1), data=st.data())
+@SETTINGS
+def test_minimal_support_sandwich_matches_unit_loop(seed, d, extra, data):
+    # a channel into an r-dimensional subspace, in a random basis, so the
+    # support projection P of its fixed states is a proper, complex projector
+    rng = np.random.default_rng(seed)
+    r = data.draw(st.integers(1, d - 1))
+    u = haar_unitary(d, rng).mat
+    into = random_channel(d, r, -(-d // r) + extra, rng).kraus
+    phi = OperationMap([u @ np.vstack([k, np.zeros((d - r, d))]) @ u.conj().T for k in into])
+    analysis = analyze_fixed_points(phi)
+    p = analysis.support_p.mat
+    worst = 0.0
+    for a in units(d):
+        worst = max(
+            worst, op_norm(analysis.average_dual(a) - analysis.average_dual(p @ a @ p))
+        )
+    assert abs(check_minimal_support(analysis, phi).sandwich_defect - worst) <= AGREE
+
+
+@given(seed=SEEDS, d_sys=DIMS, d_app=DIMS, dilation=st.booleans())
+@SETTINGS
+def test_structural_luders_note_matches_unit_loop(seed, d_sys, d_app, dilation):
+    rng = np.random.default_rng(seed)
+    f = sharp_observable(random_hermitian(d_sys, rng))
+    if dilation:
+        m = normal_dilation(sharp_observable(random_hermitian(d_sys, rng)))
+        d_app = m.app_dim
+        q = AdditiveQuantity(np.zeros((d_sys, d_sys)), np.zeros((d_app, d_app)))
+    else:
+        q = AdditiveQuantity(
+            np.diag(rng.integers(-2, 3, size=d_sys).astype(float)),
+            np.diag(rng.integers(-2, 3, size=d_app).astype(float)),
+        )
+        u = conservative_unitary(q.composite(), rng, strength=1.5)
+        xi = random_state(d_app, rng, rank=min(2, d_app))
+        pointer = sharp_observable(random_hermitian(d_app, rng))
+        m = MeasurementScheme(d_sys, d_app, xi, OperationMap([u.mat]), pointer)
+    rep = structural_necessary_conditions(m, f, q)
+
+    inst = scheme_to_instrument(m)
+    ref = luders_instrument(measured_observable(m))
+    worst = 0.0
+    for x in inst.outcomes:
+        for a in units(d_sys):
+            diff = apply_map(inst.operation(x), a).mat - apply_map(ref.operation(x), a).mat
+            worst = max(worst, op_norm_mat(diff))
+    note = rep.conditions["luders-commutative-quantity"].note
+    if worst <= DEFAULT_TOL.eq_tol:
+        assert note == ""
+    else:
+        assert note == f"instrument differs from square-root form by {worst:.3e}"
+
+
+@given(seed=SEEDS, d=DIMS, n_kraus=st.integers(1, 3))
+@SETTINGS
+def test_multiplicability_witness_matches_unit_loop(seed, d, n_kraus):
+    # a loose eq_tol admits any b, so the witness is computed on a random
+    # channel and a random b, where it is far from zero
+    rng = np.random.default_rng(seed)
+    phi = random_channel(d, d, n_kraus, rng)
+    b = random_hermitian(d, rng).mat + 1j * random_hermitian(d, rng).mat
+    res = check_multiplicability(phi, b, Tolerance(eq_tol=1e6))
+    assert res.applicable
+    fb = apply_dual(phi, b).mat
+    worst = 0.0
+    for a in units(d):
+        worst = max(worst, op_norm_mat(apply_dual(phi, a @ b).mat - apply_dual(phi, a).mat @ fb))
+    assert abs(res.witness - worst) <= AGREE

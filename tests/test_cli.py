@@ -1,5 +1,8 @@
+import argparse
 import csv
 import json
+import pathlib
+import re
 
 import numpy as np
 import scipy.linalg
@@ -7,6 +10,7 @@ import scipy.linalg
 from waylab import cli
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 def conservation_scenario(eq_tol=None):
@@ -188,4 +192,15 @@ def test_remaining_builtins_run_clean(tmp_path):
         ), name
         report = json.loads(out.read_text())
         assert report["summary"]["violated"] == 0
+        assert report["summary"]["tasks_failed"] == 0
+
+
+def test_readme_scenarios_parse_and_run():
+    # every json block in the README is a scenario the parser accepts
+    blocks = re.findall(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) >= 2
+    for block in blocks:
+        scn, tasks = cli.parse_scenario(json.loads(block), argparse.Namespace())
+        report = cli.run_scenario(scn, tasks)
+        assert len(report["tasks"]) == len(tasks)
         assert report["summary"]["tasks_failed"] == 0
