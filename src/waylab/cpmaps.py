@@ -6,10 +6,11 @@ Kraus application goes through one kernel, :func:`_apply`, which takes a
 stack ``(n, d, d)`` of inputs (or a single matrix) and returns
 ``sum_i K_i t K_i^dag`` (state side) or ``sum_i K_i^dag a K_i`` (dual side)
 for each input as one broadcast ``matmul`` summed over the Kraus axis.
-``apply_map``/``apply_dual`` are its one-matrix public forms; checks that
-run over the ``d**2`` matrix units apply the map once to the stack
-``np.eye(d * d).reshape(d * d, d, d)`` (unit ``i * d + j`` has its one at
-``(i, j)``) and take one batched operator norm.
+``apply_map``/``apply_dual`` are its one-matrix public forms.  Checks that
+run over the ``d**2`` matrix units ``E_ij`` (unit ``i * d + j`` has its one
+at ``(i, j)``) use :func:`_unit_images` instead: it returns the images of
+``L E_ij R`` for all units from one GEMM with the Kraus axis as its inner
+dimension, and the check takes one ``opcore.max_op_norm`` of the stack.
 
 The constructor validates shapes only; whether the family is trace
 non-increasing (``is_operation``) or trace preserving (``is_channel``) is a
@@ -175,6 +176,35 @@ def _apply(phi: OperationMap, x: np.ndarray, dual: bool) -> np.ndarray:
     return (left @ np.expand_dims(x, -3) @ right).sum(axis=-3)
 
 
+def _unit_images(
+    phi: OperationMap,
+    dual: bool,
+    left: np.ndarray | None = None,
+    right: np.ndarray | None = None,
+) -> np.ndarray:
+    """The map applied to ``L E_ij R`` for every matrix unit ``E_ij`` at once.
+
+    Returns the stack ``(d * d, ...)`` whose entry ``i * d + j`` is
+    ``_apply(phi, L E_ij R, dual)``, with ``L``/``R`` the identity when unset.
+    Since ``L E_ij R`` is the outer product of column ``i`` of ``L`` and row
+    ``j`` of ``R``, the dual image is
+    ``sum_k (K_k^dag L)[:, i] (R K_k)[j, :]`` (the state image swaps ``K_k``
+    and ``K_k^dag``): one GEMM with inner dimension ``k``, ``k * d**4``
+    multiply-adds for all units together.
+    """
+    k = phi._kraus
+    kh = k.conj().swapaxes(1, 2)
+    a, b = (kh, k) if dual else (k, kh)
+    if left is not None:
+        a = a @ left
+    if right is not None:
+        b = right @ b
+    n, p, d = a.shape
+    q = b.shape[2]
+    images = a.transpose(2, 1, 0).reshape(d * p, n) @ b.reshape(n, d * q)
+    return images.reshape(d, p, d, q).transpose(0, 2, 1, 3).reshape(d * d, p, q)
+
+
 def apply_map(phi: OperationMap, t: Any) -> Operator:
     """State-side action ``sum K t K^dag``."""
     return Operator(_apply(phi, _as_square(t, phi.in_dim, "input"), False))
@@ -262,10 +292,8 @@ def check_multiplicability(
     pre = op_norm_mat(sesquilinear(phi, bm, bm).mat)
     if pre > tol.eq_tol:
         return MultiplicabilityResult(False, float(pre), None, None)
-    d = phi.out_dim
     fb = apply_dual(phi, bm).mat
-    units = np.eye(d * d).reshape(d * d, d, d)
-    worst = max_op_norm(_apply(phi, units @ bm, True) - _apply(phi, units, True) @ fb)
+    worst = max_op_norm(_unit_images(phi, True, right=bm) - _unit_images(phi, True) @ fb)
     # Cauchy-Schwarz gives ||defect||^2 <= precondition * ||<<a|a>>||, and
     # ||<<a|a>>|| <= 2 for matrix units under a unital dual, hence the scale.
     threshold = float(np.sqrt(2.0 * tol.eq_tol) + tol.eq_tol)

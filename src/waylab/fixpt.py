@@ -27,7 +27,7 @@ from .conserve import AdditiveQuantity, _scheme_composite, check_conservation
 from .cpmaps import (
     OperationMap,
     SuperMatrix,
-    _apply,
+    _unit_images,
     apply_dual,
     apply_map,
     to_supermatrix,
@@ -72,6 +72,14 @@ __all__ = [
 ]
 
 _JOINT_DIAG_SEED = 1717
+# The fixed-space and commutant projectors come from two different
+# factorizations, so they agree only to rounding of both; a rank_tol tighter
+# than this would reject an exact commutant on that rounding alone.
+_COMMUTANT_AGREE_FLOOR = 1e-8
+# A commuting family is block-diagonal in the eigenbasis of its random
+# combination only up to that basis's eigenvector error, which grows as the
+# cluster gaps shrink; a family that does not commute misses this by far.
+_JOINT_BLOCK_TOL = 1e-7
 
 
 @dataclasses.dataclass(frozen=True)
@@ -149,8 +157,10 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     for k in phi.kraus:
         for mat in (k, k.conj().T):
             blocks.append(np.kron(mat.T, eye) - np.kron(eye, mat))
-    stacked = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    # the d^2 x d^2 R factor has the stack's singular values and right
+    # singular vectors, without the (2k d^2) x d^2 left factor
+    r = np.linalg.qr(np.vstack(blocks), mode="r")
+    _, s, vh = np.linalg.svd(r)
     n_null = int(np.sum(s <= rank_tol * max(1.0, float(s[0]))))
     if n_null == 0:
         return np.zeros((d * d, 0), dtype=complex)
@@ -249,7 +259,7 @@ def analyze_fixed_points(
         else:
             p_comm = comm @ comm.conj().T
             commutant_consistent = bool(
-                op_norm_mat(p_fixed - p_comm) <= max(tol.rank_tol, 1e-8)
+                op_norm_mat(p_fixed - p_comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
             )
 
     return FixedPointAnalysis(
@@ -389,7 +399,7 @@ def _joint_eigenprojectors(
                 values[mi, ci] = mean
                 off = rotated[np.ix_(idx, [k for k in range(dim) if k not in idx])]
                 diag_defect = op_norm_mat(block - mean * np.eye(len(idx)))
-                if op_norm_mat(off) > 1e-7 or diag_defect > 1e-7:
+                if op_norm_mat(off) > _JOINT_BLOCK_TOL or diag_defect > _JOINT_BLOCK_TOL:
                     ok = False
                     break
             if not ok:
@@ -551,9 +561,8 @@ def structural_necessary_conditions(
     # instrument forces full commutation with the system quantity
     luders_defect = 0.0
     ref = luders_instrument(e_obs, tol)
-    units = np.eye(m.sys_dim**2).reshape(m.sys_dim**2, m.sys_dim, m.sys_dim)
     for x in e_obs.outcomes:
-        gap = _apply(inst.operation(x), units, False) - _apply(ref.operation(x), units, False)
+        gap = _unit_images(inst.operation(x), False) - _unit_images(ref.operation(x), False)
         luders_defect = max(luders_defect, max_op_norm(gap))
     luders_like = luders_defect <= tol.eq_tol
     applicable_luders = (

@@ -25,6 +25,7 @@ from . import serialize
 from .cpmaps import (
     OperationMap,
     _apply,
+    _unit_images,
     apply_dual,
     apply_map,
     compose,
@@ -604,8 +605,7 @@ def repeatability_report(
         sharp_flag = repeatable == first_kind
 
     # each identity below is checked on every matrix unit A at once
-    units = np.eye(d * d).reshape(d * d, d, d)
-    unit_images = {x: _apply(inst.operation(x), units, True) for x in inst.outcomes}
+    unit_images = {x: _unit_images(inst.operation(x), True) for x in inst.outcomes}
     items: dict[str, ItemCheck] = {}
 
     # (i) I*_x(A) = I*_x(E(x) A) = I*_x(A E(x)) = I*_x(E(x) A E(x))
@@ -613,10 +613,11 @@ def repeatability_report(
     sandwich = localizes = 0.0
     for x, eff in e_obs.items():
         em = eff.mat
-        probes = np.stack([em @ units, units @ em, em @ units @ em])
-        own = _apply(inst.operation(x), probes, True)
+        frames = ((em, None), (None, em), (em, em))
+        own = np.stack([_unit_images(inst.operation(x), True, l, r) for l, r in frames])
+        total = np.stack([_unit_images(inst.total(), True, l, r) for l, r in frames])
         sandwich = max(sandwich, max_op_norm(own - unit_images[x]))
-        localizes = max(localizes, max_op_norm(_apply(inst.total(), probes, True) - own))
+        localizes = max(localizes, max_op_norm(total - own))
     items["sandwich-own-effect"] = ItemCheck(sandwich, sandwich <= tol.eq_tol)
     items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
@@ -654,7 +655,7 @@ def repeatability_report(
     worst = 0.0
     evaluated_vi = bool(proj)
     for x, p in proj.items():
-        sandwiched = _apply(inst.operation(x), p.mat @ units @ p.mat, True)
+        sandwiched = _unit_images(inst.operation(x), True, p.mat, p.mat)
         worst = max(worst, max_op_norm(sandwiched - unit_images[x]))
     items["projector-sandwich"] = ItemCheck(
         worst, worst <= tol.eq_tol, evaluated=evaluated_vi,
@@ -736,13 +737,14 @@ def repeatability_report(
         if qproj and not q_missing:
             q_total = sum(q.mat for q in qproj.values())
             # (vii) the apparatus restriction only sees the pointer support
-            units_a = np.eye(dA * dA).reshape(dA * dA, dA, dA)
-            base = _apply(maps.conj_channel, units_a, True)
-            sand = _apply(maps.conj_channel, q_total @ units_a @ q_total, True)
+            base = _unit_images(maps.conj_channel, True)
+            sand = _unit_images(maps.conj_channel, True, q_total, q_total)
             worst = max_op_norm(sand - base)
             items["conjugate-pointer-support"] = ItemCheck(worst, worst <= tol.eq_tol)
 
-            # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x))
+            # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x)); the lifted units are not
+            # of the form L A R, so they go through the plain kernel
+            units = np.eye(d * d).reshape(d * d, d, d)
             worst = 0.0
             for x in inst.outcomes:
                 if x not in qproj:

@@ -1,19 +1,21 @@
 """The batched matrix-unit checks against a plain per-unit loop.
 
-Each check applies a map once to the stack of all ``d**2`` matrix units and
-takes one batched operator norm.  The reference here walks the units one at a
+Each check takes the images of all ``d**2`` matrix units at once
+(``cpmaps._unit_images``) and one batched operator norm
+(``opcore.max_op_norm``).  The reference here walks the units one at a
 time through the public ``apply_dual``/``apply_map`` and keeps the worst
 defect, the way the checks were first written; both must agree to 1e-12 on
 random instruments, channels and schemes.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waylab import Instrument, Observable, OperationMap, Tolerance
 from waylab.conserve import AdditiveQuantity, conservative_unitary
-from waylab.cpmaps import apply_dual, apply_map, check_multiplicability
+from waylab.cpmaps import _unit_images, apply_dual, apply_map, check_multiplicability
 from waylab.fixpt import (
     analyze_fixed_points,
     check_minimal_support,
@@ -29,7 +31,14 @@ from waylab.measure import (
     scheme_to_instrument,
     sharp_observable,
 )
-from waylab.opcore import DEFAULT_TOL, eigenspace_projector, op_norm, op_norm_mat, psd_sqrt
+from waylab.opcore import (
+    DEFAULT_TOL,
+    eigenspace_projector,
+    max_op_norm,
+    op_norm,
+    op_norm_mat,
+    psd_sqrt,
+)
 from waylab.rand import haar_unitary, random_channel, random_hermitian, random_state
 
 AGREE = 1e-12
@@ -236,3 +245,95 @@ def test_multiplicability_witness_matches_unit_loop(seed, d, n_kraus):
     for a in units(d):
         worst = max(worst, op_norm_mat(apply_dual(phi, a @ b).mat - apply_dual(phi, a).mat @ fb))
     assert abs(res.witness - worst) <= AGREE
+
+
+STACK_KINDS = st.sampled_from(
+    ["random", "rank-one", "zero", "single", "non-square", "tied-frobenius"]
+)
+
+
+def full_max_op_norm(stack):
+    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+
+
+def random_stack(kind, n, d, rng):
+    def ginibre(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "random":
+        return ginibre(n, d, d)
+    if kind == "rank-one":
+        return ginibre(n, d, 1) @ ginibre(n, 1, d)
+    if kind == "zero":
+        return np.zeros((n, d, d), dtype=complex)
+    if kind == "single":
+        return ginibre(1, d, d)
+    if kind == "non-square":
+        return ginibre(n, d, d + 2)
+    # equal Frobenius norms, different operator norms: the pruning keeps all
+    # of them, and only their SVDs tell the maximum
+    u = np.linalg.qr(ginibre(n, d, d))[0]
+    s = rng.dirichlet(np.ones(d), size=n) ** 0.5
+    return u * s[:, None, :]
+
+
+@given(seed=SEEDS, kind=STACK_KINDS, n=st.integers(1, 40), d=st.integers(1, 6),
+       lead=st.booleans())
+@SETTINGS
+def test_max_op_norm_equals_full_svd_bitwise(seed, kind, n, d, lead):
+    stack = random_stack(kind, n, d, np.random.default_rng(seed))
+    if lead:
+        # extra leading axes, as the repeatability items pass them
+        stack = stack[None].repeat(2, axis=0)
+    assert max_op_norm(stack) == full_max_op_norm(stack)
+
+
+def outcome(f, x):
+    """``repr`` of ``f(x)``, or of what it raised (so nan matches nan)."""
+    try:
+        return repr(f(x))
+    except Exception as exc:  # compared with the full expression's, not handled
+        return repr(exc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_max_op_norm_single_matrix_and_non_finite(bad):
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 3))
+    assert max_op_norm(m) == full_max_op_norm(m)
+    stack = rng.standard_normal((5, 3, 3))
+    stack[2, 1, 1] = bad
+    with np.errstate(invalid="ignore"):
+        assert outcome(max_op_norm, stack) == outcome(full_max_op_norm, stack)
+
+
+def unit_image_loop(phi, dual, left, right):
+    d = phi.out_dim if dual else phi.in_dim
+    left = np.eye(d) if left is None else left
+    right = np.eye(d) if right is None else right
+    apply = apply_dual if dual else apply_map
+    return np.array([apply(phi, left @ a @ right).mat for a in units(d)])
+
+
+@given(seed=SEEDS, d_sys=DIMS, d_app=DIMS, dual=st.booleans(),
+       frames=st.sampled_from(["none", "left", "right", "both"]),
+       kind=st.sampled_from(["channel", "restriction", "conjugate"]))
+@SETTINGS
+def test_unit_images_match_unit_loop(seed, d_sys, d_app, dual, frames, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "channel":
+        phi = random_channel(d_sys, d_sys, 3, rng)
+    else:
+        # non-square: S(x)A -> S and S -> A
+        maps = restriction_maps(random_scheme(rng, d_sys, d_app))
+        phi = maps.gamma_xi_e if kind == "restriction" else maps.conj_channel
+    d = phi.out_dim if dual else phi.in_dim
+    left, right = (
+        random_hermitian(d, rng).mat + 1j * random_hermitian(d, rng).mat
+        if frames in (side, "both") else None
+        for side in ("left", "right")
+    )
+    got = _unit_images(phi, dual, left, right)
+    expected = unit_image_loop(phi, dual, left, right)
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= AGREE

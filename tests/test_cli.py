@@ -204,3 +204,17 @@ def test_readme_scenarios_parse_and_run():
         report = cli.run_scenario(scn, tasks)
         assert len(report["tasks"]) == len(tasks)
         assert report["summary"]["tasks_failed"] == 0
+
+
+def test_memory_error_is_a_resource_limit(tmp_path, monkeypatch, capsys):
+    def exhausted(scn, idx, task):
+        raise MemoryError("Unable to allocate 11.4 GiB for an array")
+
+    monkeypatch.setattr(cli, "run_task", exhausted)
+    out = tmp_path / "report.json"
+    code = cli.main(["builtin", "qubit-luders", "--run", "--out", str(out), "--quiet"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "error: resource limit: Unable to allocate 11.4 GiB for an array\n"
+    )
+    assert not out.exists()

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, op_norm
 from waylab.conserve import AdditiveQuantity
@@ -20,6 +23,7 @@ from waylab.measure import (
     sharp_observable,
 )
 from waylab.opcore import op_norm_mat
+from waylab.rand import haar_unitary, random_channel
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -147,6 +151,50 @@ def test_kraus_commutant_dephasing():
     fp = analyze_fixed_points(phi)
     assert fp.fixed_dim == 2
     assert fp.commutant_consistent
+
+
+def full_stack_commutant(phi, rank_tol=1e-8):
+    """The commutant from an SVD of the whole stacked Kraus constraint."""
+    d = phi.in_dim
+    eye = np.eye(d)
+    stacked = np.vstack(
+        [np.kron(m.T, eye) - np.kron(eye, m) for k in phi.kraus for m in (k, k.conj().T)]
+    )
+    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    n_null = int(np.sum(s <= rank_tol * max(1.0, float(s[0]))))
+    return vh[d * d - n_null :, :].conj().T
+
+
+def block_channel(d, rng):
+    """A channel that is a direct sum of two random channels, in a random
+    basis: its commutant holds the two block projectors."""
+    r = int(rng.integers(1, d))
+    first, second = random_channel(r, r, 2, rng), random_channel(d - r, d - r, 2, rng)
+    u = haar_unitary(d, rng).mat
+    return OperationMap(
+        [u @ scipy.linalg.block_diag(a, b) @ u.conj().T for a, b in zip(first.kraus, second.kraus)]
+    )
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+       kind=st.sampled_from(["random", "blocks", "luders"]))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_kraus_commutant_matches_full_stack_svd(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        phi = random_channel(d, d, int(rng.integers(1, 4)), rng)
+    elif kind == "blocks":
+        phi = block_channel(d, rng)
+    else:
+        # degenerate eigenvalues give a commutant with several dimensions in
+        # one singular-value cluster, where the two bases may differ
+        v = haar_unitary(d, rng).mat
+        h = v @ np.diag(rng.integers(0, 3, size=d).astype(float)) @ v.conj().T
+        phi = luders_instrument(sharp_observable(h)).total()
+    got = kraus_commutant(phi)
+    expected = full_stack_commutant(phi)
+    assert got.shape == expected.shape  # same null count
+    assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= 1e-12
 
 
 def test_cesaro_converges_to_projector():

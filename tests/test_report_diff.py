@@ -1,0 +1,60 @@
+"""tools/report_diff.py, the equivalence check between two reports."""
+
+import json
+import pathlib
+import subprocess
+import sys
+
+from waylab import cli
+
+SCRIPT = pathlib.Path(__file__).resolve().parents[1] / "tools" / "report_diff.py"
+
+
+def report_diff(a, b):
+    return subprocess.run(
+        [sys.executable, str(SCRIPT), str(a), str(b)], capture_output=True, text=True
+    )
+
+
+def first_path(obj, kind):
+    """Path (list of keys) to the first value of type ``kind`` in ``obj``."""
+    if type(obj) is kind:
+        return []
+    if not isinstance(obj, (dict, list)):
+        return None
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        sub = first_path(value, kind)
+        if sub is not None:
+            return [key, *sub]
+    return None
+
+
+def edited_copy(report, path, edit, out):
+    node = report
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = edit(node[path[-1]])
+    out.write_text(json.dumps(report))
+    return out
+
+
+def test_report_diff_on_suite_outputs(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    for out in (a, b):
+        assert cli.main(["suite", "--out", str(out), "--quiet"]) in (0, 1)
+    same = report_diff(a, b)
+    assert same.returncode == 0, same.stdout
+    assert same.stdout.startswith("differing floats: 0,")
+
+    report = json.loads(a.read_text())
+    path = first_path(report, bool)
+    flipped = edited_copy(json.loads(a.read_text()), path, lambda v: not v, tmp_path / "c.json")
+    res = report_diff(a, flipped)
+    assert res.returncode == 1
+    assert "mismatch $." in res.stdout
+
+    path = first_path(report, float)
+    moved = edited_copy(json.loads(a.read_text()), path, lambda v: v + 1e-9, tmp_path / "d.json")
+    res = report_diff(a, moved)
+    assert res.returncode == 1
+    assert res.stdout.startswith("differing floats: 1,")
