@@ -72,6 +72,9 @@ __all__ = [
 ]
 
 _JOINT_DIAG_SEED = 1717
+# Seed of the random Hermitian element of the Kraus algebra whose eigenbasis
+# narrows the search in ``kraus_commutant``; any seed gives the same space.
+_COMMUTANT_SEED = 2718
 # The fixed-space and commutant projectors come from two different
 # factorizations, so they agree only to rounding of both; a rank_tol tighter
 # than this would reject an exact commutant on that rounding alone.
@@ -84,11 +87,19 @@ _JOINT_BLOCK_TOL = 1e-7
 
 @dataclasses.dataclass(frozen=True)
 class FixedPointAnalysis:
-    """Certified fixed-point data of a channel's dual."""
+    """Certified fixed-point data of a channel's dual.
+
+    ``basis`` spans the dual fixed space ``{A : Phi*(A) = A}`` with Hermitian
+    operators; ``fixed_states`` holds, as columns, an orthonormal vec-basis
+    of the state-side fixed space ``{T : Phi(T) = T}`` (the left null
+    vectors of ``M - 1`` from the same SVD as the right ones, so
+    ``fixed_dim`` columns).
+    """
 
     dim: int
     fixed_dim: int
     basis: tuple[Operator, ...]
+    fixed_states: np.ndarray
     projector: SuperMatrix
     rho0: Operator
     support_p: Operator
@@ -103,11 +114,6 @@ class FixedPointAnalysis:
         """Cesàro-averaged dual action ``Phi*_av(a)`` via the projector."""
         m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
         return Operator(unvec(self.projector.m @ vec(m), self.dim))
-
-    def average_state(self, t: Any) -> Operator:
-        """State-side Cesàro average ``Phi_av(t)``."""
-        m = t.mat if isinstance(t, Operator) else np.asarray(t, dtype=complex)
-        return Operator(unvec(self.projector.m.conj().T @ vec(m), self.dim))
 
     def compress(self, a: Any) -> np.ndarray:
         """``W^dag a W``: the P-block of an operator."""
@@ -148,23 +154,69 @@ def _null_spaces(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray
 
 
 def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
-    """Orthonormal vec-basis of ``{K_i, K_i^dag}'`` via one stacked null space."""
+    """Orthonormal vec-basis of ``{K_i, K_i^dag}'``.
+
+    The commutant is the null space of the stack ``S`` of the ``2k``
+    commutator maps ``X -> [F, X]``, ``F`` in ``{K_i, K_i^dag}``, with the
+    null count ``s <= rank_tol * max(1, ||S||_2)``.  It is found in two stages.
+
+    1. Every ``X`` that commutes with the family commutes with the Hermitian
+       ``H = M + M^dag``, ``M = sum_i c_i K_i`` for fixed-seed random complex
+       ``c``.  In the eigenbasis ``H = sum_a w_a v_a v_a^dag``,
+       ``[H, X]`` has entries ``(w_a - w_b) <v_a, X v_b>``, so the commutant
+       lies in ``span{v_a v_b^dag : |w_a - w_b| <= tau}``, an orthonormal
+       vec-basis ``B`` of ``n'`` candidates.  The window is
+       ``tau = max(sqrt(rank_tol), 100 eps / rank_tol) * max(1, ||H||)``:
+       eigenvalues of ``H`` that are equal come out within ``eps ||H||`` of
+       each other, far inside it, and the eigenvectors of clusters more
+       than ``tau`` apart rotate by about ``eps ||H|| / tau <= rank_tol / 100``
+       (Davis-Kahan), so no commutant direction leaves the candidates.  A
+       window that is too wide costs only time.  A direction that commutes
+       only to within the null threshold, not exactly, can leave them: at
+       that edge the count can be lower than the full stack's, never
+       higher, since restricting ``S`` to ``B`` only raises its smallest
+       singular values.
+    2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
+       ``(2k d^2) x n'`` matrix ``S B``, whose economy SVD gives the null
+       vectors ``V_null`` by the same null-count rule; ``||S||_2`` is the square
+       root of the largest eigenvalue of the ``d^2 x d^2`` Gram ``S^dag S``,
+       assembled from Kronecker products, which sets the scale only.
+
+    ``B V_null`` is orthonormal.  The cost is ``k n' d^3`` for the
+    commutators plus ``k d^4`` for the Gram; ``n' = d`` for a generic
+    family and ``d^2`` (the size of the full stack, formed only then) when
+    ``H`` is degenerate, e.g. for the identity channel.
+    """
     d = phi.in_dim
     if phi.out_dim != d:
         raise ValueError("commutant needs an endomorphism")
+    kraus = np.stack(phi.kraus)
+    family = np.concatenate([kraus, kraus.conj().swapaxes(1, 2)])
+
+    rng = np.random.default_rng(_COMMUTANT_SEED)
+    c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
+    m = np.tensordot(c, kraus, axes=1)
+    w, v = np.linalg.eigh(m + m.conj().T)
+    eps = np.finfo(float).eps
+    tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
+    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
+
+    comm = family[:, None] @ cand - cand @ family[:, None]
+    _, s, vh = np.linalg.svd(comm.transpose(0, 2, 3, 1).reshape(-1, len(a)), full_matrices=False)
+
+    # S^dag S = conj(Q) (x) 1 + 1 (x) Q - 2 sum_F conj(F) (x) F, Q = sum_F F^dag F,
+    # since the family is closed under the adjoint
+    q = np.einsum("fji,fjk->ik", family.conj(), family)
+    flat = family.reshape(len(family), d * d)
+    cross = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
-    blocks = []
-    for k in phi.kraus:
-        for mat in (k, k.conj().T):
-            blocks.append(np.kron(mat.T, eye) - np.kron(eye, mat))
-    # the d^2 x d^2 R factor has the stack's singular values and right
-    # singular vectors, without the (2k d^2) x d^2 left factor
-    r = np.linalg.qr(np.vstack(blocks), mode="r")
-    _, s, vh = np.linalg.svd(r)
-    n_null = int(np.sum(s <= rank_tol * max(1.0, float(s[0]))))
-    if n_null == 0:
-        return np.zeros((d * d, 0), dtype=complex)
-    return vh[-n_null:, :].conj().T
+    gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * cross
+    scale = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    n_null = int(np.sum(s <= rank_tol * max(1.0, scale)))
+
+    basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
+    return basis @ vh[len(s) - n_null :].conj().T
 
 
 def analyze_fixed_points(
@@ -266,6 +318,7 @@ def analyze_fixed_points(
         dim=d,
         fixed_dim=r,
         basis=basis,
+        fixed_states=left,
         projector=projector,
         rho0=rho0,
         support_p=support,
@@ -322,11 +375,9 @@ def check_minimal_support(
     units = np.eye(d * d).reshape(d * d, d, d)
     sandwich = max_op_norm(av_stack(units) - av_stack(p @ units @ p))
 
-    m_dual = to_supermatrix(phi).m
-    _, left = _null_spaces(m_dual - np.eye(d * d), tol.rank_tol)
     states_defect = 0.0
-    for i in range(left.shape[1]):
-        s = unvec(left[:, i], d)
+    for i in range(analysis.fixed_states.shape[1]):
+        s = unvec(analysis.fixed_states[:, i], d)
         states_defect = max(states_defect, op_norm_mat(s - p @ s @ p))
 
     w = analysis.p_isometry

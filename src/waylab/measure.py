@@ -641,14 +641,14 @@ def repeatability_report(
         note=("missing eigenvalue-1 eigenspace for: " + ", ".join(missing)) if missing else "",
     )
 
+    # P(x) E(y) = delta_xy P(x), every pair at once
     worst = 0.0
-    for x, p in proj.items():
-        for y, eff in e_obs.items():
-            prod = p.mat @ eff.mat
-            worst = max(
-                worst,
-                op_norm_mat(prod - p.mat) if x == y else op_norm_mat(prod),
-            )
+    if proj:
+        pmats = np.array([p.mat for p in proj.values()])
+        prods = pmats[:, None] @ np.array([eff.mat for eff in e_obs.effects])
+        own = [e_obs.outcomes.index(x) for x in proj]
+        prods[np.arange(len(own)), own] -= pmats
+        worst = max_op_norm(prods)
     items["projector-exclusivity"] = ItemCheck(worst, worst <= tol.eq_tol)
 
     # (vi) I*_x(A) = I*_x(P(x) A P(x))
@@ -670,7 +670,7 @@ def repeatability_report(
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
         probes.append(Operator(rho / np.trace(rho)))
-    worst = 0.0
+    products = []
     for rho in probes:
         outs = []
         for x in inst.outcomes:
@@ -678,9 +678,11 @@ def repeatability_report(
             p = float(np.real(np.trace(out)))
             if p > tol.rank_tol:
                 outs.append(out / p)
-        for i in range(len(outs)):
-            for j in range(i + 1, len(outs)):
-                worst = max(worst, op_norm_mat(outs[i] @ outs[j]))
+        outs = np.array(outs).reshape(-1, d, d)
+        i, j = np.triu_indices(len(outs), 1)
+        products.append(outs[i] @ outs[j])
+    products = np.concatenate(products)
+    worst = max_op_norm(products) if len(products) else 0.0
     items["output-orthogonality"] = ItemCheck(worst, worst <= tol.eq_tol)
 
     if m is not None:

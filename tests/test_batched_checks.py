@@ -176,6 +176,70 @@ def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
             assert not rep.items[key].evaluated, key
 
 
+def reference_pair_items(inst, tol=DEFAULT_TOL):
+    """``projector-exclusivity`` and ``output-orthogonality``, one pair at a time."""
+    d = inst.dim
+    e_obs = inst.induced_observable(tol)
+    proj, _ = eigen_one_projectors(e_obs, tol)
+    exclusivity = 0.0
+    for x, pm in proj.items():
+        for y, eff in e_obs.items():
+            prod = pm @ eff.mat
+            exclusivity = max(
+                exclusivity, op_norm_mat(prod - pm) if x == y else op_norm_mat(prod)
+            )
+    rng = np.random.default_rng(171)  # the report's probe states
+    probes = [np.eye(d) / d]
+    for _ in range(3):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho = g @ g.conj().T
+        probes.append(rho / np.trace(rho))
+    orthogonality = 0.0
+    for rho in probes:
+        outs = []
+        for x in inst.outcomes:
+            out = inst.apply(x, rho).mat
+            p = float(np.real(np.trace(out)))
+            if p > tol.rank_tol:
+                outs.append(out / p)
+        for i in range(len(outs)):
+            for j in range(i + 1, len(outs)):
+                orthogonality = max(orthogonality, op_norm_mat(outs[i] @ outs[j]))
+    return exclusivity, orthogonality
+
+
+@given(seed=SEEDS, d=DIMS,
+       kind=st.sampled_from(["instrument", "norm-one", "luders", "null-outcome", "single"]))
+@SETTINGS
+def test_pairwise_items_match_pair_loop(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    kraus = random_channel(d, d, 3, rng).kraus
+    if kind == "instrument":
+        ops = [OperationMap(kraus[:1]), OperationMap(kraus[1:2]), OperationMap(kraus[2:])]
+    elif kind == "norm-one":
+        ops = [
+            OperationMap([haar_unitary(d, rng).mat @ psd_sqrt(e).mat])
+            for e in norm_one_effects(d, rng)
+        ]
+    elif kind == "luders":
+        v = haar_unitary(d, rng).mat
+        h = v @ np.diag(rng.integers(0, 3, size=d).astype(float)) @ v.conj().T
+        ops = list(luders_instrument(sharp_observable(h)).operations)
+    elif kind == "null-outcome":
+        # an outcome that never occurs drops out of every probe's pairs, and
+        # it comes first, so the projectors are not indexed like the effects
+        ops = [OperationMap([np.zeros((d, d))])] + [
+            OperationMap([psd_sqrt(e).mat]) for e in norm_one_effects(d, rng)
+        ]
+    else:
+        ops = [OperationMap(kraus)]  # no pairs at all: both defects are 0.0
+    inst = Instrument([f"x{i}" for i in range(len(ops))], ops)
+    rep = repeatability_report(inst)
+    exclusivity, orthogonality = reference_pair_items(inst)
+    assert rep.items["projector-exclusivity"].defect == exclusivity
+    assert rep.items["output-orthogonality"].defect == orthogonality
+
+
 @given(seed=SEEDS, d=DIMS, extra=st.integers(0, 1), data=st.data())
 @SETTINGS
 def test_minimal_support_sandwich_matches_unit_loop(seed, d, extra, data):

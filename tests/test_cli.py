@@ -7,7 +7,7 @@ import re
 import numpy as np
 import scipy.linalg
 
-from waylab import cli
+from waylab import cli, cpmaps, fixpt
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -218,3 +218,25 @@ def test_memory_error_is_a_resource_limit(tmp_path, monkeypatch, capsys):
         "error: resource limit: Unable to allocate 11.4 GiB for an array\n"
     )
     assert not out.exists()
+
+
+def test_fixed_points_task_builds_one_supermatrix(tmp_path, monkeypatch):
+    scn = tmp_path / "scn.json"
+    assert cli.main(["builtin", "qubit-luders", "--emit", str(scn), "--quiet"]) == 0
+    scenario = json.loads(scn.read_text())
+    scenario["tasks"] = [t for t in scenario["tasks"] if t["op"] == "fixed-points"]
+    assert len(scenario["tasks"]) == 1
+
+    calls = []
+    real = cpmaps.to_supermatrix
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    for module in (cpmaps, fixpt):
+        monkeypatch.setattr(module, "to_supermatrix", counted)
+    code, report = run_file(tmp_path, scenario)
+    assert code == 0
+    assert report["tasks"][0]["ok"]
+    assert len(calls) == 1

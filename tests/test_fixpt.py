@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, op_norm
-from waylab.conserve import AdditiveQuantity
+from waylab.conserve import AdditiveQuantity, conservative_unitary
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
     analyze_fixed_points,
@@ -20,10 +20,11 @@ from waylab.measure import (
     MeasurementScheme,
     collapse_instrument,
     luders_instrument,
+    scheme_to_instrument,
     sharp_observable,
 )
 from waylab.opcore import op_norm_mat
-from waylab.rand import haar_unitary, random_channel
+from waylab.rand import haar_unitary, random_channel, random_hermitian, random_state
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -153,14 +154,18 @@ def test_kraus_commutant_dephasing():
     assert fp.commutant_consistent
 
 
+def full_stack(phi):
+    """The whole stacked Kraus constraint ``X -> [X, F]``, ``F`` in ``{K_i, K_i^dag}``."""
+    eye = np.eye(phi.in_dim)
+    return np.vstack(
+        [np.kron(m.T, eye) - np.kron(eye, m) for k in phi.kraus for m in (k, k.conj().T)]
+    )
+
+
 def full_stack_commutant(phi, rank_tol=1e-8):
     """The commutant from an SVD of the whole stacked Kraus constraint."""
     d = phi.in_dim
-    eye = np.eye(d)
-    stacked = np.vstack(
-        [np.kron(m.T, eye) - np.kron(eye, m) for k in phi.kraus for m in (k, k.conj().T)]
-    )
-    _, s, vh = np.linalg.svd(stacked, full_matrices=False)
+    _, s, vh = np.linalg.svd(full_stack(phi), full_matrices=False)
     n_null = int(np.sum(s <= rank_tol * max(1.0, float(s[0]))))
     return vh[d * d - n_null :, :].conj().T
 
@@ -176,25 +181,100 @@ def block_channel(d, rng):
     )
 
 
+def conserving_scheme_channel(d_sys, rng):
+    """The total channel of a random scheme that conserves a random additive
+    quantity: outcomes x apparatus rank x apparatus dimension Kraus operators."""
+    d_app = int(rng.integers(2, 4))
+    q = AdditiveQuantity(
+        np.diag(rng.integers(-1, 2, size=d_sys).astype(float)),
+        np.diag(rng.integers(-1, 2, size=d_app).astype(float)),
+    )
+    u = conservative_unitary(q.composite(), rng, strength=1.5)
+    xi = random_state(d_app, rng, rank=min(2, d_app))
+    pointer = sharp_observable(random_hermitian(d_app, rng))
+    m = MeasurementScheme(d_sys, d_app, xi, OperationMap([u.mat]), pointer)
+    return scheme_to_instrument(m).total()
+
+
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
-       kind=st.sampled_from(["random", "blocks", "luders"]))
-@settings(derandomize=True, max_examples=20, deadline=None)
-def test_kraus_commutant_matches_full_stack_svd(seed, d, kind):
+       kind=st.sampled_from(
+           ["random", "blocks", "luders", "scheme", "decay", "unitary", "identity"]
+       ),
+       rank_tol=st.sampled_from([1e-8, 1e-11]))
+@settings(derandomize=True, max_examples=50, deadline=None)
+def test_kraus_commutant_matches_full_stack_svd(seed, d, kind, rank_tol):
     rng = np.random.default_rng(seed)
     if kind == "random":
         phi = random_channel(d, d, int(rng.integers(1, 4)), rng)
     elif kind == "blocks":
         phi = block_channel(d, rng)
-    else:
+    elif kind == "luders":
         # degenerate eigenvalues give a commutant with several dimensions in
         # one singular-value cluster, where the two bases may differ
         v = haar_unitary(d, rng).mat
         h = v @ np.diag(rng.integers(0, 3, size=d).astype(float)) @ v.conj().T
         phi = luders_instrument(sharp_observable(h)).total()
-    got = kraus_commutant(phi)
-    expected = full_stack_commutant(phi)
+    elif kind == "scheme":
+        phi = conserving_scheme_channel(min(d, 3), rng)
+    elif kind == "decay":
+        # the last level decays into the first, in a random basis: the Kraus
+        # family alone commutes with more than its adjoints do
+        gamma = rng.uniform(0.2, 0.8)
+        k0 = np.diag([1.0] * (d - 1) + [np.sqrt(1 - gamma)])
+        k1 = np.zeros((d, d))
+        k1[0, d - 1] = np.sqrt(gamma)
+        u = haar_unitary(d, rng).mat
+        phi = OperationMap([u @ k @ u.conj().T for k in (k0, k1)])
+    elif kind == "unitary":
+        # cube roots of unity as eigenvalues: degenerate eigenspaces
+        v = haar_unitary(d, rng).mat
+        phases = np.exp(2j * np.pi * rng.integers(0, 3, size=d) / 3)
+        phi = OperationMap.from_unitary(v @ np.diag(phases) @ v.conj().T)
+    else:
+        # every Hermitian combination is a multiple of 1: all d^2 candidates
+        phi = OperationMap([np.eye(d)])
+    got = kraus_commutant(phi, rank_tol)
+    expected = full_stack_commutant(phi, rank_tol)
     assert got.shape == expected.shape  # same null count
     assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 5), inside=st.booleans())
+@settings(derandomize=True, max_examples=10, deadline=None)
+def test_kraus_commutant_null_count_scale_is_stack_norm(seed, d, inside):
+    """The null count scales ``rank_tol`` by the full stack's norm ``||S||_2``.
+
+    ``10 P`` (``P`` a projector) makes ``||S||_2`` about 10, while the
+    block-diagonal operators, which hold every candidate, have singular
+    values near 1e-6 from ``1e-6 G``.  ``rank_tol`` puts the third smallest
+    singular value 1e-6 (relative) inside or outside ``rank_tol * ||S||_2``,
+    so a scale off by more than that changes the count.
+    """
+    rng = np.random.default_rng(seed)
+    r = int(rng.integers(1, d))
+    blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (r, d - r)]
+    u = haar_unitary(d, rng).mat
+    family = [10 * np.diag([1.0] * r + [0.0] * (d - r)), 1e-6 * scipy.linalg.block_diag(*blocks)]
+    phi = OperationMap([u @ k @ u.conj().T for k in family])
+    s = np.linalg.svd(full_stack(phi), compute_uv=False)
+    rank_tol = s[-3] / s[0] * (1 + 1e-6 if inside else 1 - 1e-6)
+    got = kraus_commutant(phi, rank_tol)
+    assert got.shape[1] == full_stack_commutant(phi, rank_tol).shape[1] == (3 if inside else 2)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 6), log_delta=st.floats(-10, -7))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_kraus_commutant_near_null_count_never_exceeds_full_stack(seed, d, log_delta):
+    # a block channel perturbed by 1e-10..1e-7: its broken block projectors
+    # sit near the null threshold, where the candidates can miss a direction
+    # but never add one
+    rng = np.random.default_rng(seed)
+    delta = 10.0**log_delta
+    phi = OperationMap(
+        [k + delta * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+         for k in block_channel(d, rng).kraus]
+    )
+    assert kraus_commutant(phi).shape[1] <= full_stack_commutant(phi).shape[1]
 
 
 def test_cesaro_converges_to_projector():
