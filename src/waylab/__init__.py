@@ -5,8 +5,8 @@ The package is organized around a small dense-matrix core:
 ``opcore``
     operators, tolerances, tensor/partial-trace plumbing.
 ``cpmaps``
-    Kraus-form operations and channels, duals, supermatrices, and the
-    sesquilinear defect map that drives most of the inequalities.
+    Kraus-form operations and channels, duals, compositions, supermatrices,
+    and the batched Kraus kernel behind every map application.
 ``measure``
     observables, instruments, measurement schemes, restriction maps,
     dilations, and repeatability diagnostics.

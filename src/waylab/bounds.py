@@ -31,8 +31,7 @@ import numpy as np
 
 from .conserve import (
     AdditiveQuantity,
-    _scheme_composite,
-    check_conservation,
+    _scheme_conservation,
     qfi,
     variance,
     yanase_conditions,
@@ -42,7 +41,7 @@ from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
-    _repeat_first_kind,
+    _scheme_repeat_first_kind,
     measured_observable,
     restriction_maps,
     scheme_to_instrument,
@@ -146,13 +145,6 @@ def _unsharpness(eff: Operator) -> float:
     return float(op_norm_mat(m @ m - m))
 
 
-def _second_moment_defect(inst: Instrument, eff: Operator) -> float:
-    """``|| I*_X(F^2) - I*_X(F)^2 ||`` for Hermitian ``F``."""
-    img = inst.apply_dual_total(eff).mat
-    img_sq = inst.apply_dual_total(eff @ eff).mat
-    return float(op_norm_mat(img_sq - img @ img))
-
-
 def _gamma_moment_defect(m: MeasurementScheme, n: Operator, tol: Tolerance) -> float:
     """``|| Gamma^E_xi(N^2) - Gamma^E_xi(N)^2 ||`` on the composite."""
     maps = restriction_maps(m, tol)
@@ -209,15 +201,14 @@ def eval_disturbance_bounds(
     prof = disturbance_profile(inst, f, tol)
     unsharp_e = {x: _unsharpness(eff) for x, eff in e_obs.items()}
     unsharp_f = {y: _unsharpness(eff) for y, eff in f.items()}
-    sesq_f = {y: _second_moment_defect(inst, eff) for y, eff in f.items()}
-    exact_f = {
-        y: float(
-            op_norm_mat(
-                inst.apply_dual_total(eff @ eff).mat - eff.mat @ eff.mat
-            )
-        )
-        for y, eff in f.items()
-    }
+    # ||I*_X(F^2) - I*_X(F)^2|| and ||I*_X(F^2) - F^2|| per outcome of f
+    sesq_f: dict[str, float] = {}
+    exact_f: dict[str, float] = {}
+    for y, eff in f.items():
+        img = inst.apply_dual_total(eff).mat
+        img_sq = inst.apply_dual_total(eff @ eff).mat
+        sesq_f[y] = float(op_norm_mat(img_sq - img @ img))
+        exact_f[y] = float(op_norm_mat(img_sq - eff.mat @ eff.mat))
     nondisturbed = prof.max_norm <= tol.eq_tol
 
     reports: list[BoundReport] = []
@@ -279,15 +270,15 @@ def eval_disturbance_bounds(
     if q is None:
         return reports
 
-    n_comp = _scheme_composite(m, q)
-    cons = check_conservation(m.coupling, n_comp, tol)
+    n_comp, cons = _scheme_conservation(m, q, tol)
     ns_norm = op_norm(q.n_sys)
     gamma_defect = _gamma_moment_defect(m, n_comp, tol)
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
 
+    lhs_by_outcome: dict[str, float] = {}
     for y, fy in f.items():
         comm = commutator(fy, q.n_sys)
-        lhs = float(op_norm(comm - inst.apply_dual_total(comm)))
+        lhs = lhs_by_outcome[y] = float(op_norm(comm - inst.apply_dual_total(comm)))
         base = 2.0 * ns_norm * prof.norms[y]
         reports.append(
             make_report(
@@ -332,9 +323,7 @@ def eval_disturbance_bounds(
     if cons.full_holds:
         qval = qfi(q.n_app, m.xi, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
-        for y, fy in f.items():
-            comm = commutator(fy, q.n_sys)
-            lhs = float(op_norm(comm - inst.apply_dual_total(comm)))
+        for y, lhs in lhs_by_outcome.items():
             base = 2.0 * ns_norm * prof.norms[y]
             reports.append(
                 make_report(
@@ -376,8 +365,7 @@ def eval_measurability_bounds(
     bound plus its extremal ``eps = 0`` refinement when requested.
     """
     prof = error_profile(m, target, tol)
-    n_comp = _scheme_composite(m, q)
-    cons = check_conservation(m.coupling, n_comp, tol)
+    n_comp, cons = _scheme_conservation(m, q, tol)
     maps = restriction_maps(m, tol)
     ns_norm = op_norm(q.n_sys)
     gamma_defect = _gamma_moment_defect(m, n_comp, tol)
@@ -393,10 +381,11 @@ def eval_measurability_bounds(
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
     reports: list[BoundReport] = []
     unsharp_t = {x: _unsharpness(eff) for x, eff in target.items()}
+    lhs_by_outcome: dict[str, float] = {}
     for x, tx in target.items():
         pointer_comm = commutator(m.pointer.effect(x), q.n_app)
         transferred = apply_map(maps.conj_dual, pointer_comm).mat
-        lhs = float(op_norm_mat(commutator(tx, q.n_sys).mat - transferred))
+        lhs = lhs_by_outcome[x] = float(op_norm_mat(commutator(tx, q.n_sys).mat - transferred))
         reports.append(
             make_report(
                 "measure-error-commutator",
@@ -415,10 +404,7 @@ def eval_measurability_bounds(
     if cons.full_holds:
         qval = qfi(q.n_app, m.xi, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
-        for x, tx in target.items():
-            pointer_comm = commutator(m.pointer.effect(x), q.n_app)
-            transferred = apply_map(maps.conj_dual, pointer_comm).mat
-            lhs = float(op_norm_mat(commutator(tx, q.n_sys).mat - transferred))
+        for x, lhs in lhs_by_outcome.items():
             reports.append(
                 make_report(
                     "measure-error-qfi",
@@ -462,15 +448,13 @@ def eval_way(
     target here is the measured observable itself, so the error terms of the
     general statements vanish identically.
     """
-    inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
-    n_comp = _scheme_composite(m, q)
-    cons = check_conservation(m.coupling, n_comp, tol)
+    n_comp, cons = _scheme_conservation(m, q, tol)
     yan = yanase_conditions(m, q, tol)
     ns_norm = op_norm(q.n_sys)
     digest = digest_inputs("way", *_scheme_digest_items(m), q.n_sys, q.n_app)
 
-    repeat_defect = _repeat_first_kind(inst, e_obs)[0]
+    repeat_defect = _scheme_repeat_first_kind(m, tol)[0]
     repeatable = repeat_defect <= tol.eq_tol
     yanase_ok = yan.yanase_defect <= tol.eq_tol
 
@@ -569,8 +553,7 @@ def eval_distinguishability_bounds(
     inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
     maps = restriction_maps(m, tol)
-    n_comp = _scheme_composite(m, q)
-    cons = check_conservation(m.coupling, n_comp, tol)
+    cons = _scheme_conservation(m, q, tol)[1]
     digest = digest_inputs(
         "distinguishability", *_scheme_digest_items(m), q.n_sys, q.n_app, psi_v, phi_v
     )
@@ -600,7 +583,7 @@ def eval_distinguishability_bounds(
         )
     ]
 
-    repeat_defect, fk_defect, _ = _repeat_first_kind(inst, e_obs)
+    repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
     first_kind = fk_defect <= tol.eq_tol
 
     eye = np.eye(dS)

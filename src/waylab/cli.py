@@ -32,6 +32,7 @@ from .bounds import (
 )
 from .conserve import (
     AdditiveQuantity,
+    _scheme_conservation,
     check_conservation,
     check_unitary_equivalence,
     conservative_unitary,
@@ -195,12 +196,8 @@ def _as_channel(scn: _Scenario, idx: int, task: dict) -> OperationMap:
     """Accept a channel, an instrument's total, or a scheme's total channel."""
     if "channel" in task:
         return scn.get(idx, "channel", task["channel"], ("channel",))
-    if "instrument" in task:
-        inst = scn.get(idx, "instrument", task["instrument"], ("instrument",))
-        return inst.total()
-    if "scheme" in task:
-        m = scn.get(idx, "scheme", task["scheme"], ("scheme",))
-        return scheme_to_instrument(m, scn.tol).total()
+    if "instrument" in task or "scheme" in task:
+        return _as_instrument(scn, idx, task).total()
     raise SchemaError(f"tasks[{idx}]: needs one of 'channel', 'instrument', 'scheme'")
 
 
@@ -254,7 +251,7 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
         if "scheme" in task:
             m = scn.get(idx, "scheme", task["scheme"], ("scheme",))
             q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-            rep = check_conservation(m.coupling, q.composite(), tol)
+            rep = _scheme_conservation(m, q, tol)[1]
         else:
             phi = _as_channel(scn, idx, task)
             n = scn.get(idx, "operator", task.get("operator"), ("operator",))

@@ -20,14 +20,14 @@ import numpy as np
 import scipy.linalg
 
 from .cpmaps import OperationMap, apply_dual
-from .measure import MeasurementScheme, heisenberg_pointer
+from .measure import MeasurementScheme, _per_scheme, heisenberg_pointer
 from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
     commutator,
+    eigen_clusters,
     op_norm,
-    op_norm_mat,
     tensor,
 )
 
@@ -66,16 +66,6 @@ class AdditiveQuantity:
         """``N = n_sys (x) 1 + 1 (x) n_app`` with the system slowest."""
         ds, da = self.n_sys.dim, self.n_app.dim
         return tensor(self.n_sys, np.eye(da)) + tensor(np.eye(ds), self.n_app)
-
-
-def _scheme_composite(m: MeasurementScheme, q: AdditiveQuantity) -> Operator:
-    """``q.composite()``, after checking that ``q`` lives on the spaces of ``m``."""
-    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
-        raise ValueError(
-            f"quantity dimensions ({q.n_sys.dim}, {q.n_app.dim}) do not match the scheme "
-            f"({m.sys_dim}, {m.app_dim})"
-        )
-    return q.composite()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,6 +112,21 @@ def check_conservation(
         average_holds=bool(average_holds),
         full_holds=bool(average_holds and full <= tol.eq_tol),
     )
+
+
+@_per_scheme
+def _scheme_conservation(
+    m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
+) -> tuple[Operator, ConservationReport]:
+    """``N = q.composite()`` and its :func:`check_conservation` report under the
+    coupling, after checking that ``q`` lives on the spaces of ``m``."""
+    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
+        raise ValueError(
+            f"quantity dimensions ({q.n_sys.dim}, {q.n_app.dim}) do not match the scheme "
+            f"({m.sys_dim}, {m.app_dim})"
+        )
+    n_comp = q.composite()
+    return n_comp, check_conservation(m.coupling, n_comp, tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,14 +217,8 @@ def conservative_unitary(
     nop = _require_hermitian(n, tol, "conserved quantity")
     w, v = np.linalg.eigh(nop.hermitian_part().mat)
     d = nop.dim
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, d):
-        if w[i] - w[i - 1] <= tol.rank_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
     h = np.zeros((d, d), dtype=complex)
-    for idx in clusters:
+    for idx in eigen_clusters(w, tol.rank_tol):
         k = len(idx)
         z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         block = 0.5 * strength * (z + z.conj().T)
@@ -267,7 +266,7 @@ class YanaseReport:
 def yanase_conditions(
     m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
 ) -> YanaseReport:
-    n_comp = _scheme_composite(m, q)
+    n_comp, cons = _scheme_conservation(m, q, tol)
     per_y: dict[str, float] = {}
     for x, zx in m.pointer.items():
         per_y[x] = float(op_norm(commutator(zx, q.n_app)))
@@ -279,8 +278,7 @@ def yanase_conditions(
     weak = max(per_w.values())
 
     unitary = len(m.coupling.kraus) == 1 and Operator(m.coupling.kraus[0]).is_unitary(tol)
-    avg_defect = op_norm(apply_dual(m.coupling, n_comp) - n_comp)
-    average = avg_defect <= tol.eq_tol
+    average = cons.average_holds
     applicable = unitary and average
     consistent: bool | None = None
     gap: float | None = None

@@ -34,7 +34,6 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
-    max_op_norm,
     op_norm_mat,
 )
 from . import serialize
@@ -42,19 +41,13 @@ from . import serialize
 __all__ = [
     "OperationMap",
     "SuperMatrix",
-    "MultiplicabilityResult",
     "vec",
     "unvec",
     "apply_map",
     "apply_dual",
-    "sesquilinear",
-    "commutator_defect_bound",
-    "check_multiplicability",
     "compose",
     "dual_view",
     "to_supermatrix",
-    "compress",
-    "psd_leq",
     "operation_from_json",
     "operation_to_json",
 ]
@@ -148,13 +141,6 @@ class SuperMatrix:
     in_dim: int
     out_dim: int
 
-    def apply_dual_vec(self, a: np.ndarray) -> np.ndarray:
-        return unvec(self.m @ vec(a), self.in_dim)
-
-    def apply_state_vec(self, t: np.ndarray) -> np.ndarray:
-        """State-side action via the adjoint supermatrix."""
-        return unvec(self.m.conj().T @ vec(t), self.out_dim)
-
 
 def _as_square(a: Any, dim: int, what: str) -> np.ndarray:
     m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
@@ -215,91 +201,6 @@ def apply_dual(phi: OperationMap, a: Any) -> Operator:
     return Operator(_apply(phi, _as_square(a, phi.out_dim, "input"), True))
 
 
-def sesquilinear(phi: OperationMap, a: Any, b: Any) -> Operator:
-    """Defect form ``Phi*(a^dag b) - Phi*(a^dag) Phi*(b)``.
-
-    Requires ``in_dim == out_dim`` so the product of images is defined.  For
-    a unital CP map this is the operator Cauchy-Schwarz kernel: it is PSD at
-    ``a == b`` and vanishes exactly on multiplicative elements.
-    """
-    if phi.in_dim != phi.out_dim:
-        raise ValueError("sesquilinear needs an endomorphism (in_dim == out_dim)")
-    am = _as_square(a, phi.out_dim, "a")
-    bm = _as_square(b, phi.out_dim, "b")
-    first = apply_dual(phi, am.conj().T @ bm).mat
-    second = apply_dual(phi, am.conj().T).mat @ apply_dual(phi, bm).mat
-    return Operator(first - second)
-
-
-def commutator_defect_bound(
-    phi: OperationMap,
-    a: Any,
-    b: Any,
-    tol: Tolerance = DEFAULT_TOL,
-):
-    """How far the dual map is from covariant on the pair ``(a, b)``.
-
-    Returns a BoundReport comparing
-    ``lhs = || [Phi*(a), Phi*(b)] - Phi*([a, b]) ||`` against
-    ``rhs = ||<<a|a>>||^1/2 ||<<b^dag|b^dag>>||^1/2
-            + ||<<a^dag|a^dag>>||^1/2 ||<<b|b>>||^1/2``
-    built from the sesquilinear defects of each argument.
-    """
-    from .reporting import make_report
-
-    am = _as_square(a, phi.out_dim, "a")
-    bm = _as_square(b, phi.out_dim, "b")
-    fa = apply_dual(phi, am).mat
-    fb = apply_dual(phi, bm).mat
-    lhs = op_norm_mat((fa @ fb - fb @ fa) - apply_dual(phi, am @ bm - bm @ am).mat)
-
-    def defect(x: np.ndarray) -> float:
-        return op_norm_mat(sesquilinear(phi, x, x).mat)
-
-    rhs = np.sqrt(max(defect(am), 0.0)) * np.sqrt(max(defect(bm.conj().T), 0.0)) + np.sqrt(
-        max(defect(am.conj().T), 0.0)
-    ) * np.sqrt(max(defect(bm), 0.0))
-    return make_report(
-        bound_id="dual-commutator-defect",
-        outcome="",
-        lhs=float(lhs),
-        rhs=float(rhs),
-        tol=tol,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class MultiplicabilityResult:
-    """Outcome of the multiplicative-domain check at a fixed ``b``.
-
-    ``applicable`` is False when the precondition
-    ``||Phi*(b^dag b) - Phi*(b^dag) Phi*(b)|| <= eq_tol`` fails; then
-    ``holds`` is None and ``precondition_defect`` reports the obstruction.
-    When applicable, ``witness`` is the worst product defect
-    ``||Phi*(a b) - Phi*(a) Phi*(b)||`` over the matrix-unit basis for ``a``.
-    """
-
-    applicable: bool
-    precondition_defect: float
-    holds: bool | None
-    witness: float | None
-
-
-def check_multiplicability(
-    phi: OperationMap, b: Any, tol: Tolerance = DEFAULT_TOL
-) -> MultiplicabilityResult:
-    bm = _as_square(b, phi.out_dim, "b")
-    pre = op_norm_mat(sesquilinear(phi, bm, bm).mat)
-    if pre > tol.eq_tol:
-        return MultiplicabilityResult(False, float(pre), None, None)
-    fb = apply_dual(phi, bm).mat
-    worst = max_op_norm(_unit_images(phi, True, right=bm) - _unit_images(phi, True) @ fb)
-    # Cauchy-Schwarz gives ||defect||^2 <= precondition * ||<<a|a>>||, and
-    # ||<<a|a>>|| <= 2 for matrix units under a unital dual, hence the scale.
-    threshold = float(np.sqrt(2.0 * tol.eq_tol) + tol.eq_tol)
-    return MultiplicabilityResult(True, float(pre), bool(worst <= threshold), float(worst))
-
-
 def compose(phi2: OperationMap, phi1: OperationMap) -> OperationMap:
     """``phi2 after phi1`` on states; Kraus products, no pruning."""
     if phi1.out_dim != phi2.in_dim:
@@ -321,41 +222,6 @@ def to_supermatrix(phi: OperationMap) -> SuperMatrix:
     # fixed space, which the fixed-point report prints.
     m = sum(np.kron(k.T, k.conj().T) for k in phi._kraus)
     return SuperMatrix(m=m, in_dim=phi.in_dim, out_dim=phi.out_dim)
-
-
-def compress(phi: OperationMap, tol: Tolerance = DEFAULT_TOL) -> OperationMap:
-    """Minimal Kraus family via the Choi eigendecomposition.
-
-    Eigenvalues at or below ``rank_tol`` are dropped; eigenvectors are
-    de-phased on their largest-magnitude entry so the output is deterministic.
-    """
-    din, dout = phi.in_dim, phi.out_dim
-    choi = np.zeros((din * dout, din * dout), dtype=complex)
-    for k in phi.kraus:
-        v = vec(k)
-        choi += np.outer(v, v.conj())
-    w, vmat = np.linalg.eigh(0.5 * (choi + choi.conj().T))
-    ops = []
-    for idx in range(len(w) - 1, -1, -1):
-        if w[idx] <= tol.rank_tol:
-            break
-        col = vmat[:, idx]
-        pivot = int(np.argmax(np.abs(col)))
-        phase = col[pivot] / abs(col[pivot])
-        col = col * np.conj(phase)
-        ops.append(np.sqrt(w[idx]) * unvec(col, dout, din))
-    if not ops:
-        ops = [np.zeros((dout, din), dtype=complex)]
-    return OperationMap(ops)
-
-
-def psd_leq(a: Any, b: Any, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Loewner order ``a <= b``: smallest eigenvalue of ``b - a >= -eq_tol``."""
-    am = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-    bm = b.mat if isinstance(b, Operator) else np.asarray(b, dtype=complex)
-    gap = bm - am
-    w = np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))
-    return bool(w.min() >= -tol.eq_tol)
 
 
 def operation_from_json(obj: Any, where: str = "channel") -> OperationMap:

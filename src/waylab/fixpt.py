@@ -23,7 +23,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .conserve import AdditiveQuantity, _scheme_composite, check_conservation
+from .bounds import disturbance_profile
+from .conserve import AdditiveQuantity, _scheme_conservation
 from .cpmaps import (
     OperationMap,
     SuperMatrix,
@@ -39,6 +40,7 @@ from .measure import (
     MeasurementScheme,
     Observable,
     _repeat_first_kind,
+    _scheme_repeat_first_kind,
     luders_instrument,
     measured_observable,
     scheme_to_instrument,
@@ -48,6 +50,7 @@ from .opcore import (
     Operator,
     Tolerance,
     commutator,
+    eigen_clusters,
     eigenspace_projector,
     hermitian_basis,
     max_op_norm,
@@ -434,12 +437,7 @@ def _joint_eigenprojectors(
             combo += c * m
         combo = 0.5 * (combo + combo.conj().T)
         w, v = np.linalg.eigh(combo)
-        clusters: list[list[int]] = [[0]]
-        for i in range(1, dim):
-            if w[i] - w[i - 1] <= tol.rank_tol * max(1.0, abs(w[i])):
-                clusters[-1].append(i)
-            else:
-                clusters.append([i])
+        clusters = eigen_clusters(w, tol.rank_tol * np.maximum(1.0, np.abs(w[1:])))
         ok = True
         values = np.zeros((len(mats), len(clusters)))
         for mi, m in enumerate(mats):
@@ -532,18 +530,14 @@ def structural_necessary_conditions(
     """
     if f.dim != m.sys_dim:
         raise ValueError("observable dimension does not match the system")
-    n_comp = _scheme_composite(m, q)
+    cons = _scheme_conservation(m, q, tol)[1]
     inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
     analysis = analyze_fixed_points(inst.total(), tol)
-    cons = check_conservation(m.coupling, n_comp, tol)
 
-    delta_max = 0.0
-    for _, eff in f.items():
-        delta_max = max(delta_max, op_norm(inst.apply_dual_total(eff) - eff))
-    nondisturbed = delta_max <= tol.eq_tol
+    nondisturbed = disturbance_profile(inst, f, tol).max_norm <= tol.eq_tol
 
-    repeat_defect, fk_defect, _ = _repeat_first_kind(inst, e_obs)
+    repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
     first_kind = fk_defect <= tol.eq_tol
     repeatable = repeat_defect <= tol.eq_tol
 
@@ -814,11 +808,9 @@ def post_processing_decomposition(
         )
     analysis = analyze_fixed_points(inst.total(), tol)
     compressed = [analysis.compress(eff) for _, eff in e_obs.items()]
-    worst = 0.0
-    for i in range(len(compressed)):
-        for j in range(i + 1, len(compressed)):
-            a, b = compressed[i], compressed[j]
-            worst = max(worst, op_norm_mat(a @ b - b @ a))
+    c = np.array(compressed)
+    i, j = np.triu_indices(len(c), 1)
+    worst = max_op_norm(c[i] @ c[j] - c[j] @ c[i]) if len(i) else 0.0
     if worst > tol.eq_tol:
         raise ValueError(
             f"compressed effects do not commute (defect {worst:.3e}); "

@@ -17,6 +17,8 @@ Everything indexes composite spaces with the system slowest, matching
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 from typing import Any, Sequence
 
 import numpy as np
@@ -37,6 +39,7 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    eigen_clusters,
     eigenspace_projector,
     max_op_norm,
     op_norm,
@@ -141,37 +144,28 @@ class Observable:
 
     # -- predicates ------------------------------------------------------
 
+    def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The effects of every outcome pair ``i < j``, as two stacks."""
+        mats = np.array([e.mat for e in self._effects])
+        i, j = np.triu_indices(len(mats), 1)
+        return mats[i], mats[j]
+
     def is_sharp(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """All effects are projections and mutually orthogonal."""
-        for e in self._effects:
-            if not e.is_projection(tol):
-                return False
-        for i in range(len(self._effects)):
-            for j in range(i + 1, len(self._effects)):
-                if op_norm_mat(self._effects[i].mat @ self._effects[j].mat) > tol.eq_tol:
-                    return False
-        return True
+        if not all(e.is_projection(tol) for e in self._effects):
+            return False
+        a, b = self._pairs()
+        return len(a) == 0 or max_op_norm(a @ b) <= tol.eq_tol
 
     def is_commutative(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        for i in range(len(self._effects)):
-            for j in range(i + 1, len(self._effects)):
-                a, b = self._effects[i].mat, self._effects[j].mat
-                if op_norm_mat(a @ b - b @ a) > tol.eq_tol:
-                    return False
-        return True
+        a, b = self._pairs()
+        return len(a) == 0 or max_op_norm(a @ b - b @ a) <= tol.eq_tol
 
     def is_norm_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every nonzero effect attains operator norm 1 (within rank_tol)."""
         for e in self._effects:
             n = op_norm(e)
             if n > tol.rank_tol and abs(n - 1.0) > tol.rank_tol:
-                return False
-        return True
-
-    def is_rank_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        for e in self._effects:
-            s = np.linalg.svd(e.mat, compute_uv=False)
-            if int(np.sum(s > tol.rank_tol)) > 1:
                 return False
         return True
 
@@ -260,9 +254,15 @@ class Instrument:
 
 
 class MeasurementScheme:
-    """Apparatus state + coupling channel + pointer observable."""
+    """Apparatus state + coupling channel + pointer observable.
 
-    __slots__ = ("sys_dim", "app_dim", "xi", "coupling", "pointer")
+    A scheme is immutable once built: assigning to or deleting any attribute
+    raises.  Its derivations (instrument, measured observable, restriction
+    maps, conservation and repeatability defects) are cached on the scheme
+    itself by :func:`_per_scheme`, and a changed field would leave them stale.
+    """
+
+    __slots__ = ("sys_dim", "app_dim", "xi", "coupling", "pointer", "_memo")
 
     def __init__(
         self,
@@ -274,21 +274,18 @@ class MeasurementScheme:
         tol: Tolerance = DEFAULT_TOL,
         validate: bool = True,
     ):
-        self.sys_dim = int(sys_dim)
-        self.app_dim = int(app_dim)
-        self.xi = xi if isinstance(xi, Operator) else Operator(xi)
-        self.coupling = coupling
-        self.pointer = pointer
+        sys_dim, app_dim = int(sys_dim), int(app_dim)
+        xi = xi if isinstance(xi, Operator) else Operator(xi)
         if validate:
-            if self.sys_dim < 1 or self.app_dim < 1:
+            if sys_dim < 1 or app_dim < 1:
                 raise ValueError("dimensions must be positive")
-            if self.xi.dim != self.app_dim:
+            if xi.dim != app_dim:
                 raise ValueError(
-                    f"xi dimension {self.xi.dim} does not match apparatus dim {self.app_dim}"
+                    f"xi dimension {xi.dim} does not match apparatus dim {app_dim}"
                 )
-            if not self.xi.is_state(tol):
+            if not xi.is_state(tol):
                 raise ValueError("xi must be a density operator")
-            d = self.sys_dim * self.app_dim
+            d = sys_dim * app_dim
             if coupling.in_dim != d or coupling.out_dim != d:
                 raise ValueError(
                     f"coupling must act on the {d}-dimensional composite, "
@@ -296,11 +293,20 @@ class MeasurementScheme:
                 )
             if not coupling.is_channel(tol):
                 raise ValueError("coupling must be a channel")
-            if pointer.dim != self.app_dim:
+            if pointer.dim != app_dim:
                 raise ValueError(
                     f"pointer dimension {pointer.dim} does not match apparatus dim "
-                    f"{self.app_dim}"
+                    f"{app_dim}"
                 )
+        fields = zip(self.__slots__, (sys_dim, app_dim, xi, coupling, pointer, {}))
+        for name, value in fields:
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"MeasurementScheme is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"MeasurementScheme is immutable; cannot delete {name!r}")
 
     @property
     def outcomes(self) -> tuple[str, ...]:
@@ -342,12 +348,7 @@ def sharp_observable(a: Any, tol: Tolerance = DEFAULT_TOL) -> Observable:
     if not op.is_hermitian(tol):
         raise ValueError("sharp_observable requires a Hermitian operator")
     w, v = np.linalg.eigh(op.hermitian_part().mat)
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] <= tol.rank_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
+    clusters = eigen_clusters(w, tol.rank_tol)
     labels = [f"e{k}" for k in range(len(clusters))]
     effects = []
     for idx in clusters:
@@ -382,6 +383,24 @@ def collapse_instrument(
     return Instrument(e.outcomes, ops, tol)
 
 
+def _per_scheme(fn):
+    """Cache ``fn(m, ...)`` on the scheme ``m``, keyed by ``fn``'s name and its
+    other arguments with defaults filled in, so each derivation of a scheme
+    runs once per tolerance; the entries live and die with the scheme."""
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(m: MeasurementScheme, *args: Any, **kwargs: Any):
+        bound = sig.bind(m, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *bound.args[1:])
+        if key not in m._memo:
+            m._memo[key] = fn(m, *args, **kwargs)
+        return m._memo[key]
+
+    return cached
+
+
 def _xi_decomposition(xi: Operator, tol: Tolerance) -> list[np.ndarray]:
     """Weighted spectral vectors ``sqrt(q_i) phi_i`` with ``q_i > rank_tol``."""
     w, v = np.linalg.eigh(xi.hermitian_part().mat)
@@ -394,6 +413,7 @@ def _xi_decomposition(xi: Operator, tol: Tolerance) -> list[np.ndarray]:
     return vs
 
 
+@_per_scheme
 def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """Explicit Kraus form of ``I_x(t) = tr_A[(1 (x) Z(x)) E(t (x) xi)]``.
 
@@ -419,6 +439,7 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
     return Instrument(m.pointer.outcomes, ops, tol)
 
 
+@_per_scheme
 def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Effects ``Gamma_xi(E*(1 (x) Z(x)))`` of the scheme."""
     dS, dA = m.sys_dim, m.app_dim
@@ -432,6 +453,7 @@ def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> O
     return Observable(m.pointer.outcomes, effs, tol)
 
 
+@_per_scheme
 def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> RestrictionMaps:
     dS, dA = m.sys_dim, m.app_dim
     eye_s = np.eye(dS)
@@ -456,6 +478,7 @@ def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Rest
     )
 
 
+@_per_scheme
 def heisenberg_pointer(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Coupled pointer ``Z^tau(x) = E*(1 (x) Z(x))`` on the composite."""
     eye_s = np.eye(m.sys_dim)
@@ -574,6 +597,51 @@ def _repeat_first_kind(
     return op_norm_mat(gap_sum), first_kind, per_outcome
 
 
+def _norm_one_projectors(
+    obs: Observable, tol: Tolerance
+) -> tuple[dict[str, Operator], list[str], float]:
+    """Eigenvalue-1 projectors ``P(x)`` of the effects with norm above ``rank_tol``.
+
+    Also returns the outcomes whose effect has no eigenvalue-1 eigenspace and
+    ``max_x |1 - ||E(x)|| |`` over those effects.
+    """
+    proj: dict[str, Operator] = {}
+    missing: list[str] = []
+    gap = 0.0
+    for x, eff in obs.items():
+        n = op_norm(eff)
+        if n <= tol.rank_tol:
+            continue
+        gap = max(gap, abs(1.0 - n))
+        p = eigenspace_projector(eff, 1.0, tol)
+        if op_norm(p) <= tol.rank_tol:
+            missing.append(x)
+        else:
+            proj[x] = p
+    return proj, missing, gap
+
+
+def _exclusivity_defect(proj: dict[str, Operator], obs: Observable) -> float:
+    """``max ||P(x) E(y) - delta_xy P(x)||`` over every pair at once; 0.0 when
+    there are no projectors."""
+    if not proj:
+        return 0.0
+    pmats = np.array([p.mat for p in proj.values()])
+    prods = pmats[:, None] @ np.array([eff.mat for eff in obs.effects])
+    own = [obs.outcomes.index(x) for x in proj]
+    prods[np.arange(len(own)), own] -= pmats
+    return max_op_norm(prods)
+
+
+@_per_scheme
+def _scheme_repeat_first_kind(
+    m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL
+) -> tuple[float, float]:
+    """Repeatability and first-kind defects (:func:`_repeat_first_kind`) of the
+    scheme's instrument against its measured observable."""
+    return _repeat_first_kind(scheme_to_instrument(m, tol), measured_observable(m, tol))[:2]
+
+
 def repeatability_report(
     inst: Instrument,
     m: MeasurementScheme | None = None,
@@ -622,33 +690,14 @@ def repeatability_report(
     items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
     # (iv)/(v): eigenvalue-1 projectors of the effects and their exclusivity
-    proj: dict[str, Operator] = {}
-    norm_gap = 0.0
-    missing = []
-    for x, eff in e_obs.items():
-        n = op_norm(eff)
-        if n <= tol.rank_tol:
-            continue
-        norm_gap = max(norm_gap, abs(1.0 - n))
-        p = eigenspace_projector(eff, 1.0, tol)
-        if op_norm(p) <= tol.rank_tol:
-            missing.append(x)
-        else:
-            proj[x] = p
+    proj, missing, norm_gap = _norm_one_projectors(e_obs, tol)
     items["norm-one-projectors"] = ItemCheck(
         norm_gap,
         norm_gap <= tol.rank_tol and not missing,
         note=("missing eigenvalue-1 eigenspace for: " + ", ".join(missing)) if missing else "",
     )
 
-    # P(x) E(y) = delta_xy P(x), every pair at once
-    worst = 0.0
-    if proj:
-        pmats = np.array([p.mat for p in proj.values()])
-        prods = pmats[:, None] @ np.array([eff.mat for eff in e_obs.effects])
-        own = [e_obs.outcomes.index(x) for x in proj]
-        prods[np.arange(len(own)), own] -= pmats
-        worst = max_op_norm(prods)
+    worst = _exclusivity_defect(proj, e_obs)
     items["projector-exclusivity"] = ItemCheck(worst, worst <= tol.eq_tol)
 
     # (vi) I*_x(A) = I*_x(P(x) A P(x))
@@ -707,27 +756,8 @@ def repeatability_report(
         items["moment-identities"] = ItemCheck(worst, worst <= tol.eq_tol)
 
         # pointer-side eigenvalue-1 projectors
-        qproj: dict[str, Operator] = {}
-        q_missing = []
-        q_gap = 0.0
-        for x, zx in pointer.items():
-            n = op_norm(zx)
-            if n <= tol.rank_tol:
-                continue
-            q_gap = max(q_gap, abs(1.0 - n))
-            q = eigenspace_projector(zx, 1.0, tol)
-            if op_norm(q) <= tol.rank_tol:
-                q_missing.append(x)
-            else:
-                qproj[x] = q
-        worst = q_gap
-        for x, q in qproj.items():
-            for y, zy in pointer.items():
-                prod = q.mat @ zy.mat
-                worst = max(
-                    worst,
-                    op_norm_mat(prod - q.mat) if x == y else op_norm_mat(prod),
-                )
+        qproj, q_missing, q_gap = _norm_one_projectors(pointer, tol)
+        worst = max(q_gap, _exclusivity_defect(qproj, pointer))
         items["pointer-projectors"] = ItemCheck(
             worst,
             worst <= tol.eq_tol and not q_missing,

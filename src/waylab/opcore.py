@@ -28,6 +28,7 @@ __all__ = [
     "op_norm",
     "psd_sqrt",
     "fidelity",
+    "eigen_clusters",
     "eigenspace_projector",
     "commutator",
     "hermitian_basis",
@@ -293,13 +294,25 @@ def fidelity(rho: MatrixLike, sigma: MatrixLike, tol: Tolerance = DEFAULT_TOL) -
     return max(val, 0.0)
 
 
+def eigen_clusters(w: np.ndarray, gap: Union[float, np.ndarray]) -> list[np.ndarray]:
+    """Split an ascending spectrum ``w`` into runs of indices.
+
+    A new run starts wherever ``np.diff(w) > gap``; ``gap`` is a scalar or one
+    threshold per neighbouring pair.  The absolute gap ``rank_tol`` is right
+    for spectra of effects and other bounded Hermitian operators; a spectrum
+    of unbounded scale (``fixpt._joint_eigenprojectors``' random combination)
+    takes the relative gap ``rank_tol * max(1, |w[1:]|)``.
+    """
+    return np.split(np.arange(len(w)), np.flatnonzero(np.diff(w) > gap) + 1)
+
+
 def eigenspace_projector(a: MatrixLike, value: float, tol: Tolerance = DEFAULT_TOL) -> Operator:
     """Orthogonal projector onto the eigenspace of ``a`` near ``value``.
 
-    Starts from every eigenvalue within ``rank_tol`` of ``value`` and then
-    grows the selection while neighbouring eigenvalues sit within a
-    ``rank_tol`` gap, so nearly degenerate clusters are never split.  Returns
-    the zero operator when no eigenvalue qualifies.  ``a`` must be Hermitian.
+    Takes the union of the :func:`eigen_clusters` (gap ``rank_tol``) that hold
+    an eigenvalue within ``rank_tol`` of ``value``, so nearly degenerate
+    clusters are never split.  Returns the zero operator when no eigenvalue
+    qualifies.  ``a`` must be Hermitian.
     """
     m = _as_matrix(a)
     h = 0.5 * (m + m.conj().T)
@@ -307,15 +320,11 @@ def eigenspace_projector(a: MatrixLike, value: float, tol: Tolerance = DEFAULT_T
         raise ValueError("eigenspace_projector requires a Hermitian operator")
     w, v = np.linalg.eigh(h)
     hit = np.abs(w - value) <= tol.rank_tol
-    if not hit.any():
+    runs = [c for c in eigen_clusters(w, tol.rank_tol) if hit[c].any()]
+    if not runs:
         return Operator.zero(m.shape[0])
-    lo = int(np.argmax(hit))
-    hi = len(w) - 1 - int(np.argmax(hit[::-1]))
-    while lo > 0 and w[lo] - w[lo - 1] <= tol.rank_tol:
-        lo -= 1
-    while hi < len(w) - 1 and w[hi + 1] - w[hi] <= tol.rank_tol:
-        hi += 1
-    cols = v[:, lo : hi + 1]
+    # hits and clusters are contiguous, so the union is one column range
+    cols = v[:, runs[0][0] : runs[-1][-1] + 1]
     return Operator(cols @ cols.conj().T)
 
 

@@ -7,7 +7,7 @@ import re
 import numpy as np
 import scipy.linalg
 
-from waylab import cli, cpmaps, fixpt
+from waylab import cli, cpmaps, fixpt, measure
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -240,3 +240,20 @@ def test_fixed_points_task_builds_one_supermatrix(tmp_path, monkeypatch):
     assert code == 0
     assert report["tasks"][0]["ok"]
     assert len(calls) == 1
+
+
+def test_scheme_run_decomposes_xi_twice(tmp_path, monkeypatch):
+    # every task of the scheme shares one instrument and one set of
+    # restriction maps, each of which decomposes xi once
+    calls = []
+    real = measure._xi_decomposition
+
+    def counted(xi, tol):
+        calls.append(tol)
+        return real(xi, tol)
+
+    monkeypatch.setattr(measure, "_xi_decomposition", counted)
+    out = tmp_path / "report.json"
+    argv = ["builtin", "conservative-scheme", "--run", "--out", str(out), "--quiet"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 2

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from waylab import Observable, Operator, OperationMap, op_norm, tensor
+from waylab import Observable, Operator, OperationMap, Tolerance, op_norm, tensor
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.measure import (
     Instrument,
@@ -22,6 +24,7 @@ from waylab.measure import (
     scheme_to_json,
     sharp_observable,
 )
+from waylab.rand import haar_unitary, random_hermitian
 from waylab.serialize import SchemaError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -80,7 +83,6 @@ def test_observable_predicates():
     assert sharp.is_sharp()
     assert sharp.is_commutative()
     assert sharp.is_norm_one()
-    assert sharp.is_rank_one()
     assert not sharp.is_trivial()
 
     fuzzy = unsharp_qubit(0.5)
@@ -91,7 +93,53 @@ def test_observable_predicates():
     coin = Observable(["t0", "t1"], [0.3 * np.eye(2), 0.7 * np.eye(2)])
     assert coin.is_trivial()
     assert coin.is_commutative()
-    assert not coin.is_rank_one()
+
+
+def loop_is_sharp(obs, tol):
+    """``Observable.is_sharp`` as one SVD per outcome pair."""
+    if not all(e.is_projection(tol) for e in obs.effects):
+        return False
+    mats = [e.mat for e in obs.effects]
+    return all(
+        op_norm(mats[i] @ mats[j]) <= tol.eq_tol
+        for i in range(len(mats))
+        for j in range(i + 1, len(mats))
+    )
+
+
+def loop_is_commutative(obs, tol):
+    mats = [e.mat for e in obs.effects]
+    return all(
+        op_norm(mats[i] @ mats[j] - mats[j] @ mats[i]) <= tol.eq_tol
+        for i in range(len(mats))
+        for j in range(i + 1, len(mats))
+    )
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 3, 4]),
+    kind=st.sampled_from(["tilted", "perturbed"]),
+    offset=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+)
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_pair_predicates_match_pair_loop(seed, d, kind, offset):
+    # rank-one projectors of a random basis, with the second one tilted
+    # toward the first, or with a Hermitian perturbation added to the first,
+    # by offset * eq_tol: the pair norms sit on both sides of eq_tol
+    tol = Tolerance()
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, rng).mat.copy()
+    size = offset * tol.eq_tol
+    if kind == "tilted" and d > 1:
+        v[:, 1] = np.cos(size) * v[:, 1] + np.sin(size) * v[:, 0]
+    effects = [np.outer(v[:, i], v[:, i].conj()) for i in range(d)]
+    if kind == "perturbed":
+        h = random_hermitian(d, rng).mat
+        effects[0] = effects[0] + size * h / op_norm(h)
+    obs = Observable([f"o{i}" for i in range(d)], effects, validate=False)
+    assert obs.is_sharp(tol) == loop_is_sharp(obs, tol)
+    assert obs.is_commutative(tol) == loop_is_commutative(obs, tol)
 
 
 def test_sharp_observable_orders_by_eigenvalue():
@@ -162,6 +210,39 @@ def test_scheme_validation():
         )
     with pytest.raises(ValueError, match="channel"):
         MeasurementScheme(2, 2, Operator(P0), OperationMap([0.5 * CNOT]), pointer)
+
+
+def test_scheme_derivations_are_cached_per_tolerance():
+    m = cnot_scheme()
+    tol = Tolerance(eq_tol=1e-9, rank_tol=1e-8)
+    inst = scheme_to_instrument(m, tol)
+    assert scheme_to_instrument(m, tol) is inst
+    # the default tolerance is the same key, spelled out or not
+    assert scheme_to_instrument(m) is inst
+    assert scheme_to_instrument(m, tol=tol) is inst
+    other = scheme_to_instrument(m, Tolerance(eq_tol=1e-7, rank_tol=1e-8))
+    assert other is not inst
+    assert measured_observable(m, tol) is measured_observable(m, tol)
+    assert restriction_maps(m, tol) is restriction_maps(m, tol)
+    assert heisenberg_pointer(m, tol) is heisenberg_pointer(m, tol)
+    # another scheme with the same fields keeps its own derivations
+    assert scheme_to_instrument(cnot_scheme(), tol) is not inst
+
+
+def test_scheme_is_immutable():
+    m = cnot_scheme()
+    for name, value in (
+        ("xi", Operator(P1)),
+        ("coupling", OperationMap([np.eye(4)])),
+        ("pointer", m.pointer),
+        ("sys_dim", 2),
+        ("app_dim", 2),
+    ):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(m, name, value)
+    with pytest.raises(AttributeError, match="immutable"):
+        del m.xi
+    np.testing.assert_array_equal(m.xi.mat, P0)
 
 
 def test_cnot_scheme_is_luders_of_sharp_z():

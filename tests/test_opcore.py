@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waylab.opcore import (
@@ -8,6 +8,7 @@ from waylab.opcore import (
     Operator,
     Tolerance,
     commutator,
+    eigen_clusters,
     eigenspace_projector,
     fidelity,
     gram_schmidt_hs,
@@ -196,6 +197,94 @@ def test_eigenspace_projector_clusters_near_degenerate():
     a = np.diag([1.0, 1.0 + 5e-9, 2.0])
     p = eigenspace_projector(a, 1.0)
     assert np.trace(p.mat).real == pytest.approx(2.0)
+
+
+def loop_clusters(w, gap_at):
+    """The per-index clustering loop that ``eigen_clusters`` replaced."""
+    clusters = [[0]]
+    for i in range(1, len(w)):
+        if w[i] - w[i - 1] <= gap_at(i):
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
+
+
+def hit_then_grow_projector(a, value, tol):
+    """The ``eigenspace_projector`` that ``eigen_clusters`` replaced: every
+    eigenvalue within ``rank_tol`` of ``value``, grown over ``rank_tol`` gaps."""
+    m = np.asarray(a, dtype=complex)
+    w, v = np.linalg.eigh(0.5 * (m + m.conj().T))
+    hit = np.abs(w - value) <= tol.rank_tol
+    if not hit.any():
+        return np.zeros(m.shape, dtype=complex)
+    lo = int(np.argmax(hit))
+    hi = len(w) - 1 - int(np.argmax(hit[::-1]))
+    while lo > 0 and w[lo] - w[lo - 1] <= tol.rank_tol:
+        lo -= 1
+    while hi < len(w) - 1 and w[hi + 1] - w[hi] <= tol.rank_tol:
+        hi += 1
+    cols = v[:, lo : hi + 1]
+    return cols @ cols.conj().T
+
+
+# steps between neighbouring eigenvalues: exact ties, near-ties at
+# rank_tol * {0.5, 1, 2} (times a scale, for the relative rule), and gaps above 1
+STEP_UNITS = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+SPECTRA = st.tuples(
+    st.sampled_from([-1e3, -1.0, 0.0, 0.5, 1.0, 1e3]),
+    st.lists(
+        st.one_of(
+            st.tuples(STEP_UNITS, st.sampled_from([1.0, 1e3])),
+            st.tuples(st.floats(1.5, 10.0), st.just(None)),
+        ),
+        min_size=0,
+        max_size=7,
+    ),
+    st.sampled_from([1e-8, 1e-6]),
+)
+
+
+def build_spectrum(start, steps, rank_tol):
+    w = [start]
+    for size, scale in steps:
+        w.append(w[-1] + (size if scale is None else size * rank_tol * scale))
+    return np.array(w)
+
+
+# from 0, a step of rank_tol lands exactly on the gap: it must not split
+EXACT_GAP = (0.0, [(1.0, 1.0), (1.0, 1.0), (2.5, None), (0.5, 1.0)], 1e-8)
+
+
+@given(SPECTRA)
+@example(EXACT_GAP)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_eigen_clusters_match_per_index_loop(spectrum):
+    start, steps, rank_tol = spectrum
+    w = build_spectrum(start, steps, rank_tol)
+    absolute = [list(c) for c in eigen_clusters(w, rank_tol)]
+    assert absolute == loop_clusters(w, lambda i: rank_tol)
+    relative = [list(c) for c in eigen_clusters(w, rank_tol * np.maximum(1.0, np.abs(w[1:])))]
+    assert relative == loop_clusters(w, lambda i: rank_tol * max(1.0, abs(w[i])))
+
+
+@given(SPECTRA, st.integers(0, 2**32 - 1), st.sampled_from([None, 0.0, 0.5, 1.0, 2.0, 3.0]))
+@example(EXACT_GAP, 0, 0.0)
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_eigenspace_projector_equals_hit_then_grow(spectrum, seed, shift):
+    # shift=None asks for 1.0; otherwise a value shift * rank_tol above a
+    # drawn eigenvalue, so hits sit on and across the rank_tol edge
+    start, steps, rank_tol = spectrum
+    w = build_spectrum(start, steps, rank_tol)
+    rng = np.random.default_rng(seed)
+    n = len(w)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    h = (u * w) @ u.conj().T
+    h = 0.5 * (h + h.conj().T)
+    value = 1.0 if shift is None else float(w[rng.integers(len(w))] + shift * rank_tol)
+    tol = Tolerance(eq_tol=1e-9, rank_tol=rank_tol)
+    got = eigenspace_projector(h, value, tol).mat
+    assert np.array_equal(got, hit_then_grow_projector(h, value, tol))
 
 
 def test_eigenspace_projector_requires_hermitian():
