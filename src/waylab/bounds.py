@@ -36,7 +36,7 @@ from .conserve import (
     variance,
     yanase_conditions,
 )
-from .cpmaps import apply_map
+from .cpmaps import _per_object, apply_map
 from .measure import (
     Instrument,
     MeasurementScheme,
@@ -145,8 +145,12 @@ def _unsharpness(eff: Operator) -> float:
     return float(op_norm_mat(m @ m - m))
 
 
-def _gamma_moment_defect(m: MeasurementScheme, n: Operator, tol: Tolerance) -> float:
-    """``|| Gamma^E_xi(N^2) - Gamma^E_xi(N)^2 ||`` on the composite."""
+@_per_object
+def _gamma_moment_defect(
+    m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
+) -> float:
+    """``|| Gamma^E_xi(N^2) - Gamma^E_xi(N)^2 ||`` for the composite ``N`` of ``q``."""
+    n = _scheme_conservation(m, q, tol)[0]
     maps = restriction_maps(m, tol)
     first = apply_map(maps.gamma_xi_e, n).mat
     second = apply_map(maps.gamma_xi_e, n @ n).mat
@@ -270,9 +274,9 @@ def eval_disturbance_bounds(
     if q is None:
         return reports
 
-    n_comp, cons = _scheme_conservation(m, q, tol)
+    cons = _scheme_conservation(m, q, tol)[1]
     ns_norm = op_norm(q.n_sys)
-    gamma_defect = _gamma_moment_defect(m, n_comp, tol)
+    gamma_defect = _gamma_moment_defect(m, q, tol)
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
 
     lhs_by_outcome: dict[str, float] = {}
@@ -365,10 +369,10 @@ def eval_measurability_bounds(
     bound plus its extremal ``eps = 0`` refinement when requested.
     """
     prof = error_profile(m, target, tol)
-    n_comp, cons = _scheme_conservation(m, q, tol)
+    cons = _scheme_conservation(m, q, tol)[1]
     maps = restriction_maps(m, tol)
     ns_norm = op_norm(q.n_sys)
-    gamma_defect = _gamma_moment_defect(m, n_comp, tol)
+    gamma_defect = _gamma_moment_defect(m, q, tol)
     digest = digest_inputs(
         "measurability",
         *_scheme_digest_items(m),
@@ -449,7 +453,7 @@ def eval_way(
     general statements vanish identically.
     """
     e_obs = measured_observable(m, tol)
-    n_comp, cons = _scheme_conservation(m, q, tol)
+    cons = _scheme_conservation(m, q, tol)[1]
     yan = yanase_conditions(m, q, tol)
     ns_norm = op_norm(q.n_sys)
     digest = digest_inputs("way", *_scheme_digest_items(m), q.n_sys, q.n_app)
@@ -465,7 +469,7 @@ def eval_way(
     reports: list[BoundReport] = []
 
     if repeatable or yanase_ok:
-        gamma_defect = _gamma_moment_defect(m, n_comp, tol)
+        gamma_defect = _gamma_moment_defect(m, q, tol)
         route = (
             f"repeatable instrument (defect = {repeat_defect:.3e})"
             if repeatable

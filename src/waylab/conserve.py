@@ -19,8 +19,8 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .cpmaps import OperationMap, apply_dual
-from .measure import MeasurementScheme, _per_scheme, heisenberg_pointer
+from .cpmaps import OperationMap, _per_object, apply_dual
+from .measure import MeasurementScheme, heisenberg_pointer
 from .opcore import (
     DEFAULT_TOL,
     Operator,
@@ -114,7 +114,7 @@ def check_conservation(
     )
 
 
-@_per_scheme
+@_per_object
 def _scheme_conservation(
     m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[Operator, ConservationReport]:
@@ -250,17 +250,7 @@ class YanaseReport:
     defect_gap: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "yanase_defect": self.yanase_defect,
-            "weak_defect": self.weak_defect,
-            "per_outcome_yanase": dict(self.per_outcome_yanase),
-            "per_outcome_weak": dict(self.per_outcome_weak),
-            "unitary_coupling": self.unitary_coupling,
-            "average_conserving": self.average_conserving,
-            "equivalence_applicable": self.equivalence_applicable,
-            "equivalence_consistent": self.equivalence_consistent,
-            "defect_gap": self.defect_gap,
-        }
+        return dataclasses.asdict(self)
 
 
 def yanase_conditions(

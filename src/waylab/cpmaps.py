@@ -26,6 +26,8 @@ supermatrix is its adjoint.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
 from typing import Any, Sequence
 
 import numpy as np
@@ -53,6 +55,39 @@ __all__ = [
 ]
 
 
+def _per_object(fn):
+    """Cache ``fn(obj, ...)`` on its immutable first argument ``obj``, keyed by
+    ``fn``'s name and its other arguments with defaults filled in, so each
+    derivation of an object runs once per tolerance (and quantity); the
+    entries live in the object's ``_memo`` dict and die with it."""
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def cached(obj: Any, *args: Any, **kwargs: Any):
+        bound = sig.bind(obj, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *bound.args[1:])
+        if key not in obj._memo:
+            obj._memo[key] = fn(obj, *args, **kwargs)
+        return obj._memo[key]
+
+    return cached
+
+
+class _Immutable:
+    """Base of the memo-carrying types: assigning to or deleting any attribute
+    raises, so a cached derivation cannot go stale.  ``__init__`` sets the
+    fields through ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
     return np.asarray(m, dtype=complex).reshape(-1, order="F")
@@ -63,10 +98,15 @@ def unvec(v: np.ndarray, rows: int, cols: int | None = None) -> np.ndarray:
     return np.asarray(v, dtype=complex).reshape(rows, c, order="F")
 
 
-class OperationMap:
-    """A completely positive map given by an explicit Kraus family."""
+class OperationMap(_Immutable):
+    """A completely positive map given by an explicit Kraus family.
 
-    __slots__ = ("_kraus", "in_dim", "out_dim")
+    A map is immutable once built: assigning to or deleting any attribute
+    raises.  Analyses of the map (its fixed points) are cached on the map
+    itself by :func:`_per_object`, and a changed field would leave them stale.
+    """
+
+    __slots__ = ("_kraus", "in_dim", "out_dim", "_memo")
 
     def __init__(self, kraus: Sequence[Any]):
         mats = []
@@ -85,8 +125,9 @@ class OperationMap:
                 )
         stack = np.array(mats, dtype=complex)
         stack.setflags(write=False)
-        self._kraus = stack
-        self.out_dim, self.in_dim = shape
+        out_dim, in_dim = shape
+        for name, value in zip(self.__slots__, (stack, in_dim, out_dim, {})):
+            object.__setattr__(self, name, value)
 
     @property
     def kraus(self) -> tuple[np.ndarray, ...]:

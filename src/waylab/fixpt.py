@@ -19,7 +19,7 @@ decomposition of first-kind instruments.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,9 +28,9 @@ from .conserve import AdditiveQuantity, _scheme_conservation
 from .cpmaps import (
     OperationMap,
     SuperMatrix,
+    _apply,
+    _per_object,
     _unit_images,
-    apply_dual,
-    apply_map,
     to_supermatrix,
     unvec,
     vec,
@@ -49,7 +49,6 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
-    commutator,
     eigen_clusters,
     eigenspace_projector,
     hermitian_basis,
@@ -222,6 +221,7 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     return basis @ vh[len(s) - n_null :].conj().T
 
 
+@_per_object
 def analyze_fixed_points(
     phi: OperationMap, tol: Tolerance = DEFAULT_TOL
 ) -> FixedPointAnalysis:
@@ -230,6 +230,9 @@ def analyze_fixed_points(
     Raises if ``phi`` is not a channel, or if the eigenvalue-1 spectral data
     are numerically defective (the left/right null pairing ``L R`` fails to
     invert at ``rank_tol``), which would make the projector meaningless.
+
+    The analysis is cached on the (immutable) map, once per tolerance, so
+    every task on one channel shares it; its arrays are read-only.
     """
     if phi.in_dim != phi.out_dim:
         raise ValueError("fixed-point analysis needs an endomorphism")
@@ -256,16 +259,14 @@ def analyze_fixed_points(
     proj = right @ np.linalg.solve(lr, left.conj().T)
     projector = SuperMatrix(m=proj, in_dim=d, out_dim=d)
 
-    herm = hermitian_basis([unvec(right[:, i], d) for i in range(r)], tol.rank_tol)
+    herm = np.array(hermitian_basis([unvec(right[:, i], d) for i in range(r)], tol.rank_tol))
     if len(herm) != r:
         raise ValueError(
             f"failed to build a Hermitian basis of the fixed space "
             f"({len(herm)} of {r} directions); the space is not adjoint-closed numerically"
         )
     basis = tuple(Operator(b) for b in herm)
-    max_defect = 0.0
-    for b in basis:
-        max_defect = max(max_defect, op_norm(apply_dual(phi, b) - b))
+    max_defect = max_op_norm(_apply(phi, herm, True) - herm)
 
     rho0_raw = unvec(proj.conj().T @ vec(np.eye(d) / d), d)
     rho0 = Operator(0.5 * (rho0_raw + rho0_raw.conj().T))
@@ -276,32 +277,24 @@ def analyze_fixed_points(
     rp = int(mask.sum())
     faithful = rp == d
 
-    compressed = hermitian_basis(
-        [w_iso.conj().T @ b.mat @ w_iso for b in basis], tol.rank_tol
-    )
-    restricted = tuple(np.asarray(b) for b in compressed)
+    restricted = tuple(hermitian_basis(w_iso.conj().T @ herm @ w_iso, tol.rank_tol))
 
     certified = len(restricted) == r and max_defect <= tol.eq_tol
     if certified:
-        # multiplicative closure of the compressed fixed space, plus identity
+        # multiplicative closure of the compressed fixed space, plus identity;
+        # the r**2 products go one at a time, since their stack would not fit
+        # in memory at large r (3 GB for the identity channel at d = 24)
         stack = np.stack([b.reshape(-1) for b in restricted], axis=1)
-        def in_span(mat: np.ndarray) -> float:
+
+        def in_span(mat: np.ndarray, scale: float) -> bool:
             flat = mat.reshape(-1)
             coeffs = stack.conj().T @ flat
-            return float(np.linalg.norm(flat - stack @ coeffs))
+            return float(np.linalg.norm(flat - stack @ coeffs)) <= tol.eq_tol * scale
 
-        if in_span(np.eye(rp)) > tol.eq_tol * np.sqrt(rp):
-            certified = False
-        else:
-            for i in range(len(restricted)):
-                for j in range(len(restricted)):
-                    prod = restricted[i] @ restricted[j]
-                    scale = max(1.0, float(np.linalg.norm(prod)))
-                    if in_span(prod) > tol.eq_tol * scale:
-                        certified = False
-                        break
-                if not certified:
-                    break
+        certified = in_span(np.eye(rp), np.sqrt(rp)) and all(
+            in_span(prod, max(1.0, float(np.linalg.norm(prod))))
+            for prod in (a @ b for a in restricted for b in restricted)
+        )
 
     commutant_consistent: bool | None = None
     if faithful:
@@ -309,14 +302,13 @@ def analyze_fixed_points(
         fixed_stack = np.stack([vec(b.mat) for b in basis], axis=1)
         qf, _ = np.linalg.qr(fixed_stack)
         p_fixed = qf @ qf.conj().T
-        if comm.shape[1] == 0:
-            commutant_consistent = False
-        else:
-            p_comm = comm @ comm.conj().T
-            commutant_consistent = bool(
-                op_norm_mat(p_fixed - p_comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
-            )
+        p_comm = comm @ comm.conj().T
+        commutant_consistent = comm.shape[1] > 0 and bool(
+            op_norm_mat(p_fixed - p_comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
+        )
 
+    for a in (left, proj, w_iso, *restricted):
+        a.setflags(write=False)
     return FixedPointAnalysis(
         dim=d,
         fixed_dim=r,
@@ -369,33 +361,30 @@ def check_minimal_support(
     unital_defect = op_norm(av(p) - Operator.identity(d))
     kernel_defect = op_norm(av(p_perp))
 
-    # ``av`` on a stack of d*d inputs; the product stays one matrix-vector
+    # ``av`` on a stack of inputs; the product stays one matrix-vector
     # product per input, so it rounds exactly as ``av`` does
     def av_stack(x: np.ndarray) -> np.ndarray:
-        vecs = x.swapaxes(1, 2).reshape(d * d, d * d, 1)
-        return (analysis.projector.m @ vecs).reshape(d * d, d, d).swapaxes(1, 2)
+        vecs = x.swapaxes(1, 2).reshape(len(x), d * d, 1)
+        return (analysis.projector.m @ vecs).reshape(len(x), d, d).swapaxes(1, 2)
 
     units = np.eye(d * d).reshape(d * d, d, d)
     sandwich = max_op_norm(av_stack(units) - av_stack(p @ units @ p))
 
-    states_defect = 0.0
-    for i in range(analysis.fixed_states.shape[1]):
-        s = unvec(analysis.fixed_states[:, i], d)
-        states_defect = max(states_defect, op_norm_mat(s - p @ s @ p))
+    # the columns of fixed_states, unvec'ed
+    states = analysis.fixed_states.T.reshape(-1, d, d).swapaxes(1, 2)
+    states_defect = max_op_norm(states - p @ states @ p)
 
-    w = analysis.p_isometry
-    margin = np.inf
-    for i in range(w.shape[1]):
-        v = w[:, i]
-        q = p - np.outer(v, v.conj())
-        margin = min(margin, op_norm(av(q) - Operator.identity(d)))
-    margin = float(margin)
+    # P minus one rank-one projector of its support at a time
+    w = analysis.p_isometry.T
+    reduced = p - w[:, :, None] * w.conj()[:, None, :]
+    margins = np.linalg.norm(av_stack(reduced) - np.eye(d), 2, axis=(1, 2))
+    margin = float(margins.min(initial=np.inf))
 
-    expand_w = np.linalg.eigvalsh((apply_dual(phi, p) - Operator(p)).hermitian_part().mat)
-    shrink_w = np.linalg.eigvalsh(
-        (Operator(p_perp) - apply_dual(phi, p_perp)).hermitian_part().mat
-    )
-    expanding_defect = float(max(-expand_w.min(), -shrink_w.min(), 0.0))
+    # the dual only expands P: Phi*(P) - P >= 0 and P_perp - Phi*(P_perp) >= 0
+    img = _apply(phi, np.array([p, p_perp]), True)
+    gaps = np.array([img[0] - p, p_perp - img[1]])
+    spectra = np.linalg.eigvalsh(0.5 * (gaps + gaps.conj().swapaxes(1, 2)))
+    expanding_defect = float(max(-spectra.min(), 0.0))
 
     all_pass = (
         unital_defect <= tol.eq_tol
@@ -426,15 +415,13 @@ def _joint_eigenprojectors(
     clustering, and re-draws deterministically on collision.  Returns the
     projectors and the (n_mats, n_clusters) matrix of cluster eigenvalues.
     """
-    if not mats:
+    if len(mats) == 0:
         raise ValueError("need at least one matrix")
     dim = mats[0].shape[0]
     for attempt in range(8):
         rng = np.random.default_rng(_JOINT_DIAG_SEED + attempt)
         coeffs = rng.standard_normal(len(mats))
-        combo = np.zeros((dim, dim), dtype=complex)
-        for c, m in zip(coeffs, mats):
-            combo += c * m
+        combo = sum(c * m for c, m in zip(coeffs, mats))
         combo = 0.5 * (combo + combo.conj().T)
         w, v = np.linalg.eigh(combo)
         clusters = eigen_clusters(w, tol.rank_tol * np.maximum(1.0, np.abs(w[1:])))
@@ -454,14 +441,15 @@ def _joint_eigenprojectors(
             if not ok:
                 break
         if ok:
-            projs = []
-            for idx in clusters:
-                cols = v[:, idx]
-                projs.append(cols @ cols.conj().T)
-            return projs, values
+            return [v[:, idx] @ v[:, idx].conj().T for idx in clusters], values
     raise RuntimeError(
         "joint diagonalization failed: the family does not commute numerically"
     )
+
+
+def _max_commutator(a: np.ndarray, b: np.ndarray) -> float:
+    """``max ||a b - b a||`` over two broadcast stacks; 0.0 for an empty one."""
+    return max_op_norm(a @ b - b @ a)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -495,17 +483,7 @@ class StructuralReport:
     conditions: dict[str, ConditionCheck]
 
     def to_dict(self) -> dict:
-        return {
-            "faithful": self.faithful,
-            "fixed_dim": self.fixed_dim,
-            "support_rank": self.support_rank,
-            "average_holds": self.average_holds,
-            "nondisturbed": self.nondisturbed,
-            "first_kind": self.first_kind,
-            "repeatable": self.repeatable,
-            "qubit_support_collapse": self.qubit_support_collapse,
-            "conditions": {k: v.to_dict() for k, v in self.conditions.items()},
-        }
+        return dataclasses.asdict(self)
 
     def all_applicable_pass(self) -> bool:
         return all(c.passed for c in self.conditions.values() if c.applicable)
@@ -546,83 +524,51 @@ def structural_necessary_conditions(
     if qubit_collapse:
         # rank-one support on a qubit: the fixed space is trivial and the
         # compression would erase everything, so test on the full space
-        compress = lambda a: a.mat if isinstance(a, Operator) else np.asarray(a)
-        dual_p = lambda b: inst.apply_dual_total(b).mat
+        compress = embed = lambda a: a
     else:
-        compress = analysis.compress
-        dual_p = lambda b: analysis.compress(
-            inst.apply_dual_total(analysis.embed(b))
-        )
+        compress, embed = analysis.compress, analysis.embed
 
-    p_e = {x: compress(eff) for x, eff in e_obs.items()}
-    p_f = {y: compress(eff) for y, eff in f.items()}
-    p_n = compress(q.n_sys)
-    shift = dual_p(p_n) - p_n
-
-    conditions: dict[str, ConditionCheck] = {}
-
-    def comm_defect(a: np.ndarray, b: np.ndarray) -> float:
-        return float(op_norm_mat(a @ b - b @ a))
-
-    applicable_nd = cons.average_holds and nondisturbed
-    worst = max(
-        (comm_defect(p_f[y], p_e[x]) for x in e_obs.outcomes for y in f.outcomes),
-        default=0.0,
-    )
-    conditions["nondisturbed-commutes-measured"] = ConditionCheck(
-        worst, worst <= tol.eq_tol, applicable_nd
-    )
-    worst = max((comm_defect(p_f[y], shift) for y in f.outcomes), default=0.0)
-    conditions["nondisturbed-commutes-conserved-shift"] = ConditionCheck(
-        worst, worst <= tol.eq_tol, applicable_nd
-    )
-
-    applicable_fk = cons.average_holds and first_kind
-    worst = 0.0
-    for i, x in enumerate(e_obs.outcomes):
-        for y in e_obs.outcomes[i + 1 :]:
-            worst = max(worst, comm_defect(p_e[x], p_e[y]))
-    conditions["first-kind-commutative"] = ConditionCheck(
-        worst, worst <= tol.eq_tol, applicable_fk
-    )
-    worst = max((comm_defect(p_e[x], p_n) for x in e_obs.outcomes), default=0.0)
-    conditions["first-kind-commutes-quantity"] = ConditionCheck(
-        worst, worst <= tol.eq_tol, applicable_fk
-    )
-
-    applicable_rp = cons.average_holds and repeatable
-    worst = 0.0
-    keys = list(p_e)
-    for i, x in enumerate(keys):
-        a = p_e[x]
-        worst = max(worst, float(op_norm_mat(a @ a - a)))
-        for y in keys[i + 1 :]:
-            worst = max(worst, float(op_norm_mat(a @ p_e[y])))
-    conditions["repeatable-sharp-on-support"] = ConditionCheck(
-        worst, worst <= tol.eq_tol, applicable_rp
-    )
+    e_mats = np.array([eff.mat for eff in e_obs.effects])
+    p_e = compress(e_mats)
+    p_f = compress(np.array([eff.mat for eff in f.effects]))
+    p_n = compress(q.n_sys.mat)
+    shift = compress(inst.apply_dual_total(embed(p_n)).mat) - p_n
+    i, j = np.triu_indices(len(p_e), 1)
 
     # a commutative measured observable realized by its own square-root
     # instrument forces full commutation with the system quantity
-    luders_defect = 0.0
     ref = luders_instrument(e_obs, tol)
-    for x in e_obs.outcomes:
-        gap = _unit_images(inst.operation(x), False) - _unit_images(ref.operation(x), False)
-        luders_defect = max(luders_defect, max_op_norm(gap))
+    luders_defect = max(
+        max_op_norm(_unit_images(own, False) - _unit_images(sqrt_form, False))
+        for own, sqrt_form in zip(inst.operations, ref.operations)
+    )
     luders_like = luders_defect <= tol.eq_tol
-    applicable_luders = (
-        cons.average_holds and luders_like and e_obs.is_commutative(tol)
-    )
-    worst = max(
-        (float(op_norm(commutator(eff, q.n_sys))) for _, eff in e_obs.items()),
-        default=0.0,
-    )
-    conditions["luders-commutative-quantity"] = ConditionCheck(
-        worst,
-        worst <= tol.eq_tol,
-        applicable_luders,
-        note="" if luders_like else f"instrument differs from square-root form by {luders_defect:.3e}",
-    )
+
+    def check(worst: float, applicable: bool, note: str = "") -> ConditionCheck:
+        return ConditionCheck(worst, worst <= tol.eq_tol, applicable, note)
+
+    applicable_nd = cons.average_holds and nondisturbed
+    applicable_fk = cons.average_holds and first_kind
+    conditions = {
+        "nondisturbed-commutes-measured": check(
+            _max_commutator(p_f[None], p_e[:, None]), applicable_nd
+        ),
+        "nondisturbed-commutes-conserved-shift": check(
+            _max_commutator(p_f, shift), applicable_nd
+        ),
+        "first-kind-commutative": check(_max_commutator(p_e[i], p_e[j]), applicable_fk),
+        "first-kind-commutes-quantity": check(_max_commutator(p_e, p_n), applicable_fk),
+        "repeatable-sharp-on-support": check(
+            max(max_op_norm(p_e @ p_e - p_e), max_op_norm(p_e[i] @ p_e[j])),
+            cons.average_holds and repeatable,
+        ),
+        "luders-commutative-quantity": check(
+            _max_commutator(e_mats, q.n_sys.mat),
+            cons.average_holds and luders_like and e_obs.is_commutative(tol),
+            "" if luders_like
+            else f"instrument differs from square-root form by {luders_defect:.3e}",
+        ),
+    }
 
     return StructuralReport(
         faithful=analysis.faithful,
@@ -635,6 +581,29 @@ def structural_necessary_conditions(
         qubit_support_collapse=qubit_collapse,
         conditions=conditions,
     )
+
+
+def _norm_one_refinement(
+    analysis: FixedPointAnalysis,
+    compressed: Sequence[np.ndarray],
+    tol: Tolerance,
+    key: Callable[[np.ndarray], Any],
+    descending: bool = False,
+) -> tuple[np.ndarray, np.ndarray, Observable]:
+    """The norm-1 observable behind commuting compressed effects.
+
+    Takes the joint eigenprojectors ``R(z)`` of ``compressed``, sorts them by
+    ``key`` of their column of eigenvalues, and averages each back through
+    the channel into ``G(z) = Phi*_av(W R(z) W^dag)``.  Returns the sorted
+    projector stack, the sorted ``(n_effects, n_z)`` eigenvalue matrix and
+    the observable ``z_k -> G(z_k)``.
+    """
+    projs, values = _joint_eigenprojectors(compressed, tol)
+    order = sorted(range(len(projs)), key=lambda z: key(values[:, z]), reverse=descending)
+    projs = np.array(projs)[order]
+    g_effects = [analysis.average_dual(analysis.embed(rz)).hermitian_part() for rz in projs]
+    labels = [f"z{k}" for k in range(len(order))]
+    return projs, values[:, order], Observable(labels, g_effects, tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -688,68 +657,47 @@ def nondisturbed_norm1_observable(
         raise ValueError("observable dimension does not match the channel")
     if f.is_trivial(tol):
         raise ValueError("observable is trivial; nothing to extract")
-    worst_delta = 0.0
-    for y, eff in f.items():
-        worst_delta = max(worst_delta, op_norm(apply_dual(phi, eff) - eff))
+    effects = np.array([eff.mat for eff in f.effects])
+    worst_delta = max_op_norm(_apply(phi, effects, True) - effects)
     if worst_delta > tol.eq_tol:
         raise ValueError(
             f"observable is disturbed by the channel (max defect {worst_delta:.3e})"
         )
 
     analysis = analyze_fixed_points(phi, tol)
-    compressed = [analysis.compress(eff) for _, eff in f.items()]
-    labels = list(f.outcomes)
-
     accepted: list[np.ndarray] = []
     skipped: list[str] = []
-    for label, a in zip(labels, compressed):
+    for label, a in zip(f.outcomes, analysis.compress(effects)):
         if all(op_norm_mat(a @ b - b @ a) <= tol.eq_tol for b in accepted):
             accepted.append(a)
         else:
             skipped.append(label)
 
-    projs, values = _joint_eigenprojectors(accepted, tol)
-    order = sorted(
-        range(len(projs)),
-        key=lambda z: tuple(np.round(values[:, z], 9)),
-        reverse=True,
+    projs, _, g_obs = _norm_one_refinement(
+        analysis, accepted, tol, lambda col: tuple(np.round(col, 9)), descending=True
     )
-    projs = [projs[z] for z in order]
+    g_effects = g_obs.effects
+    g_mats = np.array([g.mat for g in g_effects])
+    norm_defect = np.abs(np.linalg.norm(g_mats, 2, axis=(1, 2)) - 1.0).max()
+    fixed_defect = max_op_norm(_apply(phi, g_mats, True) - g_mats)
+    compress_defect = max_op_norm(analysis.compress(g_mats) - projs)
 
-    g_effects = []
-    g_projs = []
-    norm_defect = 0.0
-    fixed_defect = 0.0
-    compress_defect = 0.0
-    for rz in projs:
-        g = analysis.average_dual(analysis.embed(rz)).hermitian_part()
-        g_effects.append(g)
-        g_projs.append(rz)
-        norm_defect = max(norm_defect, abs(op_norm(g) - 1.0))
-        fixed_defect = max(fixed_defect, op_norm(apply_dual(phi, g) - g))
-        compress_defect = max(compress_defect, op_norm_mat(analysis.compress(g) - rz))
+    # the normalized eigenvalue-1 projector of each G(z)
+    states = np.array([eigenspace_projector(g, 1.0, tol).mat for g in g_effects])
+    tr = np.real(np.trace(states, axis1=1, axis2=2))
+    if tr.min() <= tol.rank_tol:
+        raise RuntimeError("constructed effect does not attain norm one")
+    states = states / tr[:, None, None]
 
-    g_obs = Observable([f"z{k}" for k in range(len(g_effects))], g_effects, tol)
-
-    states = []
-    for g in g_effects:
-        pz = eigenspace_projector(g, 1.0, tol)
-        tr = float(np.real(np.trace(pz.mat)))
-        if tr <= tol.rank_tol:
-            raise RuntimeError("constructed effect does not attain norm one")
-        states.append(Operator(pz.mat / tr))
-
-    distinguish = 0.0
-    for zi, rho in enumerate(states):
-        out = apply_map(phi, rho)
-        for zj, g in enumerate(g_effects):
-            p = float(np.real(np.trace(g.mat @ out.mat)))
-            distinguish = max(distinguish, abs(p - (1.0 if zi == zj else 0.0)))
+    # probs[i, j] = tr[G(z_j) Phi(rho_i)], which should be delta_ij
+    outs = _apply(phi, states, False)
+    probs = np.real(np.trace(g_mats @ outs[:, None], axis1=2, axis2=3))
+    distinguish = np.abs(probs - np.eye(len(states))).max()
 
     return Norm1Result(
         observable=g_obs,
-        states=tuple(states),
-        projectors=tuple(g_projs),
+        states=tuple(Operator(rho) for rho in states),
+        projectors=tuple(projs),
         skipped_outcomes=tuple(skipped),
         faithful=analysis.faithful,
         sharp=g_obs.is_sharp(tol),
@@ -807,32 +755,23 @@ def post_processing_decomposition(
             f"instrument is not first-kind (fixed-point defect {fk_defect:.3e})"
         )
     analysis = analyze_fixed_points(inst.total(), tol)
-    compressed = [analysis.compress(eff) for _, eff in e_obs.items()]
-    c = np.array(compressed)
+    e_mats = np.array([eff.mat for eff in e_obs.effects])
+    c = analysis.compress(e_mats)
     i, j = np.triu_indices(len(c), 1)
-    worst = max_op_norm(c[i] @ c[j] - c[j] @ c[i]) if len(i) else 0.0
+    worst = _max_commutator(c[i], c[j])
     if worst > tol.eq_tol:
         raise ValueError(
             f"compressed effects do not commute (defect {worst:.3e}); "
             "no classical post-processing decomposition exists"
         )
-    projs, values = _joint_eigenprojectors(compressed, tol)
+    _, values, g_obs = _norm_one_refinement(
+        analysis, c, tol, lambda col: tuple(np.round(np.clip(col, 0.0, 1.0), 9))
+    )
     p_mat = np.clip(values, 0.0, 1.0)
-    order = sorted(range(len(projs)), key=lambda z: tuple(np.round(p_mat[:, z], 9)))
-    projs = [projs[z] for z in order]
-    p_mat = p_mat[:, order]
 
-    g_effects = [
-        analysis.average_dual(analysis.embed(rz)).hermitian_part() for rz in projs
-    ]
-    g_obs = Observable([f"z{k}" for k in range(len(g_effects))], g_effects, tol)
-
-    recon = 0.0
-    for xi, (_, eff) in enumerate(e_obs.items()):
-        acc = np.zeros((inst.dim, inst.dim), dtype=complex)
-        for zi, g in enumerate(g_effects):
-            acc += p_mat[xi, zi] * g.mat
-        recon = max(recon, op_norm_mat(acc - eff.mat))
+    # sum_z p(x|z) G(z), accumulated over z in order
+    g_mats = np.array([g.mat for g in g_obs.effects])
+    recon = max_op_norm((p_mat[:, :, None, None] * g_mats).sum(axis=1) - e_mats)
 
     return PostProcessingResult(
         observable=g_obs,

@@ -17,8 +17,6 @@ Everything indexes composite spaces with the system slowest, matching
 from __future__ import annotations
 
 import dataclasses
-import functools
-import inspect
 from typing import Any, Sequence
 
 import numpy as np
@@ -26,7 +24,9 @@ import numpy as np
 from . import serialize
 from .cpmaps import (
     OperationMap,
+    _Immutable,
     _apply,
+    _per_object,
     _unit_images,
     apply_dual,
     apply_map,
@@ -89,7 +89,6 @@ class Observable:
         outcomes: Sequence[str],
         effects: Sequence[Any],
         tol: Tolerance = DEFAULT_TOL,
-        validate: bool = True,
     ):
         labels = tuple(str(x) for x in outcomes)
         ops = tuple(e if isinstance(e, Operator) else Operator(e) for e in effects)
@@ -103,18 +102,17 @@ class Observable:
         for e in ops:
             if e.dim != d:
                 raise ValueError("effects must share one dimension")
-        if validate:
-            for x, e in zip(labels, ops):
-                if not e.is_effect(tol):
-                    w = np.linalg.eigvalsh(e.hermitian_part().mat)
-                    raise ValueError(
-                        f"effect {x!r} is not a valid effect "
-                        f"(spectrum [{w.min():.3e}, {w.max():.3e}])"
-                    )
-            total = sum(e.mat for e in ops)
-            gap = op_norm_mat(total - np.eye(d))
-            if gap > tol.eq_tol:
-                raise ValueError(f"effects do not sum to the identity (defect {gap:.3e})")
+        for x, e in zip(labels, ops):
+            if not e.is_effect(tol):
+                w = np.linalg.eigvalsh(e.hermitian_part().mat)
+                raise ValueError(
+                    f"effect {x!r} is not a valid effect "
+                    f"(spectrum [{w.min():.3e}, {w.max():.3e}])"
+                )
+        total = sum(e.mat for e in ops)
+        gap = op_norm_mat(total - np.eye(d))
+        if gap > tol.eq_tol:
+            raise ValueError(f"effects do not sum to the identity (defect {gap:.3e})")
         self._outcomes = labels
         self._effects = ops
         self.dim = d
@@ -155,28 +153,22 @@ class Observable:
         if not all(e.is_projection(tol) for e in self._effects):
             return False
         a, b = self._pairs()
-        return len(a) == 0 or max_op_norm(a @ b) <= tol.eq_tol
+        return max_op_norm(a @ b) <= tol.eq_tol
 
     def is_commutative(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         a, b = self._pairs()
-        return len(a) == 0 or max_op_norm(a @ b - b @ a) <= tol.eq_tol
+        return max_op_norm(a @ b - b @ a) <= tol.eq_tol
 
     def is_norm_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every nonzero effect attains operator norm 1 (within rank_tol)."""
-        for e in self._effects:
-            n = op_norm(e)
-            if n > tol.rank_tol and abs(n - 1.0) > tol.rank_tol:
-                return False
-        return True
+        n = np.linalg.norm(np.array([e.mat for e in self._effects]), 2, axis=(1, 2))
+        return bool(np.all((n <= tol.rank_tol) | (np.abs(n - 1.0) <= tol.rank_tol)))
 
     def is_trivial(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every effect is a multiple of the identity."""
-        d = self.dim
-        for e in self._effects:
-            c = np.trace(e.mat) / d
-            if op_norm_mat(e.mat - c * np.eye(d)) > tol.eq_tol:
-                return False
-        return True
+        mats = np.array([e.mat for e in self._effects])
+        scalars = np.trace(mats, axis1=1, axis2=2)[:, None, None] / self.dim
+        return max_op_norm(mats - scalars * np.eye(self.dim)) <= tol.eq_tol
 
 
 class Instrument:
@@ -189,7 +181,6 @@ class Instrument:
         outcomes: Sequence[str],
         operations: Sequence[OperationMap],
         tol: Tolerance = DEFAULT_TOL,
-        validate: bool = True,
     ):
         labels = tuple(str(x) for x in outcomes)
         ops = tuple(operations)
@@ -204,13 +195,12 @@ class Instrument:
             if op.in_dim != d or op.out_dim != d:
                 raise ValueError("instrument operations must be endomorphisms of one space")
         total = OperationMap([k for op in ops for k in op.kraus])
-        if validate:
-            for x, op in zip(labels, ops):
-                if not op.is_operation(tol):
-                    raise ValueError(f"operation {x!r} is not trace non-increasing")
-            gap = op_norm_mat(total.kraus_gram() - np.eye(d))
-            if gap > tol.eq_tol:
-                raise ValueError(f"total map is not a channel (completeness defect {gap:.3e})")
+        for x, op in zip(labels, ops):
+            if not op.is_operation(tol):
+                raise ValueError(f"operation {x!r} is not trace non-increasing")
+        gap = op_norm_mat(total.kraus_gram() - np.eye(d))
+        if gap > tol.eq_tol:
+            raise ValueError(f"total map is not a channel (completeness defect {gap:.3e})")
         self._outcomes = labels
         self._operations = ops
         self._total = total
@@ -253,13 +243,14 @@ class Instrument:
         return Observable(self._outcomes, effs, tol)
 
 
-class MeasurementScheme:
+class MeasurementScheme(_Immutable):
     """Apparatus state + coupling channel + pointer observable.
 
     A scheme is immutable once built: assigning to or deleting any attribute
     raises.  Its derivations (instrument, measured observable, restriction
     maps, conservation and repeatability defects) are cached on the scheme
-    itself by :func:`_per_scheme`, and a changed field would leave them stale.
+    itself by :func:`cpmaps._per_object`, and a changed field would leave them
+    stale.
     """
 
     __slots__ = ("sys_dim", "app_dim", "xi", "coupling", "pointer", "_memo")
@@ -272,41 +263,33 @@ class MeasurementScheme:
         coupling: OperationMap,
         pointer: Observable,
         tol: Tolerance = DEFAULT_TOL,
-        validate: bool = True,
     ):
         sys_dim, app_dim = int(sys_dim), int(app_dim)
         xi = xi if isinstance(xi, Operator) else Operator(xi)
-        if validate:
-            if sys_dim < 1 or app_dim < 1:
-                raise ValueError("dimensions must be positive")
-            if xi.dim != app_dim:
-                raise ValueError(
-                    f"xi dimension {xi.dim} does not match apparatus dim {app_dim}"
-                )
-            if not xi.is_state(tol):
-                raise ValueError("xi must be a density operator")
-            d = sys_dim * app_dim
-            if coupling.in_dim != d or coupling.out_dim != d:
-                raise ValueError(
-                    f"coupling must act on the {d}-dimensional composite, "
-                    f"got {coupling.out_dim}x{coupling.in_dim}"
-                )
-            if not coupling.is_channel(tol):
-                raise ValueError("coupling must be a channel")
-            if pointer.dim != app_dim:
-                raise ValueError(
-                    f"pointer dimension {pointer.dim} does not match apparatus dim "
-                    f"{app_dim}"
-                )
+        if sys_dim < 1 or app_dim < 1:
+            raise ValueError("dimensions must be positive")
+        if xi.dim != app_dim:
+            raise ValueError(
+                f"xi dimension {xi.dim} does not match apparatus dim {app_dim}"
+            )
+        if not xi.is_state(tol):
+            raise ValueError("xi must be a density operator")
+        d = sys_dim * app_dim
+        if coupling.in_dim != d or coupling.out_dim != d:
+            raise ValueError(
+                f"coupling must act on the {d}-dimensional composite, "
+                f"got {coupling.out_dim}x{coupling.in_dim}"
+            )
+        if not coupling.is_channel(tol):
+            raise ValueError("coupling must be a channel")
+        if pointer.dim != app_dim:
+            raise ValueError(
+                f"pointer dimension {pointer.dim} does not match apparatus dim "
+                f"{app_dim}"
+            )
         fields = zip(self.__slots__, (sys_dim, app_dim, xi, coupling, pointer, {}))
         for name, value in fields:
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError(f"MeasurementScheme is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"MeasurementScheme is immutable; cannot delete {name!r}")
 
     @property
     def outcomes(self) -> tuple[str, ...]:
@@ -383,24 +366,6 @@ def collapse_instrument(
     return Instrument(e.outcomes, ops, tol)
 
 
-def _per_scheme(fn):
-    """Cache ``fn(m, ...)`` on the scheme ``m``, keyed by ``fn``'s name and its
-    other arguments with defaults filled in, so each derivation of a scheme
-    runs once per tolerance; the entries live and die with the scheme."""
-    sig = inspect.signature(fn)
-
-    @functools.wraps(fn)
-    def cached(m: MeasurementScheme, *args: Any, **kwargs: Any):
-        bound = sig.bind(m, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__name__, *bound.args[1:])
-        if key not in m._memo:
-            m._memo[key] = fn(m, *args, **kwargs)
-        return m._memo[key]
-
-    return cached
-
-
 def _xi_decomposition(xi: Operator, tol: Tolerance) -> list[np.ndarray]:
     """Weighted spectral vectors ``sqrt(q_i) phi_i`` with ``q_i > rank_tol``."""
     w, v = np.linalg.eigh(xi.hermitian_part().mat)
@@ -413,7 +378,7 @@ def _xi_decomposition(xi: Operator, tol: Tolerance) -> list[np.ndarray]:
     return vs
 
 
-@_per_scheme
+@_per_object
 def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """Explicit Kraus form of ``I_x(t) = tr_A[(1 (x) Z(x)) E(t (x) xi)]``.
 
@@ -439,7 +404,7 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
     return Instrument(m.pointer.outcomes, ops, tol)
 
 
-@_per_scheme
+@_per_object
 def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Effects ``Gamma_xi(E*(1 (x) Z(x)))`` of the scheme."""
     dS, dA = m.sys_dim, m.app_dim
@@ -453,7 +418,7 @@ def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> O
     return Observable(m.pointer.outcomes, effs, tol)
 
 
-@_per_scheme
+@_per_object
 def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> RestrictionMaps:
     dS, dA = m.sys_dim, m.app_dim
     eye_s = np.eye(dS)
@@ -478,7 +443,7 @@ def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Rest
     )
 
 
-@_per_scheme
+@_per_object
 def heisenberg_pointer(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Coupled pointer ``Z^tau(x) = E*(1 (x) Z(x))`` on the composite."""
     eye_s = np.eye(m.sys_dim)
@@ -564,17 +529,7 @@ class RepeatabilityReport:
     items_applicable: bool
 
     def to_dict(self) -> dict:
-        return {
-            "outcomes": list(self.outcomes),
-            "repeatable": self.repeatable,
-            "repeatability_defect": self.repeatability_defect,
-            "per_outcome_defects": dict(self.per_outcome_defects),
-            "first_kind": self.first_kind,
-            "first_kind_defect": self.first_kind_defect,
-            "sharp_equivalence_ok": self.sharp_equivalence_ok,
-            "items": {k: v.to_dict() for k, v in self.items.items()},
-            "items_applicable": self.items_applicable,
-        }
+        return dataclasses.asdict(self)
 
 
 def _repeat_first_kind(
@@ -633,7 +588,7 @@ def _exclusivity_defect(proj: dict[str, Operator], obs: Observable) -> float:
     return max_op_norm(prods)
 
 
-@_per_scheme
+@_per_object
 def _scheme_repeat_first_kind(
     m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL
 ) -> tuple[float, float]:
@@ -730,8 +685,7 @@ def repeatability_report(
         outs = np.array(outs).reshape(-1, d, d)
         i, j = np.triu_indices(len(outs), 1)
         products.append(outs[i] @ outs[j])
-    products = np.concatenate(products)
-    worst = max_op_norm(products) if len(products) else 0.0
+    worst = max_op_norm(np.concatenate(products))
     items["output-orthogonality"] = ItemCheck(worst, worst <= tol.eq_tol)
 
     if m is not None:

@@ -192,11 +192,13 @@ def max_op_norm(stack: np.ndarray) -> float:
     with a ``1e-12`` relative margin for the rounding of both norms) include
     the maximizer, and each one's SVD is the LAPACK call the full expression
     makes for it, so the maximum over them is bit-identical.  A stack with a
-    non-finite Frobenius norm, or an empty one, goes through the full
-    expression unchanged.
+    non-finite Frobenius norm goes through the full expression unchanged; an
+    empty one gives 0.0, the largest norm over no matrices.
     """
+    if stack.size == 0:
+        return 0.0
     fro = np.linalg.norm(stack, axis=(-2, -1))
-    if stack.size == 0 or not np.isfinite(fro).all():
+    if not np.isfinite(fro).all():
         return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
     best = np.linalg.norm(stack[np.unravel_index(np.argmax(fro), fro.shape)], 2)
     survivors = stack[fro * (1.0 + 1e-12) >= best]

@@ -34,6 +34,9 @@ class BoundReport:
     inputs_digest: str
 
     def to_dict(self) -> dict:
+        # written out, unlike the other records' dataclasses.asdict: a suite
+        # run serialises 320 rows, and asdict takes about 19 us per row
+        # against under 1 us for this dict (timeit, one thread)
         return {
             "bound_id": self.bound_id,
             "outcome": self.outcome,

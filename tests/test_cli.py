@@ -242,6 +242,26 @@ def test_fixed_points_task_builds_one_supermatrix(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_scheme_run_builds_one_supermatrix(tmp_path, monkeypatch):
+    # the fixed-points and structural tasks analyse the one total channel of
+    # the scheme, and share that analysis
+    calls = []
+    real = cpmaps.to_supermatrix
+
+    def counted(phi):
+        calls.append(phi)
+        return real(phi)
+
+    for module in (cpmaps, fixpt):
+        monkeypatch.setattr(module, "to_supermatrix", counted)
+    out = tmp_path / "report.json"
+    argv = ["builtin", "conservative-scheme", "--run", "--out", str(out), "--quiet"]
+    assert cli.main(argv) == 0
+    ops = [t["op"] for t in json.loads(out.read_text())["tasks"]]
+    assert "fixed-points" in ops and "structural" in ops
+    assert len(calls) == 1
+
+
 def test_scheme_run_decomposes_xi_twice(tmp_path, monkeypatch):
     # every task of the scheme shares one instrument and one set of
     # restriction maps, each of which decomposes xi once

@@ -20,6 +20,7 @@ from waylab.measure import (
     MeasurementScheme,
     collapse_instrument,
     luders_instrument,
+    measured_observable,
     scheme_to_instrument,
     sharp_observable,
 )
@@ -277,6 +278,114 @@ def test_kraus_commutant_near_null_count_never_exceeds_full_stack(seed, d, log_d
     assert kraus_commutant(phi).shape[1] <= full_stack_commutant(phi).shape[1]
 
 
+def support_channel(kind, d, rng):
+    if kind == "random":
+        return random_channel(d, d, int(rng.integers(1, 4)), rng)
+    if kind == "blocks":
+        return block_channel(d, rng)
+    # into an r-dimensional subspace, in a random basis: P is a proper projector
+    r = int(rng.integers(1, d))
+    u = haar_unitary(d, rng).mat
+    into = random_channel(d, r, -(-d // r), rng).kraus
+    return OperationMap([u @ np.vstack([k, np.zeros((d - r, d))]) @ u.conj().T for k in into])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5),
+       kind=st.sampled_from(["random", "blocks", "into"]))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_minimal_support_defects_match_column_loop(seed, d, kind):
+    # the fixed-states and minimality checks against one column at a time
+    phi = support_channel(kind, d, np.random.default_rng(seed))
+    analysis = analyze_fixed_points(phi)
+    p = analysis.support_p.mat
+    states = 0.0
+    for i in range(analysis.fixed_states.shape[1]):
+        s = analysis.fixed_states[:, i].reshape(d, d, order="F")
+        states = max(states, op_norm_mat(s - p @ s @ p))
+    margin = np.inf
+    for v in analysis.p_isometry.T:
+        q = p - np.outer(v, v.conj())
+        margin = min(margin, op_norm(analysis.average_dual(q) - Operator.identity(d)))
+    rep = check_minimal_support(analysis, phi)
+    assert rep.fixed_states_supported_defect == states
+    assert rep.minimality_margin == margin
+
+
+def reference_structural_defects(m, f, q):
+    """The defects of ``structural_necessary_conditions``, one pair or one
+    outcome at a time."""
+    inst = scheme_to_instrument(m)
+    e_obs = measured_observable(m)
+    total = inst.total()
+    analysis = analyze_fixed_points(total)
+    if m.sys_dim == 2 and analysis.p_isometry.shape[1] == 1:
+        compress = lambda a: a
+        dual_p = lambda b: apply_dual(total, b).mat
+    else:
+        compress = analysis.compress
+        dual_p = lambda b: analysis.compress(apply_dual(total, analysis.embed(b)))
+    p_e = [compress(e.mat) for e in e_obs.effects]
+    p_f = [compress(e.mat) for e in f.effects]
+    p_n = compress(q.n_sys.mat)
+    shift = dual_p(p_n) - p_n
+
+    def comm(a, b):
+        return op_norm_mat(a @ b - b @ a)
+
+    pairs = [(i, j) for i in range(len(p_e)) for j in range(i + 1, len(p_e))]
+    return {
+        "nondisturbed-commutes-measured": max(comm(b, a) for a in p_e for b in p_f),
+        "nondisturbed-commutes-conserved-shift": max(comm(b, shift) for b in p_f),
+        "first-kind-commutative": max(
+            (comm(p_e[i], p_e[j]) for i, j in pairs), default=0.0
+        ),
+        "first-kind-commutes-quantity": max(comm(a, p_n) for a in p_e),
+        "repeatable-sharp-on-support": max(
+            [op_norm_mat(a @ a - a) for a in p_e]
+            + [op_norm_mat(p_e[i] @ p_e[j]) for i, j in pairs]
+        ),
+        "luders-commutative-quantity": max(comm(e.mat, q.n_sys.mat) for e in e_obs.effects),
+    }
+
+
+@given(seed=st.integers(0, 2**32 - 1), d_sys=st.integers(2, 3), d_app=st.integers(2, 3),
+       kind=st.sampled_from(["conserving", "random", "swap", "single-pointer"]),
+       single_f=st.booleans())
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_structural_defects_match_pair_loop(seed, d_sys, d_app, kind, single_f):
+    rng = np.random.default_rng(seed)
+    q = AdditiveQuantity(
+        np.diag(rng.integers(-1, 2, size=d_sys).astype(float)),
+        np.diag(rng.integers(-1, 2, size=d_app).astype(float)),
+    )
+    xi = random_state(d_app, rng, rank=min(2, d_app))
+    pointer = sharp_observable(random_hermitian(d_app, rng))
+    if kind == "conserving":
+        coupling = conservative_unitary(q.composite(), rng, strength=1.5).mat
+    elif kind == "random":
+        coupling = haar_unitary(d_sys * d_app, rng).mat
+    elif kind == "swap":
+        # the qubit is swapped with a pure apparatus state: rank-one support
+        d_sys = d_app = 2
+        q = AdditiveQuantity(SZ / 2.0, SZ / 2.0)
+        xi = random_state(2, rng, rank=1)
+        pointer = sharp_observable(random_hermitian(2, rng))
+        coupling = SWAP
+    else:
+        # one pointer outcome: the measured observable has no pairs
+        coupling = haar_unitary(d_sys * d_app, rng).mat
+        pointer = Observable(["all"], [np.eye(d_app)])
+    m = MeasurementScheme(d_sys, d_app, xi, OperationMap([coupling]), pointer)
+    if single_f:
+        f = Observable(["all"], [np.eye(d_sys)])
+    else:
+        f = sharp_observable(random_hermitian(d_sys, rng))
+    rep = structural_necessary_conditions(m, f, q)
+    assert rep.qubit_support_collapse == (kind == "swap")
+    for key, value in reference_structural_defects(m, f, q).items():
+        assert rep.conditions[key].defect == value, key
+
+
 def test_cesaro_converges_to_projector():
     phi = luders_instrument(unsharp_x(0.5)).total()
     fp = analyze_fixed_points(phi)
@@ -392,6 +501,47 @@ def test_post_processing_unsharp_x_frozen():
         assert np.array_equal(
             res.observable.effect(x).mat, res2.observable.effect(x).mat
         )
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 4), n=st.integers(2, 3),
+       leaky=st.booleans())
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_norm_one_defects_match_outcome_loop(seed, d, n, leaky):
+    # the norm-1 and post-processing defects against one outcome at a time,
+    # on the recovered effects, projectors and states
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, rng).mat
+    weights = rng.dirichlet(np.ones(n), size=d).T
+    f = Observable([f"x{i}" for i in range(n)], [v @ np.diag(w) @ v.conj().T for w in weights])
+    inst = luders_instrument(f)
+    phi = inst.total()
+    if leaky:
+        gamma = rng.uniform(0.2, 0.8)
+        phi = leaky_collapse_channel(gamma)
+        f = Observable(["x0", "x1"], [np.diag([1.0, 0.0, gamma]), np.diag([0.0, 1.0, 1 - gamma])])
+    res = nondisturbed_norm1_observable(phi, f)
+    analysis = analyze_fixed_points(phi)
+    norm = fixed = compress = distinguish = 0.0
+    for g, rz in zip(res.observable.effects, res.projectors):
+        norm = max(norm, abs(op_norm(g) - 1.0))
+        fixed = max(fixed, op_norm(apply_dual(phi, g) - g))
+        compress = max(compress, op_norm_mat(analysis.compress(g) - rz))
+    for zi, rho in enumerate(res.states):
+        out = apply_map(phi, rho)
+        for zj, g in enumerate(res.observable.effects):
+            p = float(np.real(np.trace(g.mat @ out.mat)))
+            distinguish = max(distinguish, abs(p - (1.0 if zi == zj else 0.0)))
+    assert (res.norm_defect, res.fixed_defect) == (norm, fixed)
+    assert (res.compression_defect, res.distinguish_defect) == (compress, distinguish)
+
+    pp = post_processing_decomposition(inst)
+    recon = 0.0
+    for xi, eff in enumerate(inst.induced_observable().effects):
+        acc = np.zeros((d, d), dtype=complex)
+        for zi, g in enumerate(pp.observable.effects):
+            acc += pp.matrix[xi, zi] * g.mat
+        recon = max(recon, op_norm_mat(acc - eff.mat))
+    assert pp.reconstruction_defect == recon
 
 
 def test_post_processing_errors():

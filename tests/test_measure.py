@@ -4,7 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, Tolerance, op_norm, tensor
+from waylab.bounds import _gamma_moment_defect
+from waylab.conserve import AdditiveQuantity
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
+from waylab.fixpt import analyze_fixed_points
 from waylab.measure import (
     Instrument,
     MeasurementScheme,
@@ -116,6 +119,18 @@ def loop_is_commutative(obs, tol):
     )
 
 
+def loop_is_trivial(obs, tol):
+    d = obs.dim
+    return all(
+        op_norm(e.mat - np.trace(e.mat) / d * np.eye(d)) <= tol.eq_tol for e in obs.effects
+    )
+
+
+def loop_is_norm_one(obs, tol):
+    norms = [op_norm(e) for e in obs.effects]
+    return all(n <= tol.rank_tol or abs(n - 1.0) <= tol.rank_tol for n in norms)
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.sampled_from([1, 2, 3, 4]),
@@ -137,9 +152,11 @@ def test_pair_predicates_match_pair_loop(seed, d, kind, offset):
     if kind == "perturbed":
         h = random_hermitian(d, rng).mat
         effects[0] = effects[0] + size * h / op_norm(h)
-    obs = Observable([f"o{i}" for i in range(d)], effects, validate=False)
+    obs = Observable([f"o{i}" for i in range(d)], effects, Tolerance(eq_tol=1e-6))
     assert obs.is_sharp(tol) == loop_is_sharp(obs, tol)
     assert obs.is_commutative(tol) == loop_is_commutative(obs, tol)
+    assert obs.is_trivial(tol) == loop_is_trivial(obs, tol)
+    assert obs.is_norm_one(tol) == loop_is_norm_one(obs, tol)
 
 
 def test_sharp_observable_orders_by_eigenvalue():
@@ -227,6 +244,15 @@ def test_scheme_derivations_are_cached_per_tolerance():
     assert heisenberg_pointer(m, tol) is heisenberg_pointer(m, tol)
     # another scheme with the same fields keeps its own derivations
     assert scheme_to_instrument(cnot_scheme(), tol) is not inst
+    # the fixed-point analysis is cached the same way on the (immutable) map
+    phi = inst.total()
+    analysis = analyze_fixed_points(phi, tol)
+    assert analyze_fixed_points(phi, tol) is analysis
+    assert analyze_fixed_points(phi) is analysis
+    assert analyze_fixed_points(phi, Tolerance(eq_tol=1e-7, rank_tol=1e-8)) is not analysis
+    q = AdditiveQuantity(SZ / 2.0, SZ / 2.0)
+    assert _gamma_moment_defect(m, q, tol) is _gamma_moment_defect(m, q, tol)
+    assert _gamma_moment_defect(m, q) is _gamma_moment_defect(m, q, tol)
 
 
 def test_scheme_is_immutable():
@@ -243,6 +269,19 @@ def test_scheme_is_immutable():
     with pytest.raises(AttributeError, match="immutable"):
         del m.xi
     np.testing.assert_array_equal(m.xi.mat, P0)
+
+    phi = scheme_to_instrument(m).total()
+    for name in ("_kraus", "in_dim", "out_dim", "_memo"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(phi, name, getattr(phi, name))
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(phi, name)
+    # the cached analysis is shared, so its arrays are read-only
+    analysis = analyze_fixed_points(phi)
+    for a in (analysis.p_isometry, analysis.fixed_states, analysis.projector.m,
+              *analysis.restricted_basis):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0, 0] = 1.0
 
 
 def test_cnot_scheme_is_luders_of_sharp_z():
