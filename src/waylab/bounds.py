@@ -20,6 +20,12 @@ hypotheses held for the supplied inputs; hypothesis failures are flags, not
 errors, except for the structural preconditions spelled out per function.
 QFI-based bounds that are only stated under full conservation are skipped
 entirely when full conservation fails.
+
+One record type, :class:`Profile` (``outcomes``, ``norms``, ``max_norm``),
+holds the per-outcome gap norms of :func:`disturbance_profile` and
+:func:`error_profile`.  Every per-outcome quantity is computed on the stack
+of all outcomes: one Kraus application or matrix product and one batched
+norm (``opcore.op_norms``), zipped with the labels in declaration order.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from .conserve import (
     variance,
     yanase_conditions,
 )
-from .cpmaps import _per_object, apply_map
+from .cpmaps import _apply, _per_object, apply_map
 from .measure import (
     Instrument,
     MeasurementScheme,
@@ -50,19 +56,18 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
-    commutator,
     eigenspace_projector,
     fidelity,
     op_norm,
     op_norm_mat,
+    op_norms,
 )
 from .reporting import BoundReport, digest_inputs, make_report, summarize
 
 __all__ = [
     "BoundReport",
     "summarize",
-    "DisturbanceProfile",
-    "ErrorProfile",
+    "Profile",
     "disturbance_profile",
     "error_profile",
     "eval_disturbance_bounds",
@@ -73,49 +78,44 @@ __all__ = [
 
 
 @dataclasses.dataclass(frozen=True)
-class DisturbanceProfile:
-    """Per-outcome disturbance ``delta(y) = I*_X(F(y)) - F(y)``."""
+class Profile:
+    """Per-outcome operator norms of a gap between two effect families: the
+    disturbance ``delta(y) = I*_X(F(y)) - F(y)`` (:func:`disturbance_profile`)
+    or the error ``eps(x) = Lambda*(Z(x)) - target(x)`` (:func:`error_profile`)."""
 
     outcomes: tuple[str, ...]
-    deltas: dict[str, Operator]
     norms: dict[str, float]
     max_norm: float
 
 
-@dataclasses.dataclass(frozen=True)
-class ErrorProfile:
-    """Per-outcome measurement error ``eps(x) = Lambda*(Z(x)) - target(x)``."""
+def _profile(outcomes: tuple[str, ...], gaps: np.ndarray) -> Profile:
+    norms = dict(zip(outcomes, op_norms(gaps)))
+    return Profile(outcomes=outcomes, norms=norms, max_norm=max(norms.values()))
 
-    outcomes: tuple[str, ...]
-    epsilons: dict[str, Operator]
-    norms: dict[str, float]
-    max_norm: float
+
+def _effects(obs: Observable) -> np.ndarray:
+    return np.array([e.mat for e in obs.effects])
+
+
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a, b]`` for stacks (or single matrices) that broadcast together."""
+    return a @ b - b @ a
 
 
 def disturbance_profile(
     inst: Instrument, f: Observable, tol: Tolerance = DEFAULT_TOL
-) -> DisturbanceProfile:
+) -> Profile:
     if inst.dim != f.dim:
         raise ValueError(
             f"instrument dimension {inst.dim} does not match observable dimension {f.dim}"
         )
-    deltas: dict[str, Operator] = {}
-    norms: dict[str, float] = {}
-    for y, eff in f.items():
-        delta = inst.apply_dual_total(eff) - eff
-        deltas[y] = delta
-        norms[y] = float(op_norm(delta))
-    return DisturbanceProfile(
-        outcomes=f.outcomes,
-        deltas=deltas,
-        norms=norms,
-        max_norm=max(norms.values()),
-    )
+    effects = _effects(f)
+    return _profile(f.outcomes, _apply(inst.total(), effects, True) - effects)
 
 
 def error_profile(
     m: MeasurementScheme, target: Observable, tol: Tolerance = DEFAULT_TOL
-) -> ErrorProfile:
+) -> Profile:
     if target.dim != m.sys_dim:
         raise ValueError(
             f"target dimension {target.dim} does not match system dimension {m.sys_dim}"
@@ -125,24 +125,13 @@ def error_profile(
             f"target outcomes {list(target.outcomes)} do not match pointer outcomes "
             f"{list(m.pointer.outcomes)}"
         )
-    measured = measured_observable(m, tol)
-    eps: dict[str, Operator] = {}
-    norms: dict[str, float] = {}
-    for x in target.outcomes:
-        gap = measured.effect(x) - target.effect(x)
-        eps[x] = gap
-        norms[x] = float(op_norm(gap))
-    return ErrorProfile(
-        outcomes=target.outcomes,
-        epsilons=eps,
-        norms=norms,
-        max_norm=max(norms.values()),
-    )
+    gaps = _effects(measured_observable(m, tol)) - _effects(target)
+    return _profile(target.outcomes, gaps)
 
 
-def _unsharpness(eff: Operator) -> float:
-    m = eff.mat
-    return float(op_norm_mat(m @ m - m))
+def _unsharpness(effects: np.ndarray) -> list[float]:
+    """``||E^2 - E||`` for each effect of a stack."""
+    return op_norms(effects @ effects - effects)
 
 
 @_per_object
@@ -202,30 +191,30 @@ def eval_disturbance_bounds(
         digest_items += [q.n_sys, q.n_app]
     digest = digest_inputs("disturbance", *digest_items)
 
-    prof = disturbance_profile(inst, f, tol)
-    unsharp_e = {x: _unsharpness(eff) for x, eff in e_obs.items()}
-    unsharp_f = {y: _unsharpness(eff) for y, eff in f.items()}
-    # ||I*_X(F^2) - I*_X(F)^2|| and ||I*_X(F^2) - F^2|| per outcome of f
-    sesq_f: dict[str, float] = {}
-    exact_f: dict[str, float] = {}
-    for y, eff in f.items():
-        img = inst.apply_dual_total(eff).mat
-        img_sq = inst.apply_dual_total(eff @ eff).mat
-        sesq_f[y] = float(op_norm_mat(img_sq - img @ img))
-        exact_f[y] = float(op_norm_mat(img_sq - eff.mat @ eff.mat))
+    total = inst.total()
+    fm, em = _effects(f), _effects(e_obs)
+    img, img_sq = np.split(_apply(total, np.concatenate([fm, fm @ fm]), True), 2)
+    prof = _profile(f.outcomes, img - fm)
+    # per outcome y of f: ||delta(y)||, its unsharpness, ||I*_X(F^2) - I*_X(F)^2||
+    # and ||I*_X(F^2) - F^2||
+    f_terms = list(zip(
+        f.outcomes, prof.norms.values(), _unsharpness(fm),
+        op_norms(img_sq - img @ img), op_norms(img_sq - fm @ fm),
+    ))
+    pair_lhs = op_norms(_commutators(em[:, None], fm))
     nondisturbed = prof.max_norm <= tol.eq_tol
 
     reports: list[BoundReport] = []
-    for x, ex in e_obs.items():
-        for y, fy in f.items():
+    for x, ue, lhs_row in zip(e_obs.outcomes, _unsharpness(em), pair_lhs):
+        cross = 2.0 * np.sqrt(ue)
+        for (y, dy, uf, sesq, exact), lhs in zip(f_terms, lhs_row):
             pair = f"({x},{y})"
-            lhs = float(op_norm(commutator(ex, fy)))
             reports.append(
                 make_report(
                     "compat-commutator",
                     pair,
                     lhs,
-                    2.0 * np.sqrt(unsharp_e[x]) * np.sqrt(unsharp_f[y]),
+                    cross * np.sqrt(uf),
                     tol,
                     digest,
                     hypothesis_satisfied=nondisturbed,
@@ -237,12 +226,7 @@ def eval_disturbance_bounds(
             )
             reports.append(
                 make_report(
-                    "disturb-commutator",
-                    pair,
-                    lhs,
-                    prof.norms[y] + 2.0 * np.sqrt(unsharp_e[x]) * np.sqrt(sesq_f[y]),
-                    tol,
-                    digest,
+                    "disturb-commutator", pair, lhs, dy + cross * np.sqrt(sesq), tol, digest
                 )
             )
             reports.append(
@@ -250,11 +234,11 @@ def eval_disturbance_bounds(
                     "disturb-commutator-nondisturbing",
                     pair,
                     lhs,
-                    2.0 * np.sqrt(unsharp_e[x]) * np.sqrt(exact_f[y]),
+                    cross * np.sqrt(exact),
                     tol,
                     digest,
-                    hypothesis_satisfied=prof.norms[y] <= tol.eq_tol,
-                    hypothesis=f"delta(y) = 0 (||delta(y)|| = {prof.norms[y]:.3e})",
+                    hypothesis_satisfied=dy <= tol.eq_tol,
+                    hypothesis=f"delta(y) = 0 (||delta(y)|| = {dy:.3e})",
                 )
             )
             reports.append(
@@ -262,10 +246,7 @@ def eval_disturbance_bounds(
                     "disturb-commutator-unsharpness",
                     pair,
                     lhs,
-                    prof.norms[y]
-                    + 2.0
-                    * np.sqrt(unsharp_e[x])
-                    * np.sqrt(2.0 * prof.norms[y] + unsharp_f[y]),
+                    dy + cross * np.sqrt(2.0 * dy + uf),
                     tol,
                     digest,
                 )
@@ -276,20 +257,19 @@ def eval_disturbance_bounds(
 
     cons = _scheme_conservation(m, q, tol)[1]
     ns_norm = op_norm(q.n_sys)
-    gamma_defect = _gamma_moment_defect(m, q, tol)
+    gamma_cross = 2.0 * np.sqrt(_gamma_moment_defect(m, q, tol))
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
 
-    lhs_by_outcome: dict[str, float] = {}
-    for y, fy in f.items():
-        comm = commutator(fy, q.n_sys)
-        lhs = lhs_by_outcome[y] = float(op_norm(comm - inst.apply_dual_total(comm)))
-        base = 2.0 * ns_norm * prof.norms[y]
+    comm = _commutators(fm, q.n_sys.mat)
+    conserved_lhs = op_norms(comm - _apply(total, comm, True))
+    for (y, dy, uf, sesq, exact), lhs in zip(f_terms, conserved_lhs):
+        base = 2.0 * ns_norm * dy
         reports.append(
             make_report(
                 "conserve-disturb-commutator",
                 y,
                 lhs,
-                base + 2.0 * np.sqrt(gamma_defect) * np.sqrt(sesq_f[y]),
+                base + gamma_cross * np.sqrt(sesq),
                 tol,
                 digest,
                 hypothesis_satisfied=cons.average_holds,
@@ -301,11 +281,11 @@ def eval_disturbance_bounds(
                 "conserve-disturb-commutator-nondisturbing",
                 y,
                 lhs,
-                base + 2.0 * np.sqrt(gamma_defect) * np.sqrt(exact_f[y]),
+                base + gamma_cross * np.sqrt(exact),
                 tol,
                 digest,
-                hypothesis_satisfied=cons.average_holds and prof.norms[y] <= tol.eq_tol,
-                hypothesis=avg_hyp + f" + delta(y) = 0 (||delta(y)|| = {prof.norms[y]:.3e})",
+                hypothesis_satisfied=cons.average_holds and dy <= tol.eq_tol,
+                hypothesis=avg_hyp + f" + delta(y) = 0 (||delta(y)|| = {dy:.3e})",
             )
         )
         reports.append(
@@ -313,10 +293,7 @@ def eval_disturbance_bounds(
                 "conserve-disturb-unsharpness",
                 y,
                 lhs,
-                base
-                + 2.0
-                * np.sqrt(gamma_defect)
-                * np.sqrt(2.0 * prof.norms[y] + unsharp_f[y]),
+                base + gamma_cross * np.sqrt(2.0 * dy + uf),
                 tol,
                 digest,
                 hypothesis_satisfied=cons.average_holds,
@@ -327,8 +304,8 @@ def eval_disturbance_bounds(
     if cons.full_holds:
         qval = qfi(q.n_app, m.xi, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
-        for y, lhs in lhs_by_outcome.items():
-            base = 2.0 * ns_norm * prof.norms[y]
+        for (y, dy, _, sesq, _), lhs in zip(f_terms, conserved_lhs):
+            base = 2.0 * ns_norm * dy
             reports.append(
                 make_report(
                     "conserve-disturb-qfi",
@@ -346,7 +323,7 @@ def eval_disturbance_bounds(
                         "conserve-disturb-qfi-extremal",
                         y,
                         lhs,
-                        base + np.sqrt(qval) * np.sqrt(sesq_f[y]),
+                        base + np.sqrt(qval) * np.sqrt(sesq),
                         tol,
                         digest,
                         hypothesis=full_hyp + " + caller-asserted extremal instrument",
@@ -372,7 +349,7 @@ def eval_measurability_bounds(
     cons = _scheme_conservation(m, q, tol)[1]
     maps = restriction_maps(m, tol)
     ns_norm = op_norm(q.n_sys)
-    gamma_defect = _gamma_moment_defect(m, q, tol)
+    gamma_cross = 2.0 * np.sqrt(_gamma_moment_defect(m, q, tol))
     digest = digest_inputs(
         "measurability",
         *_scheme_digest_items(m),
@@ -384,21 +361,20 @@ def eval_measurability_bounds(
     )
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
     reports: list[BoundReport] = []
-    unsharp_t = {x: _unsharpness(eff) for x, eff in target.items()}
-    lhs_by_outcome: dict[str, float] = {}
-    for x, tx in target.items():
-        pointer_comm = commutator(m.pointer.effect(x), q.n_app)
-        transferred = apply_map(maps.conj_dual, pointer_comm).mat
-        lhs = lhs_by_outcome[x] = float(op_norm_mat(commutator(tx, q.n_sys).mat - transferred))
+    tm = _effects(target)
+    # error_profile checked that target and pointer share their outcome order
+    pointer_comm = _commutators(_effects(m.pointer), q.n_app.mat)
+    transferred = _apply(maps.conj_dual, pointer_comm, False)
+    lhs_t = op_norms(_commutators(tm, q.n_sys.mat) - transferred)
+    # per outcome x: ||eps(x)||, the target's unsharpness, the lhs
+    t_terms = list(zip(target.outcomes, prof.norms.values(), _unsharpness(tm), lhs_t))
+    for x, eps, ut, lhs in t_terms:
         reports.append(
             make_report(
                 "measure-error-commutator",
                 x,
                 lhs,
-                2.0 * ns_norm * prof.norms[x]
-                + 2.0
-                * np.sqrt(gamma_defect)
-                * np.sqrt(2.0 * prof.norms[x] + unsharp_t[x]),
+                2.0 * ns_norm * eps + gamma_cross * np.sqrt(2.0 * eps + ut),
                 tol,
                 digest,
                 hypothesis_satisfied=cons.average_holds,
@@ -408,13 +384,13 @@ def eval_measurability_bounds(
     if cons.full_holds:
         qval = qfi(q.n_app, m.xi, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
-        for x, lhs in lhs_by_outcome.items():
+        for x, eps, ut, lhs in t_terms:
             reports.append(
                 make_report(
                     "measure-error-qfi",
                     x,
                     lhs,
-                    2.0 * ns_norm * prof.norms[x] + 0.5 * np.sqrt(qval),
+                    2.0 * ns_norm * eps + 0.5 * np.sqrt(qval),
                     tol,
                     digest,
                     hypothesis=full_hyp,
@@ -426,14 +402,14 @@ def eval_measurability_bounds(
                         "measure-error-qfi-extremal",
                         x,
                         lhs,
-                        np.sqrt(qval) * np.sqrt(unsharp_t[x]),
+                        np.sqrt(qval) * np.sqrt(ut),
                         tol,
                         digest,
-                        hypothesis_satisfied=prof.norms[x] <= tol.eq_tol,
+                        hypothesis_satisfied=eps <= tol.eq_tol,
                         hypothesis=(
                             full_hyp
                             + " + caller-asserted extremal target + exact measurement "
-                            f"(||eps(x)|| = {prof.norms[x]:.3e})"
+                            f"(||eps(x)|| = {eps:.3e})"
                         ),
                     )
                 )
@@ -462,10 +438,9 @@ def eval_way(
     repeatable = repeat_defect <= tol.eq_tol
     yanase_ok = yan.yanase_defect <= tol.eq_tol
 
-    unsharp_e = {x: _unsharpness(eff) for x, eff in e_obs.items()}
-    lhs_by_outcome = {
-        x: float(op_norm(commutator(eff, q.n_sys))) for x, eff in e_obs.items()
-    }
+    em = _effects(e_obs)
+    # per outcome x: the measured effect's unsharpness and ||[E(x), N_S]||
+    e_terms = list(zip(e_obs.outcomes, _unsharpness(em), op_norms(_commutators(em, q.n_sys.mat))))
     reports: list[BoundReport] = []
 
     if repeatable or yanase_ok:
@@ -476,13 +451,13 @@ def eval_way(
             else f"pointer Yanase condition (defect = {yan.yanase_defect:.3e})"
         )
         hyp = f"average conservation (defect = {cons.average_defect:.3e}) + {route}"
-        for x in e_obs.outcomes:
+        for x, ue, lhs in e_terms:
             reports.append(
                 make_report(
                     "way-unsharpness",
                     x,
-                    lhs_by_outcome[x],
-                    2.0 * np.sqrt(gamma_defect) * np.sqrt(unsharp_e[x]),
+                    lhs,
+                    2.0 * np.sqrt(gamma_defect) * np.sqrt(ue),
                     tol,
                     digest,
                     hypothesis_satisfied=cons.average_holds,
@@ -494,13 +469,13 @@ def eval_way(
     weak_hyp = f"weak Yanase condition (defect = {yan.weak_defect:.3e})"
     var_xi = variance(q.n_app, m.xi, tol)
     qval = qfi(q.n_app, m.xi, tol)
-    for x in e_obs.outcomes:
+    for x, ue, lhs in e_terms:
         reports.append(
             make_report(
                 "way-weak-yanase-variance",
                 x,
-                lhs_by_outcome[x],
-                2.0 * np.sqrt(var_xi) * np.sqrt(unsharp_e[x]),
+                lhs,
+                2.0 * np.sqrt(var_xi) * np.sqrt(ue),
                 tol,
                 digest,
                 hypothesis_satisfied=weak_ok,
@@ -511,7 +486,7 @@ def eval_way(
             make_report(
                 "way-weak-yanase-qfi",
                 x,
-                lhs_by_outcome[x],
+                lhs,
                 0.5 * np.sqrt(qval),
                 tol,
                 digest,
@@ -538,9 +513,9 @@ def eval_distinguishability_bounds(
     of ``opcore.fidelity``) of the two inputs' images under the measurement
     channel and under the conjugate channel; norm-gap bounds for every
     outcome whose extreme eigenspaces contain the pair (or the named
-    ``thm7_outcome``, which raises if membership fails); and, for repeatable
-    instruments, the commutation check of each measured effect against the
-    support-compressed system quantity.
+    ``thm7_outcome``, which raises if it names no outcome of the scheme or if
+    membership fails); and, for repeatable instruments, the commutation check
+    of each measured effect against the support-compressed system quantity.
     """
     dS = m.sys_dim
     psi_v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -553,6 +528,10 @@ def eval_distinguishability_bounds(
     overlap = abs(np.vdot(psi_v, phi_v))
     if overlap > tol.eq_tol:
         raise ValueError(f"psi and phi are not orthogonal (|<psi|phi>| = {overlap:.3e})")
+    if thm7_outcome is not None and thm7_outcome not in m.outcomes:
+        raise ValueError(
+            f"unknown outcome {thm7_outcome!r}; the scheme's outcomes are {list(m.outcomes)}"
+        )
 
     inst = scheme_to_instrument(m, tol)
     e_obs = measured_observable(m, tol)
@@ -590,12 +569,14 @@ def eval_distinguishability_bounds(
     repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
     first_kind = fk_defect <= tol.eq_tol
 
-    eye = np.eye(dS)
-    for x, eff in e_obs.items():
-        a = float(op_norm(eff))
-        b = 1.0 - float(op_norm(Operator(eye) - eff))
+    em = _effects(e_obs)
+    norms = op_norms(em)
+    # a and b are the largest and smallest eigenvalues of each effect
+    extremes = zip(e_obs.items(), norms, op_norms(np.eye(dS) - em))
+    for (x, eff), a, gap in extremes:
+        b = 1.0 - gap
         if a - b <= tol.rank_tol:
-            if thm7_outcome is not None and x == thm7_outcome:
+            if x == thm7_outcome:
                 raise ValueError(
                     f"outcome {x!r}: effect is trivial (max and min eigenvalues coincide)"
                 )
@@ -606,7 +587,7 @@ def eval_distinguishability_bounds(
         res_phi = float(np.linalg.norm(phi_v - p_min.mat @ phi_v))
         member = res_psi <= tol.rank_tol and res_phi <= tol.rank_tol
         if not member:
-            if thm7_outcome is not None and x == thm7_outcome:
+            if x == thm7_outcome:
                 raise ValueError(
                     f"outcome {x!r}: psi/phi are outside the extreme eigenspaces "
                     f"(residuals {res_psi:.3e}, {res_phi:.3e})"
@@ -632,16 +613,16 @@ def eval_distinguishability_bounds(
 
     if repeat_defect <= tol.eq_tol:
         p_total = np.zeros((dS, dS), dtype=complex)
-        for x, eff in e_obs.items():
-            if op_norm(eff) > tol.rank_tol:
+        for eff, norm in zip(e_obs.effects, norms):
+            if norm > tol.rank_tol:
                 p_total += eigenspace_projector(eff, 1.0, tol).mat
-        compressed = Operator(p_total @ q.n_sys.mat @ p_total)
-        for x, eff in e_obs.items():
+        compressed = p_total @ q.n_sys.mat @ p_total
+        for x, lhs in zip(e_obs.outcomes, op_norms(_commutators(em, compressed))):
             reports.append(
                 make_report(
                     "repeat-commutant",
                     x,
-                    float(op_norm(commutator(eff, compressed))),
+                    lhs,
                     0.0,
                     tol,
                     digest,

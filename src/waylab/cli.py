@@ -210,6 +210,14 @@ def _as_instrument(scn: _Scenario, idx: int, task: dict) -> Instrument:
     raise SchemaError(f"tasks[{idx}]: needs 'instrument' or 'scheme'")
 
 
+def _flag(idx: int, task: dict, field: str) -> bool:
+    """An optional boolean task field; absent means false."""
+    value = task.get(field, False)
+    if not isinstance(value, bool):
+        raise SchemaError(f"tasks[{idx}].{field}: expected true or false, got {value!r}")
+    return value
+
+
 def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundReport]]:
     op = task["op"]
     tol = scn.tol
@@ -222,16 +230,14 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
         q = None
         if "quantity" in task:
             q = scn.get(idx, "quantity", task["quantity"], ("quantity",))
-        reports = eval_disturbance_bounds(
-            m, f, q, bool(task.get("assert_extremal", False)), tol
-        )
+        reports = eval_disturbance_bounds(m, f, q, _flag(idx, task, "assert_extremal"), tol)
         record["bounds_emitted"] = len(reports)
     elif op == "measurability-bounds":
         m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
         target = scn.get(idx, "target", task.get("target"), ("observable",))
         q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
         reports = eval_measurability_bounds(
-            m, target, q, bool(task.get("assert_extremal", False)), tol
+            m, target, q, _flag(idx, task, "assert_extremal"), tol
         )
         record["bounds_emitted"] = len(reports)
     elif op == "way-bounds":

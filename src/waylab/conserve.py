@@ -14,13 +14,14 @@ times the variance and states commuting with ``N`` give zero.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping
 
 import numpy as np
 import scipy.linalg
 
 from .cpmaps import OperationMap, _per_object, apply_dual
-from .measure import MeasurementScheme, heisenberg_pointer
+from .measure import MeasurementScheme, Observable, heisenberg_pointer
 from .opcore import (
     DEFAULT_TOL,
     Operator,
@@ -28,6 +29,7 @@ from .opcore import (
     commutator,
     eigen_clusters,
     op_norm,
+    op_norms,
     tensor,
 )
 
@@ -236,13 +238,15 @@ class YanaseReport:
     apparatus part); ``weak_defect`` is ``max_x ||[Z^tau(x), N]||`` for the
     coupled pointer against the composite quantity.  For a unitary coupling
     that conserves ``N`` on average the two conditions are equivalent and the
-    report records whether the computed defects agree.
+    report records whether the computed defects agree.  The per-outcome maps
+    are read-only: :func:`yanase_conditions` hands one cached report to every
+    caller.
     """
 
     yanase_defect: float
     weak_defect: float
-    per_outcome_yanase: dict[str, float]
-    per_outcome_weak: dict[str, float]
+    per_outcome_yanase: Mapping[str, float]
+    per_outcome_weak: Mapping[str, float]
     unitary_coupling: bool
     average_conserving: bool
     equivalence_applicable: bool
@@ -250,20 +254,24 @@ class YanaseReport:
     defect_gap: float | None
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        # dataclasses.asdict cannot copy a read-only map
+        return {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(self).items()}
 
 
+def _commutator_norms(obs: Observable, n: Operator) -> Mapping[str, float]:
+    """``||[E(x), n]||`` per outcome of ``obs``, from one stack, read-only."""
+    effects = np.array([e.mat for e in obs.effects])
+    return MappingProxyType(dict(zip(obs.outcomes, op_norms(effects @ n.mat - n.mat @ effects))))
+
+
+@_per_object
 def yanase_conditions(
     m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
 ) -> YanaseReport:
+    """The :class:`YanaseReport`, cached on ``m`` per quantity and tolerance."""
     n_comp, cons = _scheme_conservation(m, q, tol)
-    per_y: dict[str, float] = {}
-    for x, zx in m.pointer.items():
-        per_y[x] = float(op_norm(commutator(zx, q.n_app)))
-    coupled = heisenberg_pointer(m, tol)
-    per_w: dict[str, float] = {}
-    for x, zt in coupled.items():
-        per_w[x] = float(op_norm(commutator(zt, n_comp)))
+    per_y = _commutator_norms(m.pointer, q.n_app)
+    per_w = _commutator_norms(heisenberg_pointer(m, tol), n_comp)
     yanase = max(per_y.values())
     weak = max(per_w.values())
 

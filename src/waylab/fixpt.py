@@ -55,6 +55,7 @@ from .opcore import (
     max_op_norm,
     op_norm,
     op_norm_mat,
+    op_norms,
 )
 
 __all__ = [
@@ -377,8 +378,7 @@ def check_minimal_support(
     # P minus one rank-one projector of its support at a time
     w = analysis.p_isometry.T
     reduced = p - w[:, :, None] * w.conj()[:, None, :]
-    margins = np.linalg.norm(av_stack(reduced) - np.eye(d), 2, axis=(1, 2))
-    margin = float(margins.min(initial=np.inf))
+    margin = min(op_norms(av_stack(reduced) - np.eye(d)), default=np.inf)
 
     # the dual only expands P: Phi*(P) - P >= 0 and P_perp - Phi*(P_perp) >= 0
     img = _apply(phi, np.array([p, p_perp]), True)
@@ -678,7 +678,7 @@ def nondisturbed_norm1_observable(
     )
     g_effects = g_obs.effects
     g_mats = np.array([g.mat for g in g_effects])
-    norm_defect = np.abs(np.linalg.norm(g_mats, 2, axis=(1, 2)) - 1.0).max()
+    norm_defect = max(abs(n - 1.0) for n in op_norms(g_mats))
     fixed_defect = max_op_norm(_apply(phi, g_mats, True) - g_mats)
     compress_defect = max_op_norm(analysis.compress(g_mats) - projs)
 

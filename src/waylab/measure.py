@@ -44,9 +44,8 @@ from .opcore import (
     max_op_norm,
     op_norm,
     op_norm_mat,
-    partial_trace,
+    op_norms,
     psd_sqrt,
-    tensor,
 )
 
 __all__ = [
@@ -161,8 +160,8 @@ class Observable:
 
     def is_norm_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every nonzero effect attains operator norm 1 (within rank_tol)."""
-        n = np.linalg.norm(np.array([e.mat for e in self._effects]), 2, axis=(1, 2))
-        return bool(np.all((n <= tol.rank_tol) | (np.abs(n - 1.0) <= tol.rank_tol)))
+        norms = op_norms(np.array([e.mat for e in self._effects]))
+        return all(n <= tol.rank_tol or abs(n - 1.0) <= tol.rank_tol for n in norms)
 
     def is_trivial(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every effect is a multiple of the identity."""
@@ -405,17 +404,25 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
 
 
 @_per_object
+def _coupled_pointer(m: MeasurementScheme) -> np.ndarray:
+    """The stack ``E*(1 (x) Z(x))`` over the pointer outcomes, read-only."""
+    zs = np.array([z.mat for z in m.pointer.effects])
+    stack = _apply(m.coupling, np.kron(np.eye(m.sys_dim), zs), True)
+    stack.setflags(write=False)
+    return stack
+
+
+def _hermitian_parts(stack: np.ndarray) -> list[np.ndarray]:
+    return list(0.5 * (stack + stack.conj().swapaxes(-2, -1)))
+
+
+@_per_object
 def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Effects ``Gamma_xi(E*(1 (x) Z(x)))`` of the scheme."""
     dS, dA = m.sys_dim, m.app_dim
-    eye_s = np.eye(dS)
-    one_xi = np.kron(eye_s, m.xi.mat)
-    effs = []
-    for zx in m.pointer.effects:
-        heis = apply_dual(m.coupling, tensor(eye_s, zx)).mat
-        eff = partial_trace(heis @ one_xi, keep=0, dims=(dS, dA))
-        effs.append(eff.hermitian_part())
-    return Observable(m.pointer.outcomes, effs, tol)
+    one_xi = np.kron(np.eye(dS), m.xi.mat)
+    prods = (_coupled_pointer(m) @ one_xi).reshape(-1, dS, dA, dS, dA)
+    return Observable(m.pointer.outcomes, _hermitian_parts(np.einsum("niaja->nij", prods)), tol)
 
 
 @_per_object
@@ -446,12 +453,7 @@ def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Rest
 @_per_object
 def heisenberg_pointer(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Coupled pointer ``Z^tau(x) = E*(1 (x) Z(x))`` on the composite."""
-    eye_s = np.eye(m.sys_dim)
-    effs = [
-        apply_dual(m.coupling, tensor(eye_s, zx)).hermitian_part()
-        for zx in m.pointer.effects
-    ]
-    return Observable(m.pointer.outcomes, effs, tol)
+    return Observable(m.pointer.outcomes, _hermitian_parts(_coupled_pointer(m)), tol)
 
 
 def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementScheme:
@@ -541,15 +543,11 @@ def _repeat_first_kind(
     and the per-outcome ``||I*_x(E(x)) - E(x)||``.  ``e`` is the instrument's
     induced observable, or the measured observable of the scheme behind it.
     """
-    per_outcome: dict[str, float] = {}
-    gap_sum = np.zeros((inst.dim, inst.dim), dtype=complex)
-    for x, eff in e.items():
-        back = inst.apply_dual(x, eff).mat
-        per_outcome[x] = op_norm_mat(back - eff.mat)
-        gap_sum += eff.mat - back
     effects = np.array([eff.mat for eff in e.effects])
+    backs = np.array([_apply(inst.operation(x), eff.mat, True) for x, eff in e.items()])
+    per_outcome = dict(zip(e.outcomes, op_norms(backs - effects)))
     first_kind = max_op_norm(_apply(inst.total(), effects, True) - effects)
-    return op_norm_mat(gap_sum), first_kind, per_outcome
+    return op_norm_mat((effects - backs).sum(axis=0)), first_kind, per_outcome
 
 
 def _norm_one_projectors(

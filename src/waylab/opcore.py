@@ -210,6 +210,12 @@ def op_norm(a: MatrixLike) -> float:
     return op_norm_mat(_as_matrix(a))
 
 
+def op_norms(stack: np.ndarray) -> list:
+    """:func:`op_norm_mat` of each matrix of a stack ``(..., r, c)``, bit for bit,
+    from one batched SVD, as (nested lists of) Python floats."""
+    return np.linalg.norm(stack, 2, axis=(-2, -1)).tolist()
+
+
 def commutator(a: MatrixLike, b: MatrixLike) -> Operator:
     am, bm = _as_matrix(a), _as_matrix(b)
     return Operator(am @ bm - bm @ am)

@@ -172,6 +172,10 @@ def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
             m = normal_dilation(sharp_observable(random_hermitian(d_sys, rng)))
         inst = scheme_to_instrument(m)
     rep = repeatability_report(inst, m)
+    assert rep.per_outcome_defects == {
+        x: op_norm(inst.apply_dual(x, eff) - eff)
+        for x, eff in inst.induced_observable().items()
+    }
     ref = reference_items(inst, m)
     assert ref, "the reference evaluated nothing"
     for key, value in ref.items():

@@ -250,6 +250,10 @@ def test_distinguishability_validation():
     # psi is outside the named outcome's top eigenspace
     with pytest.raises(ValueError, match="outside the extreme eigenspaces"):
         eval_distinguishability_bounds(m, q, [0.0, 1.0], [1.0, 0.0], thm7_outcome="z0")
+    with pytest.raises(ValueError, match="unknown outcome 'no-such-outcome'"):
+        eval_distinguishability_bounds(
+            m, q, [0.0, 1.0], [1.0, 0.0], thm7_outcome="no-such-outcome"
+        )
 
 
 def test_distinguishability_unsharp_effects_skip_norm_gap():

@@ -277,3 +277,47 @@ def test_scheme_run_decomposes_xi_twice(tmp_path, monkeypatch):
     argv = ["builtin", "conservative-scheme", "--run", "--out", str(out), "--quiet"]
     assert cli.main(argv) == 0
     assert len(calls) == 2
+
+
+def scheme_scenario(tasks):
+    """The conservative-scheme builtin (seed 7, 2x3) with two input vectors."""
+    scenario = cli._builtin_conservative_scheme(
+        argparse.Namespace(seed=7, sys_dim=2, app_dim=3, aligned=False)
+    )
+    scenario["objects"]["psi"] = {"kind": "vector", "values": [[1.0, 0.0], [0.0, 0.0]]}
+    scenario["objects"]["phi"] = {"kind": "vector", "values": [[0.0, 0.0], [1.0, 0.0]]}
+    scenario["tasks"] = tasks
+    return scenario
+
+
+def test_unknown_distinguishability_outcome_exits_2(tmp_path, capsys):
+    task = {"op": "distinguishability-bounds", "scheme": "M", "quantity": "N",
+            "psi": "psi", "phi": "phi"}
+    code, report = run_file(tmp_path, scheme_scenario([task]))
+    assert code in (0, 1) and report["bounds"]
+    scn = tmp_path / "unknown.json"
+    scn.write_text(json.dumps(scheme_scenario([dict(task, outcome="no-such-outcome")])))
+    assert cli.main(["run", str(scn), "--quiet"]) == 2
+    assert "unknown outcome 'no-such-outcome'" in capsys.readouterr().err
+
+
+def test_assert_extremal_must_be_a_boolean(tmp_path, capsys):
+    tasks = {
+        "disturbance-bounds": {"op": "disturbance-bounds", "scheme": "M",
+                               "observable": "F", "quantity": "N"},
+        "measurability-bounds": {"op": "measurability-bounds", "scheme": "M",
+                                 "target": "T", "quantity": "N"},
+    }
+    for op, task in tasks.items():
+        counts = {}
+        for value in (None, False, True):
+            flagged = task if value is None else dict(task, assert_extremal=value)
+            code, report = run_file(tmp_path, scheme_scenario([flagged]))
+            assert code in (0, 1)
+            counts[value] = sum(b["bound_id"].endswith("-extremal") for b in report["bounds"])
+        assert counts[None] == counts[False] == 0 < counts[True]
+        for bad in ("false", "true", 0, 1, None, [True]):
+            scn = tmp_path / "bad.json"
+            scn.write_text(json.dumps(scheme_scenario([dict(task, assert_extremal=bad)])))
+            assert cli.main(["run", str(scn), "--quiet"]) == 2, (op, bad)
+            assert f"tasks[0].assert_extremal: expected true or false" in capsys.readouterr().err

@@ -5,12 +5,13 @@ from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, Tolerance, op_norm, tensor
 from waylab.bounds import _gamma_moment_defect
-from waylab.conserve import AdditiveQuantity
+from waylab.conserve import AdditiveQuantity, yanase_conditions
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import analyze_fixed_points
 from waylab.measure import (
     Instrument,
     MeasurementScheme,
+    _coupled_pointer,
     collapse_instrument,
     heisenberg_pointer,
     instrument_from_json,
@@ -87,6 +88,8 @@ def test_observable_predicates():
     assert sharp.is_commutative()
     assert sharp.is_norm_one()
     assert not sharp.is_trivial()
+    # a zero effect does not break norm one
+    assert Observable(["z0", "z1", "never"], [P0, P1, np.zeros((2, 2))]).is_norm_one()
 
     fuzzy = unsharp_qubit(0.5)
     assert not fuzzy.is_sharp()
@@ -253,6 +256,20 @@ def test_scheme_derivations_are_cached_per_tolerance():
     q = AdditiveQuantity(SZ / 2.0, SZ / 2.0)
     assert _gamma_moment_defect(m, q, tol) is _gamma_moment_defect(m, q, tol)
     assert _gamma_moment_defect(m, q) is _gamma_moment_defect(m, q, tol)
+    yan = yanase_conditions(m, q, tol)
+    assert yanase_conditions(m, q) is yan
+    # the shared report cannot be edited by one caller under the next
+    with pytest.raises(TypeError):
+        yan.per_outcome_weak["z0"] = 1.0
+    assert yanase_conditions(m, q, Tolerance(eq_tol=1e-7, rank_tol=1e-8)) is not yan
+    assert yanase_conditions(m, AdditiveQuantity(SZ / 2.0, SZ / 2.0), tol) is not yan
+    # the measured observable and the coupled pointer share one E*(1 (x) Z) stack
+    for derive in (measured_observable, heisenberg_pointer):
+        fresh = cnot_scheme()
+        derive(fresh, tol)
+        assert ("_coupled_pointer",) in fresh._memo
+    coupled = _coupled_pointer(fresh)
+    assert _coupled_pointer(fresh) is coupled and not coupled.flags.writeable
 
 
 def test_scheme_is_immutable():

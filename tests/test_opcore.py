@@ -14,6 +14,8 @@ from waylab.opcore import (
     gram_schmidt_hs,
     hermitian_basis,
     op_norm,
+    op_norm_mat,
+    op_norms,
     partial_trace,
     psd_sqrt,
     tensor,
@@ -84,6 +86,20 @@ def test_op_norm_known_values():
     assert op_norm(SX) == pytest.approx(1.0)
     assert op_norm(np.diag([3.0, -4.0])) == pytest.approx(4.0)
     assert op_norm(Operator.zero(3)) == pytest.approx(0.0)
+
+
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from([(0,), (1,), (4,), (2, 3)]),
+       shape=st.sampled_from([(1, 1), (2, 2), (3, 5)]))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_op_norms_equal_one_norm_per_matrix(seed, lead, shape):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((*lead, *shape)) + 1j * rng.standard_normal((*lead, *shape))
+    norms = op_norms(stack)
+    want = np.array([op_norm_mat(a) for a in stack.reshape(-1, *shape)]).reshape(lead)
+    assert norms == want.tolist()
+    for _ in lead[1:]:
+        norms = [n for row in norms for n in row]
+    assert all(type(n) is float for n in norms)
 
 
 def test_commutator_pauli():
