@@ -146,6 +146,14 @@ def _gamma_moment_defect(
     return float(op_norm_mat(second - first @ first))
 
 
+@_per_object
+def _scheme_qfi(
+    m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
+) -> float:
+    """:func:`conserve.qfi` of the apparatus quantity ``N_A`` in ``xi``."""
+    return qfi(q.n_app, m.xi, tol)
+
+
 def _scheme_digest_items(m: MeasurementScheme) -> list:
     return [
         m.sys_dim,
@@ -302,7 +310,7 @@ def eval_disturbance_bounds(
         )
 
     if cons.full_holds:
-        qval = qfi(q.n_app, m.xi, tol)
+        qval = _scheme_qfi(m, q, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
         for (y, dy, _, sesq, _), lhs in zip(f_terms, conserved_lhs):
             base = 2.0 * ns_norm * dy
@@ -382,7 +390,7 @@ def eval_measurability_bounds(
             )
         )
     if cons.full_holds:
-        qval = qfi(q.n_app, m.xi, tol)
+        qval = _scheme_qfi(m, q, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
         for x, eps, ut, lhs in t_terms:
             reports.append(
@@ -468,7 +476,7 @@ def eval_way(
     weak_ok = yan.weak_defect <= tol.eq_tol
     weak_hyp = f"weak Yanase condition (defect = {yan.weak_defect:.3e})"
     var_xi = variance(q.n_app, m.xi, tol)
-    qval = qfi(q.n_app, m.xi, tol)
+    qval = _scheme_qfi(m, q, tol)
     for x, ue, lhs in e_terms:
         reports.append(
             make_report(

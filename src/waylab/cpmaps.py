@@ -7,10 +7,14 @@ stack ``(n, d, d)`` of inputs (or a single matrix) and returns
 ``sum_i K_i t K_i^dag`` (state side) or ``sum_i K_i^dag a K_i`` (dual side)
 for each input as one broadcast ``matmul`` summed over the Kraus axis.
 ``apply_map``/``apply_dual`` are its one-matrix public forms.  Checks that
-run over the ``d**2`` matrix units ``E_ij`` (unit ``i * d + j`` has its one
-at ``(i, j)``) use :func:`_unit_images` instead: it returns the images of
-``L E_ij R`` for all units from one GEMM with the Kraus axis as its inner
-dimension, and the check takes one ``opcore.max_op_norm`` of the stack.
+run over the ``d**2`` matrix units ``E_ij`` are maps ``Psi(X) = sum_m a_m X b_m``
+(a framed Kraus family minus another, say) and go through
+:func:`_max_unit_norm`, which returns ``max_ij ||Psi(E_ij)||``.  When the
+family is short (``2 M <= d``) it never builds an image: ``Psi(E_ij)`` is the
+product of a ``d x M`` and an ``M x d`` factor, and the norm is that of the
+product of their ``M x M`` QR factors.  Longer families take the images of
+all units from one GEMM with the family as its inner dimension.  Either way
+one ``opcore.max_op_norm`` takes the maximum.
 
 The constructor validates shapes only; whether the family is trace
 non-increasing (``is_operation``) or trace preserving (``is_channel``) is a
@@ -36,6 +40,7 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    max_op_norm,
     op_norm_mat,
 )
 from . import serialize
@@ -203,33 +208,53 @@ def _apply(phi: OperationMap, x: np.ndarray, dual: bool) -> np.ndarray:
     return (left @ np.expand_dims(x, -3) @ right).sum(axis=-3)
 
 
-def _unit_images(
-    phi: OperationMap,
-    dual: bool,
-    left: np.ndarray | None = None,
-    right: np.ndarray | None = None,
-) -> np.ndarray:
-    """The map applied to ``L E_ij R`` for every matrix unit ``E_ij`` at once.
+def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """``max ||sum_m a[f, m] E_ij b[f, m]||`` over every ``f`` and every matrix
+    unit ``E_ij``, for factor stacks ``a`` ``(F, M, p, d)`` and ``b``
+    ``(F, M, d, q)``; 0.0 when ``F`` or ``M`` is 0.
 
-    Returns the stack ``(d * d, ...)`` whose entry ``i * d + j`` is
-    ``_apply(phi, L E_ij R, dual)``, with ``L``/``R`` the identity when unset.
-    Since ``L E_ij R`` is the outer product of column ``i`` of ``L`` and row
-    ``j`` of ``R``, the dual image is
-    ``sum_k (K_k^dag L)[:, i] (R K_k)[j, :]`` (the state image swaps ``K_k``
-    and ``K_k^dag``): one GEMM with inner dimension ``k``, ``k * d**4``
-    multiply-adds for all units together.
+    The image of ``E_ij`` is ``U_i W_j``, where ``U_i`` (``p x M``) has the
+    columns ``a[f, m][:, i]`` and ``W_j`` (``M x q``) the rows ``b[f, m][j, :]``.
+    When ``2 M <= min(p, q)``, thin QRs ``U_i = Q_i R_i`` and
+    ``W_j^dag = Q'_j S_j`` give ``||U_i W_j|| = ||R_i S_j^dag||``: the norms of
+    ``d**2`` matrices ``M x M`` per ``f``, and no image is built.  Otherwise
+    the images of three ``f`` at a time come from one GEMM with inner
+    dimension ``M``, in the layout ``(d, p, d, q)``, and only the images whose
+    Frobenius norm reaches the maximum of the earlier blocks go on to
+    ``opcore.max_op_norm``.  Either way the maximum is the full expression's
+    over all images, to rounding.
     """
-    k = phi._kraus
-    kh = k.conj().swapaxes(1, 2)
-    a, b = (kh, k) if dual else (k, kh)
-    if left is not None:
-        a = a @ left
-    if right is not None:
-        b = right @ b
-    n, p, d = a.shape
-    q = b.shape[2]
-    images = a.transpose(2, 1, 0).reshape(d * p, n) @ b.reshape(n, d * q)
-    return images.reshape(d, p, d, q).transpose(0, 2, 1, 3).reshape(d * d, p, q)
+    n_f, m, p, d = a.shape
+    q = b.shape[-1]
+    if 2 * m <= min(p, q):
+        r = np.linalg.qr(a.transpose(0, 3, 2, 1), mode="r")
+        s = np.linalg.qr(b.transpose(0, 2, 3, 1).conj(), mode="r")
+        # einsum, not matmul: a broadcast matmul of tiny matrices costs a
+        # BLAS call each
+        return max_op_norm(np.einsum("fiab,fjcb->fijac", r, s.conj()))
+    worst = 0.0
+    for lo in range(0, n_f, 3):
+        fa, fb = a[lo : lo + 3], b[lo : lo + 3]
+        n = len(fa)
+        images = fa.transpose(0, 3, 2, 1).reshape(n, d * p, m) @ fb.reshape(n, m, d * q)
+        # Frobenius norms in one pass over the (re, im) parts; an image whose
+        # norm is below an earlier block's maximum cannot hold the maximum
+        # (the margin is max_op_norm's)
+        parts = images.view(float).reshape(n, d, p, d, q, 2)
+        fro = np.sqrt(np.einsum("nipjqc,nipjqc->nij", parts, parts))
+        units = images.reshape(n, d, p, d, q).transpose(0, 1, 3, 2, 4)
+        worst = max(worst, max_op_norm(units[fro * (1.0 + 1e-12) >= worst]))
+    return worst
+
+
+def _stack_families(families: Sequence[np.ndarray]) -> np.ndarray:
+    """Kraus stacks ``(k_i, r, c)`` as one ``(n, max k_i, r, c)`` array, each
+    zero-padded along its Kraus axis (a zero Kraus operator adds nothing)."""
+    out = np.zeros((len(families), max(len(f) for f in families), *families[0].shape[1:]),
+                   dtype=complex)
+    for slot, fam in zip(out, families):
+        slot[: len(fam)] = fam
+    return out
 
 
 def apply_map(phi: OperationMap, t: Any) -> Operator:

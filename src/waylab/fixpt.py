@@ -29,8 +29,9 @@ from .cpmaps import (
     OperationMap,
     SuperMatrix,
     _apply,
+    _max_unit_norm,
     _per_object,
-    _unit_images,
+    _stack_families,
     to_supermatrix,
     unvec,
     vec,
@@ -41,7 +42,6 @@ from .measure import (
     Observable,
     _repeat_first_kind,
     _scheme_repeat_first_kind,
-    luders_instrument,
     measured_observable,
     scheme_to_instrument,
 )
@@ -56,6 +56,7 @@ from .opcore import (
     op_norm,
     op_norm_mat,
     op_norms,
+    psd_sqrt,
 )
 
 __all__ = [
@@ -537,11 +538,13 @@ def structural_necessary_conditions(
 
     # a commutative measured observable realized by its own square-root
     # instrument forces full commutation with the system quantity
-    ref = luders_instrument(e_obs, tol)
-    luders_defect = max(
-        max_op_norm(_unit_images(own, False) - _unit_images(sqrt_form, False))
-        for own, sqrt_form in zip(inst.operations, ref.operations)
-    )
+    # on every matrix unit X: sum_k K X K^dag - S X S^dag, S = sqrt(E(x)),
+    # with the factors [K, S] and [K^dag, -S^dag]
+    roots = np.array([psd_sqrt(eff, tol).mat for eff in e_obs.effects])[:, None]
+    left = np.concatenate([_stack_families([op._kraus for op in inst.operations]), roots], axis=1)
+    right = left.conj().swapaxes(-1, -2)
+    right[:, -1] *= -1
+    luders_defect = _max_unit_norm(left, right)
     luders_like = luders_defect <= tol.eq_tol
 
     def check(worst: float, applicable: bool, note: str = "") -> ConditionCheck:
@@ -785,10 +788,16 @@ def post_processing_decomposition(
 
 def cesaro_supermatrix(phi: OperationMap, n_iter: int) -> np.ndarray:
     """``(1/N) sum_{k=1..N} M^k`` of the dual supermatrix, for cross-checks."""
+    if n_iter < 1:
+        raise ValueError(f"n_iter must be positive, got {n_iter}")
     m = to_supermatrix(phi).m
-    acc = np.zeros_like(m)
-    power = np.eye(m.shape[0], dtype=complex)
-    for _ in range(n_iter):
-        power = power @ m
-        acc += power
+    # binary doubling over the bits of N: with S_a = sum_{k=1..a} M^k,
+    # S_2a = S_a + M^a S_a and S_{2a+1} = S_2a + M^(2a+1)
+    acc, power = m, m
+    for bit in bin(n_iter)[3:]:
+        acc = acc + power @ acc
+        power = power @ power
+        if bit == "1":
+            power = power @ m
+            acc = acc + power
     return acc / n_iter

@@ -26,8 +26,9 @@ from .cpmaps import (
     OperationMap,
     _Immutable,
     _apply,
+    _max_unit_norm,
     _per_object,
-    _unit_images,
+    _stack_families,
     apply_dual,
     apply_map,
     compose,
@@ -39,10 +40,9 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    _eigenspace_columns,
     eigen_clusters,
-    eigenspace_projector,
     max_op_norm,
-    op_norm,
     op_norm_mat,
     op_norms,
     psd_sqrt,
@@ -552,38 +552,58 @@ def _repeat_first_kind(
 
 def _norm_one_projectors(
     obs: Observable, tol: Tolerance
-) -> tuple[dict[str, Operator], list[str], float]:
-    """Eigenvalue-1 projectors ``P(x)`` of the effects with norm above ``rank_tol``.
+) -> tuple[dict[str, np.ndarray], list[str], float]:
+    """Eigenvalue-1 projectors ``P(x)`` (as :func:`opcore.eigenspace_projector`
+    takes them) of the effects with norm above ``rank_tol``, from one batched
+    ``eigh`` of the effects.
 
     Also returns the outcomes whose effect has no eigenvalue-1 eigenspace and
     ``max_x |1 - ||E(x)|| |`` over those effects.
     """
-    proj: dict[str, Operator] = {}
+    mats = np.array([eff.mat for eff in obs.effects])
+    spectra, vectors = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(1, 2)))
+    proj: dict[str, np.ndarray] = {}
     missing: list[str] = []
     gap = 0.0
-    for x, eff in obs.items():
-        n = op_norm(eff)
+    for x, w, v in zip(obs.outcomes, spectra, vectors):
+        n = float(np.abs(w).max())
         if n <= tol.rank_tol:
             continue
         gap = max(gap, abs(1.0 - n))
-        p = eigenspace_projector(eff, 1.0, tol)
-        if op_norm(p) <= tol.rank_tol:
+        cols = _eigenspace_columns(w, v, 1.0, tol.rank_tol)
+        if cols is None:
             missing.append(x)
         else:
-            proj[x] = p
+            proj[x] = cols @ cols.conj().T
     return proj, missing, gap
 
 
-def _exclusivity_defect(proj: dict[str, Operator], obs: Observable) -> float:
+def _exclusivity_defect(proj: dict[str, np.ndarray], obs: Observable) -> float:
     """``max ||P(x) E(y) - delta_xy P(x)||`` over every pair at once; 0.0 when
     there are no projectors."""
     if not proj:
         return 0.0
-    pmats = np.array([p.mat for p in proj.values()])
+    pmats = np.array(list(proj.values()))
     prods = pmats[:, None] @ np.array([eff.mat for eff in obs.effects])
     own = [obs.outcomes.index(x) for x in proj]
     prods[np.arange(len(own)), own] -= pmats
     return max_op_norm(prods)
+
+
+def _framed_defect(kraus: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> float:
+    """``max ||I*(L A R) - I*(A)||`` over every matrix unit ``A`` and frame.
+
+    ``I*`` is the dual of the Kraus family ``kraus[i]`` (``(n, k, out, in)``,
+    zero-padded) and its frames ``(L, R)`` are ``lefts[i, f]`` and
+    ``rights[i, f]`` (``(n, f, out, out)``): the map
+    ``A -> sum K^dag L A R K - K^dag A K`` with the factors ``[K^dag L, -K^dag]``
+    and ``[R K, K]`` of :func:`cpmaps._max_unit_norm`.
+    """
+    kh = kraus.conj().swapaxes(-1, -2)[:, None]
+    k = kraus[:, None]
+    a = np.concatenate(np.broadcast_arrays(kh @ lefts[:, :, None], -kh), axis=2)
+    b = np.concatenate(np.broadcast_arrays(rights[:, :, None] @ k, k), axis=2)
+    return _max_unit_norm(a.reshape(-1, *a.shape[2:]), b.reshape(-1, *b.shape[2:]))
 
 
 @_per_object
@@ -625,21 +645,33 @@ def repeatability_report(
     if e_obs.is_sharp(tol):
         sharp_flag = repeatable == first_kind
 
-    # each identity below is checked on every matrix unit A at once
-    unit_images = {x: _unit_images(inst.operation(x), True) for x in inst.outcomes}
+    # each identity below is checked on every matrix unit A at once, for all
+    # outcomes (Kraus families zero-padded to one length) and frames together
+    ops = inst.operations
+    kraus = _stack_families([op._kraus for op in ops])
     items: dict[str, ItemCheck] = {}
 
     # (i) I*_x(A) = I*_x(E(x) A) = I*_x(A E(x)) = I*_x(E(x) A E(x))
-    # (ii) the total dual agrees with the single-outcome dual on E(x)-framed forms
-    sandwich = localizes = 0.0
-    for x, eff in e_obs.items():
-        em = eff.mat
-        frames = ((em, None), (None, em), (em, em))
-        own = np.stack([_unit_images(inst.operation(x), True, l, r) for l, r in frames])
-        total = np.stack([_unit_images(inst.total(), True, l, r) for l, r in frames])
-        sandwich = max(sandwich, max_op_norm(own - unit_images[x]))
-        localizes = max(localizes, max_op_norm(total - own))
+    e_mats = np.array([eff.mat for eff in e_obs.effects])
+    eyes = np.broadcast_to(eye, e_mats.shape)
+    lefts = np.stack([e_mats, eyes, e_mats], axis=1)
+    rights = np.stack([eyes, e_mats, e_mats], axis=1)
+    sandwich = _framed_defect(kraus, lefts, rights)
     items["sandwich-own-effect"] = ItemCheck(sandwich, sandwich <= tol.eq_tol)
+
+    # (ii) the total dual agrees with the single-outcome dual on E(x)-framed
+    # forms; their difference is the dual of the other outcomes' Kraus family
+    total = inst.total()._kraus
+    ends = np.cumsum([len(op) for op in ops])
+    others = _stack_families(
+        [np.delete(total, np.s_[end - len(op) : end], axis=0) for op, end in zip(ops, ends)]
+    )
+    others_h = others.conj().swapaxes(-1, -2)[:, None]
+    n_f = 3 * len(ops)
+    localizes = _max_unit_norm(
+        (others_h @ lefts[:, :, None]).reshape(n_f, *others_h.shape[2:]),
+        (rights[:, :, None] @ others[:, None]).reshape(n_f, *others.shape[1:]),
+    )
     items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
     # (iv)/(v): eigenvalue-1 projectors of the effects and their exclusivity
@@ -656,9 +688,9 @@ def repeatability_report(
     # (vi) I*_x(A) = I*_x(P(x) A P(x))
     worst = 0.0
     evaluated_vi = bool(proj)
-    for x, p in proj.items():
-        sandwiched = _unit_images(inst.operation(x), True, p.mat, p.mat)
-        worst = max(worst, max_op_norm(sandwiched - unit_images[x]))
+    if proj:
+        p_mats = np.array(list(proj.values()))[:, None]
+        worst = _framed_defect(kraus[[inst.outcomes.index(x) for x in proj]], p_mats, p_mats)
     items["projector-sandwich"] = ItemCheck(
         worst, worst <= tol.eq_tol, evaluated=evaluated_vi,
         note="" if evaluated_vi else "no eigenvalue-1 projectors available",
@@ -667,22 +699,19 @@ def repeatability_report(
     # output distinguishability: normalized outputs for different outcomes
     # are orthogonal (rho_x rho_y = 0)
     rng = np.random.default_rng(171)
-    probes = [Operator(eye / d)]
+    probes = [eye / d]
     for _ in range(3):
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
-        probes.append(Operator(rho / np.trace(rho)))
+        probes.append(rho / np.trace(rho))
+    outs = np.array([_apply(op, np.array(probes), False) for op in ops])
+    weights = np.real(np.trace(outs, axis1=-2, axis2=-1))
     products = []
-    for rho in probes:
-        outs = []
-        for x in inst.outcomes:
-            out = inst.apply(x, rho).mat
-            p = float(np.real(np.trace(out)))
-            if p > tol.rank_tol:
-                outs.append(out / p)
-        outs = np.array(outs).reshape(-1, d, d)
-        i, j = np.triu_indices(len(outs), 1)
-        products.append(outs[i] @ outs[j])
+    for outs_r, p_r in zip(outs.swapaxes(0, 1), weights.T):
+        seen = p_r > tol.rank_tol
+        normed = outs_r[seen] / p_r[seen, None, None]
+        i, j = np.triu_indices(len(normed), 1)
+        products.append(normed[i] @ normed[j])
     worst = max_op_norm(np.concatenate(products))
     items["output-orthogonality"] = ItemCheck(worst, worst <= tol.eq_tol)
 
@@ -693,18 +722,15 @@ def repeatability_report(
         eye_a = np.eye(dA)
 
         # (iii) E(x) = Gamma^E_xi(E(x)^n (x) 1) = Gamma^E_xi(1 (x) Z(x)^n)
+        z_mats = np.array([pointer.effect(x).mat for x in e_obs.outcomes])
         worst = 0.0
-        for x, eff in e_obs.items():
-            em = eff.mat
-            zm = pointer.effect(x).mat
-            for n_pow in (1, 2, 3):
-                sys_side = apply_map(
-                    maps.gamma_xi_e, np.kron(np.linalg.matrix_power(em, n_pow), eye_a)
-                ).mat
-                app_side = apply_map(
-                    maps.gamma_xi_e, np.kron(eye, np.linalg.matrix_power(zm, n_pow))
-                ).mat
-                worst = max(worst, op_norm_mat(sys_side - em), op_norm_mat(app_side - em))
+        for n_pow in (1, 2, 3):
+            lifted = np.concatenate([
+                np.kron(np.linalg.matrix_power(e_mats, n_pow), eye_a),
+                np.kron(eye, np.linalg.matrix_power(z_mats, n_pow)),
+            ])
+            sides = _apply(maps.gamma_xi_e, lifted, False)
+            worst = max(worst, max_op_norm(sides - np.concatenate([e_mats, e_mats])))
         items["moment-identities"] = ItemCheck(worst, worst <= tol.eq_tol)
 
         # pointer-side eigenvalue-1 projectors
@@ -719,11 +745,9 @@ def repeatability_report(
         )
 
         if qproj and not q_missing:
-            q_total = sum(q.mat for q in qproj.values())
+            q_total = sum(qproj.values())[None, None]
             # (vii) the apparatus restriction only sees the pointer support
-            base = _unit_images(maps.conj_channel, True)
-            sand = _unit_images(maps.conj_channel, True, q_total, q_total)
-            worst = max_op_norm(sand - base)
+            worst = _framed_defect(maps.conj_channel._kraus[None], q_total, q_total)
             items["conjugate-pointer-support"] = ItemCheck(worst, worst <= tol.eq_tol)
 
             # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x)); the lifted units are not
@@ -733,9 +757,9 @@ def repeatability_report(
             for x in inst.outcomes:
                 if x not in qproj:
                     continue
-                lifted = np.kron(units, qproj[x].mat[None])
-                rhs_img = _apply(maps.gamma_xi_e, lifted, False)
-                worst = max(worst, max_op_norm(rhs_img - unit_images[x]))
+                rhs_img = _apply(maps.gamma_xi_e, np.kron(units, qproj[x][None]), False)
+                lhs_img = _apply(inst.operation(x), units, True)
+                worst = max(worst, max_op_norm(rhs_img - lhs_img))
             items["restriction-identity"] = ItemCheck(worst, worst <= tol.eq_tol)
         else:
             note = "pointer effects do not attain norm one"

@@ -326,14 +326,24 @@ def eigenspace_projector(a: MatrixLike, value: float, tol: Tolerance = DEFAULT_T
     h = 0.5 * (m + m.conj().T)
     if op_norm_mat(m - h) > tol.eq_tol:
         raise ValueError("eigenspace_projector requires a Hermitian operator")
-    w, v = np.linalg.eigh(h)
-    hit = np.abs(w - value) <= tol.rank_tol
-    runs = [c for c in eigen_clusters(w, tol.rank_tol) if hit[c].any()]
-    if not runs:
+    cols = _eigenspace_columns(*np.linalg.eigh(h), value, tol.rank_tol)
+    if cols is None:
         return Operator.zero(m.shape[0])
-    # hits and clusters are contiguous, so the union is one column range
-    cols = v[:, runs[0][0] : runs[-1][-1] + 1]
     return Operator(cols @ cols.conj().T)
+
+
+def _eigenspace_columns(
+    w: np.ndarray, v: np.ndarray, value: float, rank_tol: float
+) -> np.ndarray | None:
+    """The eigenvectors (columns of ``v``, ascending eigenvalues ``w``, as
+    ``np.linalg.eigh`` returns them) that :func:`eigenspace_projector` keeps
+    for ``value``, or ``None`` when no eigenvalue qualifies."""
+    hit = np.abs(w - value) <= rank_tol
+    runs = [c for c in eigen_clusters(w, rank_tol) if hit[c].any()]
+    if not runs:
+        return None
+    # hits and clusters are contiguous, so the union is one column range
+    return v[:, runs[0][0] : runs[-1][-1] + 1]
 
 
 def gram_schmidt_hs(

@@ -1,21 +1,25 @@
 """The batched matrix-unit checks against a plain per-unit loop.
 
-Each check takes the images of all ``d**2`` matrix units at once
-(``cpmaps._unit_images``) and one batched operator norm
-(``opcore.max_op_norm``).  The reference here walks the units one at a
-time through the public ``apply_dual``/``apply_map`` and keeps the worst
-defect, the way the checks were first written; both must agree to 1e-12 on
-random instruments, channels and schemes.
+Each check is ``max_ij ||Psi(E_ij)||`` over the matrix units for a map
+``Psi(X) = sum_m a_m X b_m`` given by its factor stacks, and goes through one
+primitive, ``cpmaps._max_unit_norm``.  It has two paths: for a short family
+(``2 M <= min(p, q)``) the norms come from products of ``M x M`` QR factors
+and no image is built; otherwise the images are built by one GEMM per block
+and reduced by one batched operator norm (``opcore.max_op_norm``).  The
+reference here walks the units one at a time through the public
+``apply_dual``/``apply_map`` and keeps the worst defect, the way the checks
+were first written; both must agree to 1e-12 on random instruments,
+channels and schemes, on both paths and on both sides of a map.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waylab import Instrument, Observable, OperationMap
 from waylab.conserve import AdditiveQuantity, conservative_unitary
-from waylab.cpmaps import _unit_images, apply_dual, apply_map
+from waylab.cpmaps import _max_unit_norm, apply_dual, apply_map
 from waylab.fixpt import (
     analyze_fixed_points,
     check_minimal_support,
@@ -365,33 +369,124 @@ def test_max_op_norm_single_matrix_and_non_finite(bad):
         assert outcome(max_op_norm, stack) == outcome(full_max_op_norm, stack)
 
 
-def unit_image_loop(phi, dual, left, right):
-    d = phi.out_dim if dual else phi.in_dim
-    left = np.eye(d) if left is None else left
-    right = np.eye(d) if right is None else right
-    apply = apply_dual if dual else apply_map
-    return np.array([apply(phi, left @ a @ right).mat for a in units(d)])
+def framed_factors(kraus, left, right, dual):
+    """Factors of ``X -> I(L X R) - I(X)`` for the map ``I`` of the Kraus
+    family ``kraus``: its dual ``sum K^dag . K`` or its state side
+    ``sum K . K^dag``."""
+    kh = kraus.conj().swapaxes(1, 2)
+    outer, inner = (kh, kraus) if dual else (kraus, kh)
+    return np.concatenate([outer @ left, -outer]), np.concatenate([right @ inner, inner])
 
 
-@given(seed=SEEDS, d_sys=DIMS, d_app=DIMS, dual=st.booleans(),
-       frames=st.sampled_from(["none", "left", "right", "both"]),
-       kind=st.sampled_from(["channel", "restriction", "conjugate"]))
+@given(seed=SEEDS, d=st.sampled_from([2, 3, 4, 5, 6, 8]), k=st.integers(1, 3),
+       dual=st.booleans(), kind=st.sampled_from(["channel", "restriction", "conjugate"]))
+@example(seed=0, d=8, k=1, dual=True, kind="channel")  # factored: 2M = 4 <= 8
+@example(seed=0, d=8, k=1, dual=False, kind="channel")
+@example(seed=1, d=3, k=3, dual=True, kind="channel")  # materialized: 2M = 12 > 3
+@example(seed=1, d=3, k=3, dual=False, kind="channel")
 @SETTINGS
-def test_unit_images_match_unit_loop(seed, d_sys, d_app, dual, frames, kind):
+def test_max_unit_norm_matches_unit_loop(seed, d, k, dual, kind):
     rng = np.random.default_rng(seed)
     if kind == "channel":
-        phi = random_channel(d_sys, d_sys, 3, rng)
+        phi = random_channel(d, d, k, rng)
     else:
-        # non-square: S(x)A -> S and S -> A
-        maps = restriction_maps(random_scheme(rng, d_sys, d_app))
+        # non-square, with the first k Kraus operators: S(x)A -> S and S -> A
+        maps = restriction_maps(random_scheme(rng, min(d, 4), 2))
         phi = maps.gamma_xi_e if kind == "restriction" else maps.conj_channel
-    d = phi.out_dim if dual else phi.in_dim
-    left, right = (
-        random_hermitian(d, rng).mat + 1j * random_hermitian(d, rng).mat
-        if frames in (side, "both") else None
-        for side in ("left", "right")
+        phi = OperationMap(phi.kraus[:k])
+    n = phi.out_dim if dual else phi.in_dim
+
+    def ginibre():
+        return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+    eye = np.eye(n)
+    frames = [(ginibre(), eye), (eye, ginibre()), (ginibre(), ginibre())]
+    kraus = np.array(phi.kraus)
+    factors = [framed_factors(kraus, left, right, dual) for left, right in frames]
+    got = _max_unit_norm(np.array([a for a, _ in factors]), np.array([b for _, b in factors]))
+
+    apply = apply_dual if dual else apply_map
+    expected = max(
+        op_norm_mat(apply(phi, left @ a @ right).mat - apply(phi, a).mat)
+        for left, right in frames
+        for a in units(n)
     )
-    got = _unit_images(phi, dual, left, right)
-    expected = unit_image_loop(phi, dual, left, right)
-    assert got.shape == expected.shape
-    assert np.abs(got - expected).max() <= AGREE
+    assert abs(got - expected) <= AGREE * max(1.0, expected)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (3, 0, 8, 8)])
+def test_max_unit_norm_of_no_map_is_zero(shape):
+    f, m, p, d = shape
+    assert _max_unit_norm(np.zeros(shape, complex), np.zeros((f, m, d, p), complex)) == 0.0
+
+
+def stacked_unit_images(kraus, left, right):
+    """The dual images of ``L E_ij R`` for every matrix unit as one
+    ``(d * d, d, d)`` stack (entry ``i * d + j``), from one GEMM over the
+    Kraus axis: the materialized form the matrix-unit checks had before
+    they were written as factors."""
+    a = kraus.conj().swapaxes(1, 2) @ left
+    b = right @ kraus
+    n, p, d = a.shape
+    q = b.shape[2]
+    images = a.transpose(2, 1, 0).reshape(d * p, n) @ b.reshape(n, d * q)
+    return images.reshape(d, p, d, q).transpose(0, 2, 1, 3).reshape(d * d, p, q)
+
+
+def stacked_items(inst):
+    """``sandwich-own-effect``, ``total-localizes`` (as ``total - own``) and
+    ``projector-sandwich`` from materialized unit-image stacks."""
+    d = inst.dim
+    eye = np.eye(d)
+    e_obs = inst.induced_observable()
+    total = np.array(inst.total().kraus)
+    sandwich = localizes = 0.0
+    for x, eff in e_obs.items():
+        own_kraus = np.array(inst.operation(x).kraus)
+        base = stacked_unit_images(own_kraus, eye, eye)
+        for left, right in ((eff.mat, eye), (eye, eff.mat), (eff.mat, eff.mat)):
+            own = stacked_unit_images(own_kraus, left, right)
+            sandwich = max(sandwich, full_max_op_norm(own - base))
+            localizes = max(
+                localizes, full_max_op_norm(stacked_unit_images(total, left, right) - own)
+            )
+    proj, _ = eigen_one_projectors(e_obs, DEFAULT_TOL)
+    projector = None
+    for x, pm in proj.items():
+        own_kraus = np.array(inst.operation(x).kraus)
+        defect = full_max_op_norm(
+            stacked_unit_images(own_kraus, pm, pm) - stacked_unit_images(own_kraus, eye, eye)
+        )
+        projector = max(projector or 0.0, defect)
+    return sandwich, localizes, projector
+
+
+@given(seed=SEEDS, d=st.sampled_from([2, 3, 4, 6, 8]),
+       sizes=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       norm_one=st.booleans())
+@example(seed=3, d=8, sizes=[1, 1, 1], norm_one=False)  # factored own-effect items
+@SETTINGS
+def test_non_repeatable_items_match_stacked_images(seed, d, sizes, norm_one):
+    # random instruments with Kraus families of different lengths (so the
+    # outcomes are zero-padded to one length) are far from repeatable
+    rng = np.random.default_rng(seed)
+    kraus = random_channel(d, d, sum(sizes), rng).kraus
+    ends = np.cumsum(sizes)
+    ops = [OperationMap(kraus[end - k : end]) for k, end in zip(sizes, ends)]
+    if norm_one:
+        # effects with eigenvalue 1, so projector-sandwich is evaluated
+        ops = [
+            OperationMap([haar_unitary(d, rng).mat @ psd_sqrt(e).mat])
+            for e in norm_one_effects(d, rng)
+        ]
+    inst = Instrument([f"x{i}" for i in range(len(ops))], ops)
+    rep = repeatability_report(inst)
+    assert rep.repeatability_defect > 1e-3
+    sandwich, localizes, projector = stacked_items(inst)
+    assert max(sandwich, localizes) > 1e-3
+    assert abs(rep.items["sandwich-own-effect"].defect - sandwich) <= AGREE
+    assert abs(rep.items["total-localizes"].defect - localizes) <= AGREE
+    if projector is None:
+        assert not rep.items["projector-sandwich"].evaluated
+    else:
+        assert abs(rep.items["projector-sandwich"].defect - projector) <= AGREE

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from waylab import Observable, Operator, OperationMap
+from waylab import Observable, Operator, OperationMap, bounds
 from waylab.bounds import (
     disturbance_profile,
     error_profile,
@@ -145,6 +145,29 @@ def test_disturbance_bounds_quantity_gating_off():
     assert "conserve-disturb-qfi" not in ids
     for r in by_id(reports, "conserve-disturb-commutator"):
         assert not r.hypothesis_satisfied
+
+
+def test_qfi_is_computed_once_per_scheme(monkeypatch):
+    calls = []
+    monkeypatch.setattr(bounds, "qfi", lambda *args: calls.append(args) or 0.5)
+    m = cnot_scheme()
+    q = AdditiveQuantity(SZ / 2.0, np.zeros((2, 2)))
+    f = sharp_observable(SZ)
+    qfi_rows = [
+        r
+        for reports in (
+            eval_disturbance_bounds(m, f, q=q),
+            eval_measurability_bounds(m, Observable(["z0", "z1"], [P0, P1]), q),
+            eval_way(m, q),
+        )
+        for r in reports
+        if "qfi" in r.bound_id
+    ]
+    assert {r.bound_id for r in qfi_rows} >= {
+        "conserve-disturb-qfi", "measure-error-qfi", "way-weak-yanase-qfi"
+    }
+    assert len(calls) == 1
+    assert bounds._scheme_qfi(m, q) == 0.5
 
 
 def test_measurability_bounds_exact_measurement():

@@ -396,6 +396,21 @@ def test_cesaro_converges_to_projector():
     assert gap_8k < gap_2k
 
 
+@pytest.mark.parametrize("n_iter", [1, 2, 3, 7, 64, 2000])
+def test_cesaro_doubling_matches_plain_sum(n_iter):
+    rng = np.random.default_rng(n_iter)
+    for phi in (luders_instrument(unsharp_x(0.5)).total(), random_channel(3, 3, 2, rng)):
+        m = to_supermatrix(phi).m
+        acc = np.zeros_like(m)
+        power = np.eye(len(m), dtype=complex)
+        for _ in range(n_iter):
+            power = power @ m
+            acc += power
+        assert np.abs(cesaro_supermatrix(phi, n_iter) - acc / n_iter).max() <= 1e-12
+    with pytest.raises(ValueError, match="positive"):
+        cesaro_supermatrix(phi, 0)
+
+
 def test_structural_conditions_cnot_all_pass():
     pointer = Observable(["z0", "z1"], [P0, P1])
     m = MeasurementScheme(2, 2, Operator(P0), OperationMap([CNOT]), pointer)

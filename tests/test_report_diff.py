@@ -58,3 +58,20 @@ def test_report_diff_on_suite_outputs(tmp_path):
     res = report_diff(a, moved)
     assert res.returncode == 1
     assert res.stdout.startswith("differing floats: 1,")
+
+    # a float written as 0 reads back as an int; against a float it is a
+    # float difference, not a type mismatch
+    zeroed = edited_copy(json.loads(a.read_text()), path, lambda v: 0, tmp_path / "e.json")
+    tiny = edited_copy(json.loads(a.read_text()), path, lambda v: 1e-17, tmp_path / "f.json")
+    res = report_diff(zeroed, tiny)
+    assert res.returncode == 0, res.stdout
+    assert res.stdout.startswith("differing floats: 1, largest absolute difference: 1e-17")
+    res = report_diff(zeroed, a)
+    assert res.returncode == (0 if abs(report_value(report, path)) <= 1e-12 else 1)
+    assert "mismatch" not in res.stdout
+
+
+def report_value(report, path):
+    for key in path:
+        report = report[key]
+    return report

@@ -1,9 +1,13 @@
 """Write every equivalence-oracle output of this checkout to one directory.
 
-    python3 tools/oracle.py OUT_DIR
+    python3 tools/oracle.py OUT_DIR [SRC_DIR]
 
 Run it on two checkouts; ``diff -r`` of the two directories is then the
-byte-identity check between them.  It writes:
+byte-identity check between them.  With ``SRC_DIR``, waylab is imported from
+that directory (another checkout's ``src/``) while the oracle's own inputs,
+the battery generator and the benchmark's workloads stay this checkout's, so
+a newer oracle can be run against older code and the two directories hold
+the same files.  It writes:
 
 * ``suite.json``: ``waylab suite``;
 * ``builtin-<name>.json``: each builtin scenario with ``--run``, at its
@@ -12,6 +16,15 @@ byte-identity check between them.  It writes:
   --app-dim 6 --seed 0 --run``;
 * ``luders-d12-s0.json``, ``luders-d12-s97.json``: ``waylab run`` on the
   benchmark's ``luders-d12`` scenario at seeds 0 and 97;
+* ``repeatability-random-d8.json``: ``waylab run`` with a ``repeatability``
+  task on a random 3-outcome instrument at ``d = 8`` with 2 Kraus operators
+  per outcome, far from repeatable, whose own-effect items take the factored
+  matrix-unit path;
+* ``cnot-extremal.json``: ``waylab run`` on the CNOT scheme measuring ``Z``
+  with the conserved ``Z/2 (x) 1``: disturbance and measurability bounds with
+  ``assert_extremal`` and the distinguishability bounds of ``|1>`` against
+  ``|0>``, so the ``*-qfi-extremal``, ``distinguish-norm-gap`` and
+  ``repeat-commutant`` rows are covered;
 * ``demo-<script>.txt``: each demo's standard output;
 * ``battery-<offset>.json``: every bound row of the four evaluators and the
   Yanase report for each of 200 random scenarios of the acceptance battery
@@ -19,8 +32,7 @@ byte-identity check between them.  It writes:
   path reaches ``eval_distinguishability_bounds``, so this is its oracle;
 * ``exit-codes.txt``: the exit code of every command above.
 
-waylab, the benchmark's workloads and the battery are imported from this
-checkout.  BLAS is pinned to one thread, as in the benchmark.
+BLAS is pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
@@ -30,17 +42,16 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import json
 import subprocess
 import sys
 import tempfile
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SRC = os.path.join(ROOT, "src")
-for _sub in ("tests", "perfbench", "src"):
-    sys.path.insert(0, os.path.join(ROOT, _sub))
+import numpy as np
 
-from waylab import cli, serialize  # noqa: E402
-from waylab.conserve import yanase_conditions  # noqa: E402
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for _sub in ("tests", "perfbench"):
+    sys.path.insert(0, os.path.join(ROOT, _sub))
 
 BUILTINS = (
     "qubit-luders",
@@ -54,8 +65,66 @@ BATTERY_SIZE = 200
 LUDERS_SEEDS = (0, 97)
 
 
+def random_instrument_scenario() -> dict:
+    from waylab import Instrument, OperationMap
+    from waylab.measure import instrument_to_json
+    from waylab.rand import random_channel
+
+    kraus = random_channel(8, 8, 6, np.random.default_rng(9)).kraus
+    inst = Instrument(
+        ["a", "b", "c"], [OperationMap(kraus[i : i + 2]) for i in (0, 2, 4)]
+    )
+    return {
+        "schema": 1,
+        "name": "repeatability-random-d8",
+        "system_dim": 8,
+        "objects": {"I": {"kind": "instrument", **instrument_to_json(inst)}},
+        "tasks": [{"op": "repeatability", "instrument": "I"}],
+    }
+
+
+def cnot_extremal_scenario() -> dict:
+    from waylab import serialize
+
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    cnot = np.eye(4)[[0, 1, 3, 2]]
+    z_half = np.diag([0.5, -0.5])
+    pointer = {
+        "outcomes": ["z0", "z1"],
+        "effects": [serialize.matrix_to_json(p0), serialize.matrix_to_json(p1)],
+    }
+    objects = {
+        "M": {
+            "kind": "scheme",
+            "apparatus_dim": 2,
+            "xi": serialize.matrix_to_json(p0),
+            "coupling": {"unitary": serialize.matrix_to_json(cnot)},
+            "pointer": pointer,
+        },
+        "F": {"kind": "observable", **pointer},
+        "N": {
+            "kind": "quantity",
+            "system": serialize.matrix_to_json(z_half),
+            "apparatus": serialize.matrix_to_json(np.zeros((2, 2))),
+        },
+        "psi": {"kind": "vector", "values": serialize.vector_to_json([0.0, 1.0])},
+        "phi": {"kind": "vector", "values": serialize.vector_to_json([1.0, 0.0])},
+    }
+    tasks = [
+        {"op": "disturbance-bounds", "scheme": "M", "observable": "F", "quantity": "N",
+         "assert_extremal": True},
+        {"op": "measurability-bounds", "scheme": "M", "target": "F", "quantity": "N",
+         "assert_extremal": True},
+        {"op": "distinguishability-bounds", "scheme": "M", "quantity": "N",
+         "psi": "psi", "phi": "phi"},
+    ]
+    return {"schema": 1, "name": "cnot-extremal", "system_dim": 2,
+            "objects": objects, "tasks": tasks}
+
+
 def cli_outputs(out_dir: str) -> list[str]:
     """Run the CLI oracles; returns one ``name exit-code`` line per run."""
+    from waylab import cli
     from workloads import Luders
 
     runs = [("suite", ["suite"])]
@@ -70,6 +139,11 @@ def cli_outputs(out_dir: str) -> list[str]:
             seed_dir = os.path.join(work, str(seed))
             os.mkdir(seed_dir)
             runs.append((f"luders-d12-s{seed}", ["run", Luders(seed, seed_dir).path]))
+        for scenario in (random_instrument_scenario(), cnot_extremal_scenario()):
+            path = os.path.join(work, f"{scenario['name']}.json")
+            with open(path, "w") as fh:
+                json.dump(scenario, fh)
+            runs.append((scenario["name"], ["run", path]))
         lines = []
         for name, argv in runs:
             out = os.path.join(out_dir, f"{name}.json")
@@ -78,10 +152,10 @@ def cli_outputs(out_dir: str) -> list[str]:
     return lines
 
 
-def demo_outputs(out_dir: str) -> list[str]:
+def demo_outputs(out_dir: str, src: str) -> list[str]:
     """Run each demo in its own process; returns ``name exit-code`` lines."""
     demos = os.path.join(ROOT, "demos")
-    env = dict(os.environ, PYTHONPATH=SRC)
+    env = dict(os.environ, PYTHONPATH=src)
     lines = []
     for script in sorted(os.listdir(demos)):
         if not script.endswith(".py"):
@@ -99,6 +173,8 @@ def demo_outputs(out_dir: str) -> list[str]:
 
 def battery_outputs(out_dir: str) -> None:
     from test_acceptance import _battery_reports, _bound_battery_scenario
+    from waylab import serialize
+    from waylab.conserve import yanase_conditions
 
     for offset in BATTERY_OFFSETS:
         scenarios = []
@@ -113,12 +189,14 @@ def battery_outputs(out_dir: str) -> None:
 
 
 def main(argv: list[str]) -> int:
-    if len(argv) != 1:
-        print("usage: oracle.py OUT_DIR", file=sys.stderr)
+    if len(argv) not in (1, 2):
+        print("usage: oracle.py OUT_DIR [SRC_DIR]", file=sys.stderr)
         return 2
     out_dir = argv[0]
+    src = os.path.abspath(argv[1] if len(argv) == 2 else os.path.join(ROOT, "src"))
+    sys.path.insert(0, src)
     os.makedirs(out_dir, exist_ok=True)
-    lines = cli_outputs(out_dir) + demo_outputs(out_dir)
+    lines = cli_outputs(out_dir) + demo_outputs(out_dir, src)
     battery_outputs(out_dir)
     with open(os.path.join(out_dir, "exit-codes.txt"), "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -3,7 +3,8 @@
     python3 tools/report_diff.py A.json B.json
 
 Exits 0 when both reports have the same keys, strings, bools and ints and
-every float of one is within 1e-12 of the matching float of the other;
+every float of one is within 1e-12 of the matching float (or integral
+number, which is how a float such as 0.0 is written) of the other;
 exits 1 otherwise, and 2 on a usage error.  Prints the number of floats
 that differ at all, the largest absolute difference, the path of each
 differing float, and the path of each mismatch of any other kind.
@@ -18,9 +19,20 @@ import sys
 FLOAT_TOL = 1e-12
 
 
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def compare(a, b, path, floats, mismatches):
     """Walk ``a`` and ``b`` together; collect ``(path, |a - b|)`` for differing
-    floats and the paths where anything else differs."""
+    floats and the paths where anything else differs.
+
+    A float against an int compares as two floats: ``serialize.dumps`` writes
+    an integral float such as ``0.0`` without a fraction, so it reads back as
+    an int.
+    """
+    if _number(a) and _number(b) and float in (type(a), type(b)):
+        a, b = float(a), float(b)
     if type(a) is not type(b):
         mismatches.append(f"{path}: {type(a).__name__} vs {type(b).__name__}")
     elif isinstance(a, dict):
