@@ -159,7 +159,7 @@ def _parse_object(name: str, obj: Any, sys_dim: int, tol: Tolerance) -> tuple[st
         n_sys = serialize.matrix_from_json(obj.get("system"), f"{where}.system")
         n_app = serialize.matrix_from_json(obj.get("apparatus"), f"{where}.apparatus")
         try:
-            return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app)
+            return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app, tol=tol)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from exc
     raise SchemaError(f"{where}.kind: unhandled kind {kind!r}")

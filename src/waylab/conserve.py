@@ -49,19 +49,21 @@ __all__ = [
 
 @dataclasses.dataclass(frozen=True)
 class AdditiveQuantity:
-    """System and apparatus parts of an additively conserved quantity."""
+    """System and apparatus parts of an additively conserved quantity, each
+    Hermitian to within ``tol`` (which takes no part in equality)."""
 
     n_sys: Operator
     n_app: Operator
+    tol: Tolerance = dataclasses.field(default=DEFAULT_TOL, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("n_sys", "n_app"):
             part = getattr(self, name)
             if not isinstance(part, Operator):
                 object.__setattr__(self, name, Operator(part))
-        if not self.n_sys.is_hermitian(DEFAULT_TOL):
+        if not self.n_sys.is_hermitian(self.tol):
             raise ValueError("n_sys must be Hermitian")
-        if not self.n_app.is_hermitian(DEFAULT_TOL):
+        if not self.n_app.is_hermitian(self.tol):
             raise ValueError("n_app must be Hermitian")
 
     def composite(self) -> Operator:

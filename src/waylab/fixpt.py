@@ -79,6 +79,9 @@ _JOINT_DIAG_SEED = 1717
 # Seed of the random Hermitian element of the Kraus algebra whose eigenbasis
 # narrows the search in ``kraus_commutant``; any seed gives the same space.
 _COMMUTANT_SEED = 2718
+# A restricted singular value this close above the null threshold may be a
+# near-null direction that the candidates hold only in part.
+_COMMUTANT_EDGE = 100.0
 # The fixed-space and commutant projectors come from two different
 # factorizations, so they agree only to rounding of both; a rank_tol tighter
 # than this would reject an exact commutant on that rounding alone.
@@ -176,10 +179,11 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        than ``tau`` apart rotate by about ``eps ||H|| / tau <= rank_tol / 100``
        (Davis-Kahan), so no commutant direction leaves the candidates.  A
        window that is too wide costs only time.  A direction that commutes
-       only to within the null threshold, not exactly, can leave them: at
-       that edge the count can be lower than the full stack's, never
-       higher, since restricting ``S`` to ``B`` only raises its smallest
-       singular values.
+       only to within the null threshold, not exactly, can leave them in
+       part, which raises its restricted singular value (restricting ``S``
+       to ``B`` never lowers one); when a restricted value lies within
+       ``_COMMUTANT_EDGE`` times the threshold, all ``d^2`` candidates,
+       the full stack, give the count and basis instead.
     2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
        ``(2k d^2) x n'`` matrix ``S B``, whose economy SVD gives the null
        vectors ``V_null`` by the same null-count rule; ``||S||_2`` is the square
@@ -189,25 +193,13 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     ``B V_null`` is orthonormal.  The cost is ``k n' d^3`` for the
     commutators plus ``k d^4`` for the Gram; ``n' = d`` for a generic
     family and ``d^2`` (the size of the full stack, formed only then) when
-    ``H`` is degenerate, e.g. for the identity channel.
+    ``H`` is degenerate, e.g. for the identity channel, or at that edge.
     """
     d = phi.in_dim
     if phi.out_dim != d:
         raise ValueError("commutant needs an endomorphism")
     kraus = np.stack(phi.kraus)
     family = np.concatenate([kraus, kraus.conj().swapaxes(1, 2)])
-
-    rng = np.random.default_rng(_COMMUTANT_SEED)
-    c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
-    m = np.tensordot(c, kraus, axes=1)
-    w, v = np.linalg.eigh(m + m.conj().T)
-    eps = np.finfo(float).eps
-    tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
-    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
-    cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
-
-    comm = family[:, None] @ cand - cand @ family[:, None]
-    _, s, vh = np.linalg.svd(comm.transpose(0, 2, 3, 1).reshape(-1, len(a)), full_matrices=False)
 
     # S^dag S = conj(Q) (x) 1 + 1 (x) Q - 2 sum_F conj(F) (x) F, Q = sum_F F^dag F,
     # since the family is closed under the adjoint
@@ -216,11 +208,34 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     cross = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
     gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * cross
-    scale = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    n_null = int(np.sum(s <= rank_tol * max(1.0, scale)))
+    thr = rank_tol * max(1.0, np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
 
+    rng = np.random.default_rng(_COMMUTANT_SEED)
+    c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
+    m = np.tensordot(c, kraus, axes=1)
+    w, v = np.linalg.eigh(m + m.conj().T)
+    eps = np.finfo(float).eps
+    tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
+    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    while True:
+        cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
+        comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
+        _, s, vh = np.linalg.svd(comm.reshape(-1, len(a)), full_matrices=False)
+        if len(a) == d * d or not np.any((s > thr) & (s <= _COMMUTANT_EDGE * thr)):
+            break
+        a, b = np.divmod(np.arange(d * d), d)  # every candidate: the full stack
+
+    n_null = int(np.sum(s <= thr))
     basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
     return basis @ vh[len(s) - n_null :].conj().T
+
+
+def _projector_gap(q: np.ndarray, c: np.ndarray) -> float:
+    """``||Q Q^dag - C C^dag||`` for orthonormal columns: ``||C - Q (Q^dag C)||``
+    (an ``n x r`` matrix) at equal rank, 1 at unequal rank."""
+    if q.shape[1] != c.shape[1]:
+        return 1.0
+    return op_norm_mat(c - q @ (q.conj().T @ c))
 
 
 @_per_object
@@ -301,12 +316,9 @@ def analyze_fixed_points(
     commutant_consistent: bool | None = None
     if faithful:
         comm = kraus_commutant(phi, tol.rank_tol)
-        fixed_stack = np.stack([vec(b.mat) for b in basis], axis=1)
-        qf, _ = np.linalg.qr(fixed_stack)
-        p_fixed = qf @ qf.conj().T
-        p_comm = comm @ comm.conj().T
+        qf, _ = np.linalg.qr(np.stack([vec(b.mat) for b in basis], axis=1))
         commutant_consistent = comm.shape[1] > 0 and bool(
-            op_norm_mat(p_fixed - p_comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
+            _projector_gap(qf, comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
         )
 
     for a in (left, proj, w_iso, *restricted):

@@ -174,11 +174,18 @@ class Operator:
         return Operator(np.zeros((dim, dim)))
 
 
+def _sv_max(stack: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(stack, 2, axis=(-2, -1))`` bit for bit: the same LAPACK
+    call, whose singular values come out in descending order, without the
+    dispatch that costs more than the SVD of a small matrix."""
+    return np.linalg.svd(stack, compute_uv=False)[..., 0]
+
+
 def op_norm_mat(m: np.ndarray) -> float:
     """Largest singular value of a raw matrix."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(_sv_max(m))
 
 
 def max_op_norm(stack: np.ndarray) -> float:
@@ -200,9 +207,9 @@ def max_op_norm(stack: np.ndarray) -> float:
     fro = np.linalg.norm(stack, axis=(-2, -1))
     if not np.isfinite(fro).all():
         return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
-    best = np.linalg.norm(stack[np.unravel_index(np.argmax(fro), fro.shape)], 2)
+    best = _sv_max(stack[np.unravel_index(np.argmax(fro), fro.shape)])
     survivors = stack[fro * (1.0 + 1e-12) >= best]
-    return float(np.linalg.norm(survivors, 2, axis=(-2, -1)).max())
+    return float(_sv_max(survivors).max())
 
 
 def op_norm(a: MatrixLike) -> float:
@@ -213,7 +220,7 @@ def op_norm(a: MatrixLike) -> float:
 def op_norms(stack: np.ndarray) -> list:
     """:func:`op_norm_mat` of each matrix of a stack ``(..., r, c)``, bit for bit,
     from one batched SVD, as (nested lists of) Python floats."""
-    return np.linalg.norm(stack, 2, axis=(-2, -1)).tolist()
+    return _sv_max(stack).tolist()
 
 
 def commutator(a: MatrixLike, b: MatrixLike) -> Operator:

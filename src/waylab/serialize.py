@@ -4,13 +4,20 @@ Matrices travel as row-major nested lists of ``[re, im]`` pairs.  Report
 emission goes through :func:`dumps`, a small recursive writer that renders
 every float with 17 significant digits so identical inputs produce
 byte-identical files; the stdlib ``json`` module cannot pin float formatting.
+
+The codecs cost per matrix, not per element: a well-formed matrix is read with
+one ``np.array`` call and a list of float pairs is written with one ``%``
+format; any other input takes the per-element path, which also reports every
+malformed input.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Any, Sequence
+from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _quote
+from operator import add
+from typing import Any
 
 import numpy as np
 
@@ -44,10 +51,13 @@ def matrix_to_json(m) -> list[list[list[float]]]:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"matrix_to_json expects a 2-D array, got shape {a.shape}")
-    return [[[float(z.real), float(z.imag)] for z in row] for row in a]
+    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
 
 
 def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
+    fast = _pair_matrix(obj)
+    if fast is not None:
+        return fast
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a non-empty list of rows")
     ncols = None
@@ -66,6 +76,23 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
+def _pair_matrix(obj: Any) -> np.ndarray | None:
+    """The matrix of a rectangular list of rows of ``[re, im]`` pairs of ints
+    and floats (never bools); None for any other input, left to the loop."""
+    if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
+        return None
+    cells = list(chain.from_iterable(obj))
+    if len(set(map(len, obj))) != 1 or not cells or set(map(type, cells)) != {list}:
+        return None
+    leaves = list(chain.from_iterable(cells))
+    if set(map(len, cells)) != {2} or not set(map(type, leaves)) <= {float, int}:
+        return None
+    try:
+        return np.array(leaves, dtype=float).view(complex).reshape(len(obj), -1)
+    except OverflowError:  # an int beyond float range: float() raises it in the loop
+        return None
+
+
 def _entry_from_json(cell: Any, where: str) -> complex:
     if isinstance(cell, (int, float)) and not isinstance(cell, bool):
         return complex(float(cell), 0.0)
@@ -79,8 +106,7 @@ def _entry_from_json(cell: Any, where: str) -> complex:
 
 
 def vector_to_json(v) -> list[list[float]]:
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    return [[float(z.real), float(z.imag)] for z in a]
+    return np.ascontiguousarray(v, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
 
 
 def vector_from_json(obj: Any, where: str = "vector") -> np.ndarray:
@@ -89,18 +115,40 @@ def vector_from_json(obj: Any, where: str = "vector") -> np.ndarray:
     return np.array([_entry_from_json(cell, f"{where}[{i}]") for i, cell in enumerate(obj)])
 
 
+def _pair_block(seq: list, pad_in: str, pad: str) -> str | None:
+    """The text of a list of ``[re, im]`` pairs of floats, each float written as
+    :func:`format_float` writes it; None for any other list or for a non-finite
+    value, which the per-element path then writes or raises on."""
+    if set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+        return None
+    values = tuple(chain.from_iterable(seq))
+    if set(map(type, values)) != {float}:
+        return None
+    rows = ",\n".join([pad_in + "[%.17g, %.17g]"] * len(seq))
+    # + 0.0 turns -0.0 into 0.0, written "0"; only "inf" and "nan" hold an "n"
+    text = f"[\n{rows}\n{pad}]" % tuple(map(add, values, repeat(0.0)))
+    return None if "n" in text else text
+
+
+_SCALARS = {
+    str: _quote,
+    float: format_float,
+    int: str,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
 def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
+    render = _SCALARS.get(type(obj))
+    if render is not None:
+        out.append(render(obj))
+        return
     pad = " " * (indent * level)
     pad_in = " " * (indent * (level + 1))
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, (int, np.integer)):  # bools went through _SCALARS
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
@@ -108,20 +156,21 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         if not obj:
             out.append("{}")
             return
-        out.append("{\n")
-        items = list(obj.items())
-        for k, v in items[:-1]:
-            out.append(f"{pad_in}{json.dumps(str(k), ensure_ascii=True)}: ")
+        out.append("{")
+        sep = "\n"
+        for k, v in obj.items():
+            out.append(f"{sep}{pad_in}{_quote(str(k))}: ")
             _write(v, out, indent, level + 1)
-            out.append(",\n")
-        k, v = items[-1]
-        out.append(f"{pad_in}{json.dumps(str(k), ensure_ascii=True)}: ")
-        _write(v, out, indent, level + 1)
+            sep = ",\n"
         out.append(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple)):
         seq = list(obj)
         if not seq:
             out.append("[]")
+            return
+        block = _pair_block(seq, pad_in, pad)
+        if block is not None:
+            out.append(block)
             return
         # numeric-only sequences stay on one line to keep matrices compact
         if all(
@@ -136,13 +185,12 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
             ]
             out.append("[" + ", ".join(parts) + "]")
             return
-        out.append("[\n")
-        for v in seq[:-1]:
-            out.append(pad_in)
+        out.append("[")
+        sep = "\n"
+        for v in seq:
+            out.append(sep + pad_in)
             _write(v, out, indent, level + 1)
-            out.append(",\n")
-        out.append(pad_in)
-        _write(seq[-1], out, indent, level + 1)
+            sep = ",\n"
         out.append(f"\n{pad}]")
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")

@@ -118,6 +118,23 @@ def test_task_errors_are_schema_errors(tmp_path, capsys):
     assert "tasks[0] (conservation)" in capsys.readouterr().err
 
 
+def test_quantity_hermiticity_uses_scenario_tolerance(tmp_path, capsys):
+    # a conserved quantity off Hermitian by 2e-7: inside --tol 1e-6, outside
+    # the default eq_tol
+    scn = tmp_path / "scn.json"
+    assert cli.main(["builtin", "conservative-scheme", "--emit", str(scn), "--quiet"]) == 0
+    scenario = json.loads(scn.read_text())
+    n_sys = scenario["objects"]["N"]["system"]
+    n_sys[0][1][1] += 1e-7
+    n_sys[1][0][1] += 1e-7
+    scn.write_text(json.dumps(scenario))
+    assert cli.main(["run", str(scn), "--quiet"]) == 2
+    assert "objects.N: n_sys must be Hermitian" in capsys.readouterr().err
+    code, report = run_file(tmp_path, scenario, extra=["--tol", "1e-6"])
+    assert code == 0
+    assert report["summary"]["tasks_failed"] == 0
+
+
 def test_report_exit_thresholds():
     base = {"violated": 0, "tasks_failed": 0}
     assert cli._report_exit({"summary": dict(base)}) == 0

@@ -8,6 +8,7 @@ from waylab import Observable, Operator, OperationMap, op_norm
 from waylab.conserve import AdditiveQuantity, conservative_unitary
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
+    _projector_gap,
     analyze_fixed_points,
     cesaro_supermatrix,
     check_minimal_support,
@@ -268,14 +269,70 @@ def test_kraus_commutant_null_count_scale_is_stack_norm(seed, d, inside):
 def test_kraus_commutant_near_null_count_never_exceeds_full_stack(seed, d, log_delta):
     # a block channel perturbed by 1e-10..1e-7: its broken block projectors
     # sit near the null threshold, where the candidates can miss a direction
-    # but never add one
+    # (never add one); the count then comes from the full stack
     rng = np.random.default_rng(seed)
     delta = 10.0**log_delta
     phi = OperationMap(
         [k + delta * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
          for k in block_channel(d, rng).kraus]
     )
-    assert kraus_commutant(phi).shape[1] <= full_stack_commutant(phi).shape[1]
+    assert kraus_commutant(phi).shape[1] == full_stack_commutant(phi).shape[1]
+
+
+def dense_projector_gap(q, c):
+    """``||Q Q^dag - C C^dag||`` from the two ``n x n`` projectors."""
+    return op_norm_mat(q @ q.conj().T - c @ c.conj().T)
+
+
+def orthonormal_columns(n, r, rng):
+    z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
+    return np.linalg.qr(z)[0]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 36), r=st.integers(1, 8),
+       kind=st.sampled_from(["same", "near", "random", "fewer", "more"]))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_projector_gap_matches_dense_expression(seed, n, r, kind):
+    rng = np.random.default_rng(seed)
+    r = min(r, n)
+    q = orthonormal_columns(n, r, rng)
+    if kind == "same":
+        c = q @ haar_unitary(r, rng).mat  # another basis of the same space
+    elif kind == "near":
+        c = np.linalg.qr(q + 1e-9 * orthonormal_columns(n, r, rng))[0]
+    elif kind == "random":
+        c = orthonormal_columns(n, r, rng)
+    elif kind == "fewer":
+        c = q[:, : r - 1] if r > 1 else np.zeros((n, 0))
+    else:
+        c = orthonormal_columns(n, min(r + 1, n), rng) if r < n else np.zeros((n, 0))
+    assert abs(_projector_gap(q, c) - dense_projector_gap(q, c)) <= 1e-12
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+       kind=st.sampled_from(["random", "blocks", "luders", "unitary", "identity"]))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_commutant_consistency_matches_dense_projectors(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        phi = random_channel(d, d, int(rng.integers(1, 4)), rng)
+    elif kind == "blocks":
+        phi = block_channel(d, rng)
+    elif kind == "luders":
+        v = haar_unitary(d, rng).mat
+        h = v @ np.diag(rng.integers(0, 3, size=d).astype(float)) @ v.conj().T
+        phi = luders_instrument(sharp_observable(h)).total()
+    elif kind == "unitary":
+        phi = OperationMap.from_unitary(haar_unitary(d, rng).mat)
+    else:
+        phi = OperationMap([np.eye(d)])
+    analysis = analyze_fixed_points(phi)
+    assert analysis.faithful
+    comm = kraus_commutant(phi)
+    qf = np.linalg.qr(np.stack([b.mat.reshape(-1, order="F") for b in analysis.basis], axis=1))[0]
+    dense = dense_projector_gap(qf, comm)
+    assert abs(_projector_gap(qf, comm) - dense) <= 1e-12
+    assert analysis.commutant_consistent == (comm.shape[1] > 0 and dense <= 1e-8)
 
 
 def support_channel(kind, d, rng):

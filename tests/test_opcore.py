@@ -13,6 +13,7 @@ from waylab.opcore import (
     fidelity,
     gram_schmidt_hs,
     hermitian_basis,
+    max_op_norm,
     op_norm,
     op_norm_mat,
     op_norms,
@@ -100,6 +101,30 @@ def test_op_norms_equal_one_norm_per_matrix(seed, lead, shape):
     for _ in lead[1:]:
         norms = [n for row in norms for n in row]
     assert all(type(n) is float for n in norms)
+
+
+@given(seed=st.integers(0, 2**32 - 1), lead=st.sampled_from([(), (1,), (5,), (2, 3)]),
+       rows=st.integers(1, 24), cols=st.integers(1, 24),
+       kind=st.sampled_from(["complex", "real", "zero", "rank-one"]))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_op_norms_equal_numpy_matrix_two_norm(seed, lead, rows, cols, kind):
+    # the largest singular value from the SVD directly, bit for bit
+    rng = np.random.default_rng(seed)
+    shape = (*lead, rows, cols)
+    if kind == "complex":
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    elif kind == "real":
+        stack = rng.standard_normal(shape)
+    elif kind == "zero":
+        stack = np.zeros(shape, dtype=complex)
+    else:
+        u = rng.standard_normal((*lead, rows, 1)) + 1j * rng.standard_normal((*lead, rows, 1))
+        stack = u @ rng.standard_normal((*lead, 1, cols))
+    want = np.linalg.norm(stack, 2, axis=(-2, -1))
+    assert op_norms(stack) == want.tolist()
+    assert max_op_norm(stack) == want.max()
+    for m, w in zip(stack.reshape(-1, rows, cols), want.reshape(-1)):
+        assert op_norm_mat(m) == w
 
 
 def test_commutator_pauli():

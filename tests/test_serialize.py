@@ -86,3 +86,235 @@ def test_dumps_deterministic():
 def test_dumps_rejects_unknown_types():
     with pytest.raises(TypeError):
         dumps({"bad": object()})
+
+
+# -- the codecs against the per-element reference ---------------------------
+
+
+def reference_write(obj, out, indent, level):
+    """The per-element writer that :func:`dumps` must match byte for byte."""
+    pad = " " * (indent * level)
+    pad_in = " " * (indent * (level + 1))
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj, ensure_ascii=True))
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(format_float(float(obj)))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        out.append("{\n")
+        items = list(obj.items())
+        for k, v in items[:-1]:
+            out.append(f"{pad_in}{json.dumps(str(k), ensure_ascii=True)}: ")
+            reference_write(v, out, indent, level + 1)
+            out.append(",\n")
+        k, v = items[-1]
+        out.append(f"{pad_in}{json.dumps(str(k), ensure_ascii=True)}: ")
+        reference_write(v, out, indent, level + 1)
+        out.append(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            out.append("[]")
+            return
+        if all(
+            isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+            for v in seq
+        ):
+            parts = [
+                str(int(v)) if isinstance(v, (int, np.integer)) else format_float(float(v))
+                for v in seq
+            ]
+            out.append("[" + ", ".join(parts) + "]")
+            return
+        out.append("[\n")
+        for v in seq[:-1]:
+            out.append(pad_in)
+            reference_write(v, out, indent, level + 1)
+            out.append(",\n")
+        out.append(pad_in)
+        reference_write(seq[-1], out, indent, level + 1)
+        out.append(f"\n{pad}]")
+    else:
+        raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
+
+
+def reference_dumps(obj, indent=2):
+    out = []
+    reference_write(obj, out, indent, 0)
+    out.append("\n")
+    return "".join(out)
+
+
+def reference_matrix_from_json(obj, where="matrix"):
+    """The per-cell reader that :func:`matrix_from_json` must match."""
+    if not isinstance(obj, list) or not obj:
+        raise SchemaError(f"{where}: expected a non-empty list of rows")
+    ncols = None
+    rows = []
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or not row:
+            raise SchemaError(f"{where}[{i}]: expected a non-empty row list")
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise SchemaError(f"{where}[{i}]: ragged row (expected {ncols} entries)")
+        entries = []
+        for j, cell in enumerate(row):
+            if isinstance(cell, (int, float)) and not isinstance(cell, bool):
+                entries.append(complex(float(cell), 0.0))
+            elif (
+                isinstance(cell, list)
+                and len(cell) == 2
+                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
+            ):
+                entries.append(complex(float(cell[0]), float(cell[1])))
+            else:
+                raise SchemaError(
+                    f"{where}[{i}][{j}]: expected a number or [re, im] pair, got {cell!r}"
+                )
+        rows.append(entries)
+    return np.array(rows, dtype=complex)
+
+
+def outcome(f, *args):
+    """What ``f(*args)`` returns, or the type and text of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # compared with the reference's, not handled
+        return type(exc), str(exc)
+
+
+def array_outcome(f, obj):
+    got = outcome(f, obj, "m")
+    if isinstance(got, np.ndarray):  # bits, so -0.0 and nan payloads count
+        return got.dtype, got.shape, got.tobytes()
+    return got
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308,
+               1.0, -3.0, 2.0**53, 0.1]
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(EDGE_FLOATS),
+    st.integers(-(2**60), 2**60).map(float),
+)
+ANY_FLOAT = st.one_of(FINITE, st.sampled_from([float("inf"), -float("inf"), float("nan")]))
+INTS = st.one_of(st.integers(-1000, 1000), st.integers(-(10**30), 10**30))
+NUMPY_SCALARS = st.one_of(
+    FINITE.map(np.float64), FINITE.filter(lambda x: abs(x) < 1e30).map(np.float32),
+    st.integers(-(2**62), 2**62).map(np.int64), st.booleans().map(np.bool_),
+)
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+
+
+def json_values(floats):
+    pair = st.lists(floats, min_size=2, max_size=2)
+    leaves = st.one_of(floats, INTS, NUMPY_SCALARS, st.booleans(), st.none(), TEXT, pair)
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=5),
+            st.lists(inner, max_size=3).map(tuple),
+            st.dictionaries(TEXT, inner, max_size=5),
+            st.lists(floats, max_size=6),
+            st.lists(pair, min_size=1, max_size=6),
+            st.lists(st.lists(pair, min_size=2, max_size=2), min_size=1, max_size=3),
+        ),
+        max_leaves=30,
+    )
+
+
+@given(json_values(FINITE))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_dumps_matches_reference_writer(obj):
+    assert outcome(dumps, obj) == outcome(reference_dumps, obj)
+
+
+@given(json_values(ANY_FLOAT))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_dumps_raises_as_reference_writer(obj):
+    # non-finite floats, numpy bools and anything else unwritable raise the
+    # same error at the same point
+    assert outcome(dumps, obj) == outcome(reference_dumps, obj)
+
+
+def test_dumps_writes_report_shaped_payloads_as_reference():
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    m[0, 0], m[1, 2] = -0.0, complex(0.0, -0.0)
+    payload = {"P": matrix_to_json(m), "v": vector_to_json(m[0]), "row": m[1].real.tolist(),
+               "flags": [True, False, None], "note": "é☃", "n": np.int64(3)}
+    assert dumps(payload) == reference_dumps(payload)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for where in ((0, 0, 1), (4, 4, 0)):
+            broken = matrix_to_json(m)
+            broken[where[0]][where[1]][where[2]] = bad
+            assert outcome(dumps, {"m": broken}) == outcome(reference_dumps, {"m": broken})
+            assert outcome(dumps, {"m": broken})[0] is ValueError
+        row = m[0].real.tolist() + [bad]
+        assert outcome(dumps, row) == outcome(reference_dumps, row)
+
+
+@given(st.integers(1, 6), st.integers(1, 6), st.data())
+@settings(derandomize=True, max_examples=200, deadline=None)
+def test_matrix_from_json_well_formed_bits(n_rows, n_cols, data):
+    number = st.one_of(ANY_FLOAT, INTS)
+    obj = data.draw(st.lists(st.lists(st.lists(number, min_size=2, max_size=2),
+                                      min_size=n_cols, max_size=n_cols),
+                             min_size=n_rows, max_size=n_rows))
+    assert array_outcome(matrix_from_json, obj) == array_outcome(reference_matrix_from_json, obj)
+
+
+MALFORMED_CELLS = st.one_of(
+    st.booleans(), TEXT, st.none(), st.just([]), st.just([1, 2, 3]), st.just([True, 1.0]),
+    st.just([1.0, "2"]), st.just([[1.0, 2.0]]), st.integers(2**1024, 2**1100),
+    st.just([2**1030, 0.0]), st.lists(st.booleans(), min_size=2, max_size=2),
+)
+
+
+@given(st.lists(st.one_of(
+    st.lists(st.one_of(FINITE, INTS, st.lists(FINITE, min_size=2, max_size=2), MALFORMED_CELLS),
+             max_size=4),
+    MALFORMED_CELLS,
+), max_size=4))
+@settings(derandomize=True, max_examples=400, deadline=None)
+def test_matrix_from_json_malformed_reports_as_reference(obj):
+    assert array_outcome(matrix_from_json, obj) == array_outcome(reference_matrix_from_json, obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [[[1.0, 0.0], True]], [[[1.0, 0.0], "x"]], [[[1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]]],
+    [[[1.0, 0.0], 2.0]], [[[1.0, 0.0]], []], [[[1.0, 2.0, 3.0]]], [[[10**400, 0.0]]],
+    [[[True, 0.0]]], [[1, [2.0, 0.0]]], [[]], [], "m", [[[1.0, 0.0]], "row"],
+])
+def test_matrix_from_json_listed_malformed_inputs(obj):
+    got = array_outcome(matrix_from_json, obj)
+    assert got == array_outcome(reference_matrix_from_json, obj)
+
+
+def test_matrix_and_vector_to_json_keep_every_float():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    m[0, 0], m[2, 1] = complex(-0.0, 0.0), complex(5e-324, -0.0)
+    want = [[[float(z.real), float(z.imag)] for z in row] for row in m]
+    got = matrix_to_json(m)
+    assert got == want and all(type(x) is float for row in got for pair in row for x in pair)
+    assert [[np.signbit(x) for x in pair] for row in got for pair in row] == [
+        [np.signbit(x) for x in pair] for row in want for pair in row
+    ]
+    assert matrix_to_json(m.T) == [[[float(z.real), float(z.imag)] for z in row] for row in m.T]
+    assert vector_to_json(m[:, 1]) == [[float(z.real), float(z.imag)] for z in m[:, 1]]
+    assert matrix_to_json(np.eye(2, dtype=int)) == [[[1.0, 0.0], [0.0, 0.0]],
+                                                    [[0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(ValueError, match="2-D"):
+        matrix_to_json(m[0])
