@@ -93,10 +93,6 @@ def _profile(outcomes: tuple[str, ...], gaps: np.ndarray) -> Profile:
     return Profile(outcomes=outcomes, norms=norms, max_norm=max(norms.values()))
 
 
-def _effects(obs: Observable) -> np.ndarray:
-    return np.array([e.mat for e in obs.effects])
-
-
 def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[a, b]`` for stacks (or single matrices) that broadcast together."""
     return a @ b - b @ a
@@ -109,8 +105,7 @@ def disturbance_profile(
         raise ValueError(
             f"instrument dimension {inst.dim} does not match observable dimension {f.dim}"
         )
-    effects = _effects(f)
-    return _profile(f.outcomes, _apply(inst.total(), effects, True) - effects)
+    return _profile(f.outcomes, _apply(inst.total(), f._effects, True) - f._effects)
 
 
 def error_profile(
@@ -125,7 +120,7 @@ def error_profile(
             f"target outcomes {list(target.outcomes)} do not match pointer outcomes "
             f"{list(m.pointer.outcomes)}"
         )
-    gaps = _effects(measured_observable(m, tol)) - _effects(target)
+    gaps = measured_observable(m, tol)._effects - target._effects
     return _profile(target.outcomes, gaps)
 
 
@@ -161,7 +156,7 @@ def _scheme_digest_items(m: MeasurementScheme) -> list:
         m.xi,
         list(m.coupling.kraus),
         list(m.pointer.outcomes),
-        [e.mat for e in m.pointer.effects],
+        list(m.pointer._effects),
     ]
 
 
@@ -192,7 +187,7 @@ def eval_disturbance_bounds(
     e_obs = measured_observable(m, tol)
     digest_items = _scheme_digest_items(m) + [
         list(f.outcomes),
-        [e.mat for e in f.effects],
+        list(f._effects),
         bool(assert_extremal),
     ]
     if q is not None:
@@ -200,7 +195,7 @@ def eval_disturbance_bounds(
     digest = digest_inputs("disturbance", *digest_items)
 
     total = inst.total()
-    fm, em = _effects(f), _effects(e_obs)
+    fm, em = f._effects, e_obs._effects
     img, img_sq = np.split(_apply(total, np.concatenate([fm, fm @ fm]), True), 2)
     prof = _profile(f.outcomes, img - fm)
     # per outcome y of f: ||delta(y)||, its unsharpness, ||I*_X(F^2) - I*_X(F)^2||
@@ -362,16 +357,16 @@ def eval_measurability_bounds(
         "measurability",
         *_scheme_digest_items(m),
         list(target.outcomes),
-        [e.mat for e in target.effects],
+        list(target._effects),
         q.n_sys,
         q.n_app,
         bool(assert_extremal),
     )
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
     reports: list[BoundReport] = []
-    tm = _effects(target)
+    tm = target._effects
     # error_profile checked that target and pointer share their outcome order
-    pointer_comm = _commutators(_effects(m.pointer), q.n_app.mat)
+    pointer_comm = _commutators(m.pointer._effects, q.n_app.mat)
     transferred = _apply(maps.conj_dual, pointer_comm, False)
     lhs_t = op_norms(_commutators(tm, q.n_sys.mat) - transferred)
     # per outcome x: ||eps(x)||, the target's unsharpness, the lhs
@@ -446,7 +441,7 @@ def eval_way(
     repeatable = repeat_defect <= tol.eq_tol
     yanase_ok = yan.yanase_defect <= tol.eq_tol
 
-    em = _effects(e_obs)
+    em = e_obs._effects
     # per outcome x: the measured effect's unsharpness and ||[E(x), N_S]||
     e_terms = list(zip(e_obs.outcomes, _unsharpness(em), op_norms(_commutators(em, q.n_sys.mat))))
     reports: list[BoundReport] = []
@@ -577,11 +572,11 @@ def eval_distinguishability_bounds(
     repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
     first_kind = fk_defect <= tol.eq_tol
 
-    em = _effects(e_obs)
+    em = e_obs._effects
     norms = op_norms(em)
     # a and b are the largest and smallest eigenvalues of each effect
-    extremes = zip(e_obs.items(), norms, op_norms(np.eye(dS) - em))
-    for (x, eff), a, gap in extremes:
+    extremes = zip(e_obs.outcomes, em, norms, op_norms(np.eye(dS) - em))
+    for x, eff, a, gap in extremes:
         b = 1.0 - gap
         if a - b <= tol.rank_tol:
             if x == thm7_outcome:
@@ -621,7 +616,7 @@ def eval_distinguishability_bounds(
 
     if repeat_defect <= tol.eq_tol:
         p_total = np.zeros((dS, dS), dtype=complex)
-        for eff, norm in zip(e_obs.effects, norms):
+        for eff, norm in zip(em, norms):
             if norm > tol.rank_tol:
                 p_total += eigenspace_projector(eff, 1.0, tol).mat
         compressed = p_total @ q.n_sys.mat @ p_total

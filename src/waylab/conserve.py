@@ -18,7 +18,6 @@ from types import MappingProxyType
 from typing import Any, Mapping
 
 import numpy as np
-import scipy.linalg
 
 from .cpmaps import OperationMap, _per_object, apply_dual
 from .measure import MeasurementScheme, Observable, heisenberg_pointer
@@ -229,6 +228,9 @@ def conservative_unitary(
         rows = np.ix_(idx, idx)
         h[rows] = block
     h_full = v @ h @ v.conj().T
+    # imported at its one use: the import takes longer than all of waylab's
+    import scipy.linalg
+
     return Operator(scipy.linalg.expm(1j * h_full))
 
 
@@ -262,7 +264,7 @@ class YanaseReport:
 
 def _commutator_norms(obs: Observable, n: Operator) -> Mapping[str, float]:
     """``||[E(x), n]||`` per outcome of ``obs``, from one stack, read-only."""
-    effects = np.array([e.mat for e in obs.effects])
+    effects = obs._effects
     return MappingProxyType(dict(zip(obs.outcomes, op_norms(effects @ n.mat - n.mat @ effects))))
 
 

@@ -40,6 +40,7 @@ from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
+    _hermitian_parts,
     _repeat_first_kind,
     _scheme_repeat_first_kind,
     measured_observable,
@@ -181,14 +182,15 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        window that is too wide costs only time.  A direction that commutes
        only to within the null threshold, not exactly, can leave them in
        part, which raises its restricted singular value (restricting ``S``
-       to ``B`` never lowers one); when a restricted value lies within
-       ``_COMMUTANT_EDGE`` times the threshold, all ``d^2`` candidates,
-       the full stack, give the count and basis instead.
+       to ``B`` never lowers one) up to about ``||S||_2 / tau`` times (Davis-
+       Kahan); when a restricted value lies within ``max(_COMMUTANT_EDGE,
+       ||S||_2 / tau)`` times the threshold, all ``d^2`` candidates, the
+       full stack, give the count and basis instead.
     2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
        ``(2k d^2) x n'`` matrix ``S B``, whose economy SVD gives the null
        vectors ``V_null`` by the same null-count rule; ``||S||_2`` is the square
        root of the largest eigenvalue of the ``d^2 x d^2`` Gram ``S^dag S``,
-       assembled from Kronecker products, which sets the scale only.
+       assembled from Kronecker products, which sets the scales only.
 
     ``B V_null`` is orthonormal.  The cost is ``k n' d^3`` for the
     commutators plus ``k d^4`` for the Gram; ``n' = d`` for a generic
@@ -208,7 +210,8 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     cross = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     eye = np.eye(d)
     gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * cross
-    thr = rank_tol * max(1.0, np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+    s_norm = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    thr = rank_tol * max(1.0, s_norm)
 
     rng = np.random.default_rng(_COMMUTANT_SEED)
     c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
@@ -217,11 +220,12 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     eps = np.finfo(float).eps
     tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
     a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    edge = max(_COMMUTANT_EDGE, s_norm / tau) * thr
     while True:
         cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
         comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
         _, s, vh = np.linalg.svd(comm.reshape(-1, len(a)), full_matrices=False)
-        if len(a) == d * d or not np.any((s > thr) & (s <= _COMMUTANT_EDGE * thr)):
+        if len(a) == d * d or not np.any((s > thr) & (s <= edge)):
             break
         a, b = np.divmod(np.arange(d * d), d)  # every candidate: the full stack
 
@@ -541,9 +545,9 @@ def structural_necessary_conditions(
     else:
         compress, embed = analysis.compress, analysis.embed
 
-    e_mats = np.array([eff.mat for eff in e_obs.effects])
+    e_mats = e_obs._effects
     p_e = compress(e_mats)
-    p_f = compress(np.array([eff.mat for eff in f.effects]))
+    p_f = compress(f._effects)
     p_n = compress(q.n_sys.mat)
     shift = compress(inst.apply_dual_total(embed(p_n)).mat) - p_n
     i, j = np.triu_indices(len(p_e), 1)
@@ -552,7 +556,7 @@ def structural_necessary_conditions(
     # instrument forces full commutation with the system quantity
     # on every matrix unit X: sum_k K X K^dag - S X S^dag, S = sqrt(E(x)),
     # with the factors [K, S] and [K^dag, -S^dag]
-    roots = np.array([psd_sqrt(eff, tol).mat for eff in e_obs.effects])[:, None]
+    roots = np.array([psd_sqrt(eff, tol).mat for eff in e_mats])[:, None]
     left = np.concatenate([_stack_families([op._kraus for op in inst.operations]), roots], axis=1)
     right = left.conj().swapaxes(-1, -2)
     right[:, -1] *= -1
@@ -611,14 +615,14 @@ def _norm_one_refinement(
     ``key`` of their column of eigenvalues, and averages each back through
     the channel into ``G(z) = Phi*_av(W R(z) W^dag)``.  Returns the sorted
     projector stack, the sorted ``(n_effects, n_z)`` eigenvalue matrix and
-    the observable ``z_k -> G(z_k)``.
+    the observable ``z_k -> G(z_k)``, unchecked: the callers report its defects.
     """
     projs, values = _joint_eigenprojectors(compressed, tol)
     order = sorted(range(len(projs)), key=lambda z: key(values[:, z]), reverse=descending)
     projs = np.array(projs)[order]
-    g_effects = [analysis.average_dual(analysis.embed(rz)).hermitian_part() for rz in projs]
+    g = np.array([analysis.average_dual(analysis.embed(rz)).mat for rz in projs])
     labels = [f"z{k}" for k in range(len(order))]
-    return projs, values[:, order], Observable(labels, g_effects, tol)
+    return projs, values[:, order], Observable._derived(labels, _hermitian_parts(g))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -641,7 +645,7 @@ class Norm1Result:
 
         return {
             "outcomes": list(self.observable.outcomes),
-            "effects": [serialize.matrix_to_json(e.mat) for e in self.observable.effects],
+            "effects": [serialize.matrix_to_json(e) for e in self.observable._effects],
             "skipped_outcomes": list(self.skipped_outcomes),
             "faithful": self.faithful,
             "sharp": self.sharp,
@@ -672,7 +676,7 @@ def nondisturbed_norm1_observable(
         raise ValueError("observable dimension does not match the channel")
     if f.is_trivial(tol):
         raise ValueError("observable is trivial; nothing to extract")
-    effects = np.array([eff.mat for eff in f.effects])
+    effects = f._effects
     worst_delta = max_op_norm(_apply(phi, effects, True) - effects)
     if worst_delta > tol.eq_tol:
         raise ValueError(
@@ -691,14 +695,13 @@ def nondisturbed_norm1_observable(
     projs, _, g_obs = _norm_one_refinement(
         analysis, accepted, tol, lambda col: tuple(np.round(col, 9)), descending=True
     )
-    g_effects = g_obs.effects
-    g_mats = np.array([g.mat for g in g_effects])
+    g_mats = g_obs._effects
     norm_defect = max(abs(n - 1.0) for n in op_norms(g_mats))
     fixed_defect = max_op_norm(_apply(phi, g_mats, True) - g_mats)
     compress_defect = max_op_norm(analysis.compress(g_mats) - projs)
 
     # the normalized eigenvalue-1 projector of each G(z)
-    states = np.array([eigenspace_projector(g, 1.0, tol).mat for g in g_effects])
+    states = np.array([eigenspace_projector(g, 1.0, tol).mat for g in g_mats])
     tr = np.real(np.trace(states, axis1=1, axis2=2))
     if tr.min() <= tol.rank_tol:
         raise RuntimeError("constructed effect does not attain norm one")
@@ -739,7 +742,7 @@ class PostProcessingResult:
 
         return {
             "labels": list(self.observable.outcomes),
-            "effects": [serialize.matrix_to_json(e.mat) for e in self.observable.effects],
+            "effects": [serialize.matrix_to_json(e) for e in self.observable._effects],
             "matrix": [[float(v) for v in row] for row in self.matrix],
             "outcomes": list(self.outcomes),
             "reconstruction_defect": self.reconstruction_defect,
@@ -770,7 +773,7 @@ def post_processing_decomposition(
             f"instrument is not first-kind (fixed-point defect {fk_defect:.3e})"
         )
     analysis = analyze_fixed_points(inst.total(), tol)
-    e_mats = np.array([eff.mat for eff in e_obs.effects])
+    e_mats = e_obs._effects
     c = analysis.compress(e_mats)
     i, j = np.triu_indices(len(c), 1)
     worst = _max_commutator(c[i], c[j])
@@ -785,7 +788,7 @@ def post_processing_decomposition(
     p_mat = np.clip(values, 0.0, 1.0)
 
     # sum_z p(x|z) G(z), accumulated over z in order
-    g_mats = np.array([g.mat for g in g_obs.effects])
+    g_mats = g_obs._effects
     recon = max_op_norm((p_mat[:, :, None, None] * g_mats).sum(axis=1) - e_mats)
 
     return PostProcessingResult(

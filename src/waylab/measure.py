@@ -10,6 +10,11 @@ instrument ``I_x(t) = tr_A[(1 (x) Z(x)) E(t (x) xi)]`` in explicit Kraus
 form, and :func:`restriction_maps` exposes the system/apparatus restrictions
 used by the trade-off bounds.
 
+An observable's effects are one read-only ``(n, d, d)`` stack.  Public
+constructors check their input; what is derived from checked objects with
+no tolerance decision is valid as a theorem and is built unchecked, by the
+one ``_derived`` path of :class:`Observable` and of :class:`Instrument`.
+
 Everything indexes composite spaces with the system slowest, matching
 ``opcore.tensor``.
 """
@@ -73,12 +78,21 @@ __all__ = [
 ]
 
 
+def _outcome_index(outcomes: tuple[str, ...], x: str) -> int:
+    try:
+        return outcomes.index(str(x))
+    except ValueError:
+        raise KeyError(f"unknown outcome {x!r}") from None
+
+
 class Observable:
     """POVM with ordered outcome labels.
 
-    Effects must be valid (Hermitian, spectrum in [0, 1]) and sum to the
-    identity within ``eq_tol``.  Labels are opaque strings; declaration order
-    is preserved everywhere, including reports.
+    The effects are one read-only ``(n, d, d)`` stack, ``_effects``; the
+    :class:`Operator` s of :attr:`effects` are built on request.  The
+    constructor checks, in one batched pass, that each is Hermitian with
+    spectrum in [0, 1] and that they sum to the identity (within ``eq_tol``);
+    :meth:`_derived` skips that.  Labels are opaque strings, kept in order.
     """
 
     __slots__ = ("_outcomes", "_effects", "dim")
@@ -90,31 +104,39 @@ class Observable:
         tol: Tolerance = DEFAULT_TOL,
     ):
         labels = tuple(str(x) for x in outcomes)
-        ops = tuple(e if isinstance(e, Operator) else Operator(e) for e in effects)
-        if len(labels) != len(ops):
-            raise ValueError(f"{len(labels)} outcomes but {len(ops)} effects")
-        if not ops:
+        mats = [(e if isinstance(e, Operator) else Operator(e)).mat for e in effects]
+        if len(labels) != len(mats):
+            raise ValueError(f"{len(labels)} outcomes but {len(mats)} effects")
+        if not mats:
             raise ValueError("observable needs at least one outcome")
         if len(set(labels)) != len(labels):
             raise ValueError("outcome labels must be distinct")
-        d = ops[0].dim
-        for e in ops:
-            if e.dim != d:
-                raise ValueError("effects must share one dimension")
-        for x, e in zip(labels, ops):
-            if not e.is_effect(tol):
-                w = np.linalg.eigvalsh(e.hermitian_part().mat)
-                raise ValueError(
-                    f"effect {x!r} is not a valid effect "
-                    f"(spectrum [{w.min():.3e}, {w.max():.3e}])"
-                )
-        total = sum(e.mat for e in ops)
-        gap = op_norm_mat(total - np.eye(d))
+        if len({m.shape for m in mats}) > 1:
+            raise ValueError("effects must share one dimension")
+        stack = np.array(mats)
+        w = np.linalg.eigvalsh(_hermitian_parts(stack))
+        skew = np.array(op_norms(stack - stack.conj().swapaxes(1, 2)))
+        bad = (skew > tol.eq_tol) | (w[:, 0] < -tol.eq_tol) | (w[:, -1] > 1.0 + tol.eq_tol)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"effect {labels[i]!r} is not a valid effect "
+                             f"(spectrum [{w[i, 0]:.3e}, {w[i, -1]:.3e}])")
+        gap = op_norm_mat(stack.sum(axis=0) - np.eye(stack.shape[1]))
         if gap > tol.eq_tol:
             raise ValueError(f"effects do not sum to the identity (defect {gap:.3e})")
-        self._outcomes = labels
-        self._effects = ops
-        self.dim = d
+        self._set(labels, stack)
+
+    @classmethod
+    def _derived(cls, outcomes: Sequence[str], effects: np.ndarray) -> "Observable":
+        """``outcomes -> effects`` (a fresh stack, taken over), unchecked: only
+        for an observable derived from checked objects with no tolerance decision."""
+        obs = cls.__new__(cls)
+        obs._set(tuple(outcomes), np.ascontiguousarray(effects, dtype=complex))
+        return obs
+
+    def _set(self, outcomes: tuple[str, ...], stack: np.ndarray) -> None:
+        stack.setflags(write=False)
+        self._outcomes, self._effects, self.dim = outcomes, stack, stack.shape[-1]
 
     @property
     def outcomes(self) -> tuple[str, ...]:
@@ -122,13 +144,10 @@ class Observable:
 
     @property
     def effects(self) -> tuple[Operator, ...]:
-        return self._effects
+        return tuple(Operator(m) for m in self._effects)
 
     def effect(self, x: str) -> Operator:
-        try:
-            return self._effects[self._outcomes.index(str(x))]
-        except ValueError:
-            raise KeyError(f"unknown outcome {x!r}") from None
+        return Operator(self._effects[_outcome_index(self._outcomes, x)])
 
     def __len__(self) -> int:
         return len(self._outcomes)
@@ -137,22 +156,22 @@ class Observable:
         return f"Observable(dim={self.dim}, outcomes={list(self._outcomes)!r})"
 
     def items(self):
-        return zip(self._outcomes, self._effects)
+        return zip(self._outcomes, self.effects)
 
     # -- predicates ------------------------------------------------------
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The effects of every outcome pair ``i < j``, as two stacks."""
-        mats = np.array([e.mat for e in self._effects])
-        i, j = np.triu_indices(len(mats), 1)
-        return mats[i], mats[j]
+        i, j = np.triu_indices(len(self._effects), 1)
+        return self._effects[i], self._effects[j]
 
     def is_sharp(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """All effects are projections and mutually orthogonal."""
-        if not all(e.is_projection(tol) for e in self._effects):
-            return False
+        e = self._effects
         a, b = self._pairs()
-        return max_op_norm(a @ b) <= tol.eq_tol
+        return max(
+            max_op_norm(e - e.conj().swapaxes(1, 2)), max_op_norm(e @ e - e), max_op_norm(a @ b)
+        ) <= tol.eq_tol
 
     def is_commutative(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         a, b = self._pairs()
@@ -160,18 +179,19 @@ class Observable:
 
     def is_norm_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every nonzero effect attains operator norm 1 (within rank_tol)."""
-        norms = op_norms(np.array([e.mat for e in self._effects]))
+        norms = op_norms(self._effects)
         return all(n <= tol.rank_tol or abs(n - 1.0) <= tol.rank_tol for n in norms)
 
     def is_trivial(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every effect is a multiple of the identity."""
-        mats = np.array([e.mat for e in self._effects])
+        mats = self._effects
         scalars = np.trace(mats, axis1=1, axis2=2)[:, None, None] / self.dim
         return max_op_norm(mats - scalars * np.eye(self.dim)) <= tol.eq_tol
 
 
 class Instrument:
-    """Outcome-indexed operations summing to a channel."""
+    """Outcome-indexed operations summing to a channel (checked by the
+    constructor, within ``eq_tol``; :meth:`_derived` skips the checks)."""
 
     __slots__ = ("_outcomes", "_operations", "_total", "dim")
 
@@ -193,17 +213,25 @@ class Instrument:
         for op in ops:
             if op.in_dim != d or op.out_dim != d:
                 raise ValueError("instrument operations must be endomorphisms of one space")
-        total = OperationMap([k for op in ops for k in op.kraus])
         for x, op in zip(labels, ops):
             if not op.is_operation(tol):
                 raise ValueError(f"operation {x!r} is not trace non-increasing")
-        gap = op_norm_mat(total.kraus_gram() - np.eye(d))
+        self._set(labels, ops)
+        gap = op_norm_mat(self._total.kraus_gram() - np.eye(d))
         if gap > tol.eq_tol:
             raise ValueError(f"total map is not a channel (completeness defect {gap:.3e})")
-        self._outcomes = labels
-        self._operations = ops
-        self._total = total
-        self.dim = d
+
+    @classmethod
+    def _derived(cls, outcomes: Sequence[str], operations: Sequence[OperationMap]) -> "Instrument":
+        """``outcomes -> operations``, unchecked: only for an instrument
+        derived from checked objects without a tolerance decision."""
+        inst = cls.__new__(cls)
+        inst._set(tuple(outcomes), tuple(operations))
+        return inst
+
+    def _set(self, outcomes: tuple[str, ...], ops: tuple[OperationMap, ...]) -> None:
+        self._outcomes, self._operations, self.dim = outcomes, ops, ops[0].in_dim
+        self._total = OperationMap(np.concatenate([op._kraus for op in ops]))
 
     @property
     def outcomes(self) -> tuple[str, ...]:
@@ -214,10 +242,7 @@ class Instrument:
         return self._operations
 
     def operation(self, x: str) -> OperationMap:
-        try:
-            return self._operations[self._outcomes.index(str(x))]
-        except ValueError:
-            raise KeyError(f"unknown outcome {x!r}") from None
+        return self._operations[_outcome_index(self._outcomes, x)]
 
     def __repr__(self) -> str:
         return f"Instrument(dim={self.dim}, outcomes={list(self._outcomes)!r})"
@@ -236,10 +261,10 @@ class Instrument:
         return apply_dual(self._total, a)
 
     def induced_observable(self, tol: Tolerance = DEFAULT_TOL) -> Observable:
-        """``x -> I*_x(1)``, validated as an observable."""
-        eye = np.eye(self.dim)
-        effs = [apply_dual(op, eye).hermitian_part() for op in self._operations]
-        return Observable(self._outcomes, effs, tol)
+        """``x -> I*_x(1)``, not checked again (``tol`` is not used)."""
+        eye = np.eye(self.dim, dtype=complex)
+        grams = np.array([_apply(op, eye, True) for op in self._operations])
+        return Observable._derived(self._outcomes, _hermitian_parts(grams))
 
 
 class MeasurementScheme(_Immutable):
@@ -332,17 +357,13 @@ def sharp_observable(a: Any, tol: Tolerance = DEFAULT_TOL) -> Observable:
     w, v = np.linalg.eigh(op.hermitian_part().mat)
     clusters = eigen_clusters(w, tol.rank_tol)
     labels = [f"e{k}" for k in range(len(clusters))]
-    effects = []
-    for idx in clusters:
-        cols = v[:, idx]
-        effects.append(Operator(cols @ cols.conj().T))
-    return Observable(labels, effects, tol)
+    return Observable._derived(labels, [v[:, idx] @ v[:, idx].conj().T for idx in clusters])
 
 
 def luders_instrument(e: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """``I_x(t) = sqrt(E(x)) t sqrt(E(x))``."""
-    ops = [OperationMap([psd_sqrt(eff, tol)]) for eff in e.effects]
-    return Instrument(e.outcomes, ops, tol)
+    ops = [OperationMap([psd_sqrt(eff, tol)]) for eff in e._effects]
+    return Instrument._derived(e.outcomes, ops)
 
 
 def collapse_instrument(
@@ -353,7 +374,7 @@ def collapse_instrument(
         raise ValueError("need one collapse vector per outcome")
     d = e.dim
     ops = []
-    for eff, v in zip(e.effects, vectors):
+    for eff, v in zip(e._effects, vectors):
         psi = np.asarray(v, dtype=complex).reshape(-1)
         if psi.shape != (d,):
             raise ValueError(f"collapse vector has length {psi.shape[0]}, expected {d}")
@@ -389,7 +410,7 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
     weighted = _xi_decomposition(m.xi, tol)
     eye_s = np.eye(dS)
     ops = []
-    for zx in m.pointer.effects:
+    for zx in m.pointer._effects:
         sqz = psd_sqrt(zx, tol).mat
         lift = np.kron(eye_s, sqz)
         kraus_x: list[np.ndarray] = []
@@ -406,14 +427,13 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
 @_per_object
 def _coupled_pointer(m: MeasurementScheme) -> np.ndarray:
     """The stack ``E*(1 (x) Z(x))`` over the pointer outcomes, read-only."""
-    zs = np.array([z.mat for z in m.pointer.effects])
-    stack = _apply(m.coupling, np.kron(np.eye(m.sys_dim), zs), True)
+    stack = _apply(m.coupling, np.kron(np.eye(m.sys_dim), m.pointer._effects), True)
     stack.setflags(write=False)
     return stack
 
 
-def _hermitian_parts(stack: np.ndarray) -> list[np.ndarray]:
-    return list(0.5 * (stack + stack.conj().swapaxes(-2, -1)))
+def _hermitian_parts(stack: np.ndarray) -> np.ndarray:
+    return 0.5 * (stack + stack.conj().swapaxes(-2, -1))
 
 
 @_per_object
@@ -422,7 +442,7 @@ def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> O
     dS, dA = m.sys_dim, m.app_dim
     one_xi = np.kron(np.eye(dS), m.xi.mat)
     prods = (_coupled_pointer(m) @ one_xi).reshape(-1, dS, dA, dS, dA)
-    return Observable(m.pointer.outcomes, _hermitian_parts(np.einsum("niaja->nij", prods)), tol)
+    return Observable._derived(m.pointer.outcomes, _hermitian_parts(np.einsum("niaja->nij", prods)))
 
 
 @_per_object
@@ -453,7 +473,7 @@ def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Rest
 @_per_object
 def heisenberg_pointer(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Coupled pointer ``Z^tau(x) = E*(1 (x) Z(x))`` on the composite."""
-    return Observable(m.pointer.outcomes, _hermitian_parts(_coupled_pointer(m)), tol)
+    return Observable._derived(m.pointer.outcomes, _hermitian_parts(_coupled_pointer(m)))
 
 
 def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementScheme:
@@ -467,13 +487,9 @@ def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementS
     dS, n = e.dim, len(e.outcomes)
     dim = dS * n
     u = np.zeros((dim, dim), dtype=complex)
-    sqrts = [psd_sqrt(eff, tol).mat for eff in e.effects]
-    for s in range(dS):
-        col = np.zeros(dim, dtype=complex)
-        for x in range(n):
-            for sp in range(dS):
-                col[sp * n + x] = sqrts[x][sp, s]
-        u[:, s * n] = col
+    # column s n holds sum_x sqrt(E(x)) |s> (x) |x>
+    sqrts = np.array([psd_sqrt(eff, tol).mat for eff in e._effects])
+    u[:, ::n] = sqrts.transpose(1, 0, 2).reshape(dim, dS)
     open_slots = [s * n + x for s in range(dS) for x in range(1, n)]
     chosen = [u[:, s * n] for s in range(dS)]
     slot_iter = iter(open_slots)
@@ -493,12 +509,7 @@ def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementS
         raise RuntimeError("failed to complete the dilation isometry to a unitary")
     xi = np.zeros((n, n), dtype=complex)
     xi[0, 0] = 1.0
-    pointer_effects = []
-    for x in range(n):
-        p = np.zeros((n, n), dtype=complex)
-        p[x, x] = 1.0
-        pointer_effects.append(Operator(p))
-    pointer = Observable(e.outcomes, pointer_effects, tol)
+    pointer = Observable(e.outcomes, [np.diag(row) for row in np.eye(n)], tol)
     return MeasurementScheme(dS, n, Operator(xi), OperationMap([u]), pointer, tol)
 
 
@@ -543,8 +554,8 @@ def _repeat_first_kind(
     and the per-outcome ``||I*_x(E(x)) - E(x)||``.  ``e`` is the instrument's
     induced observable, or the measured observable of the scheme behind it.
     """
-    effects = np.array([eff.mat for eff in e.effects])
-    backs = np.array([_apply(inst.operation(x), eff.mat, True) for x, eff in e.items()])
+    effects = e._effects
+    backs = np.array([_apply(inst.operation(x), eff, True) for x, eff in zip(e.outcomes, effects)])
     per_outcome = dict(zip(e.outcomes, op_norms(backs - effects)))
     first_kind = max_op_norm(_apply(inst.total(), effects, True) - effects)
     return op_norm_mat((effects - backs).sum(axis=0)), first_kind, per_outcome
@@ -560,8 +571,7 @@ def _norm_one_projectors(
     Also returns the outcomes whose effect has no eigenvalue-1 eigenspace and
     ``max_x |1 - ||E(x)|| |`` over those effects.
     """
-    mats = np.array([eff.mat for eff in obs.effects])
-    spectra, vectors = np.linalg.eigh(0.5 * (mats + mats.conj().swapaxes(1, 2)))
+    spectra, vectors = np.linalg.eigh(_hermitian_parts(obs._effects))
     proj: dict[str, np.ndarray] = {}
     missing: list[str] = []
     gap = 0.0
@@ -584,7 +594,7 @@ def _exclusivity_defect(proj: dict[str, np.ndarray], obs: Observable) -> float:
     if not proj:
         return 0.0
     pmats = np.array(list(proj.values()))
-    prods = pmats[:, None] @ np.array([eff.mat for eff in obs.effects])
+    prods = pmats[:, None] @ obs._effects
     own = [obs.outcomes.index(x) for x in proj]
     prods[np.arange(len(own)), own] -= pmats
     return max_op_norm(prods)
@@ -652,7 +662,7 @@ def repeatability_report(
     items: dict[str, ItemCheck] = {}
 
     # (i) I*_x(A) = I*_x(E(x) A) = I*_x(A E(x)) = I*_x(E(x) A E(x))
-    e_mats = np.array([eff.mat for eff in e_obs.effects])
+    e_mats = e_obs._effects
     eyes = np.broadcast_to(eye, e_mats.shape)
     lefts = np.stack([e_mats, eyes, e_mats], axis=1)
     rights = np.stack([eyes, e_mats, e_mats], axis=1)
@@ -722,7 +732,7 @@ def repeatability_report(
         eye_a = np.eye(dA)
 
         # (iii) E(x) = Gamma^E_xi(E(x)^n (x) 1) = Gamma^E_xi(1 (x) Z(x)^n)
-        z_mats = np.array([pointer.effect(x).mat for x in e_obs.outcomes])
+        z_mats = pointer._effects[[_outcome_index(pointer.outcomes, x) for x in e_obs.outcomes]]
         worst = 0.0
         for n_pow in (1, 2, 3):
             lifted = np.concatenate([
@@ -813,7 +823,7 @@ def observable_from_json(obj: Any, where: str = "observable",
 def observable_to_json(obs: Observable) -> dict:
     return {
         "outcomes": list(obs.outcomes),
-        "effects": [serialize.matrix_to_json(e.mat) for e in obs.effects],
+        "effects": [serialize.matrix_to_json(e) for e in obs._effects],
     }
 
 

@@ -145,17 +145,6 @@ class Operator:
         w = np.linalg.eigvalsh(0.5 * (self._mat + self._mat.conj().T))
         return bool(w.min() >= -tol.eq_tol)
 
-    def is_effect(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        w = np.linalg.eigvalsh(0.5 * (self._mat + self._mat.conj().T))
-        return bool(w.min() >= -tol.eq_tol and w.max() <= 1.0 + tol.eq_tol)
-
-    def is_projection(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        return op_norm_mat(self._mat @ self._mat - self._mat) <= tol.eq_tol
-
     def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return self.is_psd(tol) and abs(np.trace(self._mat) - 1.0) <= tol.eq_tol
 

@@ -338,3 +338,25 @@ def test_assert_extremal_must_be_a_boolean(tmp_path, capsys):
             scn.write_text(json.dumps(scheme_scenario([dict(task, assert_extremal=bad)])))
             assert cli.main(["run", str(scn), "--quiet"]) == 2, (op, bad)
             assert f"tasks[0].assert_extremal: expected true or false" in capsys.readouterr().err
+
+
+def test_tight_tolerances_do_not_misfile_derived_objects(tmp_path, capsys):
+    # every input parses at these tolerances; the derived observables (the
+    # Yanase task's coupled pointer, the post-processing refinement) are
+    # not checked again, so a rounding defect in them is no input error
+    for name, tol in (("conservative-scheme", "1e-15"), ("rank1-collapse", "1e-16")):
+        out = tmp_path / f"{name}.json"
+        code = cli.main(["builtin", name, "--run", "--tol", tol, "--out", str(out), "--quiet"])
+        assert code in (0, 1), capsys.readouterr().err
+        assert json.loads(out.read_text())["tasks"]
+
+
+def test_scheme_instrument_keeps_its_completeness_check(tmp_path, capsys):
+    # at rank_tol 0.3 the xi decomposition drops real weight, so the derived
+    # instrument is not a channel, and that check is kept
+    out = tmp_path / "report.json"
+    code = cli.main(["builtin", "conservative-scheme", "--run", "--rank-tol", "0.3",
+                     "--out", str(out), "--quiet"])
+    assert code == 2
+    assert "total map is not a channel" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 from waylab import Observable, Operator, OperationMap, Tolerance, op_norm, tensor
 from waylab.bounds import _gamma_moment_defect
 from waylab.conserve import AdditiveQuantity, yanase_conditions
-from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
-from waylab.fixpt import analyze_fixed_points
+from waylab.cpmaps import apply_dual, apply_map, operation_to_json, to_supermatrix
+from waylab.fixpt import (
+    analyze_fixed_points,
+    nondisturbed_norm1_observable,
+    post_processing_decomposition,
+)
 from waylab.measure import (
     Instrument,
     MeasurementScheme,
@@ -28,7 +32,8 @@ from waylab.measure import (
     scheme_to_json,
     sharp_observable,
 )
-from waylab.rand import haar_unitary, random_hermitian
+from waylab.rand import haar_unitary, random_channel, random_hermitian, random_povm, random_state
+from waylab import serialize
 from waylab.serialize import SchemaError
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -58,19 +63,93 @@ def cnot_scheme():
     return MeasurementScheme(2, 2, Operator(P0), OperationMap([CNOT]), pointer)
 
 
+NON_HERMITIAN = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+NON_FINITE = np.array([[1.0, np.nan], [0.0, 0.0]], dtype=complex)
+HALF = OperationMap([np.sqrt(0.5) * np.eye(2)])
+
+# bad (outcomes, effects) with the message every boundary gives for them
+BAD_POVMS = {
+    "non-hermitian": ((["a", "b"], [NON_HERMITIAN, np.eye(2) - NON_HERMITIAN]),
+                      "effect 'a' is not a valid effect (spectrum [3.500e-01, 6.500e-01])"),
+    "spectrum": ((["a", "b"], [1.5 * P0, np.eye(2) - 1.5 * P0]),
+                 "effect 'a' is not a valid effect (spectrum [0.000e+00, 1.500e+00])"),
+    "non-finite": ((["a", "b"], [NON_FINITE, P1]), "operator entries must be finite"),
+    "not-identity": ((["a", "b"], [P0, 0.5 * P1]),
+                     "effects do not sum to the identity (defect 5.000e-01)"),
+    "mixed-dims": ((["a", "b"], [P0, np.eye(3)]), "effects must share one dimension"),
+    "duplicate": ((["a", "a"], [P0, P1]), "outcome labels must be distinct"),
+    "empty": (([], []), "observable needs at least one outcome"),
+}
+# bad (outcomes, operations) likewise
+BAD_INSTRUMENTS = {
+    "non-finite": ((["a", "b"], [HALF, OperationMap([NON_FINITE])]),
+                   "operation 'b' is not trace non-increasing"),
+    "mixed-dims": ((["a", "b"], [HALF, OperationMap([np.eye(3)])]),
+                   "instrument operations must be endomorphisms of one space"),
+    "duplicate": ((["a", "a"], [HALF, HALF]), "outcome labels must be distinct"),
+    "empty": (([], []), "instrument needs at least one outcome"),
+    "trace-increasing": ((["a", "b"], [OperationMap([1.2 * P0]), OperationMap([P1])]),
+                         "operation 'a' is not trace non-increasing"),
+    "incomplete": ((["a", "b"], [HALF, OperationMap([0.1 * np.eye(2)])]),
+                   "total map is not a channel (completeness defect 4.900e-01)"),
+}
+
+
+def povm_json(outcomes, effects):
+    return {"outcomes": outcomes,
+            "effects": [serialize.matrix_to_json(e) for e in effects]}
+
+
+def as_pointer_of_scheme(outcomes, effects):
+    scheme = scheme_to_json(cnot_scheme())
+    scheme["pointer"] = povm_json(outcomes, effects)
+    return scheme_from_json(scheme, sys_dim=2)
+
+
+def instrument_json(outcomes, operations):
+    return instrument_from_json(
+        {"outcomes": outcomes, "operations": [operation_to_json(op) for op in operations]}
+    )
+
+
+# (entry point, its cases, error type, message prefix, message for an empty family)
+BOUNDARIES = {
+    "Observable": (Observable, BAD_POVMS, ValueError, "", None),
+    "observable_from_json": (lambda o, e: observable_from_json(povm_json(o, e)), BAD_POVMS,
+                             SchemaError, "observable: ",
+                             "observable.outcomes: expected a non-empty list"),
+    "scheme_from_json": (as_pointer_of_scheme, BAD_POVMS, SchemaError, "scheme.pointer: ",
+                         "scheme.pointer.outcomes: expected a non-empty list"),
+    "Instrument": (Instrument, BAD_INSTRUMENTS, ValueError, "", None),
+    "instrument_from_json": (instrument_json, BAD_INSTRUMENTS, SchemaError, "instrument: ",
+                             "instrument.outcomes: expected a non-empty list"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry,case",
+    [(entry, case) for entry, spec in BOUNDARIES.items() for case in spec[1]],
+    ids=lambda v: v,
+)
+def test_boundaries_reject_bad_input(entry, case):
+    build, cases, error, prefix, empty = BOUNDARIES[entry]
+    (outcomes, items), message = cases[case]
+    with pytest.raises(error) as caught:
+        build(outcomes, items)
+    expected = empty if case == "empty" and empty else prefix + message
+    assert str(caught.value) == expected
+
+
 def test_observable_validation():
-    with pytest.raises(ValueError, match="distinct"):
-        Observable(["a", "a"], [P0, P1])
-    with pytest.raises(ValueError, match="outcomes but"):
+    with pytest.raises(ValueError, match="^1 outcomes but 2 effects$"):
         Observable(["a"], [P0, P1])
-    with pytest.raises(ValueError, match="at least one"):
-        Observable([], [])
-    with pytest.raises(ValueError, match="sum to the identity"):
-        Observable(["a", "b"], [P0, 0.5 * P1])
-    with pytest.raises(ValueError, match="not a valid effect"):
-        Observable(["a", "b"], [1.5 * P0, np.eye(2) - 1.5 * P0])
-    with pytest.raises(ValueError, match="share one dimension"):
-        Observable(["a", "b"], [P0, np.eye(3)])
+    # the effects are one read-only stack, and .effects holds the same matrices
+    obs = unsharp_qubit(0.5)
+    assert obs._effects.shape == (2, 2, 2) and not obs._effects.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        obs._effects[0, 0, 0] = 1.0
+    for eff, mat in zip(obs.effects, obs._effects):
+        assert eff.mat.tobytes() == mat.tobytes()
 
 
 def test_observable_accessors():
@@ -103,9 +182,10 @@ def test_observable_predicates():
 
 def loop_is_sharp(obs, tol):
     """``Observable.is_sharp`` as one SVD per outcome pair."""
-    if not all(e.is_projection(tol) for e in obs.effects):
-        return False
     mats = [e.mat for e in obs.effects]
+    if not all(op_norm(m - m.conj().T) <= tol.eq_tol and op_norm(m @ m - m) <= tol.eq_tol
+               for m in mats):
+        return False
     return all(
         op_norm(mats[i] @ mats[j]) <= tol.eq_tol
         for i in range(len(mats))
@@ -162,6 +242,59 @@ def test_pair_predicates_match_pair_loop(seed, d, kind, offset):
     assert obs.is_norm_one(tol) == loop_is_norm_one(obs, tol)
 
 
+DERIVED_TOL = 1e-12
+
+
+def assert_valid_observable(obs, slack=DERIVED_TOL):
+    """The checks the public constructor runs, to within ``slack``."""
+    e = obs._effects
+    assert max(op_norm(skew) for skew in e - e.conj().swapaxes(1, 2)) <= slack
+    w = np.linalg.eigvalsh(e)
+    assert w.min() >= -slack and w.max() <= 1.0 + slack
+    assert op_norm(e.sum(axis=0) - np.eye(obs.dim)) <= slack
+
+
+@given(seed=st.integers(0, 2**32 - 1), d_sys=st.integers(2, 5), d_app=st.integers(2, 5),
+       n=st.integers(2, 4))
+@settings(derandomize=True, max_examples=25, deadline=None)
+def test_trusted_derivations_are_valid(seed, d_sys, d_app, n):
+    """Every derivation that skips the constructor checks passes them."""
+    rng = np.random.default_rng(seed)
+    labels = [f"x{i}" for i in range(n)]
+    pointer = Observable(labels, random_povm(d_app, n, rng))
+    coupling = random_channel(d_sys * d_app, n_kraus=2, rng=rng)
+    m = MeasurementScheme(d_sys, d_app, random_state(d_app, rng), coupling, pointer)
+    for obs in (measured_observable(m), heisenberg_pointer(m),
+                scheme_to_instrument(m).induced_observable()):
+        assert_valid_observable(obs)
+
+    e = Observable(labels, random_povm(d_sys, n, rng))
+    inst = luders_instrument(e)
+    for op in inst.operations:
+        assert np.linalg.eigvalsh(np.eye(d_sys) - op.kraus_gram()).min() >= -DERIVED_TOL
+    assert op_norm(inst.total().kraus_gram() - np.eye(d_sys)) <= DERIVED_TOL
+    assert_valid_observable(inst.induced_observable())
+
+    # a degenerate Hermitian operator with at least two eigenvalues, and a
+    # random smearing of its spectral observable: Lüders-measured, that is
+    # nondisturbed and first-kind, so both norm-1 refinements apply.  Their
+    # effects are as exact as the fixed-point projector, which the records
+    # report: sum_z G(z) - 1 is the sum over x of the reconstruction
+    # defects, and over z of the compression defects (the channel is faithful)
+    v = haar_unitary(d_sys, rng).mat
+    spectrum = np.concatenate([[0.0, 1.0], rng.integers(0, 3, d_sys - 2)])
+    sharp = sharp_observable(v @ np.diag(spectrum) @ v.conj().T)
+    assert_valid_observable(sharp)
+    p = rng.dirichlet(np.ones(n), size=len(sharp)).T
+    smeared = Observable(labels, np.tensordot(p, sharp._effects, axes=1))
+    smeared_inst = luders_instrument(smeared)
+    post = post_processing_decomposition(smeared_inst)
+    assert_valid_observable(post.observable, DERIVED_TOL + n * post.reconstruction_defect)
+    norm1 = nondisturbed_norm1_observable(smeared_inst.total(), smeared)
+    g = len(norm1.observable)
+    assert_valid_observable(norm1.observable, DERIVED_TOL + g * norm1.compression_defect)
+
+
 def test_sharp_observable_orders_by_eigenvalue():
     obs = sharp_observable(SZ)
     assert obs.outcomes == ("e0", "e1")
@@ -208,12 +341,6 @@ def test_collapse_instrument_definition():
         collapse_instrument(obs, [[1.0, 0.0]])
     with pytest.raises(ValueError, match="not normalized"):
         collapse_instrument(obs, [[2.0, 0.0], [0.0, 1.0]])
-
-
-def test_instrument_validation():
-    half = OperationMap([np.sqrt(0.5) * np.eye(2)])
-    with pytest.raises(ValueError, match="channel"):
-        Instrument(["a", "b"], [half, OperationMap([0.1 * np.eye(2)])])
 
 
 def test_scheme_validation():

@@ -71,11 +71,6 @@ def test_operator_predicates():
     assert not Operator(1j * SX).is_hermitian()
     assert not Operator(SX).is_psd()
     assert Operator(np.diag([0.3, 0.0])).is_psd()
-    assert Operator(np.diag([0.3, 1.0])).is_effect()
-    assert not Operator(np.diag([0.3, 1.0 + 1e-6])).is_effect()
-    proj = np.array([[0.5, 0.5], [0.5, 0.5]])
-    assert Operator(proj).is_projection()
-    assert not Operator(0.5 * proj).is_projection()
     assert Operator(np.diag([0.25, 0.75])).is_state()
     assert not Operator(np.diag([0.5, 0.75])).is_state()
     h = (SX + 1j * SY) / np.sqrt(2)

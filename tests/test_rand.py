@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from waylab import Observable
 from waylab.opcore import DEFAULT_TOL, op_norm
 from waylab.rand import (
     haar_unitary,
@@ -48,8 +49,7 @@ def test_random_povm_sums_to_identity():
     effs = random_povm(3, 4, np.random.default_rng(2))
     total = sum(e.mat for e in effs)
     np.testing.assert_allclose(total, np.eye(3), atol=1e-12)
-    for e in effs:
-        assert e.is_effect(DEFAULT_TOL)
+    Observable(["a", "b", "c", "d"], effs, DEFAULT_TOL)  # each one an effect
 
 
 def test_random_channel_trace_preserving():
