@@ -12,9 +12,9 @@ run over the ``d**2`` matrix units ``E_ij`` are maps ``Psi(X) = sum_m a_m X b_m`
 :func:`_max_unit_norm`, which returns ``max_ij ||Psi(E_ij)||``.  When the
 family is short (``2 M <= d``) it never builds an image: ``Psi(E_ij)`` is the
 product of a ``d x M`` and an ``M x d`` factor, and the norm is that of the
-product of their ``M x M`` QR factors.  Longer families take the images of
-all units from one GEMM with the family as its inner dimension.  Either way
-one ``opcore.max_op_norm`` takes the maximum.
+product of their ``M x M`` QR factors.  For longer families, ``M x M`` Grams
+bound every image's norm, and only the images whose bound reaches the
+largest norm found so far are built and reduced, in descending order.
 
 The constructor validates shapes only; whether the family is trace
 non-increasing (``is_operation``) or trace preserving (``is_channel``) is a
@@ -40,6 +40,7 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    _sv_max,
     max_op_norm,
     op_norm_mat,
 )
@@ -58,6 +59,21 @@ __all__ = [
     "operation_from_json",
     "operation_to_json",
 ]
+
+
+# ``_max_unit_norm``'s screen: the image entries below which one GEMM of all
+# images costs less (Lüders factors: equal at d = 4, 3072 entries); the
+# rounding margin of its Gram bound, in units of
+# ``(M + p + q)**2 eps ||G||_F ||H||_F``; the number of images built per
+# round; and the alignment of the GEMM windows that build them, a multiple
+# of the BLAS kernels' unrolls, so each entry of a window takes the kernel it
+# takes in the GEMM of all images.
+_SCREEN_MIN = 4096
+_GRAM_SLACK = 16.0
+_SCREEN_BATCH = 16
+_GEMM_ALIGN = 8
+# Entries (1 MiB of complex) per chunk of Kronecker products in to_supermatrix.
+_SUPER_CHUNK = 2**16
 
 
 def _per_object(fn):
@@ -210,19 +226,27 @@ def _apply(phi: OperationMap, x: np.ndarray, dual: bool) -> np.ndarray:
 
 def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
     """``max ||sum_m a[f, m] E_ij b[f, m]||`` over every ``f`` and every matrix
-    unit ``E_ij``, for factor stacks ``a`` ``(F, M, p, d)`` and ``b``
+    unit ``E_ij``, for finite factor stacks ``a`` ``(F, M, p, d)`` and ``b``
     ``(F, M, d, q)``; 0.0 when ``F`` or ``M`` is 0.
 
     The image of ``E_ij`` is ``U_i W_j``, where ``U_i`` (``p x M``) has the
     columns ``a[f, m][:, i]`` and ``W_j`` (``M x q``) the rows ``b[f, m][j, :]``.
     When ``2 M <= min(p, q)``, thin QRs ``U_i = Q_i R_i`` and
     ``W_j^dag = Q'_j S_j`` give ``||U_i W_j|| = ||R_i S_j^dag||``: the norms of
-    ``d**2`` matrices ``M x M`` per ``f``, and no image is built.  Otherwise
-    the images of three ``f`` at a time come from one GEMM with inner
-    dimension ``M``, in the layout ``(d, p, d, q)``, and only the images whose
-    Frobenius norm reaches the maximum of the earlier blocks go on to
-    ``opcore.max_op_norm``.  Either way the maximum is the full expression's
-    over all images, to rounding.
+    ``d**2`` matrices ``M x M`` per ``f``, and no image is built.  Otherwise,
+    up to ``_SCREEN_MIN`` entries of images in all come from one GEMM with
+    inner dimension ``M`` (layout ``(d, p, d, q)``) and go to
+    ``opcore.max_op_norm``; more are screened, three ``f`` at a time:
+    ``||U_i W_j||_F**2 = tr(G_i H_j)`` with the ``M x M`` Grams
+    ``G_i = U_i^dag U_i`` and ``H_j = W_j W_j^dag``, and a margin
+    ``_GRAM_SLACK (M + p + q)**2 eps ||G_i||_F ||H_j||_F`` covers the rounding
+    of the Grams, of the trace and of the image itself, so each bound is at
+    least the computed norm of its image.  Images are built and
+    their norms taken in descending order of the bound until the next bound
+    falls below the largest norm so far, which no image left can exceed.  A
+    built image is a window of the GEMM of all images, aligned to
+    ``_GEMM_ALIGN`` rows and columns, so its entries round as they do in that
+    GEMM and the maximum is the full expression's over all images.
     """
     n_f, m, p, d = a.shape
     q = b.shape[-1]
@@ -232,19 +256,60 @@ def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
         # einsum, not matmul: a broadcast matmul of tiny matrices costs a
         # BLAS call each
         return max_op_norm(np.einsum("fiab,fjcb->fijac", r, s.conj()))
-    worst = 0.0
+    rows = a.transpose(0, 3, 2, 1).reshape(n_f, d * p, m)
+    cols = b.reshape(n_f, m, d * q)
+    if n_f * d * p * d * q <= _SCREEN_MIN:
+        images = (rows @ cols).reshape(n_f, d, p, d, q).transpose(0, 1, 3, 2, 4)
+        return max_op_norm(images)
+    slack = _GRAM_SLACK * (m + p + q) ** 2 * np.finfo(float).eps
+    bound = np.empty((n_f, d, d))
     for lo in range(0, n_f, 3):
-        fa, fb = a[lo : lo + 3], b[lo : lo + 3]
-        n = len(fa)
-        images = fa.transpose(0, 3, 2, 1).reshape(n, d * p, m) @ fb.reshape(n, m, d * q)
-        # Frobenius norms in one pass over the (re, im) parts; an image whose
-        # norm is below an earlier block's maximum cannot hold the maximum
-        # (the margin is max_op_norm's)
-        parts = images.view(float).reshape(n, d, p, d, q, 2)
-        fro = np.sqrt(np.einsum("nipjqc,nipjqc->nij", parts, parts))
-        units = images.reshape(n, d, p, d, q).transpose(0, 1, 3, 2, 4)
-        worst = max(worst, max_op_norm(units[fro * (1.0 + 1e-12) >= worst]))
+        u = rows[lo : lo + 3].reshape(-1, p, m)
+        w = np.ascontiguousarray(cols[lo : lo + 3].reshape(-1, m, d, q).transpose(0, 2, 1, 3))
+        g = (u.conj().swapaxes(-1, -2) @ u).reshape(-1, d, m, m)
+        h = (w @ w.conj().swapaxes(-1, -2)).reshape(-1, d, m, m)
+        # tr(G_i H_j) = Re sum_kl G_i[k, l] conj(H_j[k, l]) (H_j is Hermitian):
+        # one real GEMM over the (re, im) parts
+        g_parts = g.view(float).reshape(-1, d, 2 * m * m)
+        fro2 = g_parts @ h.view(float).reshape(-1, d, 2 * m * m).swapaxes(1, 2)
+        margin = slack * np.sqrt(_fro2(g)[:, :, None] * _fro2(h)[:, None, :])
+        bound[lo : lo + 3] = np.sqrt(np.maximum(fro2, 0.0) + margin)
+    bound = bound.reshape(-1)
+    order = np.argsort(-bound)  # descending, a nan bound (never built) last
+    worst = 0.0
+    for at in range(0, len(order), _SCREEN_BATCH):
+        batch = order[at : at + _SCREEN_BATCH]
+        batch = batch[bound[batch] >= worst]
+        if not len(batch):
+            break
+        images = np.empty((len(batch), p, q), dtype=complex)
+        for slot, (fk, ik, jk) in enumerate(zip(*np.unravel_index(batch, (n_f, d, d)))):
+            top, stop = _aligned(ik * p, p, d * p)
+            left, right = _aligned(jk * q, q, d * q)
+            window = rows[fk, top:stop] @ cols[fk, :, left:right]
+            images[slot] = window[ik * p - top :][:p, jk * q - left :][:, :q]
+        # a second screen before the SVDs: ||A||_2**2 <= ||A^dag A||_F
+        sharper = np.sqrt(np.sqrt(_fro2(images.conj().swapaxes(-1, -2) @ images))
+                          + slack * _fro2(images))
+        top = np.argmax(sharper)
+        worst = max(worst, float(_sv_max(images[top])))
+        rest = sharper >= worst
+        rest[top] = False
+        worst = float(_sv_max(images[rest]).max(initial=worst))
     return worst
+
+
+def _aligned(first: int, size: int, total: int) -> tuple[int, int]:
+    """The ``_GEMM_ALIGN``-aligned window of ``range(total)`` around
+    ``range(first, first + size)``."""
+    stop = -(-(first + size) // _GEMM_ALIGN) * _GEMM_ALIGN
+    return first // _GEMM_ALIGN * _GEMM_ALIGN, min(stop, total)
+
+
+def _fro2(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a stack ``(..., r, c)`` of complex matrices."""
+    flat = np.ascontiguousarray(stack).reshape(*stack.shape[:-2], -1).view(float)
+    return np.einsum("...k,...k->...", flat, flat)
 
 
 def _stack_families(families: Sequence[np.ndarray]) -> np.ndarray:
@@ -283,11 +348,30 @@ def dual_view(phi: OperationMap) -> OperationMap:
 
 
 def to_supermatrix(phi: OperationMap) -> SuperMatrix:
+    """The dual supermatrix ``sum_i K_i^T kron K_i^dag``.
+
+    Each chunk of the Kraus axis (at most ``_SUPER_CHUNK`` entries of
+    products) is one broadcast product of the ``K^T`` and ``K^dag`` stacks,
+    the ``kron`` of each pair, added to the running sum one operator at a
+    time in Kraus order from ``+0.0``, so the sum rounds as
+    ``sum(np.kron(k.T, k.conj().T) for k in phi.kraus)`` does, bit for bit.
+    """
     # Not built through _apply: the kernel's BLAS products differ from these at
     # rounding level, enough to rotate the SVD null-space basis of a degenerate
     # fixed space, which the fixed-point report prints.
-    m = sum(np.kron(k.T, k.conj().T) for k in phi._kraus)
-    return SuperMatrix(m=m, in_dim=phi.in_dim, out_dim=phi.out_dim)
+    k = phi._kraus
+    n_in, n_out = phi.in_dim, phi.out_dim
+    kt = np.ascontiguousarray(k.swapaxes(1, 2))[:, :, None, :, None]
+    kh = np.ascontiguousarray(k.conj().swapaxes(1, 2))[:, None, :, None, :]
+    per_chunk = max(1, _SUPER_CHUNK // (n_in * n_out) ** 2)
+    prods = np.empty((min(per_chunk, len(k)), n_in, n_in, n_out, n_out), dtype=complex)
+    total = np.zeros(prods.shape[1:], dtype=complex)
+    for lo in range(0, len(k), per_chunk):
+        n = len(k[lo : lo + per_chunk])
+        np.multiply(kt[lo : lo + n], kh[lo : lo + n], out=prods[:n])
+        for prod in prods[:n]:  # in order: a reduction may sum pairwise
+            total += prod
+    return SuperMatrix(m=total.reshape(n_in * n_in, n_out * n_out), in_dim=n_in, out_dim=n_out)
 
 
 def operation_from_json(obj: Any, where: str = "channel") -> OperationMap:

@@ -83,6 +83,10 @@ _COMMUTANT_SEED = 2718
 # A restricted singular value this close above the null threshold may be a
 # near-null direction that the candidates hold only in part.
 _COMMUTANT_EDGE = 100.0
+# Relative widening of the ``||S||_2`` bracket in ``kraus_commutant``, far
+# above the rounding of the restricted singular value, of ``||Q||`` and of
+# the Gram eigenvalue it stands for.
+_SCALE_SLACK = np.array([1 - 1e-9, 1 + 1e-9])
 # The fixed-space and commutant projectors come from two different
 # factorizations, so they agree only to rounding of both; a rank_tol tighter
 # than this would reject an exact commutant on that rounding alone.
@@ -91,6 +95,8 @@ _COMMUTANT_AGREE_FLOOR = 1e-8
 # combination only up to that basis's eigenvector error, which grows as the
 # cluster gaps shrink; a family that does not commute misses this by far.
 _JOINT_BLOCK_TOL = 1e-7
+# Entries (1 MiB of complex) per block of products in the closure check.
+_CLOSURE_BLOCK = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,6 +167,19 @@ def _null_spaces(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray
     return right, left
 
 
+def _stack_norm(family: np.ndarray, q: np.ndarray) -> float:
+    """``||S||_2`` of the stacked commutator maps ``X -> [F, X]`` of an
+    adjoint-closed family, from the largest eigenvalue of the ``d^2 x d^2``
+    Gram ``S^dag S = conj(Q) (x) 1 + 1 (x) Q - 2 sum_F conj(F) (x) F``,
+    ``Q = sum_F F^dag F``."""
+    d = q.shape[0]
+    flat = family.reshape(len(family), d * d)
+    cross = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    eye = np.eye(d)
+    gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * cross
+    return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
+
+
 def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -> np.ndarray:
     """Orthonormal vec-basis of ``{K_i, K_i^dag}'``.
 
@@ -187,31 +206,34 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        ||S||_2 / tau)`` times the threshold, all ``d^2`` candidates, the
        full stack, give the count and basis instead.
     2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
-       ``(2k d^2) x n'`` matrix ``S B``, whose economy SVD gives the null
-       vectors ``V_null`` by the same null-count rule; ``||S||_2`` is the square
-       root of the largest eigenvalue of the ``d^2 x d^2`` Gram ``S^dag S``,
-       assembled from Kronecker products, which sets the scales only.
+       ``(2k d^2) x n'`` matrix ``S B``; a QR and the SVD of its ``n' x n'``
+       R factor give the singular values and the null vectors ``V_null`` by
+       the same null-count rule.
+
+    ``||S||_2`` sets the scales only, and it is bracketed before it is
+    computed: ``||S B||_2 <= ||S||_2`` (the largest restricted singular
+    value) and ``||S||_2 <= 2 ||Q||^{1/2}``, ``Q = sum_F F^dag F``, since
+    ``||S^dag S|| <= ||conj(Q) (x) 1|| + ||1 (x) Q|| + 2 ||sum_F conj(F) (x) F||
+    <= 4 ||Q||`` (Cauchy-Schwarz, the family being closed under the
+    adjoint).  Both thresholds grow with the scale, so a singular value
+    outside the two windows they sweep over the bracket is classified the
+    same at every scale in it; only a value inside one makes
+    :func:`_stack_norm` compute ``||S||_2`` from the ``d^2 x d^2`` Gram.
 
     ``B V_null`` is orthonormal.  The cost is ``k n' d^3`` for the
-    commutators plus ``k d^4`` for the Gram; ``n' = d`` for a generic
-    family and ``d^2`` (the size of the full stack, formed only then) when
-    ``H`` is degenerate, e.g. for the identity channel, or at that edge.
+    commutators (``k d^4`` more for the Gram, when it is needed);
+    ``n' = d`` for a generic family and ``d^2`` (the size of the full stack,
+    formed only then) when ``H`` is degenerate, e.g. for the identity
+    channel, or at that edge.
     """
     d = phi.in_dim
     if phi.out_dim != d:
         raise ValueError("commutant needs an endomorphism")
     kraus = np.stack(phi.kraus)
     family = np.concatenate([kraus, kraus.conj().swapaxes(1, 2)])
-
-    # S^dag S = conj(Q) (x) 1 + 1 (x) Q - 2 sum_F conj(F) (x) F, Q = sum_F F^dag F,
-    # since the family is closed under the adjoint
     q = np.einsum("fji,fjk->ik", family.conj(), family)
-    flat = family.reshape(len(family), d * d)
-    cross = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    eye = np.eye(d)
-    gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * cross
-    s_norm = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
-    thr = rank_tol * max(1.0, s_norm)
+    bracket = np.array([0.0, 2 * np.sqrt(max(np.linalg.eigvalsh(q)[-1], 0.0))])  # of ||S||_2
+    s_norm = None
 
     rng = np.random.default_rng(_COMMUTANT_SEED)
     c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
@@ -220,11 +242,22 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     eps = np.finfo(float).eps
     tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
     a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
-    edge = max(_COMMUTANT_EDGE, s_norm / tau) * thr
+
+    def thresholds(scale):
+        """The null threshold and the edge of the full-stack window."""
+        thr = rank_tol * np.maximum(1.0, scale)
+        return thr, np.maximum(_COMMUTANT_EDGE, scale / tau) * thr
+
     while True:
         cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
         comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
-        _, s, vh = np.linalg.svd(comm.reshape(-1, len(a)), full_matrices=False)
+        _, s, vh = np.linalg.svd(np.linalg.qr(comm.reshape(-1, len(a)), mode="r"))
+        if s_norm is None:
+            bracket[0] = max(bracket[0], s[0])
+            thr, edge = thresholds(bracket * _SCALE_SLACK)
+            if np.any(((s > thr[0]) & (s <= thr[1])) | ((s > edge[0]) & (s <= edge[1]))):
+                s_norm = _stack_norm(family, q)
+        thr, edge = thresholds(s_norm) if s_norm is not None else (thr[1], edge[1])
         if len(a) == d * d or not np.any((s > thr) & (s <= edge)):
             break
         a, b = np.divmod(np.arange(d * d), d)  # every candidate: the full stack
@@ -240,6 +273,35 @@ def _projector_gap(q: np.ndarray, c: np.ndarray) -> float:
     if q.shape[1] != c.shape[1]:
         return 1.0
     return op_norm_mat(c - q @ (q.conj().T @ c))
+
+
+def _closed_under_products(basis: np.ndarray, eq_tol: float) -> bool:
+    """Whether ``span(basis)`` (orthonormal ``(r, n, n)``) holds the identity
+    and every product ``a @ b`` of two basis elements, each to within
+    ``eq_tol`` times its own scale.
+
+    The ``r**2`` products go ``_CLOSURE_BLOCK`` entries at a time, each block
+    projected by one GEMM, since their stack would not fit in memory at large
+    ``r`` (3 GB for the identity channel at ``d = 24``).
+    """
+    r, n = len(basis), basis.shape[-1]
+    stack = basis.reshape(r, n * n).T
+    stack_h = stack.conj().T
+
+    def in_span(flat: np.ndarray, scale: np.ndarray) -> bool:
+        resid = flat - stack @ (stack_h @ flat)
+        return bool(np.all(np.linalg.norm(resid, axis=0) <= eq_tol * scale))
+
+    if not in_span(np.eye(n).reshape(n * n, 1), np.sqrt(n)):
+        return False
+    per_block = max(1, _CLOSURE_BLOCK // (n * n))
+    for lo in range(0, r * r, per_block):
+        left, right = np.divmod(np.arange(lo, min(lo + per_block, r * r)), r)
+        prods = basis[left] @ basis[right]
+        flat = prods.reshape(len(prods), n * n).T
+        if not in_span(flat, np.maximum(1.0, np.linalg.norm(flat, axis=0))):
+            return False
+    return True
 
 
 @_per_object
@@ -302,20 +364,7 @@ def analyze_fixed_points(
 
     certified = len(restricted) == r and max_defect <= tol.eq_tol
     if certified:
-        # multiplicative closure of the compressed fixed space, plus identity;
-        # the r**2 products go one at a time, since their stack would not fit
-        # in memory at large r (3 GB for the identity channel at d = 24)
-        stack = np.stack([b.reshape(-1) for b in restricted], axis=1)
-
-        def in_span(mat: np.ndarray, scale: float) -> bool:
-            flat = mat.reshape(-1)
-            coeffs = stack.conj().T @ flat
-            return float(np.linalg.norm(flat - stack @ coeffs)) <= tol.eq_tol * scale
-
-        certified = in_span(np.eye(rp), np.sqrt(rp)) and all(
-            in_span(prod, max(1.0, float(np.linalg.norm(prod))))
-            for prod in (a @ b for a in restricted for b in restricted)
-        )
+        certified = _closed_under_products(np.array(restricted), tol.eq_tol)
 
     commutant_consistent: bool | None = None
     if faithful:

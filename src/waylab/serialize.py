@@ -6,13 +6,14 @@ every float with 17 significant digits so identical inputs produce
 byte-identical files; the stdlib ``json`` module cannot pin float formatting.
 
 The codecs cost per matrix, not per element: a well-formed matrix is read with
-one ``np.array`` call and a list of float pairs is written with one ``%``
-format; any other input takes the per-element path, which also reports every
-malformed input.
+one ``np.array`` call, and a matrix (or a list of float pairs) and a dict of
+scalars are each written with one ``%`` format; any other input takes the
+per-element path, which also reports every malformed input.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
@@ -115,19 +116,68 @@ def vector_from_json(obj: Any, where: str = "vector") -> np.ndarray:
     return np.array([_entry_from_json(cell, f"{where}[{i}]") for i, cell in enumerate(obj)])
 
 
-def _pair_block(seq: list, pad_in: str, pad: str) -> str | None:
-    """The text of a list of ``[re, im]`` pairs of floats, each float written as
-    :func:`format_float` writes it; None for any other list or for a non-finite
-    value, which the per-element path then writes or raises on."""
-    if set(map(type, seq)) != {list} or set(map(len, seq)) != {2}:
+@functools.lru_cache(maxsize=64)
+def _pair_template(n: int, pad_in: str, pad: str) -> str:
+    """The ``%`` template of a list of ``n`` ``[re, im]`` pairs."""
+    rows = ",\n".join([pad_in + "[%.17g, %.17g]"] * n)
+    return f"[\n{rows}\n{pad}]"
+
+
+def _pair_block(seq: list, pad_in: str, pad: str, step: str) -> str | None:
+    """The text of a list of ``[re, im]`` pairs of floats, or of a list of
+    equal-length rows of them (a matrix), each float written as
+    :func:`format_float` writes it, with one ``%``; None for any other list or
+    for a non-finite value, which the per-element path then writes or raises
+    on.  ``step`` is one level of indentation."""
+    if set(map(type, seq)) != {list}:
         return None
-    values = tuple(chain.from_iterable(seq))
+    cells = list(chain.from_iterable(seq))
+    if cells and set(map(type, cells)) == {list}:
+        if len(set(map(len, seq))) != 1:
+            return None
+        row = _pair_template(len(seq[0]), pad_in + step, pad_in)
+        template = "[\n" + ",\n".join([pad_in + row] * len(seq)) + f"\n{pad}]"
+    else:
+        cells, template = seq, _pair_template(len(seq), pad_in, pad)
+    if set(map(len, cells)) != {2}:
+        return None
+    values = tuple(chain.from_iterable(cells))
     if set(map(type, values)) != {float}:
         return None
-    rows = ",\n".join([pad_in + "[%.17g, %.17g]"] * len(seq))
     # + 0.0 turns -0.0 into 0.0, written "0"; only "inf" and "nan" hold an "n"
-    text = f"[\n{rows}\n{pad}]" % tuple(map(add, values, repeat(0.0)))
+    text = template % tuple(map(add, values, repeat(0.0)))
     return None if "n" in text else text
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_template(keys: tuple, kinds: tuple, pad_in: str, pad: str) -> tuple[str, tuple] | None:
+    """The ``%`` template of a dict with these keys and value types, and the
+    renderer of each value (a float is ``%.17g`` of itself plus 0.0, any other
+    scalar ``%s`` of its text); None unless every type is a scalar's."""
+    if not _SCALARS.keys() >= set(kinds):
+        return None
+    fields = ",\n".join(
+        f"{pad_in}{_quote(str(k))}: ".replace("%", "%%") + ("%.17g" if t is float else "%s")
+        for k, t in zip(keys, kinds)
+    )
+    renderers = tuple((0.0).__add__ if t is float else _SCALARS[t] for t in kinds)
+    return f"{{\n{fields}\n{pad}}}", renderers
+
+
+def _scalar_dict(obj: dict, pad_in: str, pad: str) -> str | None:
+    """The text of a non-empty dict whose every value is a str, float, int,
+    bool or None, with one ``%``; None for any other dict or for a non-finite
+    float, which the per-element path then writes or raises on."""
+    values = tuple(obj.values())
+    found = _dict_template(tuple(obj), tuple(map(type, values)), pad_in, pad)
+    if found is None:
+        return None
+    template, renderers = found
+    # a sum of floats is finite only if each one is (one that overflows only
+    # sends the dict down the per-element path)
+    if not math.isfinite(sum(v for v in values if type(v) is float)):
+        return None
+    return template % tuple([render(v) for render, v in zip(renderers, values)])
 
 
 _SCALARS = {
@@ -156,6 +206,10 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         if not obj:
             out.append("{}")
             return
+        block = _scalar_dict(obj, pad_in, pad)
+        if block is not None:
+            out.append(block)
+            return
         out.append("{")
         sep = "\n"
         for k, v in obj.items():
@@ -168,7 +222,7 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
         if not seq:
             out.append("[]")
             return
-        block = _pair_block(seq, pad_in, pad)
+        block = _pair_block(seq, pad_in, pad, " " * indent)
         if block is not None:
             out.append(block)
             return

@@ -43,7 +43,7 @@ from waylab.opcore import (
     op_norm_mat,
     psd_sqrt,
 )
-from waylab.rand import haar_unitary, random_channel, random_hermitian, random_state
+from waylab.rand import haar_unitary, random_channel, random_hermitian, random_povm, random_state
 
 AGREE = 1e-12
 DIMS = st.sampled_from([2, 3, 4])
@@ -412,6 +412,66 @@ def test_max_unit_norm_matches_unit_loop(seed, d, k, dual, kind):
         for a in units(n)
     )
     assert abs(got - expected) <= AGREE * max(1.0, expected)
+
+
+def total_localizes_factors(inst):
+    """The factors of ``repeatability_report``'s ``total-localizes`` item: for
+    each outcome ``x`` the dual of the other outcomes' Kraus family, framed
+    by ``(E(x), 1)``, ``(1, E(x))`` and ``(E(x), E(x))``."""
+    e = inst.induced_observable()._effects
+    eye = np.eye(inst.dim)
+    families = [op._kraus for op in inst.operations]
+    a, b = [], []
+    for x, ex in enumerate(e):
+        others = np.concatenate([k for y, k in enumerate(families) if y != x])
+        for left, right in ((ex, eye), (eye, ex), (ex, ex)):
+            a.append(others.conj().swapaxes(1, 2) @ left)
+            b.append(right @ others)
+    return np.array(a), np.array(b)
+
+
+def dense_unit_max(a, b):
+    """The images of every unit from one GEMM per ``f`` with inner dimension
+    ``M`` and the full SVD of each: what ``_max_unit_norm``'s long-family path
+    computed before it screened the images."""
+    n_f, m, p, d = a.shape
+    q = b.shape[-1]
+    images = a.transpose(0, 3, 2, 1).reshape(n_f, d * p, m) @ b.reshape(n_f, m, d * q)
+    return full_max_op_norm(images.reshape(n_f, d, p, d, q).transpose(0, 1, 3, 2, 4))
+
+
+@given(seed=SEEDS, d=st.integers(3, 8), kind=st.sampled_from(["luders", "unsharp", "random"]))
+@example(seed=0, d=3, kind="luders")  # few images: one GEMM, no screen
+@example(seed=0, d=8, kind="luders")  # images at rounding level
+@example(seed=0, d=7, kind="unsharp")  # images of order one
+@example(seed=2, d=7, kind="luders")  # an odd size: only aligned windows round as the GEMM
+@example(seed=2, d=5, kind="random")
+@SETTINGS
+def test_screened_max_unit_norm_matches_unit_loop(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "luders":
+        inst = luders_instrument(sharp_observable(random_hermitian(d, rng)))
+    elif kind == "unsharp":
+        n = d // 2 + 2
+        inst = luders_instrument(Observable([f"x{i}" for i in range(n)], random_povm(d, n, rng)))
+    else:
+        n = d // 4 + 2
+        kraus = random_channel(d, d, 2 * n, rng).kraus
+        inst = Instrument([f"x{i}" for i in range(n)],
+                          [OperationMap(kraus[2 * x : 2 * x + 2]) for x in range(n)])
+    a, b = total_localizes_factors(inst)
+    assert 2 * a.shape[1] > d  # the long-family path
+    got = _max_unit_norm(a, b)
+    expected = max(
+        op_norm_mat(sum(a[f, m] @ unit @ b[f, m] for m in range(a.shape[1])))
+        for f in range(len(a))
+        for unit in units(d)
+    )
+    assert abs(got - expected) <= AGREE * max(1.0, expected)
+    # the screen never drops the maximizer, and each image it builds rounds
+    # as in the GEMM of all images
+    assert got == dense_unit_max(a, b)
+    assert (got < 1e-12) == (kind == "luders")
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (3, 0, 8, 8)])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from waylab.cpmaps import (
@@ -154,3 +154,24 @@ def test_operation_json_round_trip():
         np.testing.assert_allclose(k1, k2)
     with pytest.raises(SchemaError, match="kraus"):
         operation_from_json({"kraus": "nope"})
+
+
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80), d_in=st.integers(1, 12),
+       d_out=st.integers(1, 12), zeros=st.sampled_from([0.0, 0.3, 0.9]))
+@example(seed=0, k=80, d_in=12, d_out=12, zeros=0.3)  # chunks of 3 Kraus operators
+@example(seed=1, k=72, d_in=4, d_out=4, zeros=0.0)
+@example(seed=2, k=1, d_in=3, d_out=2, zeros=0.9)  # entries that are -0.0 in every term
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_supermatrix_matches_kron_sum_bitwise(seed, k, d_in, d_out, zeros):
+    rng = np.random.default_rng(seed)
+    kraus = rng.standard_normal((k, d_out, d_in)) + 1j * rng.standard_normal((k, d_out, d_in))
+    # signed zeros in either part of some entries: the sum must give each
+    # zero the sign that kron's products and their sum from 0 give it
+    for part in (kraus.real, kraus.imag):
+        hit = rng.random(kraus.shape) < zeros
+        part[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    phi = OperationMap(list(kraus))
+    expected = sum(np.kron(m.T, m.conj().T) for m in phi.kraus)
+    got = to_supermatrix(phi).m
+    assert got.shape == expected.shape
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

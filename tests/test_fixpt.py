@@ -8,6 +8,7 @@ from waylab import Observable, Operator, OperationMap, op_norm
 from waylab.conserve import AdditiveQuantity, conservative_unitary
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
+    _closed_under_products,
     _projector_gap,
     analyze_fixed_points,
     cesaro_supermatrix,
@@ -25,8 +26,8 @@ from waylab.measure import (
     scheme_to_instrument,
     sharp_observable,
 )
-from waylab.opcore import op_norm_mat
-from waylab.rand import haar_unitary, random_channel, random_hermitian, random_state
+from waylab.opcore import DEFAULT_TOL, hermitian_basis, op_norm_mat
+from waylab.rand import haar_unitary, random_channel, random_hermitian, random_povm, random_state
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -198,27 +199,38 @@ def conserving_scheme_channel(d_sys, rng):
     return scheme_to_instrument(m).total()
 
 
-@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
-       kind=st.sampled_from(
-           ["random", "blocks", "luders", "scheme", "decay", "unitary", "identity"]
-       ),
-       rank_tol=st.sampled_from([1e-8, 1e-11]))
-@settings(derandomize=True, max_examples=50, deadline=None)
-def test_kraus_commutant_matches_full_stack_svd(seed, d, kind, rank_tol):
-    rng = np.random.default_rng(seed)
+COMMUTANT_KINDS = [
+    "random", "blocks", "luders", "unsharp", "scheme", "decay", "unitary", "identity"
+]
+
+
+def commutant_channel(kind, d, rng):
     if kind == "random":
-        phi = random_channel(d, d, int(rng.integers(1, 4)), rng)
-    elif kind == "blocks":
-        phi = block_channel(d, rng)
-    elif kind == "luders":
+        return random_channel(d, d, int(rng.integers(1, 4)), rng)
+    if kind == "blocks":
+        return block_channel(d, rng)
+    if kind == "near-blocks":
+        # broken block projectors: restricted singular values near the null
+        # threshold, where the scale ||S||_2 decides the count
+        delta = 10.0 ** rng.uniform(-11, -6)
+
+        def ginibre():
+            return rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+
+        return OperationMap([k + delta * ginibre() for k in block_channel(d, rng).kraus])
+    if kind == "luders":
         # degenerate eigenvalues give a commutant with several dimensions in
         # one singular-value cluster, where the two bases may differ
         v = haar_unitary(d, rng).mat
         h = v @ np.diag(rng.integers(0, 3, size=d).astype(float)) @ v.conj().T
-        phi = luders_instrument(sharp_observable(h)).total()
-    elif kind == "scheme":
-        phi = conserving_scheme_channel(min(d, 3), rng)
-    elif kind == "decay":
+        return luders_instrument(sharp_observable(h)).total()
+    if kind == "unsharp":
+        n = int(rng.integers(2, 5))
+        obs = Observable([f"x{i}" for i in range(n)], random_povm(d, n, rng))
+        return luders_instrument(obs).total()
+    if kind == "scheme":
+        return conserving_scheme_channel(min(d, 3), rng)
+    if kind == "decay":
         # the last level decays into the first, in a random basis: the Kraus
         # family alone commutes with more than its adjoints do
         gamma = rng.uniform(0.2, 0.8)
@@ -226,19 +238,98 @@ def test_kraus_commutant_matches_full_stack_svd(seed, d, kind, rank_tol):
         k1 = np.zeros((d, d))
         k1[0, d - 1] = np.sqrt(gamma)
         u = haar_unitary(d, rng).mat
-        phi = OperationMap([u @ k @ u.conj().T for k in (k0, k1)])
-    elif kind == "unitary":
+        return OperationMap([u @ k @ u.conj().T for k in (k0, k1)])
+    if kind == "unitary":
         # cube roots of unity as eigenvalues: degenerate eigenspaces
         v = haar_unitary(d, rng).mat
         phases = np.exp(2j * np.pi * rng.integers(0, 3, size=d) / 3)
-        phi = OperationMap.from_unitary(v @ np.diag(phases) @ v.conj().T)
-    else:
-        # every Hermitian combination is a multiple of 1: all d^2 candidates
-        phi = OperationMap([np.eye(d)])
+        return OperationMap.from_unitary(v @ np.diag(phases) @ v.conj().T)
+    # every Hermitian combination is a multiple of 1: all d^2 candidates
+    return OperationMap([np.eye(d)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),
+       kind=st.sampled_from(COMMUTANT_KINDS), rank_tol=st.sampled_from([1e-8, 1e-11]))
+@settings(derandomize=True, max_examples=50, deadline=None)
+def test_kraus_commutant_matches_full_stack_svd(seed, d, kind, rank_tol):
+    phi = commutant_channel(kind, d, np.random.default_rng(seed))
     got = kraus_commutant(phi, rank_tol)
     expected = full_stack_commutant(phi, rank_tol)
     assert got.shape == expected.shape  # same null count
     assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= 1e-12
+
+
+def gram_commutant(phi, rank_tol):
+    """``kraus_commutant`` with ``||S||_2`` always from the ``d^2 x d^2`` Gram
+    and an economy SVD of the restricted stack: the scale that the bracket
+    stands for, computed every time."""
+    d = phi.in_dim
+    kraus = np.stack(phi.kraus)
+    family = np.concatenate([kraus, kraus.conj().swapaxes(1, 2)])
+    q = np.einsum("fji,fjk->ik", family.conj(), family)
+    eye = np.eye(d)
+    gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * sum(np.kron(f.conj(), f) for f in family)
+    s_norm = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    thr = rank_tol * max(1.0, s_norm)
+    rng = np.random.default_rng(2718)
+    c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
+    m = np.tensordot(c, kraus, axes=1)
+    w, v = np.linalg.eigh(m + m.conj().T)
+    tau = max(np.sqrt(rank_tol), 100 * np.finfo(float).eps / rank_tol) * max(1.0, np.abs(w).max())
+    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    edge = max(100.0, s_norm / tau) * thr
+    while True:
+        cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
+        comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
+        _, s, vh = np.linalg.svd(comm.reshape(-1, len(a)), full_matrices=False)
+        if len(a) == d * d or not np.any((s > thr) & (s <= edge)):
+            break
+        a, b = np.divmod(np.arange(d * d), d)
+    n_null = int(np.sum(s <= thr))
+    basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
+    return basis @ vh[len(s) - n_null :].conj().T
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 10),
+       kind=st.sampled_from([*COMMUTANT_KINDS, "near-blocks"]),
+       rank_tol=st.sampled_from([1e-8, 1e-11]))
+@example(seed=0, d=10, kind="luders", rank_tol=1e-8)
+@example(seed=0, d=10, kind="unsharp", rank_tol=1e-8)
+@example(seed=1, d=5, kind="near-blocks", rank_tol=1e-8)  # the bracket cannot decide
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_kraus_commutant_bracket_matches_gram_scale(seed, d, kind, rank_tol):
+    phi = commutant_channel(kind, d, np.random.default_rng(seed))
+    got = kraus_commutant(phi, rank_tol)
+    expected = gram_commutant(phi, rank_tol)
+    assert got.shape == expected.shape  # same null count
+    assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= 1e-12
+
+
+def gram_eigvalsh_calls(phi, rank_tol):
+    """``kraus_commutant(phi, rank_tol)`` and how many ``d^2 x d^2`` matrices
+    it handed to ``eigvalsh``."""
+    d = phi.in_dim
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "eigvalsh", counted)
+        got = kraus_commutant(phi, rank_tol)
+    return got, shapes.count((d * d, d * d))
+
+
+def test_kraus_commutant_of_luders_channel_needs_no_gram():
+    # restricted singular values at rounding level and of order one, far
+    # from both windows: the bracket decides every one
+    rng = np.random.default_rng(4)
+    phi = luders_instrument(sharp_observable(random_hermitian(8, rng))).total()
+    got, grams = gram_eigvalsh_calls(phi, 1e-8)
+    assert got.shape == (64, 8)
+    assert grams == 0
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 5), inside=st.booleans())
@@ -250,7 +341,8 @@ def test_kraus_commutant_null_count_scale_is_stack_norm(seed, d, inside):
     block-diagonal operators, which hold every candidate, have singular
     values near 1e-6 from ``1e-6 G``.  ``rank_tol`` puts the third smallest
     singular value 1e-6 (relative) inside or outside ``rank_tol * ||S||_2``,
-    so a scale off by more than that changes the count.
+    so a scale off by more than that changes the count, and the bracket
+    ``[s_0, 2 ||Q||^{1/2}]`` of ``||S||_2`` cannot decide it.
     """
     rng = np.random.default_rng(seed)
     r = int(rng.integers(1, d))
@@ -260,8 +352,11 @@ def test_kraus_commutant_null_count_scale_is_stack_norm(seed, d, inside):
     phi = OperationMap([u @ k @ u.conj().T for k in family])
     s = np.linalg.svd(full_stack(phi), compute_uv=False)
     rank_tol = s[-3] / s[0] * (1 + 1e-6 if inside else 1 - 1e-6)
-    got = kraus_commutant(phi, rank_tol)
+    got, grams = gram_eigvalsh_calls(phi, rank_tol)
     assert got.shape[1] == full_stack_commutant(phi, rank_tol).shape[1] == (3 if inside else 2)
+    # a singular value this close to the threshold lies inside the bracket's
+    # null window, so the count waited for the Gram's ||S||_2
+    assert grams == 1
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 6), log_delta=st.floats(-10, -7))
@@ -282,6 +377,71 @@ def test_kraus_commutant_near_null_count_never_exceeds_full_stack(seed, d, log_d
          for k in block_channel(d, rng).kraus]
     )
     assert kraus_commutant(phi).shape[1] == full_stack_commutant(phi).shape[1]
+
+
+def loop_closed(basis, eq_tol):
+    """The algebra-closure check one product at a time: the identity and each
+    ``a @ b`` projected onto the span of the orthonormal ``basis``."""
+    stack = np.stack([b.reshape(-1) for b in basis], axis=1)
+
+    def in_span(mat, scale):
+        flat = mat.reshape(-1)
+        return float(np.linalg.norm(flat - stack @ (stack.conj().T @ flat))) <= eq_tol * scale
+
+    n = basis[0].shape[0]
+    return in_span(np.eye(n), np.sqrt(n)) and all(
+        in_span(prod, max(1.0, float(np.linalg.norm(prod))))
+        for prod in (a @ b for a in basis for b in basis)
+    )
+
+
+def star_algebra_basis(blocks, rng):
+    """An orthonormal Hermitian basis of ``+_k M_{n_k} (x) 1_{m_k}`` for
+    ``blocks = [(n_k, m_k), ...]``, in a Haar-random basis."""
+    total = sum(n * m for n, m in blocks)
+    units = []
+    offset = 0
+    for n, m in blocks:
+        for i in range(n * n):
+            e = np.zeros((total, total), dtype=complex)
+            e[offset : offset + n * m, offset : offset + n * m] = np.kron(
+                np.eye(n * n)[i].reshape(n, n), np.eye(m)
+            )
+            units.append(e)
+        offset += n * m
+    u = haar_unitary(total, rng).mat
+    return hermitian_basis([u @ e @ u.conj().T for e in units])
+
+
+@given(seed=st.integers(0, 2**32 - 1),
+       blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
+       perturb=st.sampled_from([0.0, 1e-13, 1e-6, 1e-2]))
+@example(seed=1, blocks=[(3, 2), (3, 2), (2, 3)], perturb=0.0)  # several blocks of products
+@example(seed=1, blocks=[(3, 2), (3, 2), (2, 3)], perturb=1e-6)
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_closure_blocks_match_product_loop(seed, blocks, perturb):
+    rng = np.random.default_rng(seed)
+    basis = star_algebra_basis(blocks, rng)
+    full = len(basis) == basis[0].shape[0] ** 2
+    if perturb:
+        # one basis element moved off the algebra, then orthonormalized again
+        basis[-1] = basis[-1] + perturb * random_hermitian(basis[0].shape[0], rng).mat
+        basis = hermitian_basis(basis)
+    got = _closed_under_products(np.array(basis), DEFAULT_TOL.eq_tol)
+    assert got == loop_closed(basis, DEFAULT_TOL.eq_tol)
+    assert got == (full or perturb < 1e-9)
+
+
+@pytest.mark.parametrize("mult", [1, 2, 3])
+def test_closure_rejects_spin_factor(mult):
+    # span{1, X, Z} (x) 1_m in a random basis: every square is a multiple of
+    # the identity, but X Z = -i Y is not in the span
+    rng = np.random.default_rng(mult)
+    u = haar_unitary(2 * mult, rng).mat
+    paulis = [np.eye(2), SX, SZ]
+    basis = hermitian_basis([u @ np.kron(p, np.eye(mult)) @ u.conj().T for p in paulis])
+    assert not _closed_under_products(np.array(basis), DEFAULT_TOL.eq_tol)
+    assert not loop_closed(basis, DEFAULT_TOL.eq_tol)
 
 
 def dense_projector_gap(q, c):

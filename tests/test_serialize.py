@@ -229,6 +229,10 @@ def json_values(floats):
             st.lists(floats, max_size=6),
             st.lists(pair, min_size=1, max_size=6),
             st.lists(st.lists(pair, min_size=2, max_size=2), min_size=1, max_size=3),
+            # matrices, ragged ones and ones with empty rows among them
+            st.lists(st.lists(pair, max_size=4), min_size=1, max_size=4),
+            st.dictionaries(TEXT, st.one_of(floats, INTS, st.booleans(), st.none(), TEXT),
+                            min_size=1, max_size=6),
         ),
         max_leaves=30,
     )
@@ -263,6 +267,10 @@ def test_dumps_writes_report_shaped_payloads_as_reference():
             assert outcome(dumps, {"m": broken})[0] is ValueError
         row = m[0].real.tolist() + [bad]
         assert outcome(dumps, row) == outcome(reference_dumps, row)
+        # a bound row: a flat dict of scalars, written with one template
+        bound_row = {"bound_id": "way-%d", "lhs": 0.5, "rhs": bad, "holds": True, "note": None}
+        assert outcome(dumps, [bound_row]) == outcome(reference_dumps, [bound_row])
+        assert outcome(dumps, [bound_row])[0] is ValueError
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.data())

@@ -20,6 +20,11 @@ the same files.  It writes:
   task on a random 3-outcome instrument at ``d = 8`` with 2 Kraus operators
   per outcome, far from repeatable, whose own-effect items take the factored
   matrix-unit path;
+* ``luders-unsharp-d10.json``: ``waylab run`` with ``fixed-points`` and
+  ``repeatability`` tasks on the Lüders instrument of a random 8-outcome
+  unsharp observable at ``d = 10``: its ``total-localizes`` item takes the
+  screened long-family matrix-unit path with O(1) images, and its trivial
+  commutant comes out of restricted singular values of order one;
 * ``cnot-extremal.json``: ``waylab run`` on the CNOT scheme measuring ``Z``
   with the conserved ``Z/2 (x) 1``: disturbance and measurability bounds with
   ``assert_extremal`` and the distinguishability bounds of ``|1>`` against
@@ -83,6 +88,25 @@ def random_instrument_scenario() -> dict:
     }
 
 
+def luders_unsharp_scenario() -> dict:
+    from waylab import Observable
+    from waylab.measure import instrument_to_json, luders_instrument
+    from waylab.rand import random_povm
+
+    effects = random_povm(10, 8, np.random.default_rng(10))
+    inst = luders_instrument(Observable([f"x{i}" for i in range(8)], effects))
+    return {
+        "schema": 1,
+        "name": "luders-unsharp-d10",
+        "system_dim": 10,
+        "objects": {"I": {"kind": "instrument", **instrument_to_json(inst)}},
+        "tasks": [
+            {"op": "fixed-points", "instrument": "I"},
+            {"op": "repeatability", "instrument": "I"},
+        ],
+    }
+
+
 def cnot_extremal_scenario() -> dict:
     from waylab import serialize
 
@@ -139,7 +163,9 @@ def cli_outputs(out_dir: str) -> list[str]:
             seed_dir = os.path.join(work, str(seed))
             os.mkdir(seed_dir)
             runs.append((f"luders-d12-s{seed}", ["run", Luders(seed, seed_dir).path]))
-        for scenario in (random_instrument_scenario(), cnot_extremal_scenario()):
+        for scenario in (
+            random_instrument_scenario(), luders_unsharp_scenario(), cnot_extremal_scenario()
+        ):
             path = os.path.join(work, f"{scenario['name']}.json")
             with open(path, "w") as fh:
                 json.dump(scenario, fh)
