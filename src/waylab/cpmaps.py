@@ -40,6 +40,7 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    _BLOCK,
     _sv_max,
     max_op_norm,
     op_norm_mat,
@@ -61,19 +62,30 @@ __all__ = [
 ]
 
 
-# ``_max_unit_norm``'s screen: the image entries below which one GEMM of all
-# images costs less (Lüders factors: equal at d = 4, 3072 entries); the
-# rounding margin of its Gram bound, in units of
-# ``(M + p + q)**2 eps ||G||_F ||H||_F``; the number of images built per
-# round; and the alignment of the GEMM windows that build them, a multiple
-# of the BLAS kernels' unrolls, so each entry of a window takes the kernel it
-# takes in the GEMM of all images.
-_SCREEN_MIN = 4096
+# ``_max_unit_norm``'s screen, timed against one GEMM of all images on the
+# ``total-localizes`` factors of sharp, unsharp and random instruments at
+# d = 4..24, one BLAS thread.
+# - ``_SCREEN_MIN``: the image entries up to which that GEMM costs less,
+#   whatever the images' norms (the screen lost at d = 5-6, 5600-23000
+#   entries, and won from d = 7, 36000).
+# - ``_GRAM_SLACK``: the rounding margin of the Gram bound, in units of
+#   ``(M + p + q)**2 eps ||G||_F ||H||_F``.
+# - The images built per round start at ``_SCREEN_BATCH`` and double up to
+#   ``_SCREEN_BATCH_MAX``: a first round of 16 finds the maximum of Lüders
+#   factors, where a larger one only costs more, and where hundreds of images
+#   reach the running maximum the doubling rounds cost about 15 % less in all
+#   than rounds of 16.
+# - ``_GEMM_ALIGN``: the alignment of the GEMM windows that build the images,
+#   so each entry of a window takes the kernel it takes in the GEMM of all
+#   images and rounds the same.  It was found by experiment, not derived, for
+#   the zgemm of OpenBLAS 0.3.31 on a SkylakeX core, one thread; with another
+#   BLAS, kernel or thread split a window may differ from that GEMM at
+#   rounding level, and the maximum with it.
+_SCREEN_MIN = 2**15
 _GRAM_SLACK = 16.0
 _SCREEN_BATCH = 16
+_SCREEN_BATCH_MAX = 64
 _GEMM_ALIGN = 8
-# Entries (1 MiB of complex) per chunk of Kronecker products in to_supermatrix.
-_SUPER_CHUNK = 2**16
 
 
 def _per_object(fn):
@@ -241,12 +253,13 @@ def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
     ``G_i = U_i^dag U_i`` and ``H_j = W_j W_j^dag``, and a margin
     ``_GRAM_SLACK (M + p + q)**2 eps ||G_i||_F ||H_j||_F`` covers the rounding
     of the Grams, of the trace and of the image itself, so each bound is at
-    least the computed norm of its image.  Images are built and
-    their norms taken in descending order of the bound until the next bound
-    falls below the largest norm so far, which no image left can exceed.  A
-    built image is a window of the GEMM of all images, aligned to
-    ``_GEMM_ALIGN`` rows and columns, so its entries round as they do in that
-    GEMM and the maximum is the full expression's over all images.
+    least the computed norm of its image.  Images are built and their norms
+    taken in descending order of the bound, in rounds of doubling size, until
+    the next bound falls below the largest norm so far, which no image left
+    can exceed.  A built image is a window of the GEMM of all images, aligned
+    to ``_GEMM_ALIGN`` rows and columns, so its entries round as they do in
+    that GEMM (with the BLAS named there) and the maximum is the full
+    expression's over all images.
     """
     n_f, m, p, d = a.shape
     q = b.shape[-1]
@@ -276,9 +289,10 @@ def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
         bound[lo : lo + 3] = np.sqrt(np.maximum(fro2, 0.0) + margin)
     bound = bound.reshape(-1)
     order = np.argsort(-bound)  # descending, a nan bound (never built) last
-    worst = 0.0
-    for at in range(0, len(order), _SCREEN_BATCH):
-        batch = order[at : at + _SCREEN_BATCH]
+    worst, at, size = 0.0, 0, _SCREEN_BATCH
+    while at < len(order):
+        batch = order[at : at + size]
+        at, size = at + size, min(2 * size, _SCREEN_BATCH_MAX)
         batch = batch[bound[batch] >= worst]
         if not len(batch):
             break
@@ -350,7 +364,7 @@ def dual_view(phi: OperationMap) -> OperationMap:
 def to_supermatrix(phi: OperationMap) -> SuperMatrix:
     """The dual supermatrix ``sum_i K_i^T kron K_i^dag``.
 
-    Each chunk of the Kraus axis (at most ``_SUPER_CHUNK`` entries of
+    Each chunk of the Kraus axis (at most ``opcore._BLOCK`` entries of
     products) is one broadcast product of the ``K^T`` and ``K^dag`` stacks,
     the ``kron`` of each pair, added to the running sum one operator at a
     time in Kraus order from ``+0.0``, so the sum rounds as
@@ -363,7 +377,7 @@ def to_supermatrix(phi: OperationMap) -> SuperMatrix:
     n_in, n_out = phi.in_dim, phi.out_dim
     kt = np.ascontiguousarray(k.swapaxes(1, 2))[:, :, None, :, None]
     kh = np.ascontiguousarray(k.conj().swapaxes(1, 2))[:, None, :, None, :]
-    per_chunk = max(1, _SUPER_CHUNK // (n_in * n_out) ** 2)
+    per_chunk = max(1, _BLOCK // (n_in * n_out) ** 2)
     prods = np.empty((min(per_chunk, len(k)), n_in, n_in, n_out, n_out), dtype=complex)
     total = np.zeros(prods.shape[1:], dtype=complex)
     for lo in range(0, len(k), per_chunk):

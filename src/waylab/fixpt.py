@@ -50,6 +50,7 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    _BLOCK,
     eigen_clusters,
     eigenspace_projector,
     hermitian_basis,
@@ -95,8 +96,6 @@ _COMMUTANT_AGREE_FLOOR = 1e-8
 # combination only up to that basis's eigenvector error, which grows as the
 # cluster gaps shrink; a family that does not commute misses this by far.
 _JOINT_BLOCK_TOL = 1e-7
-# Entries (1 MiB of complex) per block of products in the closure check.
-_CLOSURE_BLOCK = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -280,7 +279,7 @@ def _closed_under_products(basis: np.ndarray, eq_tol: float) -> bool:
     and every product ``a @ b`` of two basis elements, each to within
     ``eq_tol`` times its own scale.
 
-    The ``r**2`` products go ``_CLOSURE_BLOCK`` entries at a time, each block
+    The ``r**2`` products go ``opcore._BLOCK`` entries at a time, each block
     projected by one GEMM, since their stack would not fit in memory at large
     ``r`` (3 GB for the identity channel at ``d = 24``).
     """
@@ -294,7 +293,7 @@ def _closed_under_products(basis: np.ndarray, eq_tol: float) -> bool:
 
     if not in_span(np.eye(n).reshape(n * n, 1), np.sqrt(n)):
         return False
-    per_block = max(1, _CLOSURE_BLOCK // (n * n))
+    per_block = max(1, _BLOCK // (n * n))
     for lo in range(0, r * r, per_block):
         left, right = np.divmod(np.arange(lo, min(lo + per_block, r * r)), r)
         prods = basis[left] @ basis[right]

@@ -163,6 +163,9 @@ class Operator:
         return Operator(np.zeros((dim, dim)))
 
 
+# Entries (1 MiB of complex) per block of the kernels that stream a stack too
+# large to hold at once in blocks of fixed size.
+_BLOCK = 2**16
 # max_op_norm's direct-SVD size, in matrices times their larger side: below
 # it, one batched SVD of 2x2 to 12x12 matrices takes less time than the
 # Frobenius pre-pass.
@@ -193,11 +196,12 @@ def max_op_norm(stack: np.ndarray) -> float:
     cannot hold the maximum.  The survivors (Frobenius norm at least ``best``,
     with a ``1e-12`` relative margin for the rounding of both norms) include
     the maximizer, and each one's SVD is the LAPACK call the full expression
-    makes for it, so the maximum over them is bit-identical.  A stack with a
-    non-finite Frobenius norm goes through the full expression unchanged; an
-    empty one gives 0.0, the largest norm over no matrices.  A short stack of
+    makes for it, so the maximum over them is bit-identical.  A short stack of
     small matrices (count times the larger side at most ``_DIRECT_SVD``) takes
-    the batched SVD directly: the pruning pass would cost more than it saves.
+    the batched SVD of all of them directly, finite or not: the pruning pass
+    would cost more than it saves.  On a larger stack with a non-finite
+    Frobenius norm the pruning stops and the full expression runs unchanged.
+    An empty stack gives 0.0, the largest norm over no matrices.
     """
     if stack.size == 0:
         return 0.0

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from waylab import Instrument, Observable, OperationMap
 from waylab.conserve import AdditiveQuantity, conservative_unitary
-from waylab.cpmaps import _max_unit_norm, apply_dual, apply_map
+from waylab.cpmaps import _SCREEN_MIN, _max_unit_norm, apply_dual, apply_map
 from waylab.fixpt import (
     analyze_fixed_points,
     check_minimal_support,
@@ -37,6 +37,7 @@ from waylab.measure import (
 )
 from waylab.opcore import (
     DEFAULT_TOL,
+    _DIRECT_SVD,
     eigenspace_projector,
     max_op_norm,
     op_norm,
@@ -361,10 +362,19 @@ def outcome(f, x):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_max_op_norm_single_matrix_and_non_finite(bad):
     rng = np.random.default_rng(5)
-    m = rng.standard_normal((4, 3))
-    assert max_op_norm(m) == full_max_op_norm(m)
-    stack = rng.standard_normal((5, 3, 3))
-    stack[2, 1, 1] = bad
+    # the first shape of each pair takes the direct SVD, the second the
+    # pruned path
+    small, large = rng.standard_normal((4, 3)), rng.standard_normal((40, 30))
+    assert large.size > _DIRECT_SVD * min(large.shape) >= _DIRECT_SVD * 3 >= small.size
+    for m in (small, large):
+        assert max_op_norm(m) == full_max_op_norm(m)
+    for shape in ((5, 3, 3), (40, 6, 6)):
+        stack = rng.standard_normal(shape)
+        stack[2, 1, 1] = bad
+        with np.errstate(invalid="ignore"):
+            assert outcome(max_op_norm, stack) == outcome(full_max_op_norm, stack)
+    assert stack.size > _DIRECT_SVD * 6
+    stack[17, 0, 4] = np.inf if np.isnan(bad) else np.nan  # both kinds at once
     with np.errstate(invalid="ignore"):
         assert outcome(max_op_norm, stack) == outcome(full_max_op_norm, stack)
 
@@ -446,6 +456,7 @@ def dense_unit_max(a, b):
 @example(seed=0, d=7, kind="unsharp")  # images of order one
 @example(seed=2, d=7, kind="luders")  # an odd size: only aligned windows round as the GEMM
 @example(seed=2, d=5, kind="random")
+@example(seed=1, d=8, kind="random")  # O(1) images over several rounds
 @SETTINGS
 def test_screened_max_unit_norm_matches_unit_loop(seed, d, kind):
     rng = np.random.default_rng(seed)
@@ -469,9 +480,36 @@ def test_screened_max_unit_norm_matches_unit_loop(seed, d, kind):
     )
     assert abs(got - expected) <= AGREE * max(1.0, expected)
     # the screen never drops the maximizer, and each image it builds rounds
-    # as in the GEMM of all images
+    # as in the GEMM of all images: bit for bit only with the BLAS named at
+    # cpmaps._GEMM_ALIGN (OpenBLAS 0.3.31 on a SkylakeX core), pinned to one
+    # thread in conftest.py; elsewhere the check above is the portable one
     assert got == dense_unit_max(a, b)
     assert (got < 1e-12) == (kind == "luders")
+
+
+@pytest.mark.parametrize("flat", [5, 6, 7])
+def test_screened_max_unit_norm_far_down_the_bound_order(flat):
+    """Images ``U_i W_j`` with unitary ``W_j``: unitary ``U_i`` for
+    ``i < flat`` (Frobenius norm ``sqrt(8)``, norm 1) and rank-one ``U_i`` of
+    norm 1.5 and less after them, so the maximum lies behind all
+    ``9 * 8 * flat`` flat images in the screen's order and is reached only
+    after several doubling rounds (at a rank that varies with ``flat``)."""
+    rng = np.random.default_rng(flat)
+    d, n_f = 8, 9
+    a, b = [], []
+    for _ in range(n_f):
+        u = np.array([haar_unitary(d, rng).mat for _ in range(d)])
+        for i in range(flat, d):
+            x, y = haar_unitary(d, rng).mat[:, 0], haar_unitary(d, rng).mat[0]
+            u[i] = (1.5 - 0.1 * (i - flat)) * np.outer(x, y)
+        w = np.array([haar_unitary(d, rng).mat for _ in range(d)])
+        a.append(u.transpose(2, 1, 0))  # a[f, m][:, i] is column m of U_i
+        b.append(w.transpose(1, 0, 2))  # b[f, m][j, :] is row m of W_j
+    a, b = np.array(a), np.array(b)
+    assert n_f * d**4 > _SCREEN_MIN  # the screened path
+    got = _max_unit_norm(a, b)
+    assert abs(got - 1.5) <= AGREE
+    assert got == dense_unit_max(a, b)
 
 
 @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (3, 0, 8, 8)])
