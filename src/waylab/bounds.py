@@ -25,7 +25,9 @@ One record type, :class:`Profile` (``outcomes``, ``norms``, ``max_norm``),
 holds the per-outcome gap norms of :func:`disturbance_profile` and
 :func:`error_profile`.  Every per-outcome quantity is computed on the stack
 of all outcomes: one Kraus application or matrix product and one batched
-norm (``opcore.op_norms``), zipped with the labels in declaration order.
+norm, in declaration order.  Each bound is then one array expression for its
+right side, and :func:`_rows` turns the families of an evaluator into rows,
+interleaved per outcome (per ``(x,y)`` pair, x-major, for the pair families).
 """
 
 from __future__ import annotations
@@ -56,7 +58,8 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
-    eigenspace_projector,
+    _eigenspace_columns,
+    _sv_max,
     fidelity,
     op_norm,
     op_norm_mat,
@@ -124,11 +127,6 @@ def error_profile(
     return _profile(target.outcomes, gaps)
 
 
-def _unsharpness(effects: np.ndarray) -> list[float]:
-    """``||E^2 - E||`` for each effect of a stack."""
-    return op_norms(effects @ effects - effects)
-
-
 @_per_object
 def _gamma_moment_defect(
     m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
@@ -157,6 +155,31 @@ def _scheme_digest_items(m: MeasurementScheme) -> list:
         list(m.coupling.kraus),
         list(m.pointer.outcomes),
         list(m.pointer._effects),
+    ]
+
+
+def _rows(
+    tol: Tolerance, digest: str, outcomes: Any, *families: tuple
+) -> list[BoundReport]:
+    """The rows of families that share their outcomes, one
+    :func:`reporting.make_report` per outcome and family, the families
+    interleaved per outcome.
+
+    A family is ``(bound_id, lhs, rhs, hypothesis_satisfied, hypothesis)``.
+    Each of its last four fields is one value for the whole family or an
+    array of one value per outcome; ``outcomes`` may be a grid, such as the
+    ``(x,y)`` labels of the pair families, and the fields broadcast against
+    it, so rows come in its row-major order.
+    """
+    labels = np.asarray(outcomes, dtype=object)
+    columns = [
+        [np.broadcast_to(np.asarray(v, dtype=object), labels.shape).ravel() for v in fields]
+        for _, *fields in families
+    ]
+    return [
+        make_report(family[0], x, lhs[k], rhs[k], tol, digest, ok[k], hyp[k])
+        for k, x in enumerate(labels.ravel())
+        for family, (lhs, rhs, ok, hyp) in zip(families, columns)
     ]
 
 
@@ -197,141 +220,64 @@ def eval_disturbance_bounds(
     total = inst.total()
     fm, em = f._effects, e_obs._effects
     img, img_sq = np.split(_apply(total, np.concatenate([fm, fm @ fm]), True), 2)
-    prof = _profile(f.outcomes, img - fm)
     # per outcome y of f: ||delta(y)||, its unsharpness, ||I*_X(F^2) - I*_X(F)^2||
     # and ||I*_X(F^2) - F^2||
-    f_terms = list(zip(
-        f.outcomes, prof.norms.values(), _unsharpness(fm),
-        op_norms(img_sq - img @ img), op_norms(img_sq - fm @ fm),
-    ))
-    pair_lhs = op_norms(_commutators(em[:, None], fm))
-    nondisturbed = prof.max_norm <= tol.eq_tol
+    dy, uf, sesq, exact = _sv_max(
+        np.stack([img - fm, fm @ fm - fm, img_sq - img @ img, img_sq - fm @ fm])
+    )
+    max_dy = dy.max()
+    undisturbed = dy <= tol.eq_tol
+    delta_hyp = [f"delta(y) = 0 (||delta(y)|| = {v:.3e})" for v in dy]
 
-    reports: list[BoundReport] = []
-    for x, ue, lhs_row in zip(e_obs.outcomes, _unsharpness(em), pair_lhs):
-        cross = 2.0 * np.sqrt(ue)
-        for (y, dy, uf, sesq, exact), lhs in zip(f_terms, lhs_row):
-            pair = f"({x},{y})"
-            reports.append(
-                make_report(
-                    "compat-commutator",
-                    pair,
-                    lhs,
-                    cross * np.sqrt(uf),
-                    tol,
-                    digest,
-                    hypothesis_satisfied=nondisturbed,
-                    hypothesis=(
-                        f"joint measurability via nondisturbance "
-                        f"(max ||delta|| = {prof.max_norm:.3e})"
-                    ),
-                )
-            )
-            reports.append(
-                make_report(
-                    "disturb-commutator", pair, lhs, dy + cross * np.sqrt(sesq), tol, digest
-                )
-            )
-            reports.append(
-                make_report(
-                    "disturb-commutator-nondisturbing",
-                    pair,
-                    lhs,
-                    cross * np.sqrt(exact),
-                    tol,
-                    digest,
-                    hypothesis_satisfied=dy <= tol.eq_tol,
-                    hypothesis=f"delta(y) = 0 (||delta(y)|| = {dy:.3e})",
-                )
-            )
-            reports.append(
-                make_report(
-                    "disturb-commutator-unsharpness",
-                    pair,
-                    lhs,
-                    dy + cross * np.sqrt(2.0 * dy + uf),
-                    tol,
-                    digest,
-                )
-            )
-
+    # per pair (x, y), x-major: the outcome grid broadcasts x down, y across
+    pairs = [[f"({x},{y})" for y in f.outcomes] for x in e_obs.outcomes]
+    lhs = _sv_max(_commutators(em[:, None], fm))
+    cross = 2.0 * np.sqrt(_sv_max(em @ em - em))[:, None]
+    reports = _rows(
+        tol, digest, pairs,
+        (
+            "compat-commutator", lhs, cross * np.sqrt(uf), max_dy <= tol.eq_tol,
+            f"joint measurability via nondisturbance (max ||delta|| = {max_dy:.3e})",
+        ),
+        ("disturb-commutator", lhs, dy + cross * np.sqrt(sesq), True, ""),
+        ("disturb-commutator-nondisturbing", lhs, cross * np.sqrt(exact), undisturbed, delta_hyp),
+        ("disturb-commutator-unsharpness", lhs, dy + cross * np.sqrt(2.0 * dy + uf), True, ""),
+    )
     if q is None:
         return reports
 
     cons = _scheme_conservation(m, q, tol)[1]
-    ns_norm = op_norm(q.n_sys)
+    base = 2.0 * op_norm(q.n_sys) * dy
     gamma_cross = 2.0 * np.sqrt(_gamma_moment_defect(m, q, tol))
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
-
     comm = _commutators(fm, q.n_sys.mat)
-    conserved_lhs = op_norms(comm - _apply(total, comm, True))
-    for (y, dy, uf, sesq, exact), lhs in zip(f_terms, conserved_lhs):
-        base = 2.0 * ns_norm * dy
-        reports.append(
-            make_report(
-                "conserve-disturb-commutator",
-                y,
-                lhs,
-                base + gamma_cross * np.sqrt(sesq),
-                tol,
-                digest,
-                hypothesis_satisfied=cons.average_holds,
-                hypothesis=avg_hyp,
-            )
-        )
-        reports.append(
-            make_report(
-                "conserve-disturb-commutator-nondisturbing",
-                y,
-                lhs,
-                base + gamma_cross * np.sqrt(exact),
-                tol,
-                digest,
-                hypothesis_satisfied=cons.average_holds and dy <= tol.eq_tol,
-                hypothesis=avg_hyp + f" + delta(y) = 0 (||delta(y)|| = {dy:.3e})",
-            )
-        )
-        reports.append(
-            make_report(
-                "conserve-disturb-unsharpness",
-                y,
-                lhs,
-                base + gamma_cross * np.sqrt(2.0 * dy + uf),
-                tol,
-                digest,
-                hypothesis_satisfied=cons.average_holds,
-                hypothesis=avg_hyp,
-            )
-        )
-
+    lhs = _sv_max(comm - _apply(total, comm, True))
+    reports += _rows(
+        tol, digest, f.outcomes,
+        (
+            "conserve-disturb-commutator", lhs, base + gamma_cross * np.sqrt(sesq),
+            cons.average_holds, avg_hyp,
+        ),
+        (
+            "conserve-disturb-commutator-nondisturbing", lhs,
+            base + gamma_cross * np.sqrt(exact), cons.average_holds & undisturbed,
+            [avg_hyp + " + " + h for h in delta_hyp],
+        ),
+        (
+            "conserve-disturb-unsharpness", lhs, base + gamma_cross * np.sqrt(2.0 * dy + uf),
+            cons.average_holds, avg_hyp,
+        ),
+    )
     if cons.full_holds:
         qval = _scheme_qfi(m, q, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
-        for (y, dy, _, sesq, _), lhs in zip(f_terms, conserved_lhs):
-            base = 2.0 * ns_norm * dy
-            reports.append(
-                make_report(
-                    "conserve-disturb-qfi",
-                    y,
-                    lhs,
-                    base + 0.5 * np.sqrt(qval),
-                    tol,
-                    digest,
-                    hypothesis=full_hyp,
-                )
-            )
-            if assert_extremal:
-                reports.append(
-                    make_report(
-                        "conserve-disturb-qfi-extremal",
-                        y,
-                        lhs,
-                        base + np.sqrt(qval) * np.sqrt(sesq),
-                        tol,
-                        digest,
-                        hypothesis=full_hyp + " + caller-asserted extremal instrument",
-                    )
-                )
+        families = [("conserve-disturb-qfi", lhs, base + 0.5 * np.sqrt(qval), True, full_hyp)]
+        if assert_extremal:
+            families.append((
+                "conserve-disturb-qfi-extremal", lhs, base + np.sqrt(qval) * np.sqrt(sesq), True,
+                full_hyp + " + caller-asserted extremal instrument",
+            ))
+        reports += _rows(tol, digest, f.outcomes, *families)
     return reports
 
 
@@ -351,7 +297,6 @@ def eval_measurability_bounds(
     prof = error_profile(m, target, tol)
     cons = _scheme_conservation(m, q, tol)[1]
     maps = restriction_maps(m, tol)
-    ns_norm = op_norm(q.n_sys)
     gamma_cross = 2.0 * np.sqrt(_gamma_moment_defect(m, q, tol))
     digest = digest_inputs(
         "measurability",
@@ -362,60 +307,35 @@ def eval_measurability_bounds(
         q.n_app,
         bool(assert_extremal),
     )
-    avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
-    reports: list[BoundReport] = []
     tm = target._effects
     # error_profile checked that target and pointer share their outcome order
     pointer_comm = _commutators(m.pointer._effects, q.n_app.mat)
     transferred = _apply(maps.conj_dual, pointer_comm, False)
-    lhs_t = op_norms(_commutators(tm, q.n_sys.mat) - transferred)
     # per outcome x: ||eps(x)||, the target's unsharpness, the lhs
-    t_terms = list(zip(target.outcomes, prof.norms.values(), _unsharpness(tm), lhs_t))
-    for x, eps, ut, lhs in t_terms:
-        reports.append(
-            make_report(
-                "measure-error-commutator",
-                x,
-                lhs,
-                2.0 * ns_norm * eps + gamma_cross * np.sqrt(2.0 * eps + ut),
-                tol,
-                digest,
-                hypothesis_satisfied=cons.average_holds,
-                hypothesis=avg_hyp,
-            )
-        )
+    eps = np.array(list(prof.norms.values()))
+    ut, lhs = _sv_max(np.stack([tm @ tm - tm, _commutators(tm, q.n_sys.mat) - transferred]))
+    base = 2.0 * op_norm(q.n_sys) * eps
+    reports = _rows(
+        tol, digest, target.outcomes,
+        (
+            "measure-error-commutator", lhs, base + gamma_cross * np.sqrt(2.0 * eps + ut),
+            cons.average_holds, f"average conservation (defect = {cons.average_defect:.3e})",
+        ),
+    )
     if cons.full_holds:
         qval = _scheme_qfi(m, q, tol)
         full_hyp = f"full conservation (defect = {cons.full_defect:.3e})"
-        for x, eps, ut, lhs in t_terms:
-            reports.append(
-                make_report(
-                    "measure-error-qfi",
-                    x,
-                    lhs,
-                    2.0 * ns_norm * eps + 0.5 * np.sqrt(qval),
-                    tol,
-                    digest,
-                    hypothesis=full_hyp,
-                )
-            )
-            if assert_extremal:
-                reports.append(
-                    make_report(
-                        "measure-error-qfi-extremal",
-                        x,
-                        lhs,
-                        np.sqrt(qval) * np.sqrt(ut),
-                        tol,
-                        digest,
-                        hypothesis_satisfied=eps <= tol.eq_tol,
-                        hypothesis=(
-                            full_hyp
-                            + " + caller-asserted extremal target + exact measurement "
-                            f"(||eps(x)|| = {eps:.3e})"
-                        ),
-                    )
-                )
+        families = [("measure-error-qfi", lhs, base + 0.5 * np.sqrt(qval), True, full_hyp)]
+        if assert_extremal:
+            families.append((
+                "measure-error-qfi-extremal", lhs, np.sqrt(qval) * np.sqrt(ut), eps <= tol.eq_tol,
+                [
+                    full_hyp + " + caller-asserted extremal target + exact measurement "
+                    f"(||eps(x)|| = {v:.3e})"
+                    for v in eps
+                ],
+            ))
+        reports += _rows(tol, digest, target.outcomes, *families)
     return reports
 
 
@@ -434,70 +354,42 @@ def eval_way(
     e_obs = measured_observable(m, tol)
     cons = _scheme_conservation(m, q, tol)[1]
     yan = yanase_conditions(m, q, tol)
-    ns_norm = op_norm(q.n_sys)
     digest = digest_inputs("way", *_scheme_digest_items(m), q.n_sys, q.n_app)
 
     repeat_defect = _scheme_repeat_first_kind(m, tol)[0]
     repeatable = repeat_defect <= tol.eq_tol
-    yanase_ok = yan.yanase_defect <= tol.eq_tol
 
     em = e_obs._effects
     # per outcome x: the measured effect's unsharpness and ||[E(x), N_S]||
-    e_terms = list(zip(e_obs.outcomes, _unsharpness(em), op_norms(_commutators(em, q.n_sys.mat))))
+    ue, lhs = _sv_max(np.stack([em @ em - em, _commutators(em, q.n_sys.mat)]))
     reports: list[BoundReport] = []
 
-    if repeatable or yanase_ok:
-        gamma_defect = _gamma_moment_defect(m, q, tol)
+    if repeatable or yan.yanase_defect <= tol.eq_tol:
         route = (
             f"repeatable instrument (defect = {repeat_defect:.3e})"
             if repeatable
             else f"pointer Yanase condition (defect = {yan.yanase_defect:.3e})"
         )
-        hyp = f"average conservation (defect = {cons.average_defect:.3e}) + {route}"
-        for x, ue, lhs in e_terms:
-            reports.append(
-                make_report(
-                    "way-unsharpness",
-                    x,
-                    lhs,
-                    2.0 * np.sqrt(gamma_defect) * np.sqrt(ue),
-                    tol,
-                    digest,
-                    hypothesis_satisfied=cons.average_holds,
-                    hypothesis=hyp,
-                )
-            )
+        reports += _rows(
+            tol, digest, e_obs.outcomes,
+            (
+                "way-unsharpness", lhs,
+                2.0 * np.sqrt(_gamma_moment_defect(m, q, tol)) * np.sqrt(ue),
+                cons.average_holds,
+                f"average conservation (defect = {cons.average_defect:.3e}) + {route}",
+            ),
+        )
 
     weak_ok = yan.weak_defect <= tol.eq_tol
     weak_hyp = f"weak Yanase condition (defect = {yan.weak_defect:.3e})"
-    var_xi = variance(q.n_app, m.xi, tol)
-    qval = _scheme_qfi(m, q, tol)
-    for x, ue, lhs in e_terms:
-        reports.append(
-            make_report(
-                "way-weak-yanase-variance",
-                x,
-                lhs,
-                2.0 * np.sqrt(var_xi) * np.sqrt(ue),
-                tol,
-                digest,
-                hypothesis_satisfied=weak_ok,
-                hypothesis=weak_hyp,
-            )
-        )
-        reports.append(
-            make_report(
-                "way-weak-yanase-qfi",
-                x,
-                lhs,
-                0.5 * np.sqrt(qval),
-                tol,
-                digest,
-                hypothesis_satisfied=weak_ok,
-                hypothesis=weak_hyp,
-            )
-        )
-    return reports
+    return reports + _rows(
+        tol, digest, e_obs.outcomes,
+        (
+            "way-weak-yanase-variance", lhs,
+            2.0 * np.sqrt(variance(q.n_app, m.xi, tol)) * np.sqrt(ue), weak_ok, weak_hyp,
+        ),
+        ("way-weak-yanase-qfi", lhs, 0.5 * np.sqrt(_scheme_qfi(m, q, tol)), weak_ok, weak_hyp),
+    )
 
 
 def eval_distinguishability_bounds(
@@ -519,6 +411,8 @@ def eval_distinguishability_bounds(
     ``thm7_outcome``, which raises if it names no outcome of the scheme or if
     membership fails); and, for repeatable instruments, the commutation check
     of each measured effect against the support-compressed system quantity.
+    Every eigenspace projector comes from one batched ``eigh`` of the
+    measured effects, which are Hermitian by construction.
     """
     dS = m.sys_dim
     psi_v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -553,85 +447,69 @@ def eval_distinguishability_bounds(
         apply_map(maps.conj_channel, rho_psi), apply_map(maps.conj_channel, rho_phi), tol
     )
     lhs_overlap = float(abs(np.vdot(psi_v, q.n_sys.mat @ phi_v)))
-    na_norm = op_norm(q.n_app)
     ns_norm = op_norm(q.n_sys)
-
-    reports: list[BoundReport] = [
-        make_report(
-            "distinguish-fidelity",
-            "",
-            lhs_overlap,
-            na_norm * np.sqrt(out_fid) + ns_norm * np.sqrt(conj_fid),
-            tol,
-            digest,
-            hypothesis_satisfied=cons.average_holds,
-            hypothesis=avg_hyp,
-        )
-    ]
+    reports = _rows(
+        tol, digest, [""],
+        (
+            "distinguish-fidelity", lhs_overlap,
+            op_norm(q.n_app) * np.sqrt(out_fid) + ns_norm * np.sqrt(conj_fid),
+            cons.average_holds, avg_hyp,
+        ),
+    )
 
     repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
-    first_kind = fk_defect <= tol.eq_tol
-
     em = e_obs._effects
-    norms = op_norms(em)
+    spectra, vectors = np.linalg.eigh(em)
+
+    def projector(k: int, value: float) -> np.ndarray:
+        """:func:`opcore.eigenspace_projector` of effect ``k`` at ``value``."""
+        cols = _eigenspace_columns(spectra[k], vectors[k], value, tol.rank_tol)
+        return np.zeros((dS, dS), dtype=complex) if cols is None else cols @ cols.conj().T
+
     # a and b are the largest and smallest eigenvalues of each effect
-    extremes = zip(e_obs.outcomes, em, norms, op_norms(np.eye(dS) - em))
-    for x, eff, a, gap in extremes:
-        b = 1.0 - gap
-        if a - b <= tol.rank_tol:
+    a, gap = _sv_max(np.stack([em, np.eye(dS) - em]))
+    b = 1.0 - gap
+    member = np.zeros(len(em), dtype=bool)
+    for k, x in enumerate(e_obs.outcomes):
+        if a[k] - b[k] <= tol.rank_tol:
             if x == thm7_outcome:
                 raise ValueError(
                     f"outcome {x!r}: effect is trivial (max and min eigenvalues coincide)"
                 )
             continue
-        p_max = eigenspace_projector(eff, a, tol)
-        p_min = eigenspace_projector(eff, b, tol)
-        res_psi = float(np.linalg.norm(psi_v - p_max.mat @ psi_v))
-        res_phi = float(np.linalg.norm(phi_v - p_min.mat @ phi_v))
-        member = res_psi <= tol.rank_tol and res_phi <= tol.rank_tol
-        if not member:
-            if x == thm7_outcome:
-                raise ValueError(
-                    f"outcome {x!r}: psi/phi are outside the extreme eigenspaces "
-                    f"(residuals {res_psi:.3e}, {res_phi:.3e})"
-                )
-            continue
-        rhs = ns_norm * (
-            np.sqrt(a) * np.sqrt(max(b, 0.0))
-            + np.sqrt(max(1.0 - a, 0.0)) * np.sqrt(max(1.0 - b, 0.0))
-        )
-        reports.append(
-            make_report(
-                "distinguish-norm-gap",
-                x,
-                lhs_overlap,
-                float(rhs),
-                tol,
-                digest,
-                hypothesis_satisfied=cons.average_holds and first_kind,
-                hypothesis=avg_hyp
-                + f" + first-kind instrument (defect = {fk_defect:.3e})",
+        res_psi = float(np.linalg.norm(psi_v - projector(k, a[k]) @ psi_v))
+        res_phi = float(np.linalg.norm(phi_v - projector(k, b[k]) @ phi_v))
+        member[k] = res_psi <= tol.rank_tol and res_phi <= tol.rank_tol
+        if not member[k] and x == thm7_outcome:
+            raise ValueError(
+                f"outcome {x!r}: psi/phi are outside the extreme eigenspaces "
+                f"(residuals {res_psi:.3e}, {res_phi:.3e})"
             )
-        )
+    reports += _rows(
+        tol, digest, np.array(e_obs.outcomes, dtype=object)[member],
+        (
+            "distinguish-norm-gap", lhs_overlap,
+            ns_norm * (
+                np.sqrt(a) * np.sqrt(np.maximum(b, 0.0))
+                + np.sqrt(np.maximum(1.0 - a, 0.0)) * np.sqrt(np.maximum(1.0 - b, 0.0))
+            )[member],
+            cons.average_holds and fk_defect <= tol.eq_tol,
+            avg_hyp + f" + first-kind instrument (defect = {fk_defect:.3e})",
+        ),
+    )
 
     if repeat_defect <= tol.eq_tol:
-        p_total = np.zeros((dS, dS), dtype=complex)
-        for eff, norm in zip(em, norms):
-            if norm > tol.rank_tol:
-                p_total += eigenspace_projector(eff, 1.0, tol).mat
+        p_total = sum(
+            (projector(k, 1.0) for k in range(len(em)) if a[k] > tol.rank_tol),
+            np.zeros((dS, dS), dtype=complex),
+        )
         compressed = p_total @ q.n_sys.mat @ p_total
-        for x, lhs in zip(e_obs.outcomes, op_norms(_commutators(em, compressed))):
-            reports.append(
-                make_report(
-                    "repeat-commutant",
-                    x,
-                    lhs,
-                    0.0,
-                    tol,
-                    digest,
-                    hypothesis_satisfied=cons.average_holds,
-                    hypothesis=avg_hyp
-                    + f" + repeatable instrument (defect = {repeat_defect:.3e})",
-                )
-            )
+        reports += _rows(
+            tol, digest, e_obs.outcomes,
+            (
+                "repeat-commutant", _sv_max(_commutators(em, compressed)), 0.0,
+                cons.average_holds,
+                avg_hyp + f" + repeatable instrument (defect = {repeat_defect:.3e})",
+            ),
+        )
     return reports

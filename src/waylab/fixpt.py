@@ -51,6 +51,7 @@ from .opcore import (
     Operator,
     Tolerance,
     _BLOCK,
+    _psd_sqrts,
     eigen_clusters,
     eigenspace_projector,
     hermitian_basis,
@@ -58,7 +59,6 @@ from .opcore import (
     op_norm,
     op_norm_mat,
     op_norms,
-    psd_sqrt,
 )
 
 __all__ = [
@@ -433,8 +433,11 @@ def check_minimal_support(
         vecs = x.swapaxes(1, 2).reshape(len(x), d * d, 1)
         return (analysis.projector.m @ vecs).reshape(len(x), d, d).swapaxes(1, 2)
 
+    # av(E_ij) is column i + j d of the projector (vec stacks columns), so
+    # the images of the units E_{k//d, k%d} are its columns, unvec'ed
+    unit_images = analysis.projector.m.reshape((d,) * 4).transpose(3, 2, 1, 0)
     units = np.eye(d * d).reshape(d * d, d, d)
-    sandwich = max_op_norm(av_stack(units) - av_stack(p @ units @ p))
+    sandwich = max_op_norm(unit_images.reshape(d * d, d, d) - av_stack(p @ units @ p))
 
     # the columns of fixed_states, unvec'ed
     states = analysis.fixed_states.T.reshape(-1, d, d).swapaxes(1, 2)
@@ -604,7 +607,7 @@ def structural_necessary_conditions(
     # instrument forces full commutation with the system quantity
     # on every matrix unit X: sum_k K X K^dag - S X S^dag, S = sqrt(E(x)),
     # with the factors [K, S] and [K^dag, -S^dag]
-    roots = np.array([psd_sqrt(eff, tol).mat for eff in e_mats])[:, None]
+    roots = _psd_sqrts(e_mats, tol)[:, None]
     left = np.concatenate([_stack_families([op._kraus for op in inst.operations]), roots], axis=1)
     right = left.conj().swapaxes(-1, -2)
     right[:, -1] *= -1

@@ -46,6 +46,7 @@ from .opcore import (
     Operator,
     Tolerance,
     _eigenspace_columns,
+    _psd_sqrts,
     eigen_clusters,
     max_op_norm,
     op_norm_mat,
@@ -362,7 +363,7 @@ def sharp_observable(a: Any, tol: Tolerance = DEFAULT_TOL) -> Observable:
 
 def luders_instrument(e: Observable, tol: Tolerance = DEFAULT_TOL) -> Instrument:
     """``I_x(t) = sqrt(E(x)) t sqrt(E(x))``."""
-    ops = [OperationMap([psd_sqrt(eff, tol)]) for eff in e._effects]
+    ops = [OperationMap([root]) for root in _psd_sqrts(e._effects, tol)]
     return Instrument._derived(e.outcomes, ops)
 
 
@@ -374,14 +375,13 @@ def collapse_instrument(
         raise ValueError("need one collapse vector per outcome")
     d = e.dim
     ops = []
-    for eff, v in zip(e._effects, vectors):
+    for sq, v in zip(_psd_sqrts(e._effects, tol), vectors):
         psi = np.asarray(v, dtype=complex).reshape(-1)
         if psi.shape != (d,):
             raise ValueError(f"collapse vector has length {psi.shape[0]}, expected {d}")
         norm = np.linalg.norm(psi)
         if abs(norm - 1.0) > tol.eq_tol:
             raise ValueError(f"collapse vector is not normalized (norm {norm:.6f})")
-        sq = psd_sqrt(eff, tol).mat
         ops.append(OperationMap([np.outer(psi, sq[k, :]) for k in range(d)]))
     return Instrument(e.outcomes, ops, tol)
 
@@ -410,8 +410,7 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
     weighted = _xi_decomposition(m.xi, tol)
     eye_s = np.eye(dS)
     ops = []
-    for zx in m.pointer._effects:
-        sqz = psd_sqrt(zx, tol).mat
+    for sqz in _psd_sqrts(m.pointer._effects, tol):
         lift = np.kron(eye_s, sqz)
         kraus_x: list[np.ndarray] = []
         for L in m.coupling.kraus:
@@ -488,7 +487,7 @@ def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementS
     dim = dS * n
     u = np.zeros((dim, dim), dtype=complex)
     # column s n holds sum_x sqrt(E(x)) |s> (x) |x>
-    sqrts = np.array([psd_sqrt(eff, tol).mat for eff in e._effects])
+    sqrts = _psd_sqrts(e._effects, tol)
     u[:, ::n] = sqrts.transpose(1, 0, 2).reshape(dim, dS)
     open_slots = [s * n + x for s in range(dS) for x in range(1, n)]
     chosen = [u[:, s * n] for s in range(dS)]

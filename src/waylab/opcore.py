@@ -277,9 +277,15 @@ def psd_sqrt(a: MatrixLike, tol: Tolerance = DEFAULT_TOL) -> Operator:
     to zero as well, since the square root would otherwise turn them into
     ``sqrt(eps)``-sized kernel components.
     """
-    m = _as_matrix(a)
-    h = 0.5 * (m + m.conj().T)
-    if op_norm_mat(m - h) > tol.eq_tol:
+    return Operator(_psd_sqrts(_as_matrix(a)[None], tol)[0])
+
+
+def _psd_sqrts(stack: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """:func:`psd_sqrt` of each matrix of a stack ``(n, d, d)``, from one
+    Hermitian check, one batched ``eigh`` and one batched product; the errors
+    name the stack's most negative eigenvalue."""
+    h = 0.5 * (stack + stack.conj().swapaxes(-2, -1))
+    if max_op_norm(stack - h) > tol.eq_tol:
         raise ValueError("psd_sqrt requires a Hermitian operator")
     w, v = np.linalg.eigh(h)
     if w.min() < -tol.eq_tol:
@@ -288,8 +294,8 @@ def psd_sqrt(a: MatrixLike, tol: Tolerance = DEFAULT_TOL) -> Operator:
             f"most negative eigenvalue is {w.min():.6e}"
         )
     w = np.clip(w, 0.0, None)
-    w[w < w[-1] * h.shape[0] * np.finfo(float).eps] = 0.0
-    return Operator((v * np.sqrt(w)) @ v.conj().T)
+    w[w < w[:, -1:] * h.shape[-1] * np.finfo(float).eps] = 0.0
+    return (v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-2, -1)
 
 
 def fidelity(rho: MatrixLike, sigma: MatrixLike, tol: Tolerance = DEFAULT_TOL) -> float:

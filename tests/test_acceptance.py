@@ -9,6 +9,8 @@ oracles; nothing here is derived from the code under test.
 import time
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, commutator, op_norm
 from waylab import cli
@@ -207,6 +209,17 @@ def test_criterion_04_bound_battery_random_scenarios():
     assert checked > 1000
     assert required <= seen_satisfying, required - seen_satisfying
     assert time.monotonic() - start < 60.0
+
+
+@given(offset=st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=20, deadline=None)
+def test_bound_battery_at_drawn_offsets(offset):
+    # criterion 04 at drawn rng offsets; twelve scenarios per draw take every
+    # pairing of the four dimension pairs with the two pointer kinds
+    for i in range(12):
+        for r in _battery_reports(*_bound_battery_scenario(i, offset)):
+            if r.hypothesis_satisfied:
+                assert r.slack >= -1e-7, (offset, i, r.bound_id, r.outcome, r.slack)
 
 
 def test_distinguish_fidelity_uses_root_fidelity():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, bounds
 from waylab.bounds import (
@@ -17,7 +19,10 @@ from waylab.measure import (
     normal_dilation,
     sharp_observable,
 )
+from waylab.rand import haar_unitary
 from waylab.reporting import make_report, summarize
+
+from test_acceptance import _battery_reports, _bound_battery_scenario
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -285,6 +290,87 @@ def test_distinguishability_unsharp_effects_skip_norm_gap():
     q = AdditiveQuantity(SZ / 2.0, np.zeros((2, 2)))
     reports = eval_distinguishability_bounds(m, q, [0.0, 1.0], [1.0, 0.0])
     assert [r.bound_id for r in reports] == ["distinguish-fidelity"]
+
+
+def test_rows_come_in_evaluator_order():
+    # the rows' order is part of every report that lists them unsorted: pairs
+    # x-major, and families that share their outcomes interleaved per outcome
+    m = cnot_scheme()
+    q = AdditiveQuantity(SZ / 2.0, np.zeros((2, 2)))
+    zs, es = ("z0", "z1"), ("e0", "e1")
+    pair_ids = (
+        "compat-commutator",
+        "disturb-commutator",
+        "disturb-commutator-nondisturbing",
+        "disturb-commutator-unsharpness",
+    )
+    conserved_ids = (
+        "conserve-disturb-commutator",
+        "conserve-disturb-commutator-nondisturbing",
+        "conserve-disturb-unsharpness",
+    )
+    disturbance = (
+        [(b, f"({x},{y})") for x in zs for y in es for b in pair_ids]
+        + [(b, y) for y in es for b in conserved_ids]
+        + [(b, y) for y in es for b in ("conserve-disturb-qfi", "conserve-disturb-qfi-extremal")]
+    )
+    measurability = [("measure-error-commutator", x) for x in zs] + [
+        (b, x) for x in zs for b in ("measure-error-qfi", "measure-error-qfi-extremal")
+    ]
+    way = [("way-unsharpness", x) for x in zs] + [
+        (b, x) for x in zs for b in ("way-weak-yanase-variance", "way-weak-yanase-qfi")
+    ]
+    distinguishability = [("distinguish-fidelity", ""), ("distinguish-norm-gap", "z1")] + [
+        ("repeat-commutant", x) for x in zs
+    ]
+    for reports, expected in (
+        (eval_disturbance_bounds(m, sharp_observable(SZ), q, assert_extremal=True), disturbance),
+        (
+            eval_measurability_bounds(m, Observable(list(zs), [P0, P1]), q, assert_extremal=True),
+            measurability,
+        ),
+        (eval_way(m, q), way),
+        (eval_distinguishability_bounds(m, q, [0.0, 1.0], [1.0, 0.0]), distinguishability),
+    ):
+        assert [(r.bound_id, r.outcome) for r in reports] == expected
+
+
+def _rotated(u, mats):
+    return [u @ a @ u.conj().T for a in mats]
+
+
+@given(offset=st.integers(0, 2**32 - 1), i=st.integers(0, 11))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_bound_rows_invariant_under_joint_change_of_basis(offset, i):
+    # every side is a unitarily invariant norm, variance or fidelity of
+    # operators that all turn together, so only rounding may move; an rhs
+    # takes square roots of rounding-level unsharpnesses, so 1e-16 in an
+    # unsharpness shows up as about 1e-8 there
+    m, f, q, target, psi, phi = _bound_battery_scenario(i, offset)
+    rng = np.random.default_rng([offset, i])
+    vs, va = haar_unitary(m.sys_dim, rng).mat, haar_unitary(m.app_dim, rng).mat
+    pointer = Observable(m.pointer.outcomes, _rotated(va, [e.mat for e in m.pointer.effects]))
+    turned = MeasurementScheme(
+        m.sys_dim,
+        m.app_dim,
+        _rotated(va, [m.xi.mat])[0],
+        OperationMap(_rotated(np.kron(vs, va), m.coupling.kraus)),
+        pointer,
+    )
+    before = _battery_reports(m, f, q, target, psi, phi)
+    after = _battery_reports(
+        turned,
+        Observable(f.outcomes, _rotated(vs, [e.mat for e in f.effects])),
+        AdditiveQuantity(*_rotated(vs, [q.n_sys.mat]), *_rotated(va, [q.n_app.mat])),
+        Observable(target.outcomes, _rotated(vs, [e.mat for e in target.effects])),
+        vs @ psi,
+        vs @ phi,
+    )
+    keys = [(r.bound_id, r.outcome, r.hypothesis_satisfied) for r in before]
+    assert [(r.bound_id, r.outcome, r.hypothesis_satisfied) for r in after] == keys
+    for key, r, s in zip(keys, before, after):
+        assert abs(r.lhs - s.lhs) <= 1e-9, (key, r.lhs, s.lhs)
+        assert abs(r.rhs - s.rhs) <= 1e-7, (key, r.rhs, s.rhs)
 
 
 def test_report_slack_and_summary():

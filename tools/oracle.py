@@ -33,8 +33,9 @@ the same files.  It writes:
 * ``demo-<script>.txt``: each demo's standard output;
 * ``battery-<offset>.json``: every bound row of the four evaluators and the
   Yanase report for each of 200 random scenarios of the acceptance battery
-  (``tests/test_acceptance.py``) at offsets 1000, 5600 and 24692600.  No CLI
-  path reaches ``eval_distinguishability_bounds``, so this is its oracle;
+  (``tests/test_acceptance.py``) at offsets 1000, 5600 and 24692600, in the
+  order the evaluators return them (unsorted, unlike the CLI report), so
+  these files pin the evaluators' row order;
 * ``exit-codes.txt``: the exit code of every command above.
 
 BLAS is pinned to one thread, as in the benchmark.
