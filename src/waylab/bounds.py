@@ -49,6 +49,7 @@ from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
+    _norm_one_projectors,
     _scheme_repeat_first_kind,
     measured_observable,
     restriction_maps,
@@ -411,8 +412,10 @@ def eval_distinguishability_bounds(
     ``thm7_outcome``, which raises if it names no outcome of the scheme or if
     membership fails); and, for repeatable instruments, the commutation check
     of each measured effect against the support-compressed system quantity.
-    Every eigenspace projector comes from one batched ``eigh`` of the
-    measured effects, which are Hermitian by construction.
+    The extreme eigenspace projectors come from one batched ``eigh`` of the
+    measured effects, which are Hermitian by construction; the eigenvalue-1
+    projectors of the commutation check are those of
+    ``measure._norm_one_projectors``, as in the repeatability report.
     """
     dS = m.sys_dim
     psi_v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -500,8 +503,7 @@ def eval_distinguishability_bounds(
 
     if repeat_defect <= tol.eq_tol:
         p_total = sum(
-            (projector(k, 1.0) for k in range(len(em)) if a[k] > tol.rank_tol),
-            np.zeros((dS, dS), dtype=complex),
+            _norm_one_projectors(e_obs, tol)[0].values(), np.zeros((dS, dS), dtype=complex)
         )
         compressed = p_total @ q.n_sys.mat @ p_total
         reports += _rows(

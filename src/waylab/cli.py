@@ -107,22 +107,15 @@ class _Scenario:
 
 def _resolve_tolerance(scenario_obj: dict, args: argparse.Namespace) -> Tolerance:
     """Precedence: command line over environment over scenario over default."""
-    eq = DEFAULT_TOL.eq_tol
-    rank = DEFAULT_TOL.rank_tol
     block = scenario_obj.get("tolerance")
-    if block is not None:
-        if not isinstance(block, dict):
-            raise SchemaError("tolerance: expected an object")
-        if "eq_tol" in block:
-            eq = float(block["eq_tol"])
-        if "rank_tol" in block:
-            rank = float(block["rank_tol"])
-    env_eq = os.environ.get("WAYLAB_TOL")
-    if env_eq is not None:
-        eq = float(env_eq)
-    env_rank = os.environ.get("WAYLAB_RANK_TOL")
-    if env_rank is not None:
-        rank = float(env_rank)
+    if block is None:
+        block = {}
+    if not isinstance(block, dict):
+        raise SchemaError("tolerance: expected an object")
+    eq = float(block.get("eq_tol", DEFAULT_TOL.eq_tol))
+    rank = float(block.get("rank_tol", DEFAULT_TOL.rank_tol))
+    eq = float(os.environ.get("WAYLAB_TOL", eq))
+    rank = float(os.environ.get("WAYLAB_RANK_TOL", rank))
     if getattr(args, "tol", None) is not None:
         eq = args.tol
     if getattr(args, "rank_tol", None) is not None:
@@ -155,14 +148,13 @@ def _parse_object(name: str, obj: Any, sys_dim: int, tol: Tolerance) -> tuple[st
         return kind, phi
     if kind == "scheme":
         return kind, scheme_from_json(obj, sys_dim, where, tol)
-    if kind == "quantity":
-        n_sys = serialize.matrix_from_json(obj.get("system"), f"{where}.system")
-        n_app = serialize.matrix_from_json(obj.get("apparatus"), f"{where}.apparatus")
-        try:
-            return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app, tol=tol)
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from exc
-    raise SchemaError(f"{where}.kind: unhandled kind {kind!r}")
+    # the last of _OBJECT_KINDS: a quantity
+    n_sys = serialize.matrix_from_json(obj.get("system"), f"{where}.system")
+    n_app = serialize.matrix_from_json(obj.get("apparatus"), f"{where}.apparatus")
+    try:
+        return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app, tol=tol)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
 
 
 def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[dict]]:
@@ -224,57 +216,50 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
     record: dict[str, Any] = {"index": idx, "op": op, "ok": None}
     reports: list[BoundReport] = []
 
+    def get(field: str, *kinds: str) -> Any:
+        """The object a task field names; its kind defaults to the field's name."""
+        return scn.get(idx, field, task.get(field), kinds or (field,))
+
     if op == "disturbance-bounds":
-        m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
-        f = scn.get(idx, "observable", task.get("observable"), ("observable",))
-        q = None
-        if "quantity" in task:
-            q = scn.get(idx, "quantity", task["quantity"], ("quantity",))
-        reports = eval_disturbance_bounds(m, f, q, _flag(idx, task, "assert_extremal"), tol)
-        record["bounds_emitted"] = len(reports)
-    elif op == "measurability-bounds":
-        m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
-        target = scn.get(idx, "target", task.get("target"), ("observable",))
-        q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-        reports = eval_measurability_bounds(
-            m, target, q, _flag(idx, task, "assert_extremal"), tol
+        reports = eval_disturbance_bounds(
+            get("scheme"),
+            get("observable"),
+            get("quantity") if "quantity" in task else None,
+            _flag(idx, task, "assert_extremal"),
+            tol,
         )
-        record["bounds_emitted"] = len(reports)
+    elif op == "measurability-bounds":
+        reports = eval_measurability_bounds(
+            get("scheme"),
+            get("target", "observable"),
+            get("quantity"),
+            _flag(idx, task, "assert_extremal"),
+            tol,
+        )
     elif op == "way-bounds":
-        m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
-        q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-        reports = eval_way(m, q, tol)
-        record["bounds_emitted"] = len(reports)
+        reports = eval_way(get("scheme"), get("quantity"), tol)
     elif op == "distinguishability-bounds":
-        m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
-        q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-        psi = scn.get(idx, "psi", task.get("psi"), ("vector",))
-        phi = scn.get(idx, "phi", task.get("phi"), ("vector",))
-        outcome = task.get("outcome")
-        reports = eval_distinguishability_bounds(m, q, psi, phi, outcome, tol)
-        record["bounds_emitted"] = len(reports)
+        reports = eval_distinguishability_bounds(
+            get("scheme"),
+            get("quantity"),
+            get("psi", "vector"),
+            get("phi", "vector"),
+            task.get("outcome"),
+            tol,
+        )
     elif op == "conservation":
         if "scheme" in task:
-            m = scn.get(idx, "scheme", task["scheme"], ("scheme",))
-            q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-            rep = _scheme_conservation(m, q, tol)[1]
+            rep = _scheme_conservation(get("scheme"), get("quantity"), tol)[1]
         else:
-            phi = _as_channel(scn, idx, task)
-            n = scn.get(idx, "operator", task.get("operator"), ("operator",))
-            rep = check_conservation(phi, n, tol)
+            rep = check_conservation(_as_channel(scn, idx, task), get("operator"), tol)
         record.update(rep.to_dict())
     elif op == "unitary-equivalence":
-        u = scn.get(idx, "unitary", task.get("unitary"), ("operator",))
-        n = scn.get(idx, "operator", task.get("operator"), ("operator",))
-        rep = check_unitary_equivalence(u, n, tol)
+        rep = check_unitary_equivalence(get("unitary", "operator"), get("operator"), tol)
         record.update(rep.to_dict())
         record["ok"] = rep.consistent
     elif op == "repeatability":
         inst = _as_instrument(scn, idx, task)
-        m = None
-        if "scheme" in task:
-            m = scn.get(idx, "scheme", task["scheme"], ("scheme",))
-        rep = repeatability_report(inst, m, tol)
+        rep = repeatability_report(inst, get("scheme") if "scheme" in task else None, tol)
         record.update(rep.to_dict())
         if rep.repeatable:
             failed = [
@@ -295,35 +280,33 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
             and analysis.commutant_consistent in (None, True)
         )
     elif op == "structural":
-        m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
-        f = scn.get(idx, "observable", task.get("observable"), ("observable",))
-        q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-        rep = structural_necessary_conditions(m, f, q, tol)
+        rep = structural_necessary_conditions(
+            get("scheme"), get("observable"), get("quantity"), tol
+        )
         record.update(rep.to_dict())
         record["ok"] = rep.all_applicable_pass()
     elif op == "norm1-observable":
-        phi = _as_channel(scn, idx, task)
-        f = scn.get(idx, "observable", task.get("observable"), ("observable",))
-        res = nondisturbed_norm1_observable(phi, f, tol)
+        res = nondisturbed_norm1_observable(
+            _as_channel(scn, idx, task), get("observable"), tol
+        )
         record.update(res.to_dict())
         worst = max(
             res.norm_defect, res.fixed_defect, res.compression_defect, res.distinguish_defect
         )
         record["ok"] = worst <= _RECONSTRUCTION_OK_TOL
     elif op == "post-processing":
-        inst = _as_instrument(scn, idx, task)
-        res = post_processing_decomposition(inst, tol)
+        res = post_processing_decomposition(_as_instrument(scn, idx, task), tol)
         record.update(res.to_dict())
         record["ok"] = res.reconstruction_defect <= _RECONSTRUCTION_OK_TOL
     elif op == "yanase":
-        m = scn.get(idx, "scheme", task.get("scheme"), ("scheme",))
-        q = scn.get(idx, "quantity", task.get("quantity"), ("quantity",))
-        rep = yanase_conditions(m, q, tol)
+        rep = yanase_conditions(get("scheme"), get("quantity"), tol)
         record.update(rep.to_dict())
         if rep.equivalence_applicable:
             record["ok"] = rep.equivalence_consistent
     else:
         raise SchemaError(f"tasks[{idx}].op: unknown operation {op!r}")
+    if op.endswith("-bounds"):
+        record["bounds_emitted"] = len(reports)
     return record, reports
 
 
@@ -358,37 +341,30 @@ def _report_exit(report: dict) -> int:
     return 1 if (s["violated"] > 0 or s["tasks_failed"] > 0) else 0
 
 
+# The CSV columns after the scenario name: bound-row keys, of which the
+# floats are written as the JSON report writes them.
+_CSV_COLUMNS = (
+    "bound_id",
+    "outcome",
+    "lhs",
+    "rhs",
+    "slack",
+    "satisfied",
+    "hypothesis_satisfied",
+    "inputs_digest",
+)
+_CSV_FLOATS = ("lhs", "rhs", "slack")
+
+
 def _write_csv(path: str, reports: list[dict]) -> None:
+    fmt = serialize.format_float
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "scenario",
-                "bound_id",
-                "outcome",
-                "lhs",
-                "rhs",
-                "slack",
-                "satisfied",
-                "hypothesis_satisfied",
-                "inputs_digest",
-            ]
-        )
+        writer.writerow(["scenario", *_CSV_COLUMNS])
         for rep in reports:
             for b in rep["bounds"]:
-                writer.writerow(
-                    [
-                        rep["scenario"],
-                        b["bound_id"],
-                        b["outcome"],
-                        serialize.format_float(b["lhs"]),
-                        serialize.format_float(b["rhs"]),
-                        serialize.format_float(b["slack"]),
-                        b["satisfied"],
-                        b["hypothesis_satisfied"],
-                        b["inputs_digest"],
-                    ]
-                )
+                row = [fmt(b[k]) if k in _CSV_FLOATS else b[k] for k in _CSV_COLUMNS]
+                writer.writerow([rep["scenario"], *row])
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -407,6 +383,18 @@ _SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
+def _scenario(name: str, system_dim: int, objects: dict, tasks: list[dict]) -> dict:
+    return dict(schema=1, name=name, system_dim=system_dim, objects=objects, tasks=tasks)
+
+
+def _quantity_json(n_sys: np.ndarray, n_app: np.ndarray) -> dict:
+    return {
+        "kind": "quantity",
+        "system": serialize.matrix_to_json(n_sys),
+        "apparatus": serialize.matrix_to_json(n_app),
+    }
+
+
 def _builtin_qubit_luders(args: argparse.Namespace) -> dict:
     lam = args.lam
     if not 0.0 < lam <= 1.0:
@@ -422,11 +410,7 @@ def _builtin_qubit_luders(args: argparse.Namespace) -> dict:
         "F": {"kind": "observable", **observable_to_json(f)},
         "I": {"kind": "instrument", **instrument_to_json(inst)},
         "M": {"kind": "scheme", **scheme_to_json(m)},
-        "N": {
-            "kind": "quantity",
-            "system": serialize.matrix_to_json(0.5 * _SZ),
-            "apparatus": serialize.matrix_to_json(0.5 * _SZ),
-        },
+        "N": _quantity_json(0.5 * _SZ, 0.5 * _SZ),
     }
     tasks = [
         {"op": "disturbance-bounds", "scheme": "M", "observable": "F", "quantity": "N"},
@@ -437,13 +421,7 @@ def _builtin_qubit_luders(args: argparse.Namespace) -> dict:
         {"op": "fixed-points", "instrument": "I"},
         {"op": "structural", "scheme": "M", "observable": "F", "quantity": "N"},
     ]
-    return {
-        "schema": 1,
-        "name": f"qubit-luders-lam{lam:g}",
-        "system_dim": 2,
-        "objects": objects,
-        "tasks": tasks,
-    }
+    return _scenario(f"qubit-luders-lam{lam:g}", 2, objects, tasks)
 
 
 def _builtin_qutrit_average_vs_full(args: argparse.Namespace) -> dict:
@@ -464,13 +442,7 @@ def _builtin_qutrit_average_vs_full(args: argparse.Namespace) -> dict:
         {"op": "conservation", "channel": "Phi", "operator": "N"},
         {"op": "fixed-points", "channel": "Phi"},
     ]
-    return {
-        "schema": 1,
-        "name": "qutrit-average-vs-full",
-        "system_dim": 3,
-        "objects": objects,
-        "tasks": tasks,
-    }
+    return _scenario("qutrit-average-vs-full", 3, objects, tasks)
 
 
 def _builtin_normal_dilation(args: argparse.Namespace) -> dict:
@@ -487,11 +459,7 @@ def _builtin_normal_dilation(args: argparse.Namespace) -> dict:
         "B": {"kind": "observable", **observable_to_json(b)},
         "I": {"kind": "instrument", **instrument_to_json(inst)},
         "M": {"kind": "scheme", **scheme_to_json(m)},
-        "N": {
-            "kind": "quantity",
-            "system": serialize.matrix_to_json(n),
-            "apparatus": serialize.matrix_to_json(n),
-        },
+        "N": _quantity_json(n, n),
     }
     tasks = [
         {"op": "repeatability", "scheme": "M"},
@@ -500,13 +468,7 @@ def _builtin_normal_dilation(args: argparse.Namespace) -> dict:
         {"op": "way-bounds", "scheme": "M", "quantity": "N"},
         {"op": "conservation", "scheme": "M", "quantity": "N"},
     ]
-    return {
-        "schema": 1,
-        "name": "normal-dilation",
-        "system_dim": 3,
-        "objects": objects,
-        "tasks": tasks,
-    }
+    return _scenario("normal-dilation", 3, objects, tasks)
 
 
 def _builtin_conservative_scheme(args: argparse.Namespace) -> dict:
@@ -542,11 +504,7 @@ def _builtin_conservative_scheme(args: argparse.Namespace) -> dict:
         "M": {"kind": "scheme", **scheme_to_json(m)},
         "F": {"kind": "observable", **observable_to_json(f)},
         "T": {"kind": "observable", **observable_to_json(target)},
-        "N": {
-            "kind": "quantity",
-            "system": serialize.matrix_to_json(n_sys),
-            "apparatus": serialize.matrix_to_json(n_app),
-        },
+        "N": _quantity_json(n_sys, n_app),
     }
     tasks = [
         {"op": "conservation", "scheme": "M", "quantity": "N"},
@@ -557,13 +515,7 @@ def _builtin_conservative_scheme(args: argparse.Namespace) -> dict:
         {"op": "fixed-points", "scheme": "M"},
         {"op": "structural", "scheme": "M", "observable": "F", "quantity": "N"},
     ]
-    return {
-        "schema": 1,
-        "name": f"conservative-scheme-{seed}-{ds}x{da}{suffix}",
-        "system_dim": ds,
-        "objects": objects,
-        "tasks": tasks,
-    }
+    return _scenario(f"conservative-scheme-{seed}-{ds}x{da}{suffix}", ds, objects, tasks)
 
 
 def _builtin_rank1_collapse(args: argparse.Namespace) -> dict:
@@ -589,13 +541,7 @@ def _builtin_rank1_collapse(args: argparse.Namespace) -> dict:
         {"op": "post-processing", "instrument": "I"},
         {"op": "norm1-observable", "channel": "Phi", "observable": "E"},
     ]
-    return {
-        "schema": 1,
-        "name": f"rank1-collapse-gamma{gamma:g}",
-        "system_dim": 3,
-        "objects": objects,
-        "tasks": tasks,
-    }
+    return _scenario(f"rank1-collapse-gamma{gamma:g}", 3, objects, tasks)
 
 
 _BUILTINS = {
@@ -605,6 +551,17 @@ _BUILTINS = {
     "conservative-scheme": _builtin_conservative_scheme,
     "rank1-collapse": _builtin_rank1_collapse,
 }
+
+# The scenarios of ``waylab suite``, in report order: each builtin with the
+# parameters it is built from.
+_SUITE = (
+    *((_builtin_qubit_luders, {"lam": lam}) for lam in (0.1, 0.3, 0.5, 0.7, 0.9)),
+    (_builtin_qutrit_average_vs_full, {}),
+    (_builtin_normal_dilation, {}),
+    (_builtin_conservative_scheme, {"seed": 7, "sys_dim": 2, "app_dim": 3, "aligned": False}),
+    (_builtin_conservative_scheme, {"seed": 11, "sys_dim": 2, "app_dim": 3, "aligned": True}),
+    (_builtin_rank1_collapse, {"gamma": 0.6}),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -645,8 +602,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_builtin(args: argparse.Namespace) -> int:
-    builder = _BUILTINS[args.name]
-    scenario = builder(args)
+    scenario = _BUILTINS[args.name](args)
     if args.run:
         scn, tasks = parse_scenario(scenario, args)
         report = run_scenario(scn, tasks)
@@ -660,28 +616,9 @@ def cmd_builtin(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     scenario_args = argparse.Namespace(tol=args.tol, rank_tol=args.rank_tol)
-    builders: list[dict] = []
-    for lam in (0.1, 0.3, 0.5, 0.7, 0.9):
-        builders.append(
-            _builtin_qubit_luders(argparse.Namespace(lam=lam))
-        )
-    builders.append(_builtin_qutrit_average_vs_full(argparse.Namespace()))
-    builders.append(_builtin_normal_dilation(argparse.Namespace()))
-    builders.append(
-        _builtin_conservative_scheme(
-            argparse.Namespace(seed=7, sys_dim=2, app_dim=3, aligned=False)
-        )
-    )
-    builders.append(
-        _builtin_conservative_scheme(
-            argparse.Namespace(seed=11, sys_dim=2, app_dim=3, aligned=True)
-        )
-    )
-    builders.append(_builtin_rank1_collapse(argparse.Namespace(gamma=0.6)))
-
     reports = []
-    for scenario in builders:
-        scn, tasks = parse_scenario(scenario, scenario_args)
+    for builder, params in _SUITE:
+        scn, tasks = parse_scenario(builder(argparse.Namespace(**params)), scenario_args)
         reports.append(run_scenario(scn, tasks))
 
     # cross-validate the spectral fixed-point projector against a long

@@ -23,7 +23,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .bounds import disturbance_profile
+from .bounds import _commutators, disturbance_profile
 from .conserve import AdditiveQuantity, _scheme_conservation
 from .cpmaps import (
     OperationMap,
@@ -41,6 +41,7 @@ from .measure import (
     MeasurementScheme,
     Observable,
     _hermitian_parts,
+    _norm_one_projectors,
     _repeat_first_kind,
     _scheme_repeat_first_kind,
     measured_observable,
@@ -53,7 +54,6 @@ from .opcore import (
     _BLOCK,
     _psd_sqrts,
     eigen_clusters,
-    eigenspace_projector,
     hermitian_basis,
     max_op_norm,
     op_norm,
@@ -735,16 +735,19 @@ def nondisturbed_norm1_observable(
         )
 
     analysis = analyze_fixed_points(phi, tol)
-    accepted: list[np.ndarray] = []
+    compressed = analysis.compress(effects)
+    # commutes[i, j]: ||[C_i, C_j]|| <= eq_tol, every pair from one batched SVD
+    commutes = np.array(op_norms(_commutators(compressed[:, None], compressed))) <= tol.eq_tol
+    accepted: list[int] = []
     skipped: list[str] = []
-    for label, a in zip(f.outcomes, analysis.compress(effects)):
-        if all(op_norm_mat(a @ b - b @ a) <= tol.eq_tol for b in accepted):
-            accepted.append(a)
+    for i, label in enumerate(f.outcomes):
+        if commutes[i, accepted].all():
+            accepted.append(i)
         else:
             skipped.append(label)
 
     projs, _, g_obs = _norm_one_refinement(
-        analysis, accepted, tol, lambda col: tuple(np.round(col, 9)), descending=True
+        analysis, compressed[accepted], tol, lambda col: tuple(np.round(col, 9)), descending=True
     )
     g_mats = g_obs._effects
     norm_defect = max(abs(n - 1.0) for n in op_norms(g_mats))
@@ -752,11 +755,11 @@ def nondisturbed_norm1_observable(
     compress_defect = max_op_norm(analysis.compress(g_mats) - projs)
 
     # the normalized eigenvalue-1 projector of each G(z)
-    states = np.array([eigenspace_projector(g, 1.0, tol).mat for g in g_mats])
-    tr = np.real(np.trace(states, axis1=1, axis2=2))
-    if tr.min() <= tol.rank_tol:
+    proj = _norm_one_projectors(g_obs, tol)[0]
+    if len(proj) < len(g_mats):
         raise RuntimeError("constructed effect does not attain norm one")
-    states = states / tr[:, None, None]
+    states = np.array(list(proj.values()))
+    states = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
 
     # probs[i, j] = tr[G(z_j) Phi(rho_i)], which should be delta_ij
     outs = _apply(phi, states, False)

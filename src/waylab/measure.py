@@ -386,16 +386,14 @@ def collapse_instrument(
     return Instrument(e.outcomes, ops, tol)
 
 
-def _xi_decomposition(xi: Operator, tol: Tolerance) -> list[np.ndarray]:
-    """Weighted spectral vectors ``sqrt(q_i) phi_i`` with ``q_i > rank_tol``."""
+def _xi_decomposition(xi: Operator, tol: Tolerance) -> np.ndarray:
+    """Weighted spectral vectors ``sqrt(q_i) phi_i`` with ``q_i > rank_tol``, as
+    rows in descending order of ``q_i``."""
     w, v = np.linalg.eigh(xi.hermitian_part().mat)
-    vs = []
-    for i in range(len(w) - 1, -1, -1):
-        if w[i] > tol.rank_tol:
-            vs.append(np.sqrt(w[i]) * v[:, i])
-    if not vs:
+    keep = np.flatnonzero(w > tol.rank_tol)[::-1]
+    if not keep.size:
         raise ValueError("xi has no spectral weight above rank_tol")
-    return vs
+    return np.sqrt(w[keep])[:, None] * v[:, keep].T
 
 
 @_per_object
@@ -408,19 +406,12 @@ def scheme_to_instrument(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> 
     """
     dS, dA = m.sys_dim, m.app_dim
     weighted = _xi_decomposition(m.xi, tol)
-    eye_s = np.eye(dS)
-    ops = []
-    for sqz in _psd_sqrts(m.pointer._effects, tol):
-        lift = np.kron(eye_s, sqz)
-        kraus_x: list[np.ndarray] = []
-        for L in m.coupling.kraus:
-            b4 = (lift @ L).reshape(dS, dA, dS, dA)
-            for phi in weighted:
-                c = np.einsum("pasb,b->pas", b4, phi)
-                for a in range(dA):
-                    kraus_x.append(np.ascontiguousarray(c[:, a, :]))
-        ops.append(OperationMap(kraus_x))
-    return Instrument(m.pointer.outcomes, ops, tol)
+    lifts = np.kron(np.eye(dS), _psd_sqrts(m.pointer._effects, tol))
+    b = (lifts[:, None] @ m.coupling._kraus).reshape(len(lifts), -1, dS, dA, dS, dA)
+    # per outcome x, Kraus operators (1 (x) <a|) (1 (x) sqrt Z(x)) L (1 (x) |phi>),
+    # ordered by L, then phi, then a
+    kraus = np.einsum("xlpasb,fb->xlfaps", b, weighted).reshape(len(lifts), -1, dS, dS)
+    return Instrument(m.pointer.outcomes, [OperationMap(k) for k in kraus], tol)
 
 
 @_per_object
@@ -448,19 +439,13 @@ def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> O
 def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> RestrictionMaps:
     dS, dA = m.sys_dim, m.app_dim
     eye_s = np.eye(dS)
-    sqxi = psd_sqrt(m.xi, tol).mat
-    gamma = OperationMap(
-        [np.kron(eye_s, sqxi[a, :].reshape(1, dA)) for a in range(dA)]
-    )
+    sqrt_xi = psd_sqrt(m.xi, tol).mat
+    gamma = OperationMap(np.kron(eye_s, sqrt_xi[:, None, :]))
     gamma_e = compose(gamma, dual_view(m.coupling))
+    # L (1 (x) |phi>) split into its dS row blocks, ordered by L, then phi, then s
     weighted = _xi_decomposition(m.xi, tol)
-    conj_kraus: list[np.ndarray] = []
-    for L in m.coupling.kraus:
-        for phi in weighted:
-            v = L @ np.kron(eye_s, phi.reshape(dA, 1))
-            for s in range(dS):
-                conj_kraus.append(v[s * dA : (s + 1) * dA, :])
-    conj = OperationMap(conj_kraus)
+    v = m.coupling._kraus[:, None] @ np.kron(eye_s, weighted[:, :, None])
+    conj = OperationMap(v.reshape(-1, dA, dS))
     return RestrictionMaps(
         gamma_xi=gamma,
         gamma_xi_e=gamma_e,

@@ -201,18 +201,26 @@ def max_op_norm(stack: np.ndarray) -> float:
     the batched SVD of all of them directly, finite or not: the pruning pass
     would cost more than it saves.  On a larger stack with a non-finite
     Frobenius norm the pruning stops and the full expression runs unchanged.
-    An empty stack gives 0.0, the largest norm over no matrices.
+    An empty or all-zero stack gives 0.0 without any SVD (NaN is nonzero, so
+    a non-finite stack still takes the paths above), and the matrix whose norm
+    is ``best`` is not decomposed again among the survivors.
     """
-    if stack.size == 0:
+    if not stack.any():
         return 0.0
     if stack.size <= _DIRECT_SVD * min(stack.shape[-2:]):
         return float(_sv_max(stack).max())
     fro = np.linalg.norm(stack, axis=(-2, -1))
     if not np.isfinite(fro).all():
         return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
-    best = _sv_max(stack[np.unravel_index(np.argmax(fro), fro.shape)])
-    survivors = stack[fro * (1.0 + 1e-12) >= best]
-    return float(_sv_max(survivors).max())
+    top = np.unravel_index(np.argmax(fro), fro.shape)
+    best = _sv_max(stack[top])
+    if stack.ndim == 2:
+        return float(best)
+    survivors = fro * (1.0 + 1e-12) >= best
+    survivors[top] = False
+    if survivors.any():
+        best = max(best, _sv_max(stack[survivors]).max())
+    return float(best)
 
 
 def op_norm(a: MatrixLike) -> float:

@@ -379,6 +379,32 @@ def test_max_op_norm_single_matrix_and_non_finite(bad):
         assert outcome(max_op_norm, stack) == outcome(full_max_op_norm, stack)
 
 
+def test_max_op_norm_decomposes_no_zero_stack_and_no_matrix_twice(monkeypatch):
+    decomposed = []  # matrices per np.linalg.svd call
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        decomposed.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for zero in (np.zeros((12, 12, 12), dtype=complex), np.zeros((40, 40))):
+        assert zero.size > _DIRECT_SVD * min(zero.shape[-2:])
+        assert max_op_norm(zero) == 0.0
+    assert decomposed == []
+    # Frobenius norms that do not separate: every matrix survives the pruning,
+    # and the argmax, decomposed first, is not decomposed again among them
+    tied = random_stack("tied-frobenius", 40, 6, np.random.default_rng(3))
+    assert max_op_norm(tied) == full_max_op_norm(tied)
+    assert decomposed == [1, 39]
+    decomposed.clear()
+    # one dominant matrix: its SVD alone decides
+    separated = tied.copy()
+    separated[7] *= 10.0
+    assert max_op_norm(separated) == full_max_op_norm(separated)
+    assert decomposed == [1]
+
+
 def framed_factors(kraus, left, right, dual):
     """Factors of ``X -> I(L X R) - I(X)`` for the map ``I`` of the Kraus
     family ``kraus``: its dual ``sum K^dag . K`` or its state side

@@ -1,5 +1,7 @@
 import argparse
 import csv
+import importlib
+import importlib.util
 import json
 import pathlib
 import re
@@ -360,3 +362,75 @@ def test_scheme_instrument_keeps_its_completeness_check(tmp_path, capsys):
     assert code == 2
     assert "total map is not a channel" in capsys.readouterr().err
     assert not out.exists()
+
+
+# The keys each task op writes after "index", "op" and "ok", in order; the
+# README's "Command line" section lists the same.
+TASK_RECORD_KEYS = {
+    "disturbance-bounds": ["bounds_emitted"],
+    "measurability-bounds": ["bounds_emitted"],
+    "way-bounds": ["bounds_emitted"],
+    "distinguishability-bounds": ["bounds_emitted"],
+    "conservation": ["average_defect", "full_defect", "average_holds", "full_holds"],
+    "unitary-equivalence": ["commutator_norm", "average_defect", "full_defect", "consistent"],
+    "repeatability": [
+        "outcomes", "repeatable", "repeatability_defect", "per_outcome_defects", "first_kind",
+        "first_kind_defect", "sharp_equivalence_ok", "items", "items_applicable",
+    ],
+    "fixed-points": ["analysis", "support_checks"],
+    "structural": [
+        "faithful", "fixed_dim", "support_rank", "average_holds", "nondisturbed", "first_kind",
+        "repeatable", "qubit_support_collapse", "conditions",
+    ],
+    "norm1-observable": [
+        "outcomes", "effects", "skipped_outcomes", "faithful", "sharp", "norm_defect",
+        "fixed_defect", "compression_defect", "distinguish_defect",
+    ],
+    "post-processing": [
+        "labels", "effects", "matrix", "outcomes", "reconstruction_defect", "faithful", "sharp",
+    ],
+    "yanase": [
+        "yanase_defect", "weak_defect", "per_outcome_yanase", "per_outcome_weak",
+        "unitary_coupling", "average_conserving", "equivalence_applicable",
+        "equivalence_consistent", "defect_gap",
+    ],
+}
+
+
+def test_task_record_keys_per_op(tmp_path):
+    records = []
+    for name in cli._BUILTINS:
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["builtin", name, "--run", "--out", str(out), "--quiet"]) == 0, name
+        records += json.loads(out.read_text())["tasks"]
+    scenario = scheme_scenario([
+        {"op": "distinguishability-bounds", "scheme": "M", "quantity": "N",
+         "psi": "psi", "phi": "phi"},
+        {"op": "unitary-equivalence", "unitary": "U", "operator": "Z"},
+    ])
+    scenario["objects"]["U"] = {"kind": "operator", "matrix": [[0.0, 1.0], [1.0, 0.0]]}
+    scenario["objects"]["Z"] = {"kind": "operator", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
+    code, report = run_file(tmp_path, scenario)
+    assert code in (0, 1)
+    records += report["tasks"]
+    assert {r["op"] for r in records} == set(TASK_RECORD_KEYS)
+    for r in records:
+        assert list(r) == ["index", "op", "ok", *TASK_RECORD_KEYS[r["op"]]], r["op"]
+
+
+def test_traced_names_resolve():
+    # perfbench/tracing.py wraps these names from outside; a rename here
+    # would leave its layer metrics silently empty
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("waylab_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for qual in tracing.REPORTED + tracing.ATTRIBUTED:
+        layer, name = qual.split(".")
+        if layer == "linalg":
+            assert callable(getattr(np.linalg, name)), qual
+            continue
+        assert f"waylab.{layer}" in tracing.WAYLAB_MODULES, qual
+        assert callable(getattr(importlib.import_module(f"waylab.{layer}"), name)), qual
+    layer, cls = tracing.OPERATOR.split(".")
+    assert "__init__" in vars(getattr(importlib.import_module(f"waylab.{layer}"), cls))
