@@ -31,7 +31,7 @@ def main():
     print("random channel on a qutrit")
     print(f"  fixed-space dimension {fp.fixed_dim}, faithful fixed state: {fp.faithful}")
     ces = cesaro_supermatrix(phi, 4000)
-    gap = np.abs(ces - fp.projector.m).max()
+    gap = np.abs(ces - fp.projector).max()
     print(f"  Cesaro average after 4000 steps is {gap:.2e} from the spectral projector")
     print()
 
@@ -65,7 +65,7 @@ def main():
           f" commutant dimension {comm.shape[1]},"
           f" commutant consistent: {fp3.commutant_consistent}")
     worst = 0.0
-    m_dual = to_supermatrix(unital).m
+    m_dual = to_supermatrix(unital)
     for col in comm.T:
         worst = max(worst, op_norm((m_dual @ col - col).reshape(3, 3, order="F")))
     print(f"  every commutant element is fixed to {worst:.2e}")

@@ -36,7 +36,7 @@ from .opcore import (
     psd_sqrt,
     tensor,
 )
-from .cpmaps import OperationMap, SuperMatrix
+from .cpmaps import OperationMap
 from .measure import Observable, Instrument, MeasurementScheme
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "psd_sqrt",
     "tensor",
     "OperationMap",
-    "SuperMatrix",
     "Observable",
     "Instrument",
     "MeasurementScheme",

@@ -50,6 +50,7 @@ from .measure import (
     MeasurementScheme,
     Observable,
     _norm_one_projectors,
+    _projectors,
     _scheme_repeat_first_kind,
     measured_observable,
     restriction_maps,
@@ -412,10 +413,10 @@ def eval_distinguishability_bounds(
     ``thm7_outcome``, which raises if it names no outcome of the scheme or if
     membership fails); and, for repeatable instruments, the commutation check
     of each measured effect against the support-compressed system quantity.
-    The extreme eigenspace projectors come from one batched ``eigh`` of the
-    measured effects, which are Hermitian by construction; the eigenvalue-1
-    projectors of the commutation check are those of
-    ``measure._norm_one_projectors``, as in the repeatability report.
+    The extreme eigenspace projectors and the eigenvalue-1 projectors of the
+    commutation check (``measure._norm_one_projectors``, as in the
+    repeatability report) come from one batched ``eigh`` of the measured
+    effects, which are exactly Hermitian by construction.
     """
     dS = m.sys_dim
     psi_v = np.asarray(psi, dtype=complex).reshape(-1)
@@ -462,7 +463,7 @@ def eval_distinguishability_bounds(
 
     repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
     em = e_obs._effects
-    spectra, vectors = np.linalg.eigh(em)
+    eig = spectra, vectors = np.linalg.eigh(em)
 
     def projector(k: int, value: float) -> np.ndarray:
         """:func:`opcore.eigenspace_projector` of effect ``k`` at ``value``."""
@@ -503,7 +504,8 @@ def eval_distinguishability_bounds(
 
     if repeat_defect <= tol.eq_tol:
         p_total = sum(
-            _norm_one_projectors(e_obs, tol)[0].values(), np.zeros((dS, dS), dtype=complex)
+            _projectors(_norm_one_projectors(e_obs.outcomes, eig, tol)[0]).values(),
+            np.zeros((dS, dS), dtype=complex),
         )
         compressed = p_total @ q.n_sys.mat @ p_total
         reports += _rows(

@@ -19,7 +19,7 @@ import argparse
 import csv
 import os
 import sys
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -184,21 +184,21 @@ def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[
     return scn, tasks
 
 
-def _as_channel(scn: _Scenario, idx: int, task: dict) -> OperationMap:
-    """Accept a channel, an instrument's total, or a scheme's total channel."""
+def _as_channel(get: Callable[..., Any], idx: int, task: dict, tol: Tolerance) -> OperationMap:
+    """Accept a channel, an instrument's total, or a scheme's total channel;
+    ``get`` is :func:`run_task`'s field accessor."""
     if "channel" in task:
-        return scn.get(idx, "channel", task["channel"], ("channel",))
+        return get("channel")
     if "instrument" in task or "scheme" in task:
-        return _as_instrument(scn, idx, task).total()
+        return _as_instrument(get, idx, task, tol).total()
     raise SchemaError(f"tasks[{idx}]: needs one of 'channel', 'instrument', 'scheme'")
 
 
-def _as_instrument(scn: _Scenario, idx: int, task: dict) -> Instrument:
+def _as_instrument(get: Callable[..., Any], idx: int, task: dict, tol: Tolerance) -> Instrument:
     if "instrument" in task:
-        return scn.get(idx, "instrument", task["instrument"], ("instrument",))
+        return get("instrument")
     if "scheme" in task:
-        m = scn.get(idx, "scheme", task["scheme"], ("scheme",))
-        return scheme_to_instrument(m, scn.tol)
+        return scheme_to_instrument(get("scheme"), tol)
     raise SchemaError(f"tasks[{idx}]: needs 'instrument' or 'scheme'")
 
 
@@ -251,14 +251,14 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
         if "scheme" in task:
             rep = _scheme_conservation(get("scheme"), get("quantity"), tol)[1]
         else:
-            rep = check_conservation(_as_channel(scn, idx, task), get("operator"), tol)
+            rep = check_conservation(_as_channel(get, idx, task, tol), get("operator"), tol)
         record.update(rep.to_dict())
     elif op == "unitary-equivalence":
         rep = check_unitary_equivalence(get("unitary", "operator"), get("operator"), tol)
         record.update(rep.to_dict())
         record["ok"] = rep.consistent
     elif op == "repeatability":
-        inst = _as_instrument(scn, idx, task)
+        inst = _as_instrument(get, idx, task, tol)
         rep = repeatability_report(inst, get("scheme") if "scheme" in task else None, tol)
         record.update(rep.to_dict())
         if rep.repeatable:
@@ -269,7 +269,7 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
             if failed:
                 record["failed_items"] = failed
     elif op == "fixed-points":
-        phi = _as_channel(scn, idx, task)
+        phi = _as_channel(get, idx, task, tol)
         analysis = analyze_fixed_points(phi, tol)
         support = check_minimal_support(analysis, phi, tol)
         record["analysis"] = analysis.to_dict()
@@ -287,7 +287,7 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
         record["ok"] = rep.all_applicable_pass()
     elif op == "norm1-observable":
         res = nondisturbed_norm1_observable(
-            _as_channel(scn, idx, task), get("observable"), tol
+            _as_channel(get, idx, task, tol), get("observable"), tol
         )
         record.update(res.to_dict())
         worst = max(
@@ -295,7 +295,7 @@ def run_task(scn: _Scenario, idx: int, task: dict) -> tuple[dict, list[BoundRepo
         )
         record["ok"] = worst <= _RECONSTRUCTION_OK_TOL
     elif op == "post-processing":
-        res = post_processing_decomposition(_as_instrument(scn, idx, task), tol)
+        res = post_processing_decomposition(_as_instrument(get, idx, task, tol), tol)
         record.update(res.to_dict())
         record["ok"] = res.reconstruction_defect <= _RECONSTRUCTION_OK_TOL
     elif op == "yanase":
@@ -630,7 +630,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
     phi = luders_instrument(b).total()
     analysis = analyze_fixed_points(phi)
     ces = cesaro_supermatrix(phi, 10_000)
-    defect = float(op_norm_mat(analysis.projector.m - ces))
+    defect = float(op_norm_mat(analysis.projector - ces))
     cesaro_ok = defect <= 1e-3
 
     agg = {

@@ -29,7 +29,6 @@ supermatrix is its adjoint.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import inspect
 from typing import Any, Sequence
@@ -49,7 +48,6 @@ from . import serialize
 
 __all__ = [
     "OperationMap",
-    "SuperMatrix",
     "vec",
     "unvec",
     "apply_map",
@@ -204,18 +202,6 @@ class OperationMap(_Immutable):
         return cls([u])
 
 
-@dataclasses.dataclass(frozen=True)
-class SuperMatrix:
-    """Matrix of the dual (observable-side) action on vectorized operators.
-
-    ``m @ vec(a) == vec(apply_dual(a))``; shape ``(in_dim**2, out_dim**2)``.
-    """
-
-    m: np.ndarray
-    in_dim: int
-    out_dim: int
-
-
 def _as_square(a: Any, dim: int, what: str) -> np.ndarray:
     m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
     if m.shape != (dim, dim):
@@ -361,8 +347,9 @@ def dual_view(phi: OperationMap) -> OperationMap:
     return OperationMap(phi._kraus.conj().swapaxes(1, 2))
 
 
-def to_supermatrix(phi: OperationMap) -> SuperMatrix:
-    """The dual supermatrix ``sum_i K_i^T kron K_i^dag``.
+def to_supermatrix(phi: OperationMap) -> np.ndarray:
+    """The dual supermatrix ``sum_i K_i^T kron K_i^dag``, read-only: ``m @ vec(a)
+    == vec(apply_dual(phi, a))``, shape ``(in_dim**2, out_dim**2)``.
 
     Each chunk of the Kraus axis (at most ``opcore._BLOCK`` entries of
     products) is one broadcast product of the ``K^T`` and ``K^dag`` stacks,
@@ -385,7 +372,8 @@ def to_supermatrix(phi: OperationMap) -> SuperMatrix:
         np.multiply(kt[lo : lo + n], kh[lo : lo + n], out=prods[:n])
         for prod in prods[:n]:  # in order: a reduction may sum pairwise
             total += prod
-    return SuperMatrix(m=total.reshape(n_in * n_in, n_out * n_out), in_dim=n_in, out_dim=n_out)
+    total.setflags(write=False)
+    return total.reshape(n_in * n_in, n_out * n_out)
 
 
 def operation_from_json(obj: Any, where: str = "channel") -> OperationMap:

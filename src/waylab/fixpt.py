@@ -19,7 +19,7 @@ decomposition of first-kind instruments.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,9 +27,7 @@ from .bounds import _commutators, disturbance_profile
 from .conserve import AdditiveQuantity, _scheme_conservation
 from .cpmaps import (
     OperationMap,
-    SuperMatrix,
     _apply,
-    _max_unit_norm,
     _per_object,
     _stack_families,
     to_supermatrix,
@@ -40,8 +38,10 @@ from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
+    _dual_gap,
     _hermitian_parts,
     _norm_one_projectors,
+    _projectors,
     _repeat_first_kind,
     _scheme_repeat_first_kind,
     measured_observable,
@@ -56,7 +56,6 @@ from .opcore import (
     eigen_clusters,
     hermitian_basis,
     max_op_norm,
-    op_norm,
     op_norm_mat,
     op_norms,
 )
@@ -113,7 +112,7 @@ class FixedPointAnalysis:
     fixed_dim: int
     basis: tuple[Operator, ...]
     fixed_states: np.ndarray
-    projector: SuperMatrix
+    projector: np.ndarray
     rho0: Operator
     support_p: Operator
     p_isometry: np.ndarray
@@ -123,10 +122,12 @@ class FixedPointAnalysis:
     max_fixed_defect: float
     commutant_consistent: bool | None
 
-    def average_dual(self, a: Any) -> Operator:
-        """Cesàro-averaged dual action ``Phi*_av(a)`` via the projector."""
+    def average_dual(self, a: Any) -> np.ndarray:
+        """Cesàro-averaged dual action ``Phi*_av(a)`` via the projector, on one
+        matrix or a stack ``(..., d, d)``; one matrix-vector product each."""
         m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
-        return Operator(unvec(self.projector.m @ vec(m), self.dim))
+        vecs = m.swapaxes(-1, -2).reshape(*m.shape[:-2], self.dim**2, 1)
+        return (self.projector @ vecs).reshape(m.shape).swapaxes(-1, -2)
 
     def compress(self, a: Any) -> np.ndarray:
         """``W^dag a W``: the P-block of an operator."""
@@ -321,8 +322,7 @@ def analyze_fixed_points(
     if not phi.is_channel(tol):
         raise ValueError("fixed-point analysis requires a channel")
     d = phi.in_dim
-    m_dual = to_supermatrix(phi).m
-    gap = m_dual - np.eye(d * d)
+    gap = to_supermatrix(phi) - np.eye(d * d)
     right, left = _null_spaces(gap, tol.rank_tol)
     r = right.shape[1]
     if left.shape[1] != r:
@@ -339,7 +339,6 @@ def analyze_fixed_points(
             "cannot build the spectral projector"
         )
     proj = right @ np.linalg.solve(lr, left.conj().T)
-    projector = SuperMatrix(m=proj, in_dim=d, out_dim=d)
 
     herm = np.array(hermitian_basis([unvec(right[:, i], d) for i in range(r)], tol.rank_tol))
     if len(herm) != r:
@@ -380,7 +379,7 @@ def analyze_fixed_points(
         fixed_dim=r,
         basis=basis,
         fixed_states=left,
-        projector=projector,
+        projector=proj,
         rho0=rho0,
         support_p=support,
         p_isometry=w_iso,
@@ -424,20 +423,14 @@ def check_minimal_support(
     p_perp = np.eye(d) - p
     av = analysis.average_dual
 
-    unital_defect = op_norm(av(p) - Operator.identity(d))
-    kernel_defect = op_norm(av(p_perp))
-
-    # ``av`` on a stack of inputs; the product stays one matrix-vector
-    # product per input, so it rounds exactly as ``av`` does
-    def av_stack(x: np.ndarray) -> np.ndarray:
-        vecs = x.swapaxes(1, 2).reshape(len(x), d * d, 1)
-        return (analysis.projector.m @ vecs).reshape(len(x), d, d).swapaxes(1, 2)
+    unital_defect = op_norm_mat(av(p) - np.eye(d))
+    kernel_defect = op_norm_mat(av(p_perp))
 
     # av(E_ij) is column i + j d of the projector (vec stacks columns), so
     # the images of the units E_{k//d, k%d} are its columns, unvec'ed
-    unit_images = analysis.projector.m.reshape((d,) * 4).transpose(3, 2, 1, 0)
+    unit_images = analysis.projector.reshape((d,) * 4).transpose(3, 2, 1, 0)
     units = np.eye(d * d).reshape(d * d, d, d)
-    sandwich = max_op_norm(unit_images.reshape(d * d, d, d) - av_stack(p @ units @ p))
+    sandwich = max_op_norm(unit_images.reshape(d * d, d, d) - av(p @ units @ p))
 
     # the columns of fixed_states, unvec'ed
     states = analysis.fixed_states.T.reshape(-1, d, d).swapaxes(1, 2)
@@ -446,7 +439,7 @@ def check_minimal_support(
     # P minus one rank-one projector of its support at a time
     w = analysis.p_isometry.T
     reduced = p - w[:, :, None] * w.conj()[:, None, :]
-    margin = min(op_norms(av_stack(reduced) - np.eye(d)), default=np.inf)
+    margin = min(op_norms(av(reduced) - np.eye(d)), default=np.inf)
 
     # the dual only expands P: Phi*(P) - P >= 0 and P_perp - Phi*(P_perp) >= 0
     img = _apply(phi, np.array([p, p_perp]), True)
@@ -473,19 +466,18 @@ def check_minimal_support(
     )
 
 
-def _joint_eigenprojectors(
-    mats: Sequence[np.ndarray], tol: Tolerance
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """Joint eigenprojectors of a commuting Hermitian family.
+def _joint_eigenprojectors(mats: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """Joint eigenprojectors of a commuting Hermitian family ``(n, d, d)``.
 
     Diagonalizes a fixed-seed random real combination, clusters its spectrum
-    at ``rank_tol`` gaps, verifies the family is block-diagonal in the
-    clustering, and re-draws deterministically on collision.  Returns the
-    projectors and the (n_mats, n_clusters) matrix of cluster eigenvalues.
+    at ``rank_tol`` gaps, verifies that every matrix ``M`` is ``sum_c m_c P_c``
+    within ``_JOINT_BLOCK_TOL`` for the cluster projectors ``P_c`` and its
+    cluster means ``m_c`` of the rotated diagonal, and re-draws
+    deterministically on collision.  Returns the projector stack and the
+    ``(n, n_clusters)`` matrix of cluster means.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
-    dim = mats[0].shape[0]
     for attempt in range(8):
         rng = np.random.default_rng(_JOINT_DIAG_SEED + attempt)
         coeffs = rng.standard_normal(len(mats))
@@ -493,23 +485,13 @@ def _joint_eigenprojectors(
         combo = 0.5 * (combo + combo.conj().T)
         w, v = np.linalg.eigh(combo)
         clusters = eigen_clusters(w, tol.rank_tol * np.maximum(1.0, np.abs(w[1:])))
-        ok = True
-        values = np.zeros((len(mats), len(clusters)))
-        for mi, m in enumerate(mats):
-            rotated = v.conj().T @ m @ v
-            for ci, idx in enumerate(clusters):
-                block = rotated[np.ix_(idx, idx)]
-                mean = float(np.real(np.trace(block)) / len(idx))
-                values[mi, ci] = mean
-                off = rotated[np.ix_(idx, [k for k in range(dim) if k not in idx])]
-                diag_defect = op_norm_mat(block - mean * np.eye(len(idx)))
-                if op_norm_mat(off) > _JOINT_BLOCK_TOL or diag_defect > _JOINT_BLOCK_TOL:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return [v[:, idx] @ v[:, idx].conj().T for idx in clusters], values
+        rotated = v.conj().T @ mats @ v
+        diag = np.diagonal(rotated, axis1=1, axis2=2)
+        # one sum per cluster, each rounding as the trace of its block
+        values = np.array([diag[:, c].sum(axis=1).real / len(c) for c in clusters]).T
+        means = np.repeat(values, [len(c) for c in clusters], axis=1)[:, None, :]
+        if max_op_norm(rotated - means * np.eye(len(w))) <= _JOINT_BLOCK_TOL:
+            return np.array([v[:, c] @ v[:, c].conj().T for c in clusters]), values
     raise RuntimeError(
         "joint diagonalization failed: the family does not commute numerically"
     )
@@ -606,12 +588,10 @@ def structural_necessary_conditions(
     # a commutative measured observable realized by its own square-root
     # instrument forces full commutation with the system quantity
     # on every matrix unit X: sum_k K X K^dag - S X S^dag, S = sqrt(E(x)),
-    # with the factors [K, S] and [K^dag, -S^dag]
+    # the duals of the families K^dag and S^dag
+    kraus = _stack_families([op._kraus for op in inst.operations])
     roots = _psd_sqrts(e_mats, tol)[:, None]
-    left = np.concatenate([_stack_families([op._kraus for op in inst.operations]), roots], axis=1)
-    right = left.conj().swapaxes(-1, -2)
-    right[:, -1] *= -1
-    luders_defect = _max_unit_norm(left, right)
+    luders_defect = _dual_gap(kraus.conj().swapaxes(-1, -2), roots.conj().swapaxes(-1, -2))
     luders_like = luders_defect <= tol.eq_tol
 
     def check(worst: float, applicable: bool, note: str = "") -> ConditionCheck:
@@ -655,7 +635,7 @@ def structural_necessary_conditions(
 
 def _norm_one_refinement(
     analysis: FixedPointAnalysis,
-    compressed: Sequence[np.ndarray],
+    compressed: np.ndarray,
     tol: Tolerance,
     key: Callable[[np.ndarray], Any],
     descending: bool = False,
@@ -663,15 +643,15 @@ def _norm_one_refinement(
     """The norm-1 observable behind commuting compressed effects.
 
     Takes the joint eigenprojectors ``R(z)`` of ``compressed``, sorts them by
-    ``key`` of their column of eigenvalues, and averages each back through
-    the channel into ``G(z) = Phi*_av(W R(z) W^dag)``.  Returns the sorted
+    ``key`` of their column of eigenvalues, and averages the stack back
+    through the channel into ``G(z) = Phi*_av(W R(z) W^dag)``.  Returns the sorted
     projector stack, the sorted ``(n_effects, n_z)`` eigenvalue matrix and
     the observable ``z_k -> G(z_k)``, unchecked: the callers report its defects.
     """
     projs, values = _joint_eigenprojectors(compressed, tol)
     order = sorted(range(len(projs)), key=lambda z: key(values[:, z]), reverse=descending)
-    projs = np.array(projs)[order]
-    g = np.array([analysis.average_dual(analysis.embed(rz)).mat for rz in projs])
+    projs = projs[order]
+    g = analysis.average_dual(analysis.embed(projs))
     labels = [f"z{k}" for k in range(len(order))]
     return projs, values[:, order], Observable._derived(labels, _hermitian_parts(g))
 
@@ -755,10 +735,10 @@ def nondisturbed_norm1_observable(
     compress_defect = max_op_norm(analysis.compress(g_mats) - projs)
 
     # the normalized eigenvalue-1 projector of each G(z)
-    proj = _norm_one_projectors(g_obs, tol)[0]
-    if len(proj) < len(g_mats):
+    cols = _norm_one_projectors(g_obs.outcomes, np.linalg.eigh(g_mats), tol)[0]
+    if len(cols) < len(g_mats):
         raise RuntimeError("constructed effect does not attain norm one")
-    states = np.array(list(proj.values()))
+    states = np.array(list(_projectors(cols).values()))
     states = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
 
     # probs[i, j] = tr[G(z_j) Phi(rho_i)], which should be delta_ij
@@ -859,7 +839,7 @@ def cesaro_supermatrix(phi: OperationMap, n_iter: int) -> np.ndarray:
     """``(1/N) sum_{k=1..N} M^k`` of the dual supermatrix, for cross-checks."""
     if n_iter < 1:
         raise ValueError(f"n_iter must be positive, got {n_iter}")
-    m = to_supermatrix(phi).m
+    m = to_supermatrix(phi)
     # binary doubling over the bits of N: with S_a = sum_{k=1..a} M^k,
     # S_2a = S_a + M^a S_a and S_{2a+1} = S_2a + M^(2a+1)
     acc, power = m, m

@@ -546,30 +546,35 @@ def _repeat_first_kind(
 
 
 def _norm_one_projectors(
-    obs: Observable, tol: Tolerance
+    outcomes: Sequence[str], eig: tuple[np.ndarray, np.ndarray], tol: Tolerance
 ) -> tuple[dict[str, np.ndarray], list[str], float]:
-    """Eigenvalue-1 projectors ``P(x)`` (as :func:`opcore.eigenspace_projector`
-    takes them) of the effects with norm above ``rank_tol``, from one batched
-    ``eigh`` of the effects.
+    """Eigenvalue-1 eigenvectors of the effects with norm above ``rank_tol``,
+    from the caller's batched ``eigh`` ``eig`` of the Hermitian effects (one
+    per outcome): the columns ``w`` whose projector ``w w^dag`` is ``P(x)`` as
+    :func:`opcore.eigenspace_projector` takes it.
 
     Also returns the outcomes whose effect has no eigenvalue-1 eigenspace and
     ``max_x |1 - ||E(x)|| |`` over those effects.
     """
-    spectra, vectors = np.linalg.eigh(_hermitian_parts(obs._effects))
-    proj: dict[str, np.ndarray] = {}
+    cols: dict[str, np.ndarray] = {}
     missing: list[str] = []
     gap = 0.0
-    for x, w, v in zip(obs.outcomes, spectra, vectors):
+    for x, w, v in zip(outcomes, *eig):
         n = float(np.abs(w).max())
         if n <= tol.rank_tol:
             continue
         gap = max(gap, abs(1.0 - n))
-        cols = _eigenspace_columns(w, v, 1.0, tol.rank_tol)
-        if cols is None:
+        found = _eigenspace_columns(w, v, 1.0, tol.rank_tol)
+        if found is None:
             missing.append(x)
         else:
-            proj[x] = cols @ cols.conj().T
-    return proj, missing, gap
+            cols[x] = found
+    return cols, missing, gap
+
+
+def _projectors(cols: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """``x -> w w^dag`` for the columns of :func:`_norm_one_projectors`."""
+    return {x: w @ w.conj().T for x, w in cols.items()}
 
 
 def _exclusivity_defect(proj: dict[str, np.ndarray], obs: Observable) -> float:
@@ -584,20 +589,38 @@ def _exclusivity_defect(proj: dict[str, np.ndarray], obs: Observable) -> float:
     return max_op_norm(prods)
 
 
-def _framed_defect(kraus: np.ndarray, lefts: np.ndarray, rights: np.ndarray) -> float:
-    """``max ||I*(L A R) - I*(A)||`` over every matrix unit ``A`` and frame.
+def _dual_gap(
+    first: np.ndarray,
+    second: np.ndarray,
+    lefts: np.ndarray | None = None,
+    rights: np.ndarray | None = None,
+) -> float:
+    """``max ||sum F^dag L A R F - sum S^dag A S||`` over every matrix unit ``A``,
+    family ``i`` and frame ``f``: the defect of ``Phi_1 = Phi_2`` for the duals
+    ``Phi_1`` of ``first`` (framed) and ``Phi_2`` of ``second``.
 
-    ``I*`` is the dual of the Kraus family ``kraus[i]`` (``(n, k, out, in)``,
-    zero-padded) and its frames ``(L, R)`` are ``lefts[i, f]`` and
-    ``rights[i, f]`` (``(n, f, out, out)``): the map
-    ``A -> sum K^dag L A R K - K^dag A K`` with the factors ``[K^dag L, -K^dag]``
-    and ``[R K, K]`` of :func:`cpmaps._max_unit_norm`.
+    ``first[i]`` and ``second[i]`` are zero-padded Kraus stacks
+    (``(n, k, out, in)`` and ``(n, k', out, in)``; ``k' = 0`` is the zero map),
+    and the frames ``(L, R)`` are ``lefts[i, f]`` and ``rights[i, f]``
+    (``(n, f, out, out)``; none means one identity frame).  A state-side map
+    ``sum K A K^dag`` is the dual of the family ``K^dag``.  The factors of
+    :func:`cpmaps._max_unit_norm` are ``[F^dag L, -S^dag]`` and ``[R F, S]``.
     """
-    kh = kraus.conj().swapaxes(-1, -2)[:, None]
-    k = kraus[:, None]
-    a = np.concatenate(np.broadcast_arrays(kh @ lefts[:, :, None], -kh), axis=2)
-    b = np.concatenate(np.broadcast_arrays(rights[:, :, None] @ k, k), axis=2)
-    return _max_unit_norm(a.reshape(-1, *a.shape[2:]), b.reshape(-1, *b.shape[2:]))
+    n, k, rows, cols = first.shape
+    n_f, m = (1 if lefts is None else lefts.shape[1]), k + second.shape[1]
+    # the factors are written in place: a concatenation of the frames' stacks
+    # would copy them once more
+    a = np.empty((n, n_f, m, cols, rows), dtype=complex)
+    b = np.empty((n, n_f, m, rows, cols), dtype=complex)
+    first_h = first.conj().swapaxes(-1, -2)[:, None]
+    if lefts is None:
+        a[:, :, :k], b[:, :, :k] = first_h, first[:, None]
+    else:
+        np.matmul(first_h, lefts[:, :, None], out=a[:, :, :k])
+        np.matmul(rights[:, :, None], first[:, None], out=b[:, :, :k])
+    a[:, :, k:] = -second.conj().swapaxes(-1, -2)[:, None]
+    b[:, :, k:] = second[:, None]
+    return _max_unit_norm(a.reshape(n * n_f, m, cols, rows), b.reshape(n * n_f, m, rows, cols))
 
 
 @_per_object
@@ -650,7 +673,7 @@ def repeatability_report(
     eyes = np.broadcast_to(eye, e_mats.shape)
     lefts = np.stack([e_mats, eyes, e_mats], axis=1)
     rights = np.stack([eyes, e_mats, e_mats], axis=1)
-    sandwich = _framed_defect(kraus, lefts, rights)
+    sandwich = _dual_gap(kraus, kraus, lefts, rights)
     items["sandwich-own-effect"] = ItemCheck(sandwich, sandwich <= tol.eq_tol)
 
     # (ii) the total dual agrees with the single-outcome dual on E(x)-framed
@@ -660,16 +683,12 @@ def repeatability_report(
     others = _stack_families(
         [np.delete(total, np.s_[end - len(op) : end], axis=0) for op, end in zip(ops, ends)]
     )
-    others_h = others.conj().swapaxes(-1, -2)[:, None]
-    n_f = 3 * len(ops)
-    localizes = _max_unit_norm(
-        (others_h @ lefts[:, :, None]).reshape(n_f, *others_h.shape[2:]),
-        (rights[:, :, None] @ others[:, None]).reshape(n_f, *others.shape[1:]),
-    )
+    localizes = _dual_gap(others, others[:, :0], lefts, rights)
     items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
     # (iv)/(v): eigenvalue-1 projectors of the effects and their exclusivity
-    proj, missing, norm_gap = _norm_one_projectors(e_obs, tol)
+    cols, missing, norm_gap = _norm_one_projectors(e_obs.outcomes, np.linalg.eigh(e_mats), tol)
+    proj = _projectors(cols)
     items["norm-one-projectors"] = ItemCheck(
         norm_gap,
         norm_gap <= tol.rank_tol and not missing,
@@ -684,7 +703,8 @@ def repeatability_report(
     evaluated_vi = bool(proj)
     if proj:
         p_mats = np.array(list(proj.values()))[:, None]
-        worst = _framed_defect(kraus[[inst.outcomes.index(x) for x in proj]], p_mats, p_mats)
+        own = [inst.outcomes.index(x) for x in proj]
+        worst = _dual_gap(kraus[own], kraus[own], p_mats, p_mats)
     items["projector-sandwich"] = ItemCheck(
         worst, worst <= tol.eq_tol, evaluated=evaluated_vi,
         note="" if evaluated_vi else "no eigenvalue-1 projectors available",
@@ -728,7 +748,10 @@ def repeatability_report(
         items["moment-identities"] = ItemCheck(worst, worst <= tol.eq_tol)
 
         # pointer-side eigenvalue-1 projectors
-        qproj, q_missing, q_gap = _norm_one_projectors(pointer, tol)
+        qcols, q_missing, q_gap = _norm_one_projectors(
+            pointer.outcomes, np.linalg.eigh(_hermitian_parts(pointer._effects)), tol
+        )
+        qproj = _projectors(qcols)
         worst = max(q_gap, _exclusivity_defect(qproj, pointer))
         items["pointer-projectors"] = ItemCheck(
             worst,
@@ -741,19 +764,22 @@ def repeatability_report(
         if qproj and not q_missing:
             q_total = sum(qproj.values())[None, None]
             # (vii) the apparatus restriction only sees the pointer support
-            worst = _framed_defect(maps.conj_channel._kraus[None], q_total, q_total)
+            conj = maps.conj_channel._kraus[None]
+            worst = _dual_gap(conj, conj, q_total, q_total)
             items["conjugate-pointer-support"] = ItemCheck(worst, worst <= tol.eq_tol)
 
-            # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x)); the lifted units are not
-            # of the form L A R, so they go through the plain kernel
-            units = np.eye(d * d).reshape(d * d, d, d)
+            # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x)): with the eigenvalue-1
+            # columns w_r of Z(x), A (x) Q(x) = sum_r (1 (x) w_r) A (1 (x) w_r)^dag,
+            # so the right side is the state-side map of the family G (1 (x) w_r)
+            # over the Kraus operators G of Gamma^E_xi
+            xs = [x for x in inst.outcomes if x in qcols]
             worst = 0.0
-            for x in inst.outcomes:
-                if x not in qproj:
-                    continue
-                rhs_img = _apply(maps.gamma_xi_e, np.kron(units, qproj[x][None]), False)
-                lhs_img = _apply(inst.operation(x), units, True)
-                worst = max(worst, max_op_norm(rhs_img - lhs_img))
+            if xs:
+                w = _stack_families([qcols[x].T for x in xs])
+                g = maps.gamma_xi_e._kraus.reshape(-1, d, d, dA)
+                lifted = np.einsum("gosa,xra->xgros", g, w).reshape(len(xs), -1, d, d)
+                own = [inst.outcomes.index(x) for x in xs]
+                worst = _dual_gap(lifted.conj().swapaxes(-1, -2), kraus[own])
             items["restriction-identity"] = ItemCheck(worst, worst <= tol.eq_tol)
         else:
             note = "pointer effects do not attain norm one"

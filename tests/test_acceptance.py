@@ -324,8 +324,8 @@ def test_criterion_06_fixed_point_projectors():
         d = 2 + i % 3
         phi = random_channel(d, d, 3, rng)
         fp = analyze_fixed_points(phi)
-        proj = fp.projector.m
-        m_dual = to_supermatrix(phi).m
+        proj = fp.projector
+        m_dual = to_supermatrix(phi)
         assert op_norm_mat(proj @ proj - proj) <= 1e-8
         assert op_norm_mat(m_dual @ proj - proj) <= 1e-8
         assert np.linalg.matrix_rank(proj, tol=1e-8) == fp.fixed_dim

@@ -156,6 +156,7 @@ def random_scheme(rng, d_sys, d_app):
 
 
 @given(seed=SEEDS, d_sys=DIMS, d_app=DIMS, kind=KINDS)
+@example(seed=0, d_sys=12, d_app=3, kind="scheme")  # restriction-identity screened
 @SETTINGS
 def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
     rng = np.random.default_rng(seed)

@@ -87,7 +87,7 @@ def test_duality_pairing(seed):
 
 
 def test_supermatrix_sigmax_spectrum():
-    m = to_supermatrix(OperationMap.from_unitary(SX)).m
+    m = to_supermatrix(OperationMap.from_unitary(SX))
     w = np.sort(np.linalg.eigvals(m).real)
     np.testing.assert_allclose(w, [-1.0, -1.0, 1.0, 1.0], atol=1e-12)
 
@@ -96,11 +96,11 @@ def test_supermatrix_reproduces_dual_action():
     phi = _amplitude_damping(0.25)
     sm = to_supermatrix(phi)
     a = np.array([[0.3, 1.0j], [-1.0j, 0.7]])
-    np.testing.assert_allclose(unvec(sm.m @ vec(a), 2), apply_dual(phi, a).mat, atol=1e-13)
+    np.testing.assert_allclose(unvec(sm @ vec(a), 2), apply_dual(phi, a).mat, atol=1e-13)
     # the state-side action is the adjoint supermatrix
     rho = np.diag([0.6, 0.4]).astype(complex)
     np.testing.assert_allclose(
-        unvec(sm.m.conj().T @ vec(rho), 2), apply_map(phi, rho).mat, atol=1e-13
+        unvec(sm.conj().T @ vec(rho), 2), apply_map(phi, rho).mat, atol=1e-13
     )
 
 
@@ -172,6 +172,6 @@ def test_supermatrix_matches_kron_sum_bitwise(seed, k, d_in, d_out, zeros):
         part[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
     phi = OperationMap(list(kraus))
     expected = sum(np.kron(m.T, m.conj().T) for m in phi.kraus)
-    got = to_supermatrix(phi).m
+    got = to_supermatrix(phi)
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))

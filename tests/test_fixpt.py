@@ -9,6 +9,7 @@ from waylab.conserve import AdditiveQuantity, conservative_unitary
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
     _closed_under_products,
+    _joint_eigenprojectors,
     _projector_gap,
     analyze_fixed_points,
     cesaro_supermatrix,
@@ -89,13 +90,13 @@ def test_fixed_points_unitary_x():
     assert fp.algebra_certified
     assert fp.commutant_consistent
     assert fp.max_fixed_defect <= 1e-12
-    proj = fp.projector.m
+    proj = fp.projector
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
     np.testing.assert_allclose(fp.rho0.mat, np.eye(2) / 2.0, atol=1e-12)
     np.testing.assert_allclose(fp.support_p.mat, np.eye(2), atol=1e-12)
     # the averaged dual projects onto span{1, x}
-    np.testing.assert_allclose(fp.average_dual(SX).mat, SX, atol=1e-12)
-    np.testing.assert_allclose(fp.average_dual(SZ).mat, np.zeros((2, 2)), atol=1e-12)
+    np.testing.assert_allclose(fp.average_dual(SX), SX, atol=1e-12)
+    np.testing.assert_allclose(fp.average_dual(SZ), np.zeros((2, 2)), atol=1e-12)
 
 
 def test_fixed_points_luders_unsharp():
@@ -106,7 +107,7 @@ def test_fixed_points_luders_unsharp():
     assert fp.algebra_certified
     assert fp.commutant_consistent
     plus = (np.eye(2) + SX) / 2.0
-    np.testing.assert_allclose(fp.average_dual(plus).mat, plus, atol=1e-12)
+    np.testing.assert_allclose(fp.average_dual(plus), plus, atol=1e-12)
 
 
 def test_fixed_points_qutrit_decay():
@@ -527,7 +528,7 @@ def test_minimal_support_defects_match_column_loop(seed, d, kind):
     margin = np.inf
     for v in analysis.p_isometry.T:
         q = p - np.outer(v, v.conj())
-        margin = min(margin, op_norm(analysis.average_dual(q) - Operator.identity(d)))
+        margin = min(margin, op_norm(analysis.average_dual(q) - np.eye(d)))
     rep = check_minimal_support(analysis, phi)
     assert rep.fixed_states_supported_defect == states
     assert rep.minimality_margin == margin
@@ -611,8 +612,8 @@ def test_structural_defects_match_pair_loop(seed, d_sys, d_app, kind, single_f):
 def test_cesaro_converges_to_projector():
     phi = luders_instrument(unsharp_x(0.5)).total()
     fp = analyze_fixed_points(phi)
-    gap_2k = op_norm_mat(cesaro_supermatrix(phi, 2000) - fp.projector.m)
-    gap_8k = op_norm_mat(cesaro_supermatrix(phi, 8000) - fp.projector.m)
+    gap_2k = op_norm_mat(cesaro_supermatrix(phi, 2000) - fp.projector)
+    gap_8k = op_norm_mat(cesaro_supermatrix(phi, 8000) - fp.projector)
     assert gap_2k <= 5e-3
     assert gap_8k <= 1.5e-3
     assert gap_8k < gap_2k
@@ -622,7 +623,7 @@ def test_cesaro_converges_to_projector():
 def test_cesaro_doubling_matches_plain_sum(n_iter):
     rng = np.random.default_rng(n_iter)
     for phi in (luders_instrument(unsharp_x(0.5)).total(), random_channel(3, 3, 2, rng)):
-        m = to_supermatrix(phi).m
+        m = to_supermatrix(phi)
         acc = np.zeros_like(m)
         power = np.eye(len(m), dtype=complex)
         for _ in range(n_iter):
@@ -779,6 +780,31 @@ def test_norm_one_defects_match_outcome_loop(seed, d, n, leaky):
             acc += pp.matrix[xi, zi] * g.mat
         recon = max(recon, op_norm_mat(acc - eff.mat))
     assert pp.reconstruction_defect == recon
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8), n=st.integers(1, 4))
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_joint_eigenprojectors_of_degenerate_commuting_family(seed, d, n):
+    # n Hermitian matrices, diagonal in one random basis with d - 1 or fewer
+    # distinct joint eigenvalues, so some joint eigenspace has rank > 1
+    rng = np.random.default_rng(seed)
+    v = haar_unitary(d, rng).mat
+    spaces = rng.integers(0, d - 1, size=d)
+    joint = rng.integers(-2, 3, size=(n, d)).astype(float)[:, spaces]
+    mats = np.array([v @ np.diag(w) @ v.conj().T for w in joint])
+    projs, values = _joint_eigenprojectors(mats, DEFAULT_TOL)
+    assert projs.shape == (len(np.unique(joint.T, axis=0)), d, d)
+    assert values.shape == (n, len(projs))
+    np.testing.assert_allclose(projs.sum(axis=0), np.eye(d), atol=1e-12)
+    np.testing.assert_allclose(projs @ projs, projs, atol=1e-12)
+    np.testing.assert_allclose(np.einsum("nz,zij->nij", values, projs), mats, atol=1e-10)
+
+
+def test_joint_eigenprojectors_reject_non_commuting_family():
+    rng = np.random.default_rng(5)
+    for mats in (np.array([SX, SZ]), np.array([random_hermitian(4, rng).mat for _ in range(3)])):
+        with pytest.raises(RuntimeError, match="does not commute"):
+            _joint_eigenprojectors(mats, DEFAULT_TOL)
 
 
 def test_post_processing_errors():

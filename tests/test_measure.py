@@ -422,7 +422,7 @@ def test_scheme_is_immutable():
             delattr(phi, name)
     # the cached analysis is shared, so its arrays are read-only
     analysis = analyze_fixed_points(phi)
-    for a in (analysis.p_isometry, analysis.fixed_states, analysis.projector.m,
+    for a in (analysis.p_isometry, analysis.fixed_states, analysis.projector,
               *analysis.restricted_basis):
         with pytest.raises(ValueError, match="read-only"):
             a[0, 0] = 1.0
@@ -510,8 +510,8 @@ def test_normal_dilation_realizes_luders():
         inst = scheme_to_instrument(m)
         ref = luders_instrument(obs)
         for x in obs.outcomes:
-            got = to_supermatrix(inst.operation(x)).m
-            want = to_supermatrix(ref.operation(x)).m
+            got = to_supermatrix(inst.operation(x))
+            want = to_supermatrix(ref.operation(x))
             np.testing.assert_allclose(got, want, atol=1e-8)
 
 
@@ -586,8 +586,8 @@ def test_instrument_json_roundtrip():
     assert back.outcomes == inst.outcomes
     for x in inst.outcomes:
         np.testing.assert_allclose(
-            to_supermatrix(back.operation(x)).m,
-            to_supermatrix(inst.operation(x)).m,
+            to_supermatrix(back.operation(x)),
+            to_supermatrix(inst.operation(x)),
             atol=0,
         )
     with pytest.raises(SchemaError, match="one operation per outcome"):

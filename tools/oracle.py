@@ -25,6 +25,12 @@ the same files.  It writes:
   unsharp observable at ``d = 10``: its ``total-localizes`` item takes the
   screened long-family matrix-unit path with O(1) images, and its trivial
   commutant comes out of restricted singular values of order one;
+* ``unsharp-pointer-3x4.json``, ``unsharp-pointer-12x3.json``: ``waylab run``
+  with a ``repeatability`` task on a scheme (random unitary coupling, rank-2
+  ``xi``) whose two unsharp pointer effects each have eigenvalue 1 on one
+  vector of a random basis, at ``d_S x d_A = 3 x 4`` and ``12 x 3``: its
+  ``restriction-identity`` defect is of order one, and at ``12 x 3`` it
+  takes the screened matrix-unit path;
 * ``cnot-extremal.json``: ``waylab run`` on the CNOT scheme measuring ``Z``
   with the conserved ``Z/2 (x) 1``: disturbance and measurability bounds with
   ``assert_extremal`` and the distinguishability bounds of ``|1>`` against
@@ -108,6 +114,29 @@ def luders_unsharp_scenario() -> dict:
     }
 
 
+def unsharp_pointer_scenario(d_sys: int, d_app: int) -> dict:
+    from waylab import serialize
+    from waylab.rand import haar_unitary, random_state
+
+    rng = np.random.default_rng([d_sys, d_app])
+    v = haar_unitary(d_app, rng).mat
+    weights = np.zeros((2, d_app))
+    weights[[0, 1], [0, 1]] = 1.0
+    weights[:, 2:] = rng.dirichlet([1.0, 1.0], size=d_app - 2).T
+    scheme = {
+        "kind": "scheme",
+        "apparatus_dim": d_app,
+        "xi": serialize.matrix_to_json(random_state(d_app, rng, rank=2).mat),
+        "coupling": {"unitary": serialize.matrix_to_json(haar_unitary(d_sys * d_app, rng).mat)},
+        "pointer": {
+            "outcomes": ["p0", "p1"],
+            "effects": [serialize.matrix_to_json(v @ np.diag(w) @ v.conj().T) for w in weights],
+        },
+    }
+    return {"schema": 1, "name": f"unsharp-pointer-{d_sys}x{d_app}", "system_dim": d_sys,
+            "objects": {"M": scheme}, "tasks": [{"op": "repeatability", "scheme": "M"}]}
+
+
 def cnot_extremal_scenario() -> dict:
     from waylab import serialize
 
@@ -165,7 +194,9 @@ def cli_outputs(out_dir: str) -> list[str]:
             os.mkdir(seed_dir)
             runs.append((f"luders-d12-s{seed}", ["run", Luders(seed, seed_dir).path]))
         for scenario in (
-            random_instrument_scenario(), luders_unsharp_scenario(), cnot_extremal_scenario()
+            random_instrument_scenario(), luders_unsharp_scenario(),
+            unsharp_pointer_scenario(3, 4), unsharp_pointer_scenario(12, 3),
+            cnot_extremal_scenario(),
         ):
             path = os.path.join(work, f"{scenario['name']}.json")
             with open(path, "w") as fh:
