@@ -48,7 +48,7 @@ def main():
     print("qutrit decay channel (middle level drains to the edges)")
     print(f"  fixed-space dimension {fp2.fixed_dim}, faithful fixed state: {fp2.faithful}")
     print(f"  support projection of the maximal fixed state:\n"
-          f"{np.round(fp2.support_p.mat.real, 10)}")
+          f"{np.round(fp2.support_p.real, 10)}")
     lem = check_minimal_support(fp2, decay)
     print(f"  support certificate: all_pass={lem.all_pass},"
           f" minimality margin {lem.minimality_margin:.3f}")

@@ -44,7 +44,7 @@ from .conserve import (
     variance,
     yanase_conditions,
 )
-from .cpmaps import _apply, _per_object, apply_map
+from .cpmaps import _apply, _per_object
 from .measure import (
     Instrument,
     MeasurementScheme,
@@ -58,12 +58,11 @@ from .measure import (
 )
 from .opcore import (
     DEFAULT_TOL,
-    Operator,
     Tolerance,
+    _commutators,
     _eigenspace_columns,
     _sv_max,
     fidelity,
-    op_norm,
     op_norm_mat,
     op_norms,
 )
@@ -98,11 +97,6 @@ def _profile(outcomes: tuple[str, ...], gaps: np.ndarray) -> Profile:
     return Profile(outcomes=outcomes, norms=norms, max_norm=max(norms.values()))
 
 
-def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[a, b]`` for stacks (or single matrices) that broadcast together."""
-    return a @ b - b @ a
-
-
 def disturbance_profile(
     inst: Instrument, f: Observable, tol: Tolerance = DEFAULT_TOL
 ) -> Profile:
@@ -135,9 +129,7 @@ def _gamma_moment_defect(
 ) -> float:
     """``|| Gamma^E_xi(N^2) - Gamma^E_xi(N)^2 ||`` for the composite ``N`` of ``q``."""
     n = _scheme_conservation(m, q, tol)[0]
-    maps = restriction_maps(m, tol)
-    first = apply_map(maps.gamma_xi_e, n).mat
-    second = apply_map(maps.gamma_xi_e, n @ n).mat
+    first, second = _apply(restriction_maps(m, tol).gamma_xi_e, np.array([n, n @ n]), False)
     return float(op_norm_mat(second - first @ first))
 
 
@@ -249,10 +241,10 @@ def eval_disturbance_bounds(
         return reports
 
     cons = _scheme_conservation(m, q, tol)[1]
-    base = 2.0 * op_norm(q.n_sys) * dy
+    base = 2.0 * op_norm_mat(q.n_sys) * dy
     gamma_cross = 2.0 * np.sqrt(_gamma_moment_defect(m, q, tol))
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
-    comm = _commutators(fm, q.n_sys.mat)
+    comm = _commutators(fm, q.n_sys)
     lhs = _sv_max(comm - _apply(total, comm, True))
     reports += _rows(
         tol, digest, f.outcomes,
@@ -311,12 +303,12 @@ def eval_measurability_bounds(
     )
     tm = target._effects
     # error_profile checked that target and pointer share their outcome order
-    pointer_comm = _commutators(m.pointer._effects, q.n_app.mat)
+    pointer_comm = _commutators(m.pointer._effects, q.n_app)
     transferred = _apply(maps.conj_dual, pointer_comm, False)
     # per outcome x: ||eps(x)||, the target's unsharpness, the lhs
     eps = np.array(list(prof.norms.values()))
-    ut, lhs = _sv_max(np.stack([tm @ tm - tm, _commutators(tm, q.n_sys.mat) - transferred]))
-    base = 2.0 * op_norm(q.n_sys) * eps
+    ut, lhs = _sv_max(np.stack([tm @ tm - tm, _commutators(tm, q.n_sys) - transferred]))
+    base = 2.0 * op_norm_mat(q.n_sys) * eps
     reports = _rows(
         tol, digest, target.outcomes,
         (
@@ -363,7 +355,7 @@ def eval_way(
 
     em = e_obs._effects
     # per outcome x: the measured effect's unsharpness and ||[E(x), N_S]||
-    ue, lhs = _sv_max(np.stack([em @ em - em, _commutators(em, q.n_sys.mat)]))
+    ue, lhs = _sv_max(np.stack([em @ em - em, _commutators(em, q.n_sys)]))
     reports: list[BoundReport] = []
 
     if repeatable or yan.yanase_defect <= tol.eq_tol:
@@ -443,20 +435,16 @@ def eval_distinguishability_bounds(
     )
     avg_hyp = f"average conservation (defect = {cons.average_defect:.3e})"
 
-    rho_psi = Operator(np.outer(psi_v, psi_v.conj()))
-    rho_phi = Operator(np.outer(phi_v, phi_v.conj()))
-    total = inst.total()
-    out_fid = fidelity(apply_map(total, rho_psi), apply_map(total, rho_phi), tol)
-    conj_fid = fidelity(
-        apply_map(maps.conj_channel, rho_psi), apply_map(maps.conj_channel, rho_phi), tol
-    )
-    lhs_overlap = float(abs(np.vdot(psi_v, q.n_sys.mat @ phi_v)))
-    ns_norm = op_norm(q.n_sys)
+    inputs = np.array([np.outer(psi_v, psi_v.conj()), np.outer(phi_v, phi_v.conj())])
+    out_fid = fidelity(*_apply(inst.total(), inputs, False), tol)
+    conj_fid = fidelity(*_apply(maps.conj_channel, inputs, False), tol)
+    lhs_overlap = float(abs(np.vdot(psi_v, q.n_sys @ phi_v)))
+    ns_norm = op_norm_mat(q.n_sys)
     reports = _rows(
         tol, digest, [""],
         (
             "distinguish-fidelity", lhs_overlap,
-            op_norm(q.n_app) * np.sqrt(out_fid) + ns_norm * np.sqrt(conj_fid),
+            op_norm_mat(q.n_app) * np.sqrt(out_fid) + ns_norm * np.sqrt(conj_fid),
             cons.average_holds, avg_hyp,
         ),
     )
@@ -507,7 +495,7 @@ def eval_distinguishability_bounds(
             _projectors(_norm_one_projectors(e_obs.outcomes, eig, tol)[0]).values(),
             np.zeros((dS, dS), dtype=complex),
         )
-        compressed = p_total @ q.n_sys.mat @ p_total
+        compressed = p_total @ q.n_sys @ p_total
         reports += _rows(
             tol, digest, e_obs.outcomes,
             (

@@ -63,7 +63,7 @@ from .measure import (
     scheme_to_json,
     sharp_observable,
 )
-from .opcore import DEFAULT_TOL, Operator, Tolerance, op_norm_mat
+from .opcore import DEFAULT_TOL, Tolerance, _checked, op_norm_mat
 from .rand import random_state
 from .reporting import BoundReport, summarize
 from .serialize import SchemaError
@@ -134,7 +134,7 @@ def _parse_object(name: str, obj: Any, sys_dim: int, tol: Tolerance) -> tuple[st
     if kind not in _OBJECT_KINDS:
         raise SchemaError(f"{where}.kind: expected one of {_OBJECT_KINDS}, got {kind!r}")
     if kind == "operator":
-        return kind, Operator(serialize.matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
+        return kind, _checked(serialize.matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
     if kind == "vector":
         return kind, serialize.vector_from_json(obj.get("values"), f"{where}.values")
     if kind == "observable":
@@ -151,10 +151,7 @@ def _parse_object(name: str, obj: Any, sys_dim: int, tol: Tolerance) -> tuple[st
     # the last of _OBJECT_KINDS: a quantity
     n_sys = serialize.matrix_from_json(obj.get("system"), f"{where}.system")
     n_app = serialize.matrix_from_json(obj.get("apparatus"), f"{where}.apparatus")
-    try:
-        return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app, tol=tol)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app, tol=tol)
 
 
 def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[dict]]:
@@ -174,7 +171,12 @@ def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[
     if not isinstance(objects, dict):
         raise SchemaError("scenario.objects: expected an object")
     for obj_name, body in objects.items():
-        scn.objects[obj_name] = _parse_object(obj_name, body, sys_dim, tol)
+        try:
+            scn.objects[obj_name] = _parse_object(obj_name, body, sys_dim, tol)
+        except SchemaError:
+            raise
+        except ValueError as exc:  # an operator or channel that fails its checks
+            raise SchemaError(f"objects.{obj_name}: {exc}") from exc
     tasks = obj.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise SchemaError("scenario.tasks: expected a non-empty list")
@@ -493,7 +495,7 @@ def _builtin_conservative_scheme(args: argparse.Namespace) -> dict:
     else:
         herm = rng.standard_normal((da, da)) + 1j * rng.standard_normal((da, da))
         pointer = sharp_observable(0.5 * (herm + herm.conj().T))
-    m = MeasurementScheme(ds, da, xi, OperationMap([u.mat]), pointer)
+    m = MeasurementScheme(ds, da, xi, OperationMap([u]), pointer)
     f = sharp_observable(np.diag(np.arange(float(ds))) + 0.0j)
     n_out = len(pointer.outcomes)
     target = Observable(

@@ -19,17 +19,21 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .cpmaps import OperationMap, _per_object, apply_dual
+from .cpmaps import OperationMap, _apply, _per_object
 from .measure import MeasurementScheme, Observable, heisenberg_pointer
 from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
-    commutator,
+    _checked,
+    _commutators,
+    _hermitian_parts,
     eigen_clusters,
-    op_norm,
+    is_hermitian,
+    is_state,
+    is_unitary,
+    op_norm_mat,
     op_norms,
-    tensor,
 )
 
 __all__ = [
@@ -46,29 +50,26 @@ __all__ = [
 ]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class AdditiveQuantity:
-    """System and apparatus parts of an additively conserved quantity, each
-    Hermitian to within ``tol`` (which takes no part in equality)."""
+    """System and apparatus parts of an additively conserved quantity, each a
+    read-only array, Hermitian to within ``tol``.  Equality is identity: the
+    derivations cached per quantity (:func:`cpmaps._per_object`) key on it."""
 
-    n_sys: Operator
-    n_app: Operator
-    tol: Tolerance = dataclasses.field(default=DEFAULT_TOL, compare=False, repr=False)
+    n_sys: np.ndarray
+    n_app: np.ndarray
+    tol: Tolerance = dataclasses.field(default=DEFAULT_TOL, repr=False)
 
     def __post_init__(self) -> None:
         for name in ("n_sys", "n_app"):
-            part = getattr(self, name)
-            if not isinstance(part, Operator):
-                object.__setattr__(self, name, Operator(part))
-        if not self.n_sys.is_hermitian(self.tol):
-            raise ValueError("n_sys must be Hermitian")
-        if not self.n_app.is_hermitian(self.tol):
-            raise ValueError("n_app must be Hermitian")
+            object.__setattr__(self, name, _require_hermitian(getattr(self, name), self.tol, name))
 
-    def composite(self) -> Operator:
-        """``N = n_sys (x) 1 + 1 (x) n_app`` with the system slowest."""
-        ds, da = self.n_sys.dim, self.n_app.dim
-        return tensor(self.n_sys, np.eye(da)) + tensor(np.eye(ds), self.n_app)
+    def composite(self) -> np.ndarray:
+        """``N = n_sys (x) 1 + 1 (x) n_app`` with the system slowest, read-only."""
+        ds, da = len(self.n_sys), len(self.n_app)
+        n = np.kron(self.n_sys, np.eye(da)) + np.kron(np.eye(ds), self.n_app)
+        n.setflags(write=False)
+        return n
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,11 +83,11 @@ class ConservationReport:
         return dataclasses.asdict(self)
 
 
-def _require_hermitian(n: Any, tol: Tolerance, what: str) -> Operator:
-    op = n if isinstance(n, Operator) else Operator(n)
-    if not op.is_hermitian(tol):
+def _require_hermitian(n: Any, tol: Tolerance, what: str) -> np.ndarray:
+    m = _checked(n)
+    if not is_hermitian(m, tol):
         raise ValueError(f"{what} must be Hermitian")
-    return op
+    return m
 
 
 def check_conservation(
@@ -97,17 +98,14 @@ def check_conservation(
     ``full_holds`` requires both moments; deciding on the first two moments
     suffices because higher moments then follow by induction.
     """
-    op = _require_hermitian(n, tol, "conserved quantity")
+    n = _require_hermitian(n, tol, "conserved quantity")
     if not phi.is_channel(tol):
         raise ValueError("check_conservation requires a channel")
-    if phi.in_dim != op.dim or phi.out_dim != op.dim:
-        raise ValueError(
-            f"quantity dimension {op.dim} does not match channel "
-            f"({phi.out_dim}x{phi.in_dim})"
-        )
-    avg = op_norm(apply_dual(phi, op) - op)
-    nsq = op @ op
-    full = op_norm(apply_dual(phi, nsq) - nsq)
+    if phi.in_dim != len(n) or phi.out_dim != len(n):
+        raise ValueError(f"quantity dimension {len(n)} does not match channel "
+                         f"({phi.out_dim}x{phi.in_dim})")
+    moments = np.array([n, n @ n])
+    avg, full = op_norms(_apply(phi, moments, True) - moments)
     average_holds = avg <= tol.eq_tol
     return ConservationReport(
         average_defect=float(avg),
@@ -120,14 +118,13 @@ def check_conservation(
 @_per_object
 def _scheme_conservation(
     m: MeasurementScheme, q: AdditiveQuantity, tol: Tolerance = DEFAULT_TOL
-) -> tuple[Operator, ConservationReport]:
+) -> tuple[np.ndarray, ConservationReport]:
     """``N = q.composite()`` and its :func:`check_conservation` report under the
     coupling, after checking that ``q`` lives on the spaces of ``m``."""
-    if q.n_sys.dim != m.sys_dim or q.n_app.dim != m.app_dim:
-        raise ValueError(
-            f"quantity dimensions ({q.n_sys.dim}, {q.n_app.dim}) do not match the scheme "
-            f"({m.sys_dim}, {m.app_dim})"
-        )
+    dims = (len(q.n_sys), len(q.n_app))
+    if dims != (m.sys_dim, m.app_dim):
+        raise ValueError(f"quantity dimensions {dims} do not match the scheme "
+                         f"({m.sys_dim}, {m.app_dim})")
     n_comp = q.composite()
     return n_comp, check_conservation(m.coupling, n_comp, tol)
 
@@ -148,14 +145,14 @@ def check_unitary_equivalence(
 ) -> UnitaryConservationReport:
     """For unitary channels, ``[U, N] = 0``, average, and full conservation
     are one condition; report all three defects and whether they agree."""
-    uop = u if isinstance(u, Operator) else Operator(u)
-    if not uop.is_unitary(tol):
+    u = _checked(u)
+    if not is_unitary(u, tol):
         raise ValueError("check_unitary_equivalence requires a unitary")
-    nop = _require_hermitian(n, tol, "conserved quantity")
-    if uop.dim != nop.dim:
+    n = _require_hermitian(n, tol, "conserved quantity")
+    if u.shape != n.shape:
         raise ValueError("dimension mismatch between unitary and quantity")
-    comm = op_norm(commutator(uop, nop))
-    report = check_conservation(OperationMap([uop]), nop, tol)
+    comm = op_norm_mat(_commutators(u, n))
+    report = check_conservation(OperationMap([u]), n, tol)
     flags = [comm <= tol.eq_tol, report.average_holds, report.full_holds]
     return UnitaryConservationReport(
         commutator_norm=float(comm),
@@ -165,20 +162,20 @@ def check_unitary_equivalence(
     )
 
 
-def _as_state(state: Any, tol: Tolerance) -> Operator:
-    rho = state if isinstance(state, Operator) else Operator(state)
-    if not rho.is_state(tol):
+def _observable_and_state(n: Any, state: Any, tol: Tolerance) -> tuple[np.ndarray, np.ndarray]:
+    """A Hermitian ``n`` and a density operator ``state`` on one space, as arrays."""
+    n, rho = _require_hermitian(n, tol, "observable"), _checked(state)
+    if not is_state(rho, tol):
         raise ValueError("expected a density operator")
-    return rho
+    if n.shape != rho.shape:
+        raise ValueError("dimension mismatch between observable and state")
+    return n, rho
 
 
 def variance(n: Any, state: Any, tol: Tolerance = DEFAULT_TOL) -> float:
-    nop = _require_hermitian(n, tol, "observable")
-    rho = _as_state(state, tol)
-    if nop.dim != rho.dim:
-        raise ValueError("dimension mismatch between observable and state")
-    m1 = float(np.real(np.trace(rho.mat @ nop.mat)))
-    m2 = float(np.real(np.trace(rho.mat @ nop.mat @ nop.mat)))
+    n, rho = _observable_and_state(n, state, tol)
+    m1 = float(np.real(np.trace(rho @ n)))
+    m2 = float(np.real(np.trace(rho @ n @ n)))
     return max(m2 - m1 * m1, 0.0)
 
 
@@ -188,13 +185,10 @@ def qfi(n: Any, state: Any, tol: Tolerance = DEFAULT_TOL) -> float:
     Closed form ``2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) |<i|N|j>|^2`` over
     eigenpairs of the state, skipping pairs with ``l_i + l_j <= rank_tol``.
     """
-    nop = _require_hermitian(n, tol, "observable")
-    rho = _as_state(state, tol)
-    if nop.dim != rho.dim:
-        raise ValueError("dimension mismatch between observable and state")
-    w, v = np.linalg.eigh(rho.hermitian_part().mat)
+    n, rho = _observable_and_state(n, state, tol)
+    w, v = np.linalg.eigh(_hermitian_parts(rho))
     w = np.clip(w, 0.0, None)
-    nmat = v.conj().T @ nop.mat @ v
+    nmat = v.conj().T @ n @ v
     total = 0.0
     for i in range(len(w)):
         for j in range(len(w)):
@@ -217,9 +211,9 @@ def conservative_unitary(
     Samples a Hermitian generator block-diagonal in the eigenspaces of ``n``
     (eigenvalues clustered at ``rank_tol`` gaps) and exponentiates.
     """
-    nop = _require_hermitian(n, tol, "conserved quantity")
-    w, v = np.linalg.eigh(nop.hermitian_part().mat)
-    d = nop.dim
+    n = _require_hermitian(n, tol, "conserved quantity")
+    w, v = np.linalg.eigh(_hermitian_parts(n))
+    d = len(n)
     h = np.zeros((d, d), dtype=complex)
     for idx in eigen_clusters(w, tol.rank_tol):
         k = len(idx)
@@ -262,10 +256,9 @@ class YanaseReport:
         return {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(self).items()}
 
 
-def _commutator_norms(obs: Observable, n: Operator) -> Mapping[str, float]:
+def _commutator_norms(obs: Observable, n: np.ndarray) -> Mapping[str, float]:
     """``||[E(x), n]||`` per outcome of ``obs``, from one stack, read-only."""
-    effects = obs._effects
-    return MappingProxyType(dict(zip(obs.outcomes, op_norms(effects @ n.mat - n.mat @ effects))))
+    return MappingProxyType(dict(zip(obs.outcomes, op_norms(_commutators(obs._effects, n)))))
 
 
 @_per_object
@@ -279,7 +272,7 @@ def yanase_conditions(
     yanase = max(per_y.values())
     weak = max(per_w.values())
 
-    unitary = len(m.coupling.kraus) == 1 and Operator(m.coupling.kraus[0]).is_unitary(tol)
+    unitary = len(m.coupling) == 1 and is_unitary(m.coupling._kraus[0], tol)
     average = cons.average_holds
     applicable = unitary and average
     consistent: bool | None = None

@@ -40,6 +40,7 @@ from .opcore import (
     Operator,
     Tolerance,
     _BLOCK,
+    _as_matrix,
     _sv_max,
     max_op_norm,
     op_norm_mat,
@@ -140,23 +141,17 @@ class OperationMap(_Immutable):
     __slots__ = ("_kraus", "in_dim", "out_dim", "_memo")
 
     def __init__(self, kraus: Sequence[Any]):
-        mats = []
-        for k in kraus:
-            m = k.mat if isinstance(k, Operator) else np.asarray(k, dtype=complex)
-            if m.ndim != 2:
-                raise ValueError(f"Kraus operators must be matrices, got shape {m.shape}")
-            mats.append(m)
+        mats = [_as_matrix(k) for k in kraus]
         if not mats:
             raise ValueError("OperationMap needs at least one Kraus operator")
-        shape = mats[0].shape
-        for m in mats[1:]:
-            if m.shape != shape:
-                raise ValueError(
-                    f"inconsistent Kraus shapes: {m.shape} vs {shape}"
-                )
+        for m in mats:
+            if m.ndim != 2:
+                raise ValueError(f"Kraus operators must be matrices, got shape {m.shape}")
+            if m.shape != mats[0].shape:
+                raise ValueError(f"inconsistent Kraus shapes: {m.shape} vs {mats[0].shape}")
         stack = np.array(mats, dtype=complex)
         stack.setflags(write=False)
-        out_dim, in_dim = shape
+        out_dim, in_dim = mats[0].shape
         for name, value in zip(self.__slots__, (stack, in_dim, out_dim, {})):
             object.__setattr__(self, name, value)
 
@@ -203,7 +198,7 @@ class OperationMap(_Immutable):
 
 
 def _as_square(a: Any, dim: int, what: str) -> np.ndarray:
-    m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
+    m = _as_matrix(a)
     if m.shape != (dim, dim):
         raise ValueError(f"{what} must be {dim}x{dim}, got {m.shape}")
     return m

@@ -23,7 +23,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .bounds import _commutators, disturbance_profile
+from .bounds import disturbance_profile
 from .conserve import AdditiveQuantity, _scheme_conservation
 from .cpmaps import (
     OperationMap,
@@ -39,7 +39,6 @@ from .measure import (
     MeasurementScheme,
     Observable,
     _dual_gap,
-    _hermitian_parts,
     _norm_one_projectors,
     _projectors,
     _repeat_first_kind,
@@ -49,9 +48,11 @@ from .measure import (
 )
 from .opcore import (
     DEFAULT_TOL,
-    Operator,
     Tolerance,
     _BLOCK,
+    _as_matrix,
+    _commutators,
+    _hermitian_parts,
     _psd_sqrts,
     eigen_clusters,
     hermitian_basis,
@@ -101,23 +102,23 @@ _JOINT_BLOCK_TOL = 1e-7
 class FixedPointAnalysis:
     """Certified fixed-point data of a channel's dual.
 
-    ``basis`` spans the dual fixed space ``{A : Phi*(A) = A}`` with Hermitian
-    operators; ``fixed_states`` holds, as columns, an orthonormal vec-basis
-    of the state-side fixed space ``{T : Phi(T) = T}`` (the left null
-    vectors of ``M - 1`` from the same SVD as the right ones, so
-    ``fixed_dim`` columns).
+    ``basis`` spans the dual fixed space ``{A : Phi*(A) = A}`` with a stack
+    ``(fixed_dim, d, d)`` of Hermitian operators; ``fixed_states`` holds, as
+    columns, an orthonormal vec-basis of the state-side fixed space
+    ``{T : Phi(T) = T}`` (the left null vectors of ``M - 1`` from the same
+    SVD as the right ones, so ``fixed_dim`` columns).  Arrays are read-only.
     """
 
     dim: int
     fixed_dim: int
-    basis: tuple[Operator, ...]
+    basis: np.ndarray
     fixed_states: np.ndarray
     projector: np.ndarray
-    rho0: Operator
-    support_p: Operator
+    rho0: np.ndarray
+    support_p: np.ndarray
     p_isometry: np.ndarray
     faithful: bool
-    restricted_basis: tuple[np.ndarray, ...]
+    restricted_basis: np.ndarray
     algebra_certified: bool
     max_fixed_defect: float
     commutant_consistent: bool | None
@@ -125,15 +126,14 @@ class FixedPointAnalysis:
     def average_dual(self, a: Any) -> np.ndarray:
         """Cesàro-averaged dual action ``Phi*_av(a)`` via the projector, on one
         matrix or a stack ``(..., d, d)``; one matrix-vector product each."""
-        m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
+        m = _as_matrix(a)
         vecs = m.swapaxes(-1, -2).reshape(*m.shape[:-2], self.dim**2, 1)
         return (self.projector @ vecs).reshape(m.shape).swapaxes(-1, -2)
 
     def compress(self, a: Any) -> np.ndarray:
         """``W^dag a W``: the P-block of an operator."""
-        m = a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
         w = self.p_isometry
-        return w.conj().T @ m @ w
+        return w.conj().T @ _as_matrix(a) @ w
 
     def embed(self, b: np.ndarray) -> np.ndarray:
         """``W b W^dag``: extend a P-block operator by zero."""
@@ -150,9 +150,9 @@ class FixedPointAnalysis:
             "max_fixed_defect": self.max_fixed_defect,
             "commutant_consistent": self.commutant_consistent,
             "support_rank": int(self.p_isometry.shape[1]),
-            "P": serialize.matrix_to_json(self.support_p.mat),
-            "rho0": serialize.matrix_to_json(self.rho0.mat),
-            "basis": [serialize.matrix_to_json(b.mat) for b in self.basis],
+            "P": serialize.matrix_to_json(self.support_p),
+            "rho0": serialize.matrix_to_json(self.rho0),
+            "basis": [serialize.matrix_to_json(b) for b in self.basis],
         }
 
 
@@ -346,38 +346,36 @@ def analyze_fixed_points(
             f"failed to build a Hermitian basis of the fixed space "
             f"({len(herm)} of {r} directions); the space is not adjoint-closed numerically"
         )
-    basis = tuple(Operator(b) for b in herm)
     max_defect = max_op_norm(_apply(phi, herm, True) - herm)
 
-    rho0_raw = unvec(proj.conj().T @ vec(np.eye(d) / d), d)
-    rho0 = Operator(0.5 * (rho0_raw + rho0_raw.conj().T))
-    w, v = np.linalg.eigh(rho0.mat)
+    rho0 = _hermitian_parts(unvec(proj.conj().T @ vec(np.eye(d) / d), d))
+    w, v = np.linalg.eigh(rho0)
     mask = w > tol.rank_tol
     w_iso = v[:, mask]
-    support = Operator(w_iso @ w_iso.conj().T)
+    support = w_iso @ w_iso.conj().T
     rp = int(mask.sum())
     faithful = rp == d
 
-    restricted = tuple(hermitian_basis(w_iso.conj().T @ herm @ w_iso, tol.rank_tol))
+    restricted = np.array(hermitian_basis(w_iso.conj().T @ herm @ w_iso, tol.rank_tol))
 
     certified = len(restricted) == r and max_defect <= tol.eq_tol
     if certified:
-        certified = _closed_under_products(np.array(restricted), tol.eq_tol)
+        certified = _closed_under_products(restricted, tol.eq_tol)
 
     commutant_consistent: bool | None = None
     if faithful:
         comm = kraus_commutant(phi, tol.rank_tol)
-        qf, _ = np.linalg.qr(np.stack([vec(b.mat) for b in basis], axis=1))
+        qf, _ = np.linalg.qr(np.stack([vec(b) for b in herm], axis=1))
         commutant_consistent = comm.shape[1] > 0 and bool(
             _projector_gap(qf, comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
         )
 
-    for a in (left, proj, w_iso, *restricted):
+    for a in (herm, left, proj, rho0, support, w_iso, restricted):
         a.setflags(write=False)
     return FixedPointAnalysis(
         dim=d,
         fixed_dim=r,
-        basis=basis,
+        basis=herm,
         fixed_states=left,
         projector=proj,
         rho0=rho0,
@@ -419,7 +417,7 @@ def check_minimal_support(
     one-step dual only expands ``P``.
     """
     d = analysis.dim
-    p = analysis.support_p.mat
+    p = analysis.support_p
     p_perp = np.eye(d) - p
     av = analysis.average_dual
 
@@ -499,7 +497,7 @@ def _joint_eigenprojectors(mats: np.ndarray, tol: Tolerance) -> tuple[np.ndarray
 
 def _max_commutator(a: np.ndarray, b: np.ndarray) -> float:
     """``max ||a b - b a||`` over two broadcast stacks; 0.0 for an empty one."""
-    return max_op_norm(a @ b - b @ a)
+    return max_op_norm(_commutators(a, b))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -581,8 +579,8 @@ def structural_necessary_conditions(
     e_mats = e_obs._effects
     p_e = compress(e_mats)
     p_f = compress(f._effects)
-    p_n = compress(q.n_sys.mat)
-    shift = compress(inst.apply_dual_total(embed(p_n)).mat) - p_n
+    p_n = compress(q.n_sys)
+    shift = compress(_apply(inst.total(), embed(p_n), True)) - p_n
     i, j = np.triu_indices(len(p_e), 1)
 
     # a commutative measured observable realized by its own square-root
@@ -613,7 +611,7 @@ def structural_necessary_conditions(
             cons.average_holds and repeatable,
         ),
         "luders-commutative-quantity": check(
-            _max_commutator(e_mats, q.n_sys.mat),
+            _max_commutator(e_mats, q.n_sys),
             cons.average_holds and luders_like and e_obs.is_commutative(tol),
             "" if luders_like
             else f"instrument differs from square-root form by {luders_defect:.3e}",
@@ -658,11 +656,12 @@ def _norm_one_refinement(
 
 @dataclasses.dataclass(frozen=True)
 class Norm1Result:
-    """Norm-1 observable extracted from a nondisturbed nontrivial one."""
+    """Norm-1 observable extracted from a nondisturbed nontrivial one; the
+    ``states`` and ``projectors`` are read-only stacks."""
 
     observable: Observable
-    states: tuple[Operator, ...]
-    projectors: tuple[np.ndarray, ...]
+    states: np.ndarray
+    projectors: np.ndarray
     skipped_outcomes: tuple[str, ...]
     faithful: bool
     sharp: bool
@@ -740,6 +739,8 @@ def nondisturbed_norm1_observable(
         raise RuntimeError("constructed effect does not attain norm one")
     states = np.array(list(_projectors(cols).values()))
     states = states / np.real(np.trace(states, axis1=1, axis2=2))[:, None, None]
+    states.setflags(write=False)
+    projs.setflags(write=False)
 
     # probs[i, j] = tr[G(z_j) Phi(rho_i)], which should be delta_ij
     outs = _apply(phi, states, False)
@@ -748,8 +749,8 @@ def nondisturbed_norm1_observable(
 
     return Norm1Result(
         observable=g_obs,
-        states=tuple(Operator(rho) for rho in states),
-        projectors=tuple(projs),
+        states=states,
+        projectors=projs,
         skipped_outcomes=tuple(skipped),
         faithful=analysis.faithful,
         sharp=g_obs.is_sharp(tol),

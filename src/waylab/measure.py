@@ -45,13 +45,17 @@ from .opcore import (
     DEFAULT_TOL,
     Operator,
     Tolerance,
+    _checked,
+    _commutators,
     _eigenspace_columns,
+    _hermitian_parts,
     _psd_sqrts,
     eigen_clusters,
+    is_hermitian,
+    is_state,
     max_op_norm,
     op_norm_mat,
     op_norms,
-    psd_sqrt,
 )
 
 __all__ = [
@@ -105,7 +109,7 @@ class Observable:
         tol: Tolerance = DEFAULT_TOL,
     ):
         labels = tuple(str(x) for x in outcomes)
-        mats = [(e if isinstance(e, Operator) else Operator(e)).mat for e in effects]
+        mats = [_checked(e) for e in effects]
         if len(labels) != len(mats):
             raise ValueError(f"{len(labels)} outcomes but {len(mats)} effects")
         if not mats:
@@ -175,8 +179,7 @@ class Observable:
         ) <= tol.eq_tol
 
     def is_commutative(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        a, b = self._pairs()
-        return max_op_norm(a @ b - b @ a) <= tol.eq_tol
+        return max_op_norm(_commutators(*self._pairs())) <= tol.eq_tol
 
     def is_norm_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every nonzero effect attains operator norm 1 (within rank_tol)."""
@@ -271,11 +274,11 @@ class Instrument:
 class MeasurementScheme(_Immutable):
     """Apparatus state + coupling channel + pointer observable.
 
-    A scheme is immutable once built: assigning to or deleting any attribute
-    raises.  Its derivations (instrument, measured observable, restriction
-    maps, conservation and repeatability defects) are cached on the scheme
-    itself by :func:`cpmaps._per_object`, and a changed field would leave them
-    stale.
+    A scheme (``xi`` a read-only array) is immutable once built: assigning to
+    or deleting any attribute raises.  Its derivations (instrument, measured
+    observable, restriction maps, conservation and repeatability defects) are
+    cached on the scheme itself by :func:`cpmaps._per_object`, and a changed
+    field would leave them stale.
     """
 
     __slots__ = ("sys_dim", "app_dim", "xi", "coupling", "pointer", "_memo")
@@ -289,15 +292,12 @@ class MeasurementScheme(_Immutable):
         pointer: Observable,
         tol: Tolerance = DEFAULT_TOL,
     ):
-        sys_dim, app_dim = int(sys_dim), int(app_dim)
-        xi = xi if isinstance(xi, Operator) else Operator(xi)
+        sys_dim, app_dim, xi = int(sys_dim), int(app_dim), _checked(xi)
         if sys_dim < 1 or app_dim < 1:
             raise ValueError("dimensions must be positive")
-        if xi.dim != app_dim:
-            raise ValueError(
-                f"xi dimension {xi.dim} does not match apparatus dim {app_dim}"
-            )
-        if not xi.is_state(tol):
+        if len(xi) != app_dim:
+            raise ValueError(f"xi dimension {len(xi)} does not match apparatus dim {app_dim}")
+        if not is_state(xi, tol):
             raise ValueError("xi must be a density operator")
         d = sys_dim * app_dim
         if coupling.in_dim != d or coupling.out_dim != d:
@@ -352,10 +352,10 @@ def sharp_observable(a: Any, tol: Tolerance = DEFAULT_TOL) -> Observable:
     Eigenvalues are clustered by ``rank_tol`` gaps; outcomes are labelled
     ``e0, e1, ...`` in ascending eigenvalue order.
     """
-    op = a if isinstance(a, Operator) else Operator(a)
-    if not op.is_hermitian(tol):
+    m = _checked(a)
+    if not is_hermitian(m, tol):
         raise ValueError("sharp_observable requires a Hermitian operator")
-    w, v = np.linalg.eigh(op.hermitian_part().mat)
+    w, v = np.linalg.eigh(_hermitian_parts(m))
     clusters = eigen_clusters(w, tol.rank_tol)
     labels = [f"e{k}" for k in range(len(clusters))]
     return Observable._derived(labels, [v[:, idx] @ v[:, idx].conj().T for idx in clusters])
@@ -386,10 +386,10 @@ def collapse_instrument(
     return Instrument(e.outcomes, ops, tol)
 
 
-def _xi_decomposition(xi: Operator, tol: Tolerance) -> np.ndarray:
+def _xi_decomposition(xi: np.ndarray, tol: Tolerance) -> np.ndarray:
     """Weighted spectral vectors ``sqrt(q_i) phi_i`` with ``q_i > rank_tol``, as
     rows in descending order of ``q_i``."""
-    w, v = np.linalg.eigh(xi.hermitian_part().mat)
+    w, v = np.linalg.eigh(_hermitian_parts(xi))
     keep = np.flatnonzero(w > tol.rank_tol)[::-1]
     if not keep.size:
         raise ValueError("xi has no spectral weight above rank_tol")
@@ -422,15 +422,11 @@ def _coupled_pointer(m: MeasurementScheme) -> np.ndarray:
     return stack
 
 
-def _hermitian_parts(stack: np.ndarray) -> np.ndarray:
-    return 0.5 * (stack + stack.conj().swapaxes(-2, -1))
-
-
 @_per_object
 def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
     """Effects ``Gamma_xi(E*(1 (x) Z(x)))`` of the scheme."""
     dS, dA = m.sys_dim, m.app_dim
-    one_xi = np.kron(np.eye(dS), m.xi.mat)
+    one_xi = np.kron(np.eye(dS), m.xi)
     prods = (_coupled_pointer(m) @ one_xi).reshape(-1, dS, dA, dS, dA)
     return Observable._derived(m.pointer.outcomes, _hermitian_parts(np.einsum("niaja->nij", prods)))
 
@@ -439,7 +435,7 @@ def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> O
 def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> RestrictionMaps:
     dS, dA = m.sys_dim, m.app_dim
     eye_s = np.eye(dS)
-    sqrt_xi = psd_sqrt(m.xi, tol).mat
+    sqrt_xi = _psd_sqrts(m.xi[None], tol)[0]
     gamma = OperationMap(np.kron(eye_s, sqrt_xi[:, None, :]))
     gamma_e = compose(gamma, dual_view(m.coupling))
     # L (1 (x) |phi>) split into its dS row blocks, ordered by L, then phi, then s
@@ -494,7 +490,7 @@ def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementS
     xi = np.zeros((n, n), dtype=complex)
     xi[0, 0] = 1.0
     pointer = Observable(e.outcomes, [np.diag(row) for row in np.eye(n)], tol)
-    return MeasurementScheme(dS, n, Operator(xi), OperationMap([u]), pointer, tol)
+    return MeasurementScheme(dS, n, xi, OperationMap([u]), pointer, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +642,15 @@ def repeatability_report(
     gaps are reported alongside.  The structural identities that repeatable
     instruments must satisfy are evaluated on the matrix-unit basis; the
     three identities that involve the apparatus need ``m`` and are marked
-    unevaluated otherwise.  Output distinguishability is probed on the
-    maximally mixed state and three fixed-seed random states so reports stay
-    deterministic.
+    unevaluated otherwise (its pointer must have every outcome of ``inst``).
+    Output distinguishability is probed on the maximally mixed state and
+    three fixed-seed random states so reports stay deterministic.
     """
     d = inst.dim
+    missing = [] if m is None else [x for x in inst.outcomes if x not in m.outcomes]
+    if missing:
+        raise ValueError(f"instrument outcomes {missing} are not outcomes of the scheme's "
+                         f"pointer {list(m.outcomes)}")
     e_obs = inst.induced_observable(tol)
     eye = np.eye(d)
 
@@ -882,7 +882,7 @@ def scheme_from_json(obj: Any, sys_dim: int, where: str = "scheme",
 def scheme_to_json(m: MeasurementScheme) -> dict:
     return {
         "apparatus_dim": m.app_dim,
-        "xi": serialize.matrix_to_json(m.xi.mat),
+        "xi": serialize.matrix_to_json(m.xi),
         "coupling": operation_to_json(m.coupling),
         "pointer": observable_to_json(m.pointer),
     }

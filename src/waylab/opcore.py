@@ -1,10 +1,14 @@
 """Dense operators on small finite-dimensional Hilbert spaces.
 
 Everything downstream works with explicit complex matrices, so this module
-fixes the conventions once: square :class:`Operator` wrappers, a shared
-:class:`Tolerance` pair (``eq_tol`` for equality of operators, ``rank_tol``
-for rank/spectral-gap decisions), Kronecker ordering with the first factor
-slowest, and column-stacking vectorization used by the supermatrix code.
+fixes the conventions once: a shared :class:`Tolerance` pair (``eq_tol`` for
+equality of operators, ``rank_tol`` for rank/spectral-gap decisions),
+Kronecker ordering with the first factor slowest, and column-stacking
+vectorization used by the supermatrix code.
+
+Inside waylab a matrix is a read-only complex ``ndarray``.  :class:`Operator`
+is the edge type: public functions accept it (:func:`_checked` validates
+each input once) and the public one-matrix helpers return it.
 
 Composite indices follow ``i = i_first * dim_second + i_second``: for a
 system-apparatus space the system index varies slowest, which is exactly
@@ -23,6 +27,10 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "Operator",
+    "is_hermitian",
+    "is_psd",
+    "is_state",
+    "is_unitary",
     "tensor",
     "partial_trace",
     "op_norm",
@@ -64,32 +72,45 @@ DEFAULT_TOL = Tolerance()
 
 
 def _as_matrix(a: MatrixLike) -> np.ndarray:
-    if isinstance(a, Operator):
-        return a.mat
-    m = np.asarray(a, dtype=complex)
+    """The complex array of a matrix-like of any shape, unchecked."""
+    return a.mat if isinstance(a, Operator) else np.asarray(a, dtype=complex)
+
+
+def _checked(a: MatrixLike) -> np.ndarray:
+    """A read-only C-ordered complex copy of a square, non-empty matrix with
+    finite entries: the one validation of every square matrix that enters."""
+    m = np.array(_as_matrix(a), dtype=complex, copy=True, order="C")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise ValueError("operator dimension must be at least 1")
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValueError("operator entries must be finite")
+    m.setflags(write=False)
     return m
+
+
+def _hermitian_parts(stack: np.ndarray) -> np.ndarray:
+    """``(A + A^dag) / 2`` of one matrix or of each matrix of a stack."""
+    return 0.5 * (stack + stack.conj().swapaxes(-2, -1))
+
+
+def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[a, b]`` for stacks (or single matrices) that broadcast together."""
+    return a @ b - b @ a
 
 
 class Operator:
     """A square complex matrix on a single finite-dimensional space.
 
-    The wrapped array is read-only; arithmetic returns new instances.
-    Predicates take a :class:`Tolerance` and answer against the spectrum of
-    the (symmetrized, where appropriate) matrix rather than entrywise.
+    The wrapped array is read-only; arithmetic returns new instances.  The
+    predicates are those of the module on the wrapped array.
     """
 
     __slots__ = ("_mat",)
 
     def __init__(self, mat: MatrixLike):
-        m = np.array(_as_matrix(mat), dtype=complex, copy=True, order="C")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-        if m.shape[0] == 0:
-            raise ValueError("operator dimension must be at least 1")
-        if not np.all(np.isfinite(m.view(float))):
-            raise ValueError("operator entries must be finite")
-        m.setflags(write=False)
-        self._mat = m
+        self._mat = _checked(mat)
 
     @property
     def mat(self) -> np.ndarray:
@@ -107,7 +128,7 @@ class Operator:
         return complex(np.trace(self._mat))
 
     def hermitian_part(self) -> "Operator":
-        return Operator(0.5 * (self._mat + self._mat.conj().T))
+        return Operator(_hermitian_parts(self._mat))
 
     # -- algebra ---------------------------------------------------------
 
@@ -137,30 +158,37 @@ class Operator:
     # -- predicates ------------------------------------------------------
 
     def is_hermitian(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return op_norm_mat(self._mat - self._mat.conj().T) <= tol.eq_tol
+        return is_hermitian(self._mat, tol)
 
     def is_psd(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        if not self.is_hermitian(tol):
-            return False
-        w = np.linalg.eigvalsh(0.5 * (self._mat + self._mat.conj().T))
-        return bool(w.min() >= -tol.eq_tol)
+        return is_psd(self._mat, tol)
 
     def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return self.is_psd(tol) and abs(np.trace(self._mat) - 1.0) <= tol.eq_tol
+        return is_state(self._mat, tol)
 
     def is_unitary(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        d = self.dim
-        return op_norm_mat(self._mat.conj().T @ self._mat - np.eye(d)) <= tol.eq_tol
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def identity(dim: int) -> "Operator":
-        return Operator(np.eye(dim))
+        return is_unitary(self._mat, tol)
 
     @staticmethod
     def zero(dim: int) -> "Operator":
         return Operator(np.zeros((dim, dim)))
+
+
+def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """The one Hermiticity rule, ``||A - A^dag|| <= eq_tol``, for a matrix or a stack."""
+    return max_op_norm(m - m.conj().swapaxes(-2, -1)) <= tol.eq_tol
+
+
+def is_psd(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return is_hermitian(m, tol) and bool(np.linalg.eigvalsh(_hermitian_parts(m))[0] >= -tol.eq_tol)
+
+
+def is_state(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return is_psd(m, tol) and abs(np.trace(m) - 1.0) <= tol.eq_tol
+
+
+def is_unitary(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
+    return op_norm_mat(m.conj().T @ m - np.eye(len(m))) <= tol.eq_tol
 
 
 # Entries (1 MiB of complex) per block of the kernels that stream a stack too
@@ -235,8 +263,7 @@ def op_norms(stack: np.ndarray) -> list:
 
 
 def commutator(a: MatrixLike, b: MatrixLike) -> Operator:
-    am, bm = _as_matrix(a), _as_matrix(b)
-    return Operator(am @ bm - bm @ am)
+    return Operator(_commutators(_as_matrix(a), _as_matrix(b)))
 
 
 def tensor(a: MatrixLike, b: MatrixLike) -> Operator:
@@ -292,9 +319,9 @@ def _psd_sqrts(stack: np.ndarray, tol: Tolerance) -> np.ndarray:
     """:func:`psd_sqrt` of each matrix of a stack ``(n, d, d)``, from one
     Hermitian check, one batched ``eigh`` and one batched product; the errors
     name the stack's most negative eigenvalue."""
-    h = 0.5 * (stack + stack.conj().swapaxes(-2, -1))
-    if max_op_norm(stack - h) > tol.eq_tol:
+    if not is_hermitian(stack, tol):
         raise ValueError("psd_sqrt requires a Hermitian operator")
+    h = _hermitian_parts(stack)
     w, v = np.linalg.eigh(h)
     if w.min() < -tol.eq_tol:
         raise ValueError(
@@ -312,18 +339,15 @@ def fidelity(rho: MatrixLike, sigma: MatrixLike, tol: Tolerance = DEFAULT_TOL) -
     Both arguments must be density operators; the squared-trace convention
     makes ``fidelity(rho, rho) == 1`` and orthogonal pure states give 0.
     """
-    r = Operator(rho)
-    s = Operator(sigma)
-    if not r.is_state(tol):
+    r, s = _checked(rho), _checked(sigma)
+    if not is_state(r, tol):
         raise ValueError("fidelity: first argument is not a density operator")
-    if not s.is_state(tol):
+    if not is_state(s, tol):
         raise ValueError("fidelity: second argument is not a density operator")
-    sq = psd_sqrt(r, tol).mat
-    inner = sq @ s.mat @ sq
-    w = np.linalg.eigvalsh(0.5 * (inner + inner.conj().T))
-    w = np.clip(w, 0.0, None)
-    val = float(np.sum(np.sqrt(w)) ** 2)
-    return max(val, 0.0)
+    sq = _psd_sqrts(r[None], tol)[0]
+    inner = sq @ s @ sq
+    w = np.linalg.eigvalsh(_hermitian_parts(inner))
+    return float(np.sum(np.sqrt(np.clip(w, 0.0, None))) ** 2)
 
 
 def eigen_clusters(w: np.ndarray, gap: Union[float, np.ndarray]) -> list[np.ndarray]:
@@ -347,10 +371,9 @@ def eigenspace_projector(a: MatrixLike, value: float, tol: Tolerance = DEFAULT_T
     qualifies.  ``a`` must be Hermitian.
     """
     m = _as_matrix(a)
-    h = 0.5 * (m + m.conj().T)
-    if op_norm_mat(m - h) > tol.eq_tol:
+    if not is_hermitian(m, tol):
         raise ValueError("eigenspace_projector requires a Hermitian operator")
-    cols = _eigenspace_columns(*np.linalg.eigh(h), value, tol.rank_tol)
+    cols = _eigenspace_columns(*np.linalg.eigh(_hermitian_parts(m)), value, tol.rank_tol)
     if cols is None:
         return Operator.zero(m.shape[0])
     return Operator(cols @ cols.conj().T)
@@ -397,6 +420,6 @@ def hermitian_basis(
     parts: list[np.ndarray] = []
     for m in mats:
         a = np.asarray(m, dtype=complex)
-        parts.append(0.5 * (a + a.conj().T))
+        parts.append(_hermitian_parts(a))
         parts.append(0.5j * (a.conj().T - a))
     return gram_schmidt_hs(parts, rank_tol)

@@ -16,7 +16,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .opcore import DEFAULT_TOL, Operator, Tolerance
+from .opcore import DEFAULT_TOL, Tolerance
 
 __all__ = ["BoundReport", "make_report", "digest_inputs", "summarize"]
 
@@ -87,9 +87,6 @@ def _feed(h: "hashlib._Hash", item: Any) -> None:
         h.update(b"\x02b" + (b"1" if item else b"0"))
     elif isinstance(item, (int, float, complex)):
         h.update(b"\x03n" + repr(item).encode("ascii"))
-    elif isinstance(item, Operator):
-        arr = np.ascontiguousarray(item.mat)
-        h.update(b"\x04m" + str(arr.shape).encode("ascii") + arr.tobytes())
     elif isinstance(item, np.ndarray):
         arr = np.ascontiguousarray(np.asarray(item, dtype=complex))
         h.update(b"\x04m" + str(arr.shape).encode("ascii") + arr.tobytes())

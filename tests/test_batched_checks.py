@@ -268,7 +268,7 @@ def test_minimal_support_sandwich_matches_unit_loop(seed, d, extra, data):
     into = random_channel(d, r, -(-d // r) + extra, rng).kraus
     phi = OperationMap([u @ np.vstack([k, np.zeros((d - r, d))]) @ u.conj().T for k in into])
     analysis = analyze_fixed_points(phi)
-    p = analysis.support_p.mat
+    p = analysis.support_p
     worst = 0.0
     for a in units(d):
         worst = max(

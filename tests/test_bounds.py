@@ -353,7 +353,7 @@ def test_bound_rows_invariant_under_joint_change_of_basis(offset, i):
     turned = MeasurementScheme(
         m.sys_dim,
         m.app_dim,
-        _rotated(va, [m.xi.mat])[0],
+        _rotated(va, [m.xi])[0],
         OperationMap(_rotated(np.kron(vs, va), m.coupling.kraus)),
         pointer,
     )
@@ -361,7 +361,7 @@ def test_bound_rows_invariant_under_joint_change_of_basis(offset, i):
     after = _battery_reports(
         turned,
         Observable(f.outcomes, _rotated(vs, [e.mat for e in f.effects])),
-        AdditiveQuantity(*_rotated(vs, [q.n_sys.mat]), *_rotated(va, [q.n_app.mat])),
+        AdditiveQuantity(*_rotated(vs, [q.n_sys]), *_rotated(va, [q.n_app])),
         Observable(target.outcomes, _rotated(vs, [e.mat for e in target.effects])),
         vs @ psi,
         vs @ phi,

@@ -9,7 +9,7 @@ import re
 import numpy as np
 import scipy.linalg
 
-from waylab import cli, cpmaps, fixpt, measure
+from waylab import cli, cpmaps, fixpt, measure, opcore
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -397,12 +397,8 @@ TASK_RECORD_KEYS = {
 }
 
 
-def test_task_record_keys_per_op(tmp_path):
-    records = []
-    for name in cli._BUILTINS:
-        out = tmp_path / f"{name}.json"
-        assert cli.main(["builtin", name, "--run", "--out", str(out), "--quiet"]) == 0, name
-        records += json.loads(out.read_text())["tasks"]
+def remaining_ops_scenario():
+    """The task ops that no builtin runs, on the scheme of :func:`scheme_scenario`."""
     scenario = scheme_scenario([
         {"op": "distinguishability-bounds", "scheme": "M", "quantity": "N",
          "psi": "psi", "phi": "phi"},
@@ -410,7 +406,16 @@ def test_task_record_keys_per_op(tmp_path):
     ])
     scenario["objects"]["U"] = {"kind": "operator", "matrix": [[0.0, 1.0], [1.0, 0.0]]}
     scenario["objects"]["Z"] = {"kind": "operator", "matrix": [[1.0, 0.0], [0.0, -1.0]]}
-    code, report = run_file(tmp_path, scenario)
+    return scenario
+
+
+def test_task_record_keys_per_op(tmp_path):
+    records = []
+    for name in cli._BUILTINS:
+        out = tmp_path / f"{name}.json"
+        assert cli.main(["builtin", name, "--run", "--out", str(out), "--quiet"]) == 0, name
+        records += json.loads(out.read_text())["tasks"]
+    code, report = run_file(tmp_path, remaining_ops_scenario())
     assert code in (0, 1)
     records += report["tasks"]
     assert {r["op"] for r in records} == set(TASK_RECORD_KEYS)
@@ -434,3 +439,58 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(f"waylab.{layer}"), name)), qual
     layer, cls = tracing.OPERATOR.split(".")
     assert "__init__" in vars(getattr(importlib.import_module(f"waylab.{layer}"), cls))
+
+
+def test_run_scenario_builds_no_operator(monkeypatch):
+    # Operator is the edge type: every record and internal path holds arrays,
+    # so running parsed scenarios builds none, over every task op
+    built = []
+    init = opcore.Operator.__init__
+
+    def counting_init(self, mat):
+        built.append(np.shape(mat))
+        init(self, mat)
+
+    scenarios = [builder(argparse.Namespace(**params)) for builder, params in cli._SUITE]
+    scenarios.append(remaining_ops_scenario())
+    ops = set()
+    for scenario in scenarios:
+        scn, tasks = cli.parse_scenario(scenario, argparse.Namespace(tol=None, rank_tol=None))
+        ops.update(t["op"] for t in tasks)
+        monkeypatch.setattr(opcore.Operator, "__init__", counting_init)
+        cli.run_scenario(scn, tasks)
+        monkeypatch.undo()
+    assert ops == set(TASK_RECORD_KEYS)
+    assert built == []
+
+
+def test_repeatability_scheme_must_have_the_instrument_outcomes(tmp_path, capsys):
+    b = measure.Observable(["a", "b"], [0.5 * (np.eye(2) + 0.5 * SX), 0.5 * (np.eye(2) - 0.5 * SX)])
+    scenario = cli._builtin_qubit_luders(argparse.Namespace(lam=0.5))
+    scenario["objects"]["J"] = {
+        "kind": "instrument", **measure.instrument_to_json(measure.luders_instrument(b))
+    }
+    scenario["tasks"] = [{"op": "repeatability", "instrument": "J", "scheme": "M"}]
+    scn = tmp_path / "mismatch.json"
+    scn.write_text(json.dumps(scenario))
+    assert cli.main(["run", str(scn), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tasks[0] (repeatability): instrument outcomes ['a', 'b']"), err
+    # the same scheme with its own instrument runs
+    scenario["tasks"] = [{"op": "repeatability", "instrument": "I", "scheme": "M"}]
+    code, report = run_file(tmp_path, scenario)
+    assert code in (0, 1) and report["tasks"][0]["items"]["moment-identities"]["evaluated"]
+
+
+def test_objects_failing_their_checks_exit_2(tmp_path, capsys):
+    objects = {
+        "operator": {"kind": "operator", "matrix": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+        "channel": {"kind": "channel", "kraus": [np.eye(2).tolist(), np.eye(3).tolist()]},
+    }
+    for kind, body in objects.items():
+        scenario = conservation_scenario()
+        scenario["objects"]["N"] = body
+        scn = tmp_path / f"{kind}.json"
+        scn.write_text(json.dumps(scenario))
+        assert cli.main(["run", str(scn), "--quiet"]) == 2, kind
+        assert capsys.readouterr().err.startswith("error: objects.N: "), kind

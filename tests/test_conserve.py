@@ -45,7 +45,7 @@ def qutrit_decay_channel():
 
 def test_additive_quantity_composite():
     q = AdditiveQuantity(SZ / 2.0, SZ / 2.0)
-    np.testing.assert_allclose(q.composite().mat, np.diag([1.0, 0.0, 0.0, -1.0]), atol=0)
+    np.testing.assert_allclose(q.composite(), np.diag([1.0, 0.0, 0.0, -1.0]), atol=0)
     with pytest.raises(ValueError, match="Hermitian"):
         AdditiveQuantity(np.array([[0.0, 1.0], [0.0, 0.0]]), SZ)
 

@@ -92,8 +92,8 @@ def test_fixed_points_unitary_x():
     assert fp.max_fixed_defect <= 1e-12
     proj = fp.projector
     np.testing.assert_allclose(proj @ proj, proj, atol=1e-12)
-    np.testing.assert_allclose(fp.rho0.mat, np.eye(2) / 2.0, atol=1e-12)
-    np.testing.assert_allclose(fp.support_p.mat, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(fp.rho0, np.eye(2) / 2.0, atol=1e-12)
+    np.testing.assert_allclose(fp.support_p, np.eye(2), atol=1e-12)
     # the averaged dual projects onto span{1, x}
     np.testing.assert_allclose(fp.average_dual(SX), SX, atol=1e-12)
     np.testing.assert_allclose(fp.average_dual(SZ), np.zeros((2, 2)), atol=1e-12)
@@ -117,8 +117,8 @@ def test_fixed_points_qutrit_decay():
     assert not fp.faithful
     assert fp.algebra_certified
     assert fp.commutant_consistent is None
-    np.testing.assert_allclose(fp.support_p.mat, np.diag([1.0, 0.0, 1.0]), atol=1e-10)
-    np.testing.assert_allclose(np.trace(fp.rho0.mat), 1.0, atol=1e-12)
+    np.testing.assert_allclose(fp.support_p, np.diag([1.0, 0.0, 1.0]), atol=1e-10)
+    np.testing.assert_allclose(np.trace(fp.rho0), 1.0, atol=1e-12)
     lem = check_minimal_support(fp, phi)
     assert lem.all_pass
     assert lem.minimality_margin > 0.5
@@ -132,8 +132,8 @@ def test_fixed_points_amplitude_damping():
     fp = analyze_fixed_points(phi)
     assert fp.fixed_dim == 1
     assert not fp.faithful
-    np.testing.assert_allclose(fp.rho0.mat, P0, atol=1e-12)
-    np.testing.assert_allclose(fp.support_p.mat, P0, atol=1e-12)
+    np.testing.assert_allclose(fp.rho0, P0, atol=1e-12)
+    np.testing.assert_allclose(fp.support_p, P0, atol=1e-12)
     lem = check_minimal_support(fp, phi)
     assert lem.all_pass
 
@@ -495,7 +495,7 @@ def test_commutant_consistency_matches_dense_projectors(seed, d, kind):
     analysis = analyze_fixed_points(phi)
     assert analysis.faithful
     comm = kraus_commutant(phi)
-    qf = np.linalg.qr(np.stack([b.mat.reshape(-1, order="F") for b in analysis.basis], axis=1))[0]
+    qf = np.linalg.qr(np.stack([b.reshape(-1, order="F") for b in analysis.basis], axis=1))[0]
     dense = dense_projector_gap(qf, comm)
     assert abs(_projector_gap(qf, comm) - dense) <= 1e-12
     assert analysis.commutant_consistent == (comm.shape[1] > 0 and dense <= 1e-8)
@@ -520,7 +520,7 @@ def test_minimal_support_defects_match_column_loop(seed, d, kind):
     # the fixed-states and minimality checks against one column at a time
     phi = support_channel(kind, d, np.random.default_rng(seed))
     analysis = analyze_fixed_points(phi)
-    p = analysis.support_p.mat
+    p = analysis.support_p
     states = 0.0
     for i in range(analysis.fixed_states.shape[1]):
         s = analysis.fixed_states[:, i].reshape(d, d, order="F")
@@ -549,7 +549,7 @@ def reference_structural_defects(m, f, q):
         dual_p = lambda b: analysis.compress(apply_dual(total, analysis.embed(b)))
     p_e = [compress(e.mat) for e in e_obs.effects]
     p_f = [compress(e.mat) for e in f.effects]
-    p_n = compress(q.n_sys.mat)
+    p_n = compress(q.n_sys)
     shift = dual_p(p_n) - p_n
 
     def comm(a, b):
@@ -567,7 +567,7 @@ def reference_structural_defects(m, f, q):
             [op_norm_mat(a @ a - a) for a in p_e]
             + [op_norm_mat(p_e[i] @ p_e[j]) for i, j in pairs]
         ),
-        "luders-commutative-quantity": max(comm(e.mat, q.n_sys.mat) for e in e_obs.effects),
+        "luders-commutative-quantity": max(comm(e.mat, q.n_sys) for e in e_obs.effects),
     }
 
 
@@ -707,7 +707,7 @@ def test_norm1_extraction_leaky_collapse():
     assert res.norm_defect <= 1e-10
     assert res.distinguish_defect <= 1e-10
     # the certifying states are routed to their outcome with certainty
-    np.testing.assert_allclose(res.states[0].mat, np.diag([1.0, 0.0, 0.0]), atol=1e-10)
+    np.testing.assert_allclose(res.states[0], np.diag([1.0, 0.0, 0.0]), atol=1e-10)
 
 
 def test_norm1_extraction_errors():

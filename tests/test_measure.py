@@ -412,7 +412,7 @@ def test_scheme_is_immutable():
             setattr(m, name, value)
     with pytest.raises(AttributeError, match="immutable"):
         del m.xi
-    np.testing.assert_array_equal(m.xi.mat, P0)
+    np.testing.assert_array_equal(m.xi, P0)
 
     phi = scheme_to_instrument(m).total()
     for name in ("_kraus", "in_dim", "out_dim", "_memo"):
@@ -475,7 +475,7 @@ def test_restriction_maps_identities():
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     reduced = apply_map(maps.gamma_xi, tensor(a, b)).mat
-    np.testing.assert_allclose(reduced, a * np.trace(b @ m.xi.mat), atol=1e-12)
+    np.testing.assert_allclose(reduced, a * np.trace(b @ m.xi), atol=1e-12)
 
     # gamma_xi_e composes the coupling dual with gamma_xi
     comp = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -501,8 +501,8 @@ def test_normal_dilation_realizes_luders():
         assert m.app_dim == len(obs.outcomes)
         assert m.pointer.outcomes == obs.outcomes
         assert m.pointer.is_sharp()
-        np.testing.assert_allclose(m.xi.mat[0, 0], 1.0, atol=1e-14)
-        assert abs(np.trace(m.xi.mat @ m.xi.mat) - 1.0) < 1e-12
+        np.testing.assert_allclose(m.xi[0, 0], 1.0, atol=1e-14)
+        assert abs(np.trace(m.xi @ m.xi) - 1.0) < 1e-12
         u = m.coupling.kraus[0]
         assert len(m.coupling.kraus) == 1
         np.testing.assert_allclose(u @ u.conj().T, np.eye(u.shape[0]), atol=1e-10)
@@ -598,7 +598,7 @@ def test_scheme_json_roundtrip():
     m = cnot_scheme()
     back = scheme_from_json(scheme_to_json(m), sys_dim=2)
     assert back.app_dim == 2
-    np.testing.assert_allclose(back.xi.mat, m.xi.mat, atol=0)
+    np.testing.assert_allclose(back.xi, m.xi, atol=0)
     np.testing.assert_allclose(back.coupling.kraus[0], CNOT, atol=0)
     assert back.pointer.outcomes == ("z0", "z1")
 

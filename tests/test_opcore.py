@@ -13,6 +13,7 @@ from waylab.opcore import (
     fidelity,
     gram_schmidt_hs,
     hermitian_basis,
+    is_hermitian,
     max_op_norm,
     op_norm,
     op_norm_mat,
@@ -326,6 +327,31 @@ def test_eigenspace_projector_equals_hit_then_grow(spectrum, seed, shift):
 def test_eigenspace_projector_requires_hermitian():
     with pytest.raises(ValueError):
         eigenspace_projector(1j * SX + SX, 1.0)
+
+
+@pytest.mark.parametrize("factor, accepted", [(0.5, True), (1.5, False)])
+def test_one_hermiticity_rule(factor, accepted):
+    # ||A - A^dag|| = factor * eq_tol for both effects, whose Hermitian parts
+    # have spectrum in [0, 1] and sum to the identity
+    from waylab.conserve import AdditiveQuantity
+    from waylab.measure import Observable
+
+    skew = factor * DEFAULT_TOL.eq_tol
+    a = np.array([[0.5, skew], [0.0, 0.5]], dtype=complex)
+    assert op_norm(a - a.conj().T) == pytest.approx(skew, rel=1e-12)
+    assert is_hermitian(a) == accepted
+    uses = {
+        "psd_sqrt": lambda: psd_sqrt(a),
+        "eigenspace_projector": lambda: eigenspace_projector(a, 0.5),
+        "Observable": lambda: Observable(["x", "y"], [a, np.eye(2) - a]),
+        "AdditiveQuantity": lambda: AdditiveQuantity(a, SZ),
+    }
+    for name, use in uses.items():
+        if accepted:
+            use()
+        else:
+            with pytest.raises(ValueError):
+                use()
 
 
 def test_gram_schmidt_hs_orthonormalizes():

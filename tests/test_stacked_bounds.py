@@ -134,7 +134,7 @@ def test_coupled_pointer_matches_outcome_loop(seed, kind, dims):
     m, _, q, _, _, _ = scenario(seed, kind, dims)
     ds, da = m.sys_dim, m.app_dim
     eye_s = np.eye(ds)
-    one_xi = np.kron(eye_s, m.xi.mat)
+    one_xi = np.kron(eye_s, m.xi)
     coupled = [apply_dual(m.coupling, tensor(eye_s, zx)) for zx in m.pointer.effects]
     effects = [
         partial_trace(z.mat @ one_xi, keep=0, dims=(ds, da)).hermitian_part() for z in coupled
@@ -255,7 +255,7 @@ def test_distinguishability_rows_match_outcome_loop(seed, kind, dims):
                 np.sqrt(a) * np.sqrt(max(b, 0.0))
                 + np.sqrt(max(1.0 - a, 0.0)) * np.sqrt(max(1.0 - b, 0.0))
             )
-            expected["distinguish-norm-gap", x] = (abs(np.vdot(psi, q.n_sys.mat @ phi)), rhs)
+            expected["distinguish-norm-gap", x] = (abs(np.vdot(psi, q.n_sys @ phi)), rhs)
     reports = eval_distinguishability_bounds(m, q, psi, phi)
     if kind == "dilation":
         assert expected
@@ -264,7 +264,7 @@ def test_distinguishability_rows_match_outcome_loop(seed, kind, dims):
         for eff in e_obs.effects:
             if op_norm(eff) > tol.rank_tol:
                 p_total += eigenspace_projector(eff, 1.0).mat
-        compressed = Operator(p_total @ q.n_sys.mat @ p_total)
+        compressed = Operator(p_total @ q.n_sys @ p_total)
         for x, eff in e_obs.items():
             expected["repeat-commutant", x] = (op_norm(commutator(eff, compressed)), 0.0)
     if kind == "dilation":

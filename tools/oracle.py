@@ -36,6 +36,11 @@ the same files.  It writes:
   ``assert_extremal`` and the distinguishability bounds of ``|1>`` against
   ``|0>``, so the ``*-qfi-extremal``, ``distinguish-norm-gap`` and
   ``repeat-commutant`` rows are covered;
+* ``conservation-unitary.json``: ``waylab run`` with a ``conservation`` task
+  on a seeded random channel at ``d = 4`` against a random Hermitian
+  operator (defects of order one), and ``unitary-equivalence`` tasks on a
+  unitary that commutes with ``diag(1, 0, 0, -1)`` and on a Haar unitary
+  that does not;
 * ``demo-<script>.txt``: each demo's standard output;
 * ``battery-<offset>.json``: every bound row of the four evaluators and the
   Yanase report for each of 200 random scenarios of the acceptance battery
@@ -176,6 +181,32 @@ def cnot_extremal_scenario() -> dict:
             "objects": objects, "tasks": tasks}
 
 
+def conservation_unitary_scenario() -> dict:
+    from waylab import serialize
+    from waylab.conserve import conservative_unitary
+    from waylab.cpmaps import operation_to_json
+    from waylab.rand import haar_unitary, random_channel, random_hermitian
+
+    rng = np.random.default_rng(4)
+    n = np.diag([1.0, 0.0, 0.0, -1.0])
+    mats = {
+        "H": random_hermitian(4, rng, norm=2.0).mat,
+        "N": n,
+        "U_comm": conservative_unitary(n, rng, strength=1.5).mat,
+        "U_haar": haar_unitary(4, rng).mat,
+    }
+    objects = {"Phi": {"kind": "channel", **operation_to_json(random_channel(4, 4, 3, rng))}}
+    for name, mat in mats.items():
+        objects[name] = {"kind": "operator", "matrix": serialize.matrix_to_json(mat)}
+    tasks = [
+        {"op": "conservation", "channel": "Phi", "operator": "H"},
+        {"op": "unitary-equivalence", "unitary": "U_comm", "operator": "N"},
+        {"op": "unitary-equivalence", "unitary": "U_haar", "operator": "N"},
+    ]
+    return {"schema": 1, "name": "conservation-unitary", "system_dim": 4,
+            "objects": objects, "tasks": tasks}
+
+
 def cli_outputs(out_dir: str) -> list[str]:
     """Run the CLI oracles; returns one ``name exit-code`` line per run."""
     from waylab import cli
@@ -196,7 +227,7 @@ def cli_outputs(out_dir: str) -> list[str]:
         for scenario in (
             random_instrument_scenario(), luders_unsharp_scenario(),
             unsharp_pointer_scenario(3, 4), unsharp_pointer_scenario(12, 3),
-            cnot_extremal_scenario(),
+            cnot_extremal_scenario(), conservation_unitary_scenario(),
         ):
             path = os.path.join(work, f"{scenario['name']}.json")
             with open(path, "w") as fh:
