@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from typing import Any, Callable
@@ -660,7 +661,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process; every :func:`main` call parses with it."""
     parser = argparse.ArgumentParser(
         prog="waylab",
         description="Evaluate measurement-disturbance and conservation-law "
@@ -700,8 +703,7 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)

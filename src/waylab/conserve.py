@@ -35,6 +35,7 @@ from .opcore import (
     op_norm_mat,
     op_norms,
 )
+from .reporting import Record
 
 __all__ = [
     "AdditiveQuantity",
@@ -73,14 +74,11 @@ class AdditiveQuantity:
 
 
 @dataclasses.dataclass(frozen=True)
-class ConservationReport:
+class ConservationReport(Record):
     average_defect: float
     full_defect: float
     average_holds: bool
     full_holds: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _require_hermitian(n: Any, tol: Tolerance, what: str) -> np.ndarray:
@@ -104,6 +102,12 @@ def check_conservation(
     if phi.in_dim != len(n) or phi.out_dim != len(n):
         raise ValueError(f"quantity dimension {len(n)} does not match channel "
                          f"({phi.out_dim}x{phi.in_dim})")
+    return _conservation(phi, n, tol)
+
+
+def _conservation(phi: OperationMap, n: np.ndarray, tol: Tolerance) -> ConservationReport:
+    """:func:`check_conservation`'s report for inputs already checked: both
+    moment defects from one kernel call on the stack ``[N, N^2]``."""
     moments = np.array([n, n @ n])
     avg, full = op_norms(_apply(phi, moments, True) - moments)
     average_holds = avg <= tol.eq_tol
@@ -126,18 +130,15 @@ def _scheme_conservation(
         raise ValueError(f"quantity dimensions {dims} do not match the scheme "
                          f"({m.sys_dim}, {m.app_dim})")
     n_comp = q.composite()
-    return n_comp, check_conservation(m.coupling, n_comp, tol)
+    return n_comp, _conservation(m.coupling, n_comp, tol)
 
 
 @dataclasses.dataclass(frozen=True)
-class UnitaryConservationReport:
+class UnitaryConservationReport(Record):
     commutator_norm: float
     average_defect: float
     full_defect: float
     consistent: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def check_unitary_equivalence(
@@ -152,7 +153,7 @@ def check_unitary_equivalence(
     if u.shape != n.shape:
         raise ValueError("dimension mismatch between unitary and quantity")
     comm = op_norm_mat(_commutators(u, n))
-    report = check_conservation(OperationMap([u]), n, tol)
+    report = _conservation(OperationMap([u]), n, tol)
     flags = [comm <= tol.eq_tol, report.average_holds, report.full_holds]
     return UnitaryConservationReport(
         commutator_norm=float(comm),
@@ -229,7 +230,7 @@ def conservative_unitary(
 
 
 @dataclasses.dataclass(frozen=True)
-class YanaseReport:
+class YanaseReport(Record):
     """Pointer-compatibility diagnostics for a scheme and quantity.
 
     ``yanase_defect`` is ``max_x ||[Z(x), N_A]||`` (pointer commutes with the
@@ -250,10 +251,6 @@ class YanaseReport:
     equivalence_applicable: bool
     equivalence_consistent: bool | None
     defect_gap: float | None
-
-    def to_dict(self) -> dict:
-        # dataclasses.asdict cannot copy a read-only map
-        return {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(self).items()}
 
 
 def _commutator_norms(obs: Observable, n: np.ndarray) -> Mapping[str, float]:

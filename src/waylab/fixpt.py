@@ -60,6 +60,7 @@ from .opcore import (
     op_norm_mat,
     op_norms,
 )
+from .reporting import Record
 
 __all__ = [
     "FixedPointAnalysis",
@@ -390,7 +391,7 @@ def analyze_fixed_points(
 
 
 @dataclasses.dataclass(frozen=True)
-class MinimalSupportReport:
+class MinimalSupportReport(Record):
     """Support-projection identities of the averaged channel."""
 
     support_unital_defect: float
@@ -400,9 +401,6 @@ class MinimalSupportReport:
     minimality_margin: float
     expanding_defect: float
     all_pass: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def check_minimal_support(
@@ -501,18 +499,15 @@ def _max_commutator(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclasses.dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(Record):
     defect: float
     passed: bool
     applicable: bool
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
-class StructuralReport:
+class StructuralReport(Record):
     """Necessary structural conditions on the minimal support.
 
     Each condition reports its commutation/sharpness defect, whether it
@@ -529,9 +524,6 @@ class StructuralReport:
     repeatable: bool
     qubit_support_collapse: bool
     conditions: dict[str, ConditionCheck]
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
     def all_applicable_pass(self) -> bool:
         return all(c.passed for c in self.conditions.values() if c.applicable)

@@ -57,6 +57,7 @@ from .opcore import (
     op_norm_mat,
     op_norms,
 )
+from .reporting import Record
 
 __all__ = [
     "Observable",
@@ -499,18 +500,15 @@ def normal_dilation(e: Observable, tol: Tolerance = DEFAULT_TOL) -> MeasurementS
 
 
 @dataclasses.dataclass(frozen=True)
-class ItemCheck:
+class ItemCheck(Record):
     defect: float
     passed: bool
     evaluated: bool = True
     note: str = ""
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclasses.dataclass(frozen=True)
-class RepeatabilityReport:
+class RepeatabilityReport(Record):
     outcomes: tuple[str, ...]
     repeatable: bool
     repeatability_defect: float
@@ -520,9 +518,6 @@ class RepeatabilityReport:
     sharp_equivalence_ok: bool | None
     items: dict[str, ItemCheck]
     items_applicable: bool
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 def _repeat_first_kind(
@@ -642,11 +637,15 @@ def repeatability_report(
     gaps are reported alongside.  The structural identities that repeatable
     instruments must satisfy are evaluated on the matrix-unit basis; the
     three identities that involve the apparatus need ``m`` and are marked
-    unevaluated otherwise (its pointer must have every outcome of ``inst``).
+    unevaluated otherwise (its system must be that of ``inst``, and its pointer
+    must have every outcome of ``inst``).
     Output distinguishability is probed on the maximally mixed state and
     three fixed-seed random states so reports stay deterministic.
     """
     d = inst.dim
+    if m is not None and m.sys_dim != d:
+        raise ValueError(f"scheme system dimension {m.sys_dim} does not match the "
+                         f"instrument dimension {d}")
     missing = [] if m is None else [x for x in inst.outcomes if x not in m.outcomes]
     if missing:
         raise ValueError(f"instrument outcomes {missing} are not outcomes of the scheme's "

@@ -1,4 +1,4 @@
-"""Bound-report records shared by the inequality evaluators.
+"""Report records: the one record-to-dict rule (:class:`Record`) and bound rows.
 
 A :class:`BoundReport` freezes one evaluated inequality: identifier, outcome
 label (or label pair), both sides, the slack ``rhs - lhs``, whether the
@@ -12,17 +12,35 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
-from typing import Any, Iterable
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 
 from .opcore import DEFAULT_TOL, Tolerance
 
-__all__ = ["BoundReport", "make_report", "digest_inputs", "summarize"]
+__all__ = ["Record", "BoundReport", "make_report", "digest_inputs", "summarize"]
+
+
+class Record:
+    """Base of the frozen report dataclasses: ``to_dict`` gives the fields in
+    declaration order, nested records and dicts (read-only ones too) as plain
+    dicts, and every other value as it is, uncopied."""
+
+    def to_dict(self) -> dict:
+        return _plain(vars(self))
+
+
+def _plain(fields: Mapping[str, Any]) -> dict:
+    return {
+        k: v.to_dict() if isinstance(v, Record)
+        else _plain(v) if isinstance(v, (dict, MappingProxyType)) else v
+        for k, v in fields.items()
+    }
 
 
 @dataclasses.dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     bound_id: str
     outcome: str
     lhs: float
@@ -32,22 +50,6 @@ class BoundReport:
     hypothesis_satisfied: bool
     hypothesis: str
     inputs_digest: str
-
-    def to_dict(self) -> dict:
-        # written out, unlike the other records' dataclasses.asdict: a suite
-        # run serialises 320 rows, and asdict takes about 19 us per row
-        # against under 1 us for this dict (timeit, one thread)
-        return {
-            "bound_id": self.bound_id,
-            "outcome": self.outcome,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "slack": self.slack,
-            "satisfied": self.satisfied,
-            "hypothesis_satisfied": self.hypothesis_satisfied,
-            "hypothesis": self.hypothesis,
-            "inputs_digest": self.inputs_digest,
-        }
 
 
 def make_report(

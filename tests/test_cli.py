@@ -1,15 +1,21 @@
 import argparse
 import csv
+import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
+from typing import Mapping
 
 import numpy as np
+import pytest
 import scipy.linalg
 
-from waylab import cli, cpmaps, fixpt, measure, opcore
+from waylab import cli, conserve, cpmaps, fixpt, measure, opcore, reporting, serialize
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -409,6 +415,15 @@ def remaining_ops_scenario():
     return scenario
 
 
+def parsed_every_op():
+    """The parsed ``_SUITE`` scenarios and :func:`remaining_ops_scenario`, which
+    together run every task op."""
+    scenarios = [builder(argparse.Namespace(**params)) for builder, params in cli._SUITE]
+    scenarios.append(remaining_ops_scenario())
+    for scenario in scenarios:
+        yield cli.parse_scenario(scenario, argparse.Namespace(tol=None, rank_tol=None))
+
+
 def test_task_record_keys_per_op(tmp_path):
     records = []
     for name in cli._BUILTINS:
@@ -451,11 +466,8 @@ def test_run_scenario_builds_no_operator(monkeypatch):
         built.append(np.shape(mat))
         init(self, mat)
 
-    scenarios = [builder(argparse.Namespace(**params)) for builder, params in cli._SUITE]
-    scenarios.append(remaining_ops_scenario())
     ops = set()
-    for scenario in scenarios:
-        scn, tasks = cli.parse_scenario(scenario, argparse.Namespace(tol=None, rank_tol=None))
+    for scn, tasks in parsed_every_op():
         ops.update(t["op"] for t in tasks)
         monkeypatch.setattr(opcore.Operator, "__init__", counting_init)
         cli.run_scenario(scn, tasks)
@@ -494,3 +506,108 @@ def test_objects_failing_their_checks_exit_2(tmp_path, capsys):
         scn.write_text(json.dumps(scenario))
         assert cli.main(["run", str(scn), "--quiet"]) == 2, kind
         assert capsys.readouterr().err.startswith("error: objects.N: "), kind
+
+
+def test_repeatability_scheme_must_share_the_instrument_dimension(tmp_path, capsys):
+    # the qubit scheme's pointer has the qutrit instrument's outcomes, so only
+    # the dimensions disagree
+    e = np.diag([1.0, 0.0, 0.0])
+    b = measure.Observable(["plus", "minus"], [e, np.eye(3) - e])
+    scenario = cli._builtin_qubit_luders(argparse.Namespace(lam=0.5))
+    assert scenario["objects"]["M"]["pointer"]["outcomes"] == ["plus", "minus"]
+    scenario["objects"]["J"] = {
+        "kind": "instrument", **measure.instrument_to_json(measure.luders_instrument(b))
+    }
+    scenario["tasks"] = [{"op": "repeatability", "instrument": "J", "scheme": "M"}]
+    scn = tmp_path / "dims.json"
+    scn.write_text(json.dumps(scenario))
+    assert cli.main(["run", str(scn), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: tasks[0] (repeatability): "), err
+    assert "dimension 2" in err and "dimension 3" in err, err
+
+
+def test_successive_mains_share_one_parser(tmp_path, capsys):
+    a, b, out = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "report.json"
+    assert cli.main(["builtin", "qubit-luders", "--lam", "0.3", "--emit", str(a)]) == 0
+    parser = cli.build_parser()
+    assert cli.main(["run", str(a), "--out", str(out), "--quiet"]) == 0
+    assert json.loads(out.read_text())["scenario"] == "qubit-luders-lam0.3"
+    # a flag of an earlier call does not carry over to the next one
+    assert cli.main(["builtin", "qubit-luders", "--emit", str(b)]) == 0
+    assert json.loads(b.read_text())["name"] == "qubit-luders-lam0.5"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["no-such-command"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert cli.main(["builtin", "qubit-luders", "--lam", "0.7", "--emit", str(b)]) == 0
+    assert json.loads(b.read_text())["name"] == "qubit-luders-lam0.7"
+    assert cli.build_parser() is parser
+
+
+def _asdict_reference(rec):
+    """The per-record dict expressions that Record.to_dict replaced."""
+    if isinstance(rec, reporting.BoundReport):
+        return {
+            "bound_id": rec.bound_id,
+            "outcome": rec.outcome,
+            "lhs": rec.lhs,
+            "rhs": rec.rhs,
+            "slack": rec.slack,
+            "satisfied": rec.satisfied,
+            "hypothesis_satisfied": rec.hypothesis_satisfied,
+            "hypothesis": rec.hypothesis,
+            "inputs_digest": rec.inputs_digest,
+        }
+    if isinstance(rec, conserve.YanaseReport):
+        return {k: dict(v) if isinstance(v, Mapping) else v for k, v in vars(rec).items()}
+    return dataclasses.asdict(rec)
+
+
+def _key_orders(obj):
+    if isinstance(obj, dict):
+        return [list(obj), *(_key_orders(v) for v in obj.values())]
+    return []
+
+
+def test_record_to_dict_matches_the_replaced_expressions(monkeypatch):
+    seen = []
+    to_dict = reporting.Record.to_dict
+
+    def recording(self):
+        seen.append(self)
+        return to_dict(self)
+
+    for scn, tasks in parsed_every_op():
+        monkeypatch.setattr(reporting.Record, "to_dict", recording)
+        cli.run_scenario(scn, tasks)
+        monkeypatch.undo()
+    assert {type(r) for r in seen} == {
+        reporting.BoundReport,
+        conserve.ConservationReport,
+        conserve.UnitaryConservationReport,
+        conserve.YanaseReport,
+        fixpt.MinimalSupportReport,
+        fixpt.ConditionCheck,
+        fixpt.StructuralReport,
+        measure.ItemCheck,
+        measure.RepeatabilityReport,
+    }
+    for rec in seen:
+        new, old = rec.to_dict(), _asdict_reference(rec)
+        assert new == old, type(rec).__name__
+        assert _key_orders(new) == _key_orders(old), type(rec).__name__
+        assert serialize.dumps(new) == serialize.dumps(old), type(rec).__name__
+
+
+def test_importing_the_cli_leaves_scipy_out():
+    # scipy.linalg, imported inside conservative_unitary only, takes longer to
+    # import than all of waylab
+    code = "import sys, waylab, waylab.cli; print('scipy' in sys.modules)"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "False"
