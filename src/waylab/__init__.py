@@ -3,7 +3,7 @@
 The package is organized around a small dense-matrix core:
 
 ``opcore``
-    operators, tolerances, tensor/partial-trace plumbing.
+    operators, tolerances, norms, square roots and fidelity.
 ``cpmaps``
     Kraus-form operations and channels, duals, compositions, supermatrices,
     and the batched Kraus kernel behind every map application.
@@ -32,9 +32,7 @@ from .opcore import (
     eigenspace_projector,
     fidelity,
     op_norm,
-    partial_trace,
     psd_sqrt,
-    tensor,
 )
 from .cpmaps import OperationMap
 from .measure import Observable, Instrument, MeasurementScheme
@@ -47,9 +45,7 @@ __all__ = [
     "eigenspace_projector",
     "fidelity",
     "op_norm",
-    "partial_trace",
     "psd_sqrt",
-    "tensor",
     "OperationMap",
     "Observable",
     "Instrument",

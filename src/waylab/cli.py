@@ -106,23 +106,36 @@ class _Scenario:
         return value
 
 
+def _number(value: Any, where: str, kinds: tuple[type, ...]) -> float:
+    """``value`` as a float when it is one of ``kinds`` (never a bool) that
+    ``float`` reads; otherwise a schema error naming ``where``."""
+    if isinstance(value, kinds) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except (ValueError, OverflowError):
+            pass
+    raise SchemaError(f"{where}: expected a number, got {value!r}")
+
+
 def _resolve_tolerance(scenario_obj: dict, args: argparse.Namespace) -> Tolerance:
-    """Precedence: command line over environment over scenario over default."""
+    """Precedence: command line over environment over scenario over default.
+    A scenario value must be a JSON number, an environment value a number's text."""
     block = scenario_obj.get("tolerance")
     if block is None:
         block = {}
     if not isinstance(block, dict):
         raise SchemaError("tolerance: expected an object")
-    eq = float(block.get("eq_tol", DEFAULT_TOL.eq_tol))
-    rank = float(block.get("rank_tol", DEFAULT_TOL.rank_tol))
-    eq = float(os.environ.get("WAYLAB_TOL", eq))
-    rank = float(os.environ.get("WAYLAB_RANK_TOL", rank))
-    if getattr(args, "tol", None) is not None:
-        eq = args.tol
-    if getattr(args, "rank_tol", None) is not None:
-        rank = args.rank_tol
+    tols = {}
+    for field, env, flag in (("eq_tol", "WAYLAB_TOL", "tol"),
+                             ("rank_tol", "WAYLAB_RANK_TOL", "rank_tol")):
+        value = block.get(field, getattr(DEFAULT_TOL, field))
+        tols[field] = _number(value, f"tolerance.{field}", (int, float))
+        if env in os.environ:
+            tols[field] = _number(os.environ[env], env, (str,))
+        if getattr(args, flag, None) is not None:
+            tols[field] = getattr(args, flag)
     try:
-        return Tolerance(eq_tol=eq, rank_tol=rank)
+        return Tolerance(**tols)
     except ValueError as exc:
         raise SchemaError(f"tolerance: {exc}") from exc
 
@@ -164,7 +177,7 @@ def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[
     if not isinstance(name, str) or not name:
         raise SchemaError("scenario.name: expected a non-empty string")
     sys_dim = obj.get("system_dim")
-    if not isinstance(sys_dim, int) or sys_dim < 1:
+    if type(sys_dim) is not int or sys_dim < 1:
         raise SchemaError("scenario.system_dim: expected a positive integer")
     tol = _resolve_tolerance(obj, args)
     scn = _Scenario(name, sys_dim, tol)
@@ -583,7 +596,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"error: cannot read {path}: {exc}", file=sys.stderr)
             return 2
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a decode error, or an integer of over 4300 digits
             print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
             return 2
         scn, tasks = parse_scenario(obj, args)
@@ -634,6 +647,10 @@ def cmd_suite(args: argparse.Namespace) -> int:
     analysis = analyze_fixed_points(phi)
     ces = cesaro_supermatrix(phi, 10_000)
     defect = float(op_norm_mat(analysis.projector - ces))
+    # The defect is the truncation of a finite average, not rounding: the
+    # non-fixed eigenvalue mu = sqrt(3)/2 leaves mu (1 - mu^N) / (N (1 - mu))
+    # = 6.5e-4 at N = 10000.  This channel and N fix the bound above that,
+    # so no resolved Tolerance (eq_tol is 1e-9 by default) sets it.
     cesaro_ok = defect <= 1e-3
 
     agg = {

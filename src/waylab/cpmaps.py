@@ -188,14 +188,6 @@ class OperationMap(_Immutable):
         eye = np.eye(self.out_dim)
         return op_norm_mat(_apply(self, eye, False) - eye) <= tol.eq_tol
 
-    @classmethod
-    def identity(cls, dim: int) -> "OperationMap":
-        return cls([np.eye(dim)])
-
-    @classmethod
-    def from_unitary(cls, u: Any) -> "OperationMap":
-        return cls([u])
-
 
 def _as_square(a: Any, dim: int, what: str) -> np.ndarray:
     m = _as_matrix(a)

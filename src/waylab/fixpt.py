@@ -366,9 +366,10 @@ def analyze_fixed_points(
     commutant_consistent: bool | None = None
     if faithful:
         comm = kraus_commutant(phi, tol.rank_tol)
-        qf, _ = np.linalg.qr(np.stack([vec(b) for b in herm], axis=1))
+        # herm is Hilbert-Schmidt orthonormal: its vecs are orthonormal columns
+        herm_vecs = herm.swapaxes(1, 2).reshape(r, d * d).T
         commutant_consistent = comm.shape[1] > 0 and bool(
-            _projector_gap(qf, comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
+            _projector_gap(herm_vecs, comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
         )
 
     for a in (herm, left, proj, rho0, support, w_iso, restricted):

@@ -16,7 +16,7 @@ no tolerance decision is valid as a theorem and is built unchecked, by the
 one ``_derived`` path of :class:`Observable` and of :class:`Instrument`.
 
 Everything indexes composite spaces with the system slowest, matching
-``opcore.tensor``.
+``numpy.kron(system_op, apparatus_op)``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ from .cpmaps import (
     _max_unit_norm,
     _per_object,
     _stack_families,
-    apply_dual,
-    apply_map,
     compose,
     dual_view,
     operation_from_json,
@@ -161,9 +159,6 @@ class Observable:
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim}, outcomes={list(self._outcomes)!r})"
 
-    def items(self):
-        return zip(self._outcomes, self.effects)
-
     # -- predicates ------------------------------------------------------
 
     def _pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -181,11 +176,6 @@ class Observable:
 
     def is_commutative(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         return max_op_norm(_commutators(*self._pairs())) <= tol.eq_tol
-
-    def is_norm_one(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        """Every nonzero effect attains operator norm 1 (within rank_tol)."""
-        norms = op_norms(self._effects)
-        return all(n <= tol.rank_tol or abs(n - 1.0) <= tol.rank_tol for n in norms)
 
     def is_trivial(self, tol: Tolerance = DEFAULT_TOL) -> bool:
         """Every effect is a multiple of the identity."""
@@ -255,15 +245,6 @@ class Instrument:
     def total(self) -> OperationMap:
         """The measurement channel ``I_X = sum_x I_x``."""
         return self._total
-
-    def apply(self, x: str, t: Any) -> Operator:
-        return apply_map(self.operation(x), t)
-
-    def apply_dual(self, x: str, a: Any) -> Operator:
-        return apply_dual(self.operation(x), a)
-
-    def apply_dual_total(self, a: Any) -> Operator:
-        return apply_dual(self._total, a)
 
     def induced_observable(self, tol: Tolerance = DEFAULT_TOL) -> Observable:
         """``x -> I*_x(1)``, not checked again (``tol`` is not used)."""
@@ -867,7 +848,7 @@ def scheme_from_json(obj: Any, sys_dim: int, where: str = "scheme",
     if not isinstance(obj, dict):
         raise serialize.SchemaError(f"{where}: expected an object")
     app_dim = obj.get("apparatus_dim")
-    if not isinstance(app_dim, int) or app_dim < 1:
+    if type(app_dim) is not int or app_dim < 1:
         raise serialize.SchemaError(f"{where}.apparatus_dim: expected a positive integer")
     xi = serialize.matrix_from_json(obj.get("xi"), f"{where}.xi")
     coupling = operation_from_json(obj.get("coupling"), f"{where}.coupling")

@@ -18,7 +18,7 @@ system-apparatus space the system index varies slowest, which is exactly
 from __future__ import annotations
 
 import dataclasses
-import math
+import sys
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -31,8 +31,6 @@ __all__ = [
     "is_psd",
     "is_state",
     "is_unitary",
-    "tensor",
-    "partial_trace",
     "op_norm",
     "psd_sqrt",
     "fidelity",
@@ -61,11 +59,10 @@ class Tolerance:
     def __post_init__(self) -> None:
         for name in ("eq_tol", "rank_tol"):
             value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            number = isinstance(value, (int, float)) and not isinstance(value, bool)
+            # an exact comparison: an int beyond float range fails it too
+            if not (number and 0 < value <= sys.float_info.max):
                 raise ValueError(f"{name} must be strictly positive and finite, got {value!r}")
-
-    def with_eq_tol(self, eq_tol: float) -> "Tolerance":
-        return Tolerance(eq_tol=eq_tol, rank_tol=self.rank_tol)
 
 
 DEFAULT_TOL = Tolerance()
@@ -101,11 +98,8 @@ def _commutators(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class Operator:
-    """A square complex matrix on a single finite-dimensional space.
-
-    The wrapped array is read-only; arithmetic returns new instances.  The
-    predicates are those of the module on the wrapped array.
-    """
+    """A square complex matrix on a single finite-dimensional space, held as a
+    read-only array."""
 
     __slots__ = ("_mat",)
 
@@ -119,59 +113,6 @@ class Operator:
     @property
     def dim(self) -> int:
         return self._mat.shape[0]
-
-    @property
-    def H(self) -> "Operator":
-        return Operator(self._mat.conj().T)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self._mat))
-
-    def hermitian_part(self) -> "Operator":
-        return Operator(_hermitian_parts(self._mat))
-
-    # -- algebra ---------------------------------------------------------
-
-    def __add__(self, other: "Operator") -> "Operator":
-        return Operator(self._mat + _as_matrix(other))
-
-    def __sub__(self, other: "Operator") -> "Operator":
-        return Operator(self._mat - _as_matrix(other))
-
-    def __neg__(self) -> "Operator":
-        return Operator(-self._mat)
-
-    def __mul__(self, scalar: complex) -> "Operator":
-        return Operator(self._mat * scalar)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar: complex) -> "Operator":
-        return Operator(self._mat / scalar)
-
-    def __matmul__(self, other: "Operator") -> "Operator":
-        return Operator(self._mat @ _as_matrix(other))
-
-    def __repr__(self) -> str:
-        return f"Operator(dim={self.dim})"
-
-    # -- predicates ------------------------------------------------------
-
-    def is_hermitian(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return is_hermitian(self._mat, tol)
-
-    def is_psd(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return is_psd(self._mat, tol)
-
-    def is_state(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return is_state(self._mat, tol)
-
-    def is_unitary(self, tol: Tolerance = DEFAULT_TOL) -> bool:
-        return is_unitary(self._mat, tol)
-
-    @staticmethod
-    def zero(dim: int) -> "Operator":
-        return Operator(np.zeros((dim, dim)))
 
 
 def is_hermitian(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -266,42 +207,6 @@ def commutator(a: MatrixLike, b: MatrixLike) -> Operator:
     return Operator(_commutators(_as_matrix(a), _as_matrix(b)))
 
 
-def tensor(a: MatrixLike, b: MatrixLike) -> Operator:
-    """Kronecker product with the first factor's index slowest."""
-    return Operator(np.kron(_as_matrix(a), _as_matrix(b)))
-
-
-def partial_trace(t: MatrixLike, keep: Union[int, str], dims: tuple[int, int]) -> Operator:
-    """Trace out one tensor factor of an operator on a bipartite space.
-
-    ``dims = (d_first, d_second)`` with the first factor slowest.  ``keep``
-    selects the surviving factor: ``0``/``"S"`` for the first, ``1``/``"A"``
-    for the second.
-    """
-    m = _as_matrix(t)
-    d1, d2 = dims
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError(f"dims must be positive, got {dims}")
-    if m.shape != (d1 * d2, d1 * d2):
-        raise ValueError(f"operator shape {m.shape} does not match dims {dims}")
-    if isinstance(keep, str):
-        key = keep.upper()
-        if key in ("S", "SYS", "SYSTEM", "0"):
-            keep_idx = 0
-        elif key in ("A", "APP", "APPARATUS", "1"):
-            keep_idx = 1
-        else:
-            raise ValueError(f"unknown subsystem id {keep!r}")
-    else:
-        keep_idx = int(keep)
-        if keep_idx not in (0, 1):
-            raise ValueError(f"keep must be 0 or 1, got {keep}")
-    r = m.reshape(d1, d2, d1, d2)
-    if keep_idx == 0:
-        return Operator(np.einsum("iaja->ij", r))
-    return Operator(np.einsum("iaib->ab", r))
-
-
 def psd_sqrt(a: MatrixLike, tol: Tolerance = DEFAULT_TOL) -> Operator:
     """Principal square root of a positive semidefinite operator.
 
@@ -375,7 +280,7 @@ def eigenspace_projector(a: MatrixLike, value: float, tol: Tolerance = DEFAULT_T
         raise ValueError("eigenspace_projector requires a Hermitian operator")
     cols = _eigenspace_columns(*np.linalg.eigh(_hermitian_parts(m)), value, tol.rank_tol)
     if cols is None:
-        return Operator.zero(m.shape[0])
+        return Operator(np.zeros_like(m))
     return Operator(cols @ cols.conj().T)
 
 

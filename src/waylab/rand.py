@@ -12,11 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from .cpmaps import OperationMap
-from .opcore import DEFAULT_TOL, Operator, Tolerance
+from .opcore import DEFAULT_TOL, Operator, Tolerance, _hermitian_parts
 
 __all__ = [
     "haar_unitary",
-    "random_pure_state",
     "random_state",
     "random_hermitian",
     "random_povm",
@@ -34,12 +33,6 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> Operator:
     phases = np.diag(r).copy()
     phases /= np.abs(phases)
     return Operator(q * phases)
-
-
-def random_pure_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-random unit vector."""
-    v = _ginibre(rng, dim, 1).reshape(-1)
-    return v / np.linalg.norm(v)
 
 
 def random_state(dim: int, rng: np.random.Generator, rank: int | None = None) -> Operator:
@@ -61,7 +54,7 @@ def random_hermitian(dim: int, rng: np.random.Generator, norm: float = 1.0) -> O
     h = 0.5 * (z + z.conj().T)
     current = float(np.linalg.norm(h, 2))
     if current == 0.0:
-        return Operator.zero(dim)
+        return Operator(np.zeros((dim, dim)))
     return Operator(h * (norm / current))
 
 
@@ -81,7 +74,7 @@ def random_povm(
         # essentially impossible for Ginibre draws; regenerate for safety
         return random_povm(dim, n_outcomes, rng, tol)
     inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
-    return [Operator(inv_sqrt @ g @ inv_sqrt).hermitian_part() for g in raw]
+    return [Operator(_hermitian_parts(inv_sqrt @ g @ inv_sqrt)) for g in raw]
 
 
 def random_channel(

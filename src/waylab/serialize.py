@@ -13,6 +13,7 @@ per-element path, which also reports every malformed input.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from itertools import chain, repeat
@@ -79,7 +80,8 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
 
 def _pair_matrix(obj: Any) -> np.ndarray | None:
     """The matrix of a rectangular list of rows of ``[re, im]`` pairs of ints
-    and floats (never bools); None for any other input, left to the loop."""
+    and floats (never bools), all finite; None for any other input, left to
+    the loop."""
     if type(obj) is not list or not obj or set(map(type, obj)) != {list}:
         return None
     cells = list(chain.from_iterable(obj))
@@ -89,20 +91,22 @@ def _pair_matrix(obj: Any) -> np.ndarray | None:
     if set(map(len, cells)) != {2} or not set(map(type, leaves)) <= {float, int}:
         return None
     try:
-        return np.array(leaves, dtype=float).view(complex).reshape(len(obj), -1)
-    except OverflowError:  # an int beyond float range: float() raises it in the loop
+        m = np.array(leaves, dtype=float).view(complex).reshape(len(obj), -1)
+    except OverflowError:  # an int beyond float range: the loop names it
         return None
+    return m if np.isfinite(m).all() else None
 
 
 def _entry_from_json(cell: Any, where: str) -> complex:
-    if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-        return complex(float(cell), 0.0)
-    if (
-        isinstance(cell, list)
-        and len(cell) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
-    ):
-        return complex(float(cell[0]), float(cell[1]))
+    parts = cell if isinstance(cell, list) and len(cell) == 2 else [cell, 0.0]
+    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in parts):
+        try:
+            z = complex(float(parts[0]), float(parts[1]))
+        except OverflowError:  # an int beyond float range
+            z = complex(math.inf)
+        if cmath.isfinite(z):
+            return z
+        raise SchemaError(f"{where}: entries must be finite, got {cell!r}")
     raise SchemaError(f"{where}: expected a number or [re, im] pair, got {cell!r}")
 
 

@@ -69,7 +69,7 @@ def eigen_one_projectors(obs, tol):
     """Eigenvalue-1 projectors of the effects that have one, and whether any
     effect of nonzero norm lacks one."""
     proj, missing = {}, False
-    for x, eff in obs.items():
+    for x, eff in zip(obs.outcomes, obs.effects):
         if op_norm(eff) <= tol.rank_tol:
             continue
         p = eigenspace_projector(eff, 1.0, tol)
@@ -84,7 +84,7 @@ def reference_items(inst, m, tol=DEFAULT_TOL):
     d = inst.dim
     e_obs = inst.induced_observable(tol)
     ref = {"sandwich-own-effect": 0.0, "total-localizes": 0.0}
-    for x, eff in e_obs.items():
+    for x, eff in zip(e_obs.outcomes, e_obs.effects):
         op, em = inst.operation(x), eff.mat
         for a in units(d):
             base = apply_dual(op, a).mat
@@ -113,7 +113,7 @@ def reference_items(inst, m, tol=DEFAULT_TOL):
         norms = [op_norm(z) for z in m.pointer.effects]
         worst = max((abs(1.0 - n) for n in norms if n > tol.rank_tol), default=0.0)
         for x, qm in qproj.items():
-            for y, zy in m.pointer.items():
+            for y, zy in zip(m.pointer.outcomes, m.pointer.effects):
                 prod = qm @ zy.mat
                 worst = max(worst, op_norm_mat(prod - qm if x == y else prod))
         ref["pointer-projectors"] = worst
@@ -178,9 +178,10 @@ def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
             m = normal_dilation(sharp_observable(random_hermitian(d_sys, rng)))
         inst = scheme_to_instrument(m)
     rep = repeatability_report(inst, m)
+    e_obs = inst.induced_observable()
     assert rep.per_outcome_defects == {
-        x: op_norm(inst.apply_dual(x, eff) - eff)
-        for x, eff in inst.induced_observable().items()
+        x: op_norm(apply_dual(inst.operation(x), eff).mat - eff.mat)
+        for x, eff in zip(e_obs.outcomes, e_obs.effects)
     }
     ref = reference_items(inst, m)
     assert ref, "the reference evaluated nothing"
@@ -200,7 +201,7 @@ def reference_pair_items(inst, tol=DEFAULT_TOL):
     proj, _ = eigen_one_projectors(e_obs, tol)
     exclusivity = 0.0
     for x, pm in proj.items():
-        for y, eff in e_obs.items():
+        for y, eff in zip(e_obs.outcomes, e_obs.effects):
             prod = pm @ eff.mat
             exclusivity = max(
                 exclusivity, op_norm_mat(prod - pm) if x == y else op_norm_mat(prod)
@@ -215,7 +216,7 @@ def reference_pair_items(inst, tol=DEFAULT_TOL):
     for rho in probes:
         outs = []
         for x in inst.outcomes:
-            out = inst.apply(x, rho).mat
+            out = apply_map(inst.operation(x), rho).mat
             p = float(np.real(np.trace(out)))
             if p > tol.rank_tol:
                 outs.append(out / p)
@@ -566,7 +567,7 @@ def stacked_items(inst):
     e_obs = inst.induced_observable()
     total = np.array(inst.total().kraus)
     sandwich = localizes = 0.0
-    for x, eff in e_obs.items():
+    for x, eff in zip(e_obs.outcomes, e_obs.effects):
         own_kraus = np.array(inst.operation(x).kraus)
         base = stacked_unit_images(own_kraus, eye, eye)
         for left, right in ((eff.mat, eye), (eye, eff.mat), (eff.mat, eff.mat)):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import dataclasses
 import importlib
@@ -9,13 +10,14 @@ import pathlib
 import re
 import subprocess
 import sys
+import warnings
 from typing import Mapping
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from waylab import cli, conserve, cpmaps, fixpt, measure, opcore, reporting, serialize
+from waylab import cli, conserve, cpmaps, fixpt, measure, opcore, rand, reporting, serialize
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -88,6 +90,10 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     bad.write_text("{")
     assert cli.main(["run", str(bad), "--quiet"]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+    # json raises a plain ValueError, not a JSONDecodeError, on this integer
+    bad.write_text('{"schema": 1, "name": "long", "system_dim": ' + "1" * 5000 + "}")
+    assert cli.main(["run", str(bad), "--quiet"]) == 2
+    assert "is not valid JSON: Exceeds the limit (4300 digits)" in capsys.readouterr().err
 
     assert cli.main(["run", str(tmp_path / "missing.json"), "--quiet"]) == 2
     assert "cannot read" in capsys.readouterr().err
@@ -110,6 +116,51 @@ def test_schema_errors_exit_2(tmp_path, capsys):
     bad_kind.write_text(json.dumps(scenario))
     assert cli.main(["run", str(bad_kind), "--quiet"]) == 2
     assert "objects.N.kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tolerance.eq_tol", "x"),
+    ("tolerance.eq_tol", None),
+    ("tolerance.eq_tol", True),
+    ("tolerance.rank_tol", "1e-8"),
+    ("tolerance.rank_tol", [1e-8]),
+    ("WAYLAB_TOL", "abc"),
+    ("WAYLAB_RANK_TOL", ""),
+    ("scenario.system_dim", True),
+    ("objects.M.apparatus_dim", True),
+])
+def test_bad_tolerance_and_dimension_fields_exit_2(tmp_path, monkeypatch, capsys, field, value):
+    # each one names its field instead of raising or reading true as 1
+    scenario = cli._builtin_qubit_luders(argparse.Namespace(lam=0.5))
+    if field.startswith("WAYLAB_"):
+        monkeypatch.setenv(field, value)
+    elif field.startswith("tolerance."):
+        scenario["tolerance"] = {field.split(".")[1]: value}
+    elif field == "scenario.system_dim":
+        scenario["system_dim"] = value
+    else:
+        scenario["objects"]["M"]["apparatus_dim"] = value
+    scn = tmp_path / "bad.json"
+    scn.write_text(json.dumps(scenario))
+    assert cli.main(["run", str(scn), "--quiet"]) == 2
+    want = "a positive integer" if field.endswith("_dim") else f"a number, got {value!r}"
+    assert capsys.readouterr().err == f"error: {field}: expected {want}\n"
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN", "1e400"])
+def test_non_finite_kraus_entry_exits_2_naming_it(tmp_path, capsys, literal):
+    scenario = {
+        "schema": 1, "name": "non-finite", "system_dim": 2,
+        "objects": {"C": {"kind": "channel", "kraus": [[[[1, 0], [0, 0]], [[0, 0], "ENTRY"]]]}},
+        "tasks": [{"op": "fixed-points", "channel": "C"}],
+    }
+    scn = tmp_path / "non-finite.json"
+    scn.write_text(json.dumps(scenario).replace('"ENTRY"', f"[{literal}, 0]"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning included
+        assert cli.main(["run", str(scn), "--quiet"]) == 2
+    want = f"entries must be finite, got [{float(literal)!r}, 0]"
+    assert capsys.readouterr().err == f"error: objects.C.kraus[0][1][1]: {want}\n"
 
 
 def test_task_errors_are_schema_errors(tmp_path, capsys):
@@ -454,6 +505,24 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(f"waylab.{layer}"), name)), qual
     layer, cls = tracing.OPERATOR.split(".")
     assert "__init__" in vars(getattr(importlib.import_module(f"waylab.{layer}"), cls))
+
+    # perfbench/ and tools/oracle.py import these names, and the battery and
+    # the oracle read .mat from what rand and conservative_unitary return
+    root = path.parents[1]
+    imported = set()
+    for source in [*sorted((root / "perfbench").glob("*.py")), root / "tools" / "oracle.py"]:
+        for node in ast.walk(ast.parse(source.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("waylab"):
+                imported.update((node.module, alias.name) for alias in node.names)
+    assert ("waylab.rand", "random_hermitian") in imported
+    for module, name in sorted(imported):
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+    rng = np.random.default_rng(0)
+    made = [
+        rand.random_hermitian(3, rng), rand.random_state(3, rng), rand.haar_unitary(3, rng),
+        *rand.random_povm(3, 2, rng), conserve.conservative_unitary(np.diag([1.0, 0, 0]), rng),
+    ]
+    assert all(isinstance(op, opcore.Operator) and op.mat.shape == (3, 3) for op in made)
 
 
 def test_run_scenario_builds_no_operator(monkeypatch):

@@ -83,7 +83,7 @@ def leaky_collapse_channel(gamma):
 
 
 def test_fixed_points_unitary_x():
-    phi = OperationMap.from_unitary(SX)
+    phi = OperationMap([SX])
     fp = analyze_fixed_points(phi)
     assert fp.fixed_dim == 2
     assert fp.faithful
@@ -244,7 +244,7 @@ def commutant_channel(kind, d, rng):
         # cube roots of unity as eigenvalues: degenerate eigenspaces
         v = haar_unitary(d, rng).mat
         phases = np.exp(2j * np.pi * rng.integers(0, 3, size=d) / 3)
-        return OperationMap.from_unitary(v @ np.diag(phases) @ v.conj().T)
+        return OperationMap([v @ np.diag(phases) @ v.conj().T])
     # every Hermitian combination is a multiple of 1: all d^2 candidates
     return OperationMap([np.eye(d)])
 
@@ -489,7 +489,7 @@ def test_commutant_consistency_matches_dense_projectors(seed, d, kind):
         h = v @ np.diag(rng.integers(0, 3, size=d).astype(float)) @ v.conj().T
         phi = luders_instrument(sharp_observable(h)).total()
     elif kind == "unitary":
-        phi = OperationMap.from_unitary(haar_unitary(d, rng).mat)
+        phi = OperationMap([haar_unitary(d, rng).mat])
     else:
         phi = OperationMap([np.eye(d)])
     analysis = analyze_fixed_points(phi)
@@ -762,7 +762,7 @@ def test_norm_one_defects_match_outcome_loop(seed, d, n, leaky):
     norm = fixed = compress = distinguish = 0.0
     for g, rz in zip(res.observable.effects, res.projectors):
         norm = max(norm, abs(op_norm(g) - 1.0))
-        fixed = max(fixed, op_norm(apply_dual(phi, g) - g))
+        fixed = max(fixed, op_norm(apply_dual(phi, g).mat - g.mat))
         compress = max(compress, op_norm_mat(analysis.compress(g) - rz))
     for zi, rho in enumerate(res.states):
         out = apply_map(phi, rho)

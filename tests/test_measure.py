@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from waylab import Observable, Operator, OperationMap, Tolerance, op_norm, tensor
+from waylab import Observable, Operator, OperationMap, Tolerance, op_norm
 from waylab.bounds import _gamma_moment_defect
 from waylab.conserve import AdditiveQuantity, yanase_conditions
 from waylab.cpmaps import apply_dual, apply_map, operation_to_json, to_supermatrix
@@ -32,6 +32,7 @@ from waylab.measure import (
     scheme_to_json,
     sharp_observable,
 )
+from waylab.opcore import is_state
 from waylab.rand import haar_unitary, random_channel, random_hermitian, random_povm, random_state
 from waylab import serialize
 from waylab.serialize import SchemaError
@@ -125,6 +126,15 @@ BOUNDARIES = {
                              "instrument.outcomes: expected a non-empty list"),
 }
 
+# the JSON readers reject the NaN entry itself, by its path
+JSON_NON_FINITE = {
+    "observable_from_json": "observable.effects[0][0][1]: entries must be finite, got [nan, 0.0]",
+    "scheme_from_json":
+        "scheme.pointer.effects[0][0][1]: entries must be finite, got [nan, 0.0]",
+    "instrument_from_json":
+        "instrument.operations[1].kraus[0][0][1]: entries must be finite, got [nan, 0.0]",
+}
+
 
 @pytest.mark.parametrize(
     "entry,case",
@@ -137,6 +147,8 @@ def test_boundaries_reject_bad_input(entry, case):
     with pytest.raises(error) as caught:
         build(outcomes, items)
     expected = empty if case == "empty" and empty else prefix + message
+    if case == "non-finite" and entry in JSON_NON_FINITE:
+        expected = JSON_NON_FINITE[entry]
     assert str(caught.value) == expected
 
 
@@ -165,15 +177,11 @@ def test_observable_predicates():
     sharp = Observable(["z0", "z1"], [P0, P1])
     assert sharp.is_sharp()
     assert sharp.is_commutative()
-    assert sharp.is_norm_one()
     assert not sharp.is_trivial()
-    # a zero effect does not break norm one
-    assert Observable(["z0", "z1", "never"], [P0, P1, np.zeros((2, 2))]).is_norm_one()
 
     fuzzy = unsharp_qubit(0.5)
     assert not fuzzy.is_sharp()
     assert fuzzy.is_commutative()
-    assert not fuzzy.is_norm_one()
 
     coin = Observable(["t0", "t1"], [0.3 * np.eye(2), 0.7 * np.eye(2)])
     assert coin.is_trivial()
@@ -209,11 +217,6 @@ def loop_is_trivial(obs, tol):
     )
 
 
-def loop_is_norm_one(obs, tol):
-    norms = [op_norm(e) for e in obs.effects]
-    return all(n <= tol.rank_tol or abs(n - 1.0) <= tol.rank_tol for n in norms)
-
-
 @given(
     seed=st.integers(0, 2**32 - 1),
     d=st.sampled_from([1, 2, 3, 4]),
@@ -239,7 +242,6 @@ def test_pair_predicates_match_pair_loop(seed, d, kind, offset):
     assert obs.is_sharp(tol) == loop_is_sharp(obs, tol)
     assert obs.is_commutative(tol) == loop_is_commutative(obs, tol)
     assert obs.is_trivial(tol) == loop_is_trivial(obs, tol)
-    assert obs.is_norm_one(tol) == loop_is_norm_one(obs, tol)
 
 
 DERIVED_TOL = 1e-12
@@ -321,20 +323,23 @@ def test_luders_instrument_definition():
         sq = Operator(obs.effect(x).mat)
         w, v = np.linalg.eigh(sq.mat)
         root = v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        np.testing.assert_allclose(inst.apply(x, rho).mat, root @ rho @ root, atol=1e-12)
+        out = apply_map(inst.operation(x), rho).mat
+        np.testing.assert_allclose(out, root @ rho @ root, atol=1e-12)
     assert inst.total().is_channel()
     induced = inst.induced_observable()
     for x in obs.outcomes:
         np.testing.assert_allclose(induced.effect(x).mat, obs.effect(x).mat, atol=1e-12)
-    np.testing.assert_allclose(inst.apply_dual_total(np.eye(2)).mat, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(apply_dual(inst.total(), np.eye(2)).mat, np.eye(2), atol=1e-12)
 
 
 def test_collapse_instrument_definition():
     obs = Observable(["z0", "z1"], [P0, P1])
     inst = collapse_instrument(obs, [[1.0, 0.0], [0.0, 1.0]])
     rho = np.array([[0.7, 0.2], [0.2, 0.3]], dtype=complex)
-    np.testing.assert_allclose(inst.apply("z0", rho).mat, 0.7 * P0, atol=1e-12)
-    np.testing.assert_allclose(inst.apply("z1", rho).mat, 0.3 * P1, atol=1e-12)
+    np.testing.assert_allclose(apply_map(inst.operation("z0"), rho).mat, 0.7 * P0,
+                               atol=1e-12)
+    np.testing.assert_allclose(apply_map(inst.operation("z1"), rho).mat, 0.3 * P1,
+                               atol=1e-12)
     assert inst.total().is_channel()
 
     with pytest.raises(ValueError, match="one collapse vector per outcome"):
@@ -433,8 +438,10 @@ def test_cnot_scheme_is_luders_of_sharp_z():
     inst = scheme_to_instrument(m)
     assert inst.outcomes == ("z0", "z1")
     rho = np.array([[0.6, 0.3j], [-0.3j, 0.4]], dtype=complex)
-    np.testing.assert_allclose(inst.apply("z0", rho).mat, P0 @ rho @ P0, atol=1e-12)
-    np.testing.assert_allclose(inst.apply("z1", rho).mat, P1 @ rho @ P1, atol=1e-12)
+    np.testing.assert_allclose(apply_map(inst.operation("z0"), rho).mat, P0 @ rho @ P0,
+                               atol=1e-12)
+    np.testing.assert_allclose(apply_map(inst.operation("z1"), rho).mat, P1 @ rho @ P1,
+                               atol=1e-12)
 
     e = measured_observable(m)
     assert e.outcomes == ("z0", "z1")
@@ -474,7 +481,7 @@ def test_restriction_maps_identities():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    reduced = apply_map(maps.gamma_xi, tensor(a, b)).mat
+    reduced = apply_map(maps.gamma_xi, np.kron(a, b)).mat
     np.testing.assert_allclose(reduced, a * np.trace(b @ m.xi), atol=1e-12)
 
     # gamma_xi_e composes the coupling dual with gamma_xi
@@ -486,7 +493,7 @@ def test_restriction_maps_identities():
     # conjugate channel outputs apparatus states
     rho = np.array([[0.5, 0.1], [0.1, 0.5]], dtype=complex)
     out = apply_map(maps.conj_channel, rho)
-    assert out.is_state()
+    assert is_state(out.mat)
 
 
 def test_normal_dilation_realizes_luders():

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +55,21 @@ def test_matrix_from_json_reports_field_paths():
         matrix_from_json([[1, "x"], [3, 4]], "m")
     with pytest.raises(SchemaError, match="non-empty"):
         matrix_from_json([], "m")
+
+
+@pytest.mark.parametrize("cell", [
+    float("inf"), -float("inf"), float("nan"), [0.0, float("inf")], [float("nan"), 1.0],
+    10**400, [1, -(10**400)],
+], ids=["inf", "-inf", "nan", "pair-inf", "pair-nan", "int-1e400", "pair-int-1e400"])
+def test_non_finite_entries_are_rejected_with_their_path(cell):
+    # the fast path of a well-formed pair matrix falls back to the per-cell
+    # loop, which names the entry; a bare-number matrix takes the loop directly
+    for good, where in (([1.0, 0.0], "[1][1]"), (1.0, "[1][1]")):
+        rows = [[good, good], [good, cell]]
+        with pytest.raises(SchemaError, match=re.escape(f"m{where}: entries must be finite")):
+            matrix_from_json(rows, "m")
+    with pytest.raises(SchemaError, match=re.escape("v[1]: entries must be finite")):
+        vector_from_json([[1.0, 0.0], cell], "v")
 
 
 def test_vector_round_trip():
@@ -155,6 +172,14 @@ def reference_dumps(obj, indent=2):
     return "".join(out)
 
 
+def reference_finite(v):
+    """Whether a JSON number is a finite float (an int beyond float range is not)."""
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:
+        return False
+
+
 def reference_matrix_from_json(obj, where="matrix"):
     """The per-cell reader that :func:`matrix_from_json` must match."""
     if not isinstance(obj, list) or not obj:
@@ -171,17 +196,20 @@ def reference_matrix_from_json(obj, where="matrix"):
         entries = []
         for j, cell in enumerate(row):
             if isinstance(cell, (int, float)) and not isinstance(cell, bool):
-                entries.append(complex(float(cell), 0.0))
+                parts = (cell, 0.0)
             elif (
                 isinstance(cell, list)
                 and len(cell) == 2
                 and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in cell)
             ):
-                entries.append(complex(float(cell[0]), float(cell[1])))
+                parts = cell
             else:
                 raise SchemaError(
                     f"{where}[{i}][{j}]: expected a number or [re, im] pair, got {cell!r}"
                 )
+            if not all(reference_finite(v) for v in parts):
+                raise SchemaError(f"{where}[{i}][{j}]: entries must be finite, got {cell!r}")
+            entries.append(complex(float(parts[0]), float(parts[1])))
         rows.append(entries)
     return np.array(rows, dtype=complex)
 

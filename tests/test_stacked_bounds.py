@@ -3,7 +3,7 @@
 The evaluators, the profiles and the Yanase report take each per-outcome
 operator norm from one batched norm of a stack of outcomes
 (``opcore.op_norms``).  The references here walk the outcomes one at a time
-through the public ``Operator`` algebra and ``op_norm``, the way the
+through numpy arithmetic on each effect matrix and ``op_norm``, the way the
 evaluators were first written.  The arithmetic is the same, so every value
 must agree exactly.  A last property reorders the declared outcomes and
 matches rows by label, which catches a stack zipped with the wrong labels.
@@ -41,11 +41,10 @@ from waylab.measure import (
 )
 from waylab.opcore import (
     DEFAULT_TOL,
+    _hermitian_parts,
     commutator,
     eigenspace_projector,
     op_norm,
-    partial_trace,
-    tensor,
 )
 from waylab.rand import haar_unitary, random_channel, random_hermitian, random_povm, random_state
 
@@ -93,6 +92,11 @@ def scenario(seed, kind, dims):
     return m, f, q, target, psi, phi
 
 
+def effects(obs):
+    """``(outcome, effect matrix)`` pairs of an observable."""
+    return zip(obs.outcomes, (e.mat for e in obs.effects))
+
+
 def unsharpness(eff):
     return op_norm(eff @ eff - eff)
 
@@ -120,11 +124,12 @@ def test_profiles_match_outcome_loop(seed, kind, dims):
     inst = scheme_to_instrument(m)
     prof = disturbance_profile(inst, f)
     assert prof.outcomes == f.outcomes
-    assert prof.norms == {y: op_norm(inst.apply_dual_total(fy) - fy) for y, fy in f.items()}
+    total = inst.total()
+    assert prof.norms == {y: op_norm(apply_dual(total, fy).mat - fy) for y, fy in effects(f)}
     assert prof.max_norm == max(prof.norms.values())
     measured = measured_observable(m)
     err = error_profile(m, target)
-    assert err.norms == {x: op_norm(measured.effect(x) - tx) for x, tx in target.items()}
+    assert err.norms == {x: op_norm(measured.effect(x).mat - tx) for x, tx in effects(target)}
     assert err.max_norm == max(err.norms.values())
 
 
@@ -135,22 +140,25 @@ def test_coupled_pointer_matches_outcome_loop(seed, kind, dims):
     ds, da = m.sys_dim, m.app_dim
     eye_s = np.eye(ds)
     one_xi = np.kron(eye_s, m.xi)
-    coupled = [apply_dual(m.coupling, tensor(eye_s, zx)) for zx in m.pointer.effects]
-    effects = [
-        partial_trace(z.mat @ one_xi, keep=0, dims=(ds, da)).hermitian_part() for z in coupled
+    eye_c = np.eye(ds, dtype=complex)
+    coupled = [apply_dual(m.coupling, np.kron(eye_c, zx)).mat for _, zx in effects(m.pointer)]
+    # the apparatus factor traced out of each coupled effect times 1 (x) xi
+    reduced = [
+        _hermitian_parts(np.einsum("iaja->ij", (z @ one_xi).reshape(ds, da, ds, da)))
+        for z in coupled
     ]
-    for got, want in zip(measured_observable(m).effects, effects):
-        assert np.array_equal(got.mat, want.mat)
+    for got, want in zip(measured_observable(m).effects, reduced):
+        assert np.array_equal(got.mat, want)
     for got, want in zip(heisenberg_pointer(m).effects, coupled):
-        assert np.array_equal(got.mat, want.hermitian_part().mat)
+        assert np.array_equal(got.mat, _hermitian_parts(want))
 
     rep = yanase_conditions(m, q)
     n_comp = q.composite()
     assert rep.per_outcome_yanase == {
-        x: op_norm(commutator(zx, q.n_app)) for x, zx in m.pointer.items()
+        x: op_norm(commutator(zx, q.n_app)) for x, zx in effects(m.pointer)
     }
     assert rep.per_outcome_weak == {
-        x: op_norm(commutator(z.hermitian_part(), n_comp))
+        x: op_norm(commutator(_hermitian_parts(z), n_comp))
         for x, z in zip(m.outcomes, coupled)
     }
     assert rep.yanase_defect == max(rep.per_outcome_yanase.values())
@@ -162,15 +170,19 @@ def test_coupled_pointer_matches_outcome_loop(seed, kind, dims):
 def test_disturbance_rows_match_outcome_loop(seed, kind, dims):
     m, f, q, _, _, _ = scenario(seed, kind, dims)
     inst = scheme_to_instrument(m)
-    dual = inst.apply_dual_total
+    total = inst.total()
+
+    def dual(a):
+        return apply_dual(total, a).mat
+
     expected = {}
-    for x, ex in measured_observable(m).items():
-        for y, fy in f.items():
+    for x, ex in effects(measured_observable(m)):
+        for y, fy in effects(f):
             pair = f"({x},{y})"
-            img, img_sq = dual(fy).mat, dual(fy @ fy).mat
+            img, img_sq = dual(fy), dual(fy @ fy)
             delta = op_norm(dual(fy) - fy)
             sesq = op_norm(img_sq - img @ img)
-            exact = op_norm(img_sq - fy.mat @ fy.mat)
+            exact = op_norm(img_sq - fy @ fy)
             lhs = op_norm(commutator(ex, fy))
             ue, uf = np.sqrt(unsharpness(ex)), unsharpness(fy)
             expected["compat-commutator", pair] = (lhs, 2.0 * ue * np.sqrt(uf))
@@ -184,9 +196,9 @@ def test_disturbance_rows_match_outcome_loop(seed, kind, dims):
     reports = eval_disturbance_bounds(m, f, q, assert_extremal=True)
     full = any(r.bound_id == "conserve-disturb-qfi" for r in reports)
     assert full == (kind == "conserving")
-    for y, fy in f.items():
+    for y, fy in effects(f):
         comm = commutator(fy, q.n_sys)
-        lhs = op_norm(comm - dual(comm))
+        lhs = op_norm(comm.mat - dual(comm))
         families = ["conserve-disturb-commutator", "conserve-disturb-commutator-nondisturbing",
                     "conserve-disturb-unsharpness"]
         if full:
@@ -205,9 +217,9 @@ def test_measurability_rows_match_outcome_loop(seed, kind, dims):
     full = kind == "conserving"
     qval = qfi(q.n_app, m.xi)
     expected = {}
-    for x, tx in target.items():
+    for x, tx in effects(target):
         transferred = apply_map(maps.conj_dual, commutator(m.pointer.effect(x), q.n_app))
-        lhs = op_norm(commutator(tx, q.n_sys) - transferred)
+        lhs = op_norm(commutator(tx, q.n_sys).mat - transferred.mat)
         expected["measure-error-commutator", x] = (lhs, None)
         if full:
             expected["measure-error-qfi", x] = (lhs, None)
@@ -224,7 +236,7 @@ def test_way_rows_match_outcome_loop(seed, kind, dims):
     reports = eval_way(m, q)
     var_xi = variance(q.n_app, m.xi)
     expected = {}
-    for x, ex in measured_observable(m).items():
+    for x, ex in effects(measured_observable(m)):
         lhs = op_norm(commutator(ex, q.n_sys))
         ue = np.sqrt(unsharpness(ex))
         expected["way-weak-yanase-variance", x] = (lhs, 2.0 * np.sqrt(var_xi) * ue)
@@ -242,9 +254,9 @@ def test_distinguishability_rows_match_outcome_loop(seed, kind, dims):
     e_obs = measured_observable(m)
     ns_norm = op_norm(q.n_sys)
     expected = {}
-    for x, eff in e_obs.items():
+    for x, eff in effects(e_obs):
         a = op_norm(eff)
-        b = 1.0 - op_norm(Operator(np.eye(m.sys_dim)) - eff)
+        b = 1.0 - op_norm(np.eye(m.sys_dim) - eff)
         if a - b <= tol.rank_tol:
             continue
         p_max = eigenspace_projector(eff, a).mat
@@ -265,7 +277,7 @@ def test_distinguishability_rows_match_outcome_loop(seed, kind, dims):
             if op_norm(eff) > tol.rank_tol:
                 p_total += eigenspace_projector(eff, 1.0).mat
         compressed = Operator(p_total @ q.n_sys @ p_total)
-        for x, eff in e_obs.items():
+        for x, eff in effects(e_obs):
             expected["repeat-commutant", x] = (op_norm(commutator(eff, compressed)), 0.0)
     if kind == "dilation":
         assert ("repeat-commutant", e_obs.outcomes[0]) in expected

@@ -9,7 +9,7 @@ the battery generator and the benchmark's workloads stay this checkout's, so
 a newer oracle can be run against older code and the two directories hold
 the same files.  It writes:
 
-* ``suite.json``: ``waylab suite``;
+* ``suite.json``, ``suite.csv``: ``waylab suite`` with ``--csv``;
 * ``builtin-<name>.json``: each builtin scenario with ``--run``, at its
   default parameters;
 * ``conservative-scheme-4x6-s0.json``: ``conservative-scheme --sys-dim 4
@@ -41,6 +41,13 @@ the same files.  It writes:
   operator (defects of order one), and ``unitary-equivalence`` tasks on a
   unitary that commutes with ``diag(1, 0, 0, -1)`` and on a Haar unitary
   that does not;
+* ``commutant-gram-window.json``: ``waylab run`` with ``fixed-points``
+  tasks on two unital qutrit channels ``rho -> (rho + U rho U^dag) / 2``,
+  ``U = diag(1, e^{i delta}, -1)``, at ``rank_tol = 1e-6``: the commutator
+  stack's singular value ``delta`` (1.5e-6 and 2.5e-6) lies between the
+  null thresholds of the two ends of the ``||S||_2`` bracket, so
+  ``kraus_commutant`` takes ``||S||_2 = 2`` from the Gram and counts the
+  value as null in the first channel only;
 * ``demo-<script>.txt``: each demo's standard output;
 * ``battery-<offset>.json``: every bound row of the four evaluators and the
   Yanase report for each of 200 random scenarios of the acceptance battery
@@ -207,12 +214,26 @@ def conservation_unitary_scenario() -> dict:
             "objects": objects, "tasks": tasks}
 
 
+def gram_window_scenario() -> dict:
+    from waylab import OperationMap
+    from waylab.cpmaps import operation_to_json
+
+    objects = {}
+    for name, delta in (("Phi_in", 1.5e-6), ("Phi_out", 2.5e-6)):
+        u = np.diag(np.exp(1j * np.array([0.0, delta, np.pi])))
+        phi = OperationMap([np.sqrt(0.5) * np.eye(3), np.sqrt(0.5) * u])
+        objects[name] = {"kind": "channel", **operation_to_json(phi)}
+    return {"schema": 1, "name": "commutant-gram-window", "system_dim": 3,
+            "tolerance": {"eq_tol": 1e-5, "rank_tol": 1e-6}, "objects": objects,
+            "tasks": [{"op": "fixed-points", "channel": name} for name in objects]}
+
+
 def cli_outputs(out_dir: str) -> list[str]:
     """Run the CLI oracles; returns one ``name exit-code`` line per run."""
     from waylab import cli
     from workloads import Luders
 
-    runs = [("suite", ["suite"])]
+    runs = [("suite", ["suite", "--csv", os.path.join(out_dir, "suite.csv")])]
     runs += [(f"builtin-{name}", ["builtin", name, "--run"]) for name in BUILTINS]
     runs.append((
         "conservative-scheme-4x6-s0",
@@ -227,7 +248,7 @@ def cli_outputs(out_dir: str) -> list[str]:
         for scenario in (
             random_instrument_scenario(), luders_unsharp_scenario(),
             unsharp_pointer_scenario(3, 4), unsharp_pointer_scenario(12, 3),
-            cnot_extremal_scenario(), conservation_unitary_scenario(),
+            cnot_extremal_scenario(), conservation_unitary_scenario(), gram_window_scenario(),
         ):
             path = os.path.join(work, f"{scenario['name']}.json")
             with open(path, "w") as fh:
