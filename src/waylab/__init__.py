@@ -20,6 +20,8 @@ The package is organized around a small dense-matrix core:
     fixed-point structure of measurement channels: spectral projector,
     minimal support, restricted fixed-point algebra, norm-1 observables
     and classical post-processing decompositions.
+``serialize``
+    all of the JSON: matrix and scenario-object codecs, the report writer.
 ``cli``
     the ``waylab`` command-line entry point (run / builtin / suite).
 """

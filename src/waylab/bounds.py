@@ -97,9 +97,7 @@ def _profile(outcomes: tuple[str, ...], gaps: np.ndarray) -> Profile:
     return Profile(outcomes=outcomes, norms=norms, max_norm=max(norms.values()))
 
 
-def disturbance_profile(
-    inst: Instrument, f: Observable, tol: Tolerance = DEFAULT_TOL
-) -> Profile:
+def disturbance_profile(inst: Instrument, f: Observable) -> Profile:
     if inst.dim != f.dim:
         raise ValueError(
             f"instrument dimension {inst.dim} does not match observable dimension {f.dim}"
@@ -107,9 +105,7 @@ def disturbance_profile(
     return _profile(f.outcomes, _apply(inst.total(), f._effects, True) - f._effects)
 
 
-def error_profile(
-    m: MeasurementScheme, target: Observable, tol: Tolerance = DEFAULT_TOL
-) -> Profile:
+def error_profile(m: MeasurementScheme, target: Observable) -> Profile:
     if target.dim != m.sys_dim:
         raise ValueError(
             f"target dimension {target.dim} does not match system dimension {m.sys_dim}"
@@ -119,7 +115,7 @@ def error_profile(
             f"target outcomes {list(target.outcomes)} do not match pointer outcomes "
             f"{list(m.pointer.outcomes)}"
         )
-    gaps = measured_observable(m, tol)._effects - target._effects
+    gaps = measured_observable(m)._effects - target._effects
     return _profile(target.outcomes, gaps)
 
 
@@ -201,7 +197,7 @@ def eval_disturbance_bounds(
             f"observable dimension {f.dim} does not match system dimension {m.sys_dim}"
         )
     inst = scheme_to_instrument(m, tol)
-    e_obs = measured_observable(m, tol)
+    e_obs = measured_observable(m)
     digest_items = _scheme_digest_items(m) + [
         list(f.outcomes),
         list(f._effects),
@@ -288,7 +284,7 @@ def eval_measurability_bounds(
     conservation) and, under full conservation only, the Fisher-information
     bound plus its extremal ``eps = 0`` refinement when requested.
     """
-    prof = error_profile(m, target, tol)
+    prof = error_profile(m, target)
     cons = _scheme_conservation(m, q, tol)[1]
     maps = restriction_maps(m, tol)
     gamma_cross = 2.0 * np.sqrt(_gamma_moment_defect(m, q, tol))
@@ -345,7 +341,7 @@ def eval_way(
     target here is the measured observable itself, so the error terms of the
     general statements vanish identically.
     """
-    e_obs = measured_observable(m, tol)
+    e_obs = measured_observable(m)
     cons = _scheme_conservation(m, q, tol)[1]
     yan = yanase_conditions(m, q, tol)
     digest = digest_inputs("way", *_scheme_digest_items(m), q.n_sys, q.n_app)
@@ -427,7 +423,7 @@ def eval_distinguishability_bounds(
         )
 
     inst = scheme_to_instrument(m, tol)
-    e_obs = measured_observable(m, tol)
+    e_obs = measured_observable(m)
     maps = restriction_maps(m, tol)
     cons = _scheme_conservation(m, q, tol)[1]
     digest = digest_inputs(

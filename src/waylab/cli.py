@@ -39,7 +39,7 @@ from .conserve import (
     conservative_unitary,
     yanase_conditions,
 )
-from .cpmaps import OperationMap, operation_from_json, operation_to_json
+from .cpmaps import OperationMap
 from .fixpt import (
     analyze_fixed_points,
     cesaro_supermatrix,
@@ -52,19 +52,13 @@ from .measure import (
     Instrument,
     MeasurementScheme,
     Observable,
-    instrument_from_json,
-    instrument_to_json,
     luders_instrument,
     normal_dilation,
-    observable_from_json,
-    observable_to_json,
     repeatability_report,
-    scheme_from_json,
     scheme_to_instrument,
-    scheme_to_json,
     sharp_observable,
 )
-from .opcore import DEFAULT_TOL, Tolerance, _checked, op_norm_mat
+from .opcore import DEFAULT_TOL, Tolerance, op_norm_mat
 from .rand import random_state
 from .reporting import BoundReport, summarize
 from .serialize import SchemaError
@@ -73,17 +67,6 @@ from .serialize import SchemaError
 # eigendecompositions and solves, whose rounding adds up past eq_tol; their
 # task is ok when the reconstruction defects stay below this.
 _RECONSTRUCTION_OK_TOL = 1e-7
-
-_OBJECT_KINDS = (
-    "operator",
-    "vector",
-    "observable",
-    "instrument",
-    "channel",
-    "scheme",
-    "quantity",
-)
-
 
 class _Scenario:
     def __init__(self, name: str, sys_dim: int, tol: Tolerance):
@@ -121,10 +104,7 @@ def _resolve_tolerance(scenario_obj: dict, args: argparse.Namespace) -> Toleranc
     """Precedence: command line over environment over scenario over default.
     A scenario value must be a JSON number, an environment value a number's text."""
     block = scenario_obj.get("tolerance")
-    if block is None:
-        block = {}
-    if not isinstance(block, dict):
-        raise SchemaError("tolerance: expected an object")
+    block = {} if block is None else serialize._object(block, "tolerance")
     tols = {}
     for field, env, flag in (("eq_tol", "WAYLAB_TOL", "tol"),
                              ("rank_tol", "WAYLAB_RANK_TOL", "rank_tol")):
@@ -134,38 +114,7 @@ def _resolve_tolerance(scenario_obj: dict, args: argparse.Namespace) -> Toleranc
             tols[field] = _number(os.environ[env], env, (str,))
         if getattr(args, flag, None) is not None:
             tols[field] = getattr(args, flag)
-    try:
-        return Tolerance(**tols)
-    except ValueError as exc:
-        raise SchemaError(f"tolerance: {exc}") from exc
-
-
-def _parse_object(name: str, obj: Any, sys_dim: int, tol: Tolerance) -> tuple[str, Any]:
-    where = f"objects.{name}"
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: expected an object")
-    kind = obj.get("kind")
-    if kind not in _OBJECT_KINDS:
-        raise SchemaError(f"{where}.kind: expected one of {_OBJECT_KINDS}, got {kind!r}")
-    if kind == "operator":
-        return kind, _checked(serialize.matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
-    if kind == "vector":
-        return kind, serialize.vector_from_json(obj.get("values"), f"{where}.values")
-    if kind == "observable":
-        return kind, observable_from_json(obj, where, tol)
-    if kind == "instrument":
-        return kind, instrument_from_json(obj, where, tol)
-    if kind == "channel":
-        phi = operation_from_json(obj, where)
-        if not phi.is_channel(tol):
-            raise SchemaError(f"{where}: Kraus operators do not form a channel")
-        return kind, phi
-    if kind == "scheme":
-        return kind, scheme_from_json(obj, sys_dim, where, tol)
-    # the last of _OBJECT_KINDS: a quantity
-    n_sys = serialize.matrix_from_json(obj.get("system"), f"{where}.system")
-    n_app = serialize.matrix_from_json(obj.get("apparatus"), f"{where}.apparatus")
-    return kind, AdditiveQuantity(n_sys=n_sys, n_app=n_app, tol=tol)
+    return serialize._built("tolerance", Tolerance, **tols)
 
 
 def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[dict]]:
@@ -181,16 +130,9 @@ def parse_scenario(obj: Any, args: argparse.Namespace) -> tuple[_Scenario, list[
         raise SchemaError("scenario.system_dim: expected a positive integer")
     tol = _resolve_tolerance(obj, args)
     scn = _Scenario(name, sys_dim, tol)
-    objects = obj.get("objects", {})
-    if not isinstance(objects, dict):
-        raise SchemaError("scenario.objects: expected an object")
-    for obj_name, body in objects.items():
-        try:
-            scn.objects[obj_name] = _parse_object(obj_name, body, sys_dim, tol)
-        except SchemaError:
-            raise
-        except ValueError as exc:  # an operator or channel that fails its checks
-            raise SchemaError(f"objects.{obj_name}: {exc}") from exc
+    objects = serialize._object(obj.get("objects", {}), "scenario.objects")
+    for key, body in objects.items():
+        scn.objects[key] = serialize.object_from_json(body, f"objects.{key}", sys_dim, tol)
     tasks = obj.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         raise SchemaError("scenario.tasks: expected a non-empty list")
@@ -422,10 +364,10 @@ def _builtin_qubit_luders(args: argparse.Namespace) -> dict:
     m = normal_dilation(b)
     f = sharp_observable(_SZ)
     objects = {
-        "B": {"kind": "observable", **observable_to_json(b)},
-        "F": {"kind": "observable", **observable_to_json(f)},
-        "I": {"kind": "instrument", **instrument_to_json(inst)},
-        "M": {"kind": "scheme", **scheme_to_json(m)},
+        "B": {"kind": "observable", **serialize.observable_to_json(b)},
+        "F": {"kind": "observable", **serialize.observable_to_json(f)},
+        "I": {"kind": "instrument", **serialize.instrument_to_json(inst)},
+        "M": {"kind": "scheme", **serialize.scheme_to_json(m)},
         "N": _quantity_json(0.5 * _SZ, 0.5 * _SZ),
     }
     tasks = [
@@ -451,7 +393,7 @@ def _builtin_qutrit_average_vs_full(args: argparse.Namespace) -> dict:
     phi = OperationMap(kraus)
     n = np.diag([1.0, 0.0, -1.0]).astype(complex)
     objects = {
-        "Phi": {"kind": "channel", **operation_to_json(phi)},
+        "Phi": {"kind": "channel", **serialize.operation_to_json(phi)},
         "N": {"kind": "operator", "matrix": serialize.matrix_to_json(n)},
     }
     tasks = [
@@ -472,9 +414,9 @@ def _builtin_normal_dilation(args: argparse.Namespace) -> dict:
     m = normal_dilation(b)
     n = np.diag([1.0, 0.0, -1.0]).astype(complex)
     objects = {
-        "B": {"kind": "observable", **observable_to_json(b)},
-        "I": {"kind": "instrument", **instrument_to_json(inst)},
-        "M": {"kind": "scheme", **scheme_to_json(m)},
+        "B": {"kind": "observable", **serialize.observable_to_json(b)},
+        "I": {"kind": "instrument", **serialize.instrument_to_json(inst)},
+        "M": {"kind": "scheme", **serialize.scheme_to_json(m)},
         "N": _quantity_json(n, n),
     }
     tasks = [
@@ -517,9 +459,9 @@ def _builtin_conservative_scheme(args: argparse.Namespace) -> dict:
     )
     suffix = "-aligned" if args.aligned else ""
     objects = {
-        "M": {"kind": "scheme", **scheme_to_json(m)},
-        "F": {"kind": "observable", **observable_to_json(f)},
-        "T": {"kind": "observable", **observable_to_json(target)},
+        "M": {"kind": "scheme", **serialize.scheme_to_json(m)},
+        "F": {"kind": "observable", **serialize.observable_to_json(f)},
+        "T": {"kind": "observable", **serialize.observable_to_json(target)},
         "N": _quantity_json(n_sys, n_app),
     }
     tasks = [
@@ -547,9 +489,9 @@ def _builtin_rank1_collapse(args: argparse.Namespace) -> dict:
     inst = Instrument(["e0", "e1"], [OperationMap(k0), OperationMap(k1)])
     e_obs = inst.induced_observable()
     objects = {
-        "I": {"kind": "instrument", **instrument_to_json(inst)},
-        "Phi": {"kind": "channel", **operation_to_json(inst.total())},
-        "E": {"kind": "observable", **observable_to_json(e_obs)},
+        "I": {"kind": "instrument", **serialize.instrument_to_json(inst)},
+        "Phi": {"kind": "channel", **serialize.operation_to_json(inst.total())},
+        "E": {"kind": "observable", **serialize.observable_to_json(e_obs)},
     }
     tasks = [
         {"op": "repeatability", "instrument": "I"},

@@ -265,7 +265,7 @@ def yanase_conditions(
     """The :class:`YanaseReport`, cached on ``m`` per quantity and tolerance."""
     n_comp, cons = _scheme_conservation(m, q, tol)
     per_y = _commutator_norms(m.pointer, q.n_app)
-    per_w = _commutator_norms(heisenberg_pointer(m, tol), n_comp)
+    per_w = _commutator_norms(heisenberg_pointer(m), n_comp)
     yanase = max(per_y.values())
     weak = max(per_w.values())
 

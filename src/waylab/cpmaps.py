@@ -16,11 +16,11 @@ product of their ``M x M`` QR factors.  For longer families, ``M x M`` Grams
 bound every image's norm, and only the images whose bound reaches the
 largest norm found so far are built and reduced, in descending order.
 
-The constructor validates shapes only; whether the family is trace
-non-increasing (``is_operation``) or trace preserving (``is_channel``) is a
-predicate, because several useful Kraus views (duals of non-unital channels,
-restriction maps) intentionally live outside the trace-non-increasing cone
-while their ``apply`` is still the map we want.
+The constructor validates shapes and finite entries only; whether the
+family is trace non-increasing (``is_operation``) or trace preserving
+(``is_channel``) is a predicate, because several useful Kraus views (duals
+of non-unital channels, restriction maps) intentionally live outside the
+trace-non-increasing cone while their ``apply`` is still the map we want.
 
 Vectorization is column-stacking: ``vec(ABC) = (C^T kron A) vec(B)``, so the
 dual map's supermatrix is ``sum K^T kron K^dag`` and the state-side
@@ -45,7 +45,6 @@ from .opcore import (
     max_op_norm,
     op_norm_mat,
 )
-from . import serialize
 
 __all__ = [
     "OperationMap",
@@ -56,8 +55,6 @@ __all__ = [
     "compose",
     "dual_view",
     "to_supermatrix",
-    "operation_from_json",
-    "operation_to_json",
 ]
 
 
@@ -150,6 +147,8 @@ class OperationMap(_Immutable):
             if m.shape != mats[0].shape:
                 raise ValueError(f"inconsistent Kraus shapes: {m.shape} vs {mats[0].shape}")
         stack = np.array(mats, dtype=complex)
+        if not np.isfinite(stack).all():
+            raise ValueError("Kraus operator entries must be finite")
         stack.setflags(write=False)
         out_dim, in_dim = mats[0].shape
         for name, value in zip(self.__slots__, (stack, in_dim, out_dim, {})):
@@ -206,7 +205,7 @@ def _apply(phi: OperationMap, x: np.ndarray, dual: bool) -> np.ndarray:
     k = phi._kraus
     kh = k.conj().swapaxes(1, 2)
     left, right = (kh, k) if dual else (k, kh)
-    return (left @ np.expand_dims(x, -3) @ right).sum(axis=-3)
+    return (left @ x[..., None, :, :] @ right).sum(axis=-3)
 
 
 def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -361,24 +360,3 @@ def to_supermatrix(phi: OperationMap) -> np.ndarray:
             total += prod
     total.setflags(write=False)
     return total.reshape(n_in * n_in, n_out * n_out)
-
-
-def operation_from_json(obj: Any, where: str = "channel") -> OperationMap:
-    """Build from ``{"kraus": [matrix, ...]}`` or ``{"unitary": matrix}``."""
-    if not isinstance(obj, dict):
-        raise serialize.SchemaError(f"{where}: expected an object")
-    if "unitary" in obj:
-        u = serialize.matrix_from_json(obj["unitary"], f"{where}.unitary")
-        return OperationMap([u])
-    if "kraus" in obj:
-        ks = obj["kraus"]
-        if not isinstance(ks, list) or not ks:
-            raise serialize.SchemaError(f"{where}.kraus: expected a non-empty list")
-        return OperationMap(
-            [serialize.matrix_from_json(k, f"{where}.kraus[{i}]") for i, k in enumerate(ks)]
-        )
-    raise serialize.SchemaError(f"{where}: needs a 'kraus' or 'unitary' field")
-
-
-def operation_to_json(phi: OperationMap) -> dict:
-    return {"kraus": [serialize.matrix_to_json(k) for k in phi.kraus]}

@@ -142,8 +142,6 @@ class FixedPointAnalysis:
         return w @ np.asarray(b, dtype=complex) @ w.conj().T
 
     def to_dict(self) -> dict:
-        from . import serialize
-
         return {
             "fixed_dim": self.fixed_dim,
             "faithful": self.faithful,
@@ -151,9 +149,9 @@ class FixedPointAnalysis:
             "max_fixed_defect": self.max_fixed_defect,
             "commutant_consistent": self.commutant_consistent,
             "support_rank": int(self.p_isometry.shape[1]),
-            "P": serialize.matrix_to_json(self.support_p),
-            "rho0": serialize.matrix_to_json(self.rho0),
-            "basis": [serialize.matrix_to_json(b) for b in self.basis],
+            "P": self.support_p,
+            "rho0": self.rho0,
+            "basis": self.basis,
         }
 
 
@@ -551,10 +549,10 @@ def structural_necessary_conditions(
         raise ValueError("observable dimension does not match the system")
     cons = _scheme_conservation(m, q, tol)[1]
     inst = scheme_to_instrument(m, tol)
-    e_obs = measured_observable(m, tol)
+    e_obs = measured_observable(m)
     analysis = analyze_fixed_points(inst.total(), tol)
 
-    nondisturbed = disturbance_profile(inst, f, tol).max_norm <= tol.eq_tol
+    nondisturbed = disturbance_profile(inst, f).max_norm <= tol.eq_tol
 
     repeat_defect, fk_defect = _scheme_repeat_first_kind(m, tol)
     first_kind = fk_defect <= tol.eq_tol
@@ -664,11 +662,9 @@ class Norm1Result:
     distinguish_defect: float
 
     def to_dict(self) -> dict:
-        from . import serialize
-
         return {
             "outcomes": list(self.observable.outcomes),
-            "effects": [serialize.matrix_to_json(e) for e in self.observable._effects],
+            "effects": self.observable._effects,
             "skipped_outcomes": list(self.skipped_outcomes),
             "faithful": self.faithful,
             "sharp": self.sharp,
@@ -766,12 +762,10 @@ class PostProcessingResult:
     sharp: bool
 
     def to_dict(self) -> dict:
-        from . import serialize
-
         return {
             "labels": list(self.observable.outcomes),
-            "effects": [serialize.matrix_to_json(e) for e in self.observable._effects],
-            "matrix": [[float(v) for v in row] for row in self.matrix],
+            "effects": self.observable._effects,
+            "matrix": self.matrix,
             "outcomes": list(self.outcomes),
             "reconstruction_defect": self.reconstruction_defect,
             "faithful": self.faithful,
@@ -792,7 +786,7 @@ def post_processing_decomposition(
     reproducible; the recovered effects satisfy ``E(x) = sum_z p(x|z) G(z)``
     up to the reported defect.
     """
-    e_obs = inst.induced_observable(tol)
+    e_obs = inst.induced_observable()
     if e_obs.is_trivial(tol):
         raise ValueError("induced observable is trivial; no decomposition")
     fk_defect = _repeat_first_kind(inst, e_obs)[1]

@@ -26,7 +26,6 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from . import serialize
 from .cpmaps import (
     OperationMap,
     _Immutable,
@@ -36,8 +35,6 @@ from .cpmaps import (
     _stack_families,
     compose,
     dual_view,
-    operation_from_json,
-    operation_to_json,
 )
 from .opcore import (
     DEFAULT_TOL,
@@ -73,12 +70,6 @@ __all__ = [
     "heisenberg_pointer",
     "normal_dilation",
     "repeatability_report",
-    "observable_from_json",
-    "observable_to_json",
-    "instrument_from_json",
-    "instrument_to_json",
-    "scheme_from_json",
-    "scheme_to_json",
 ]
 
 
@@ -246,8 +237,8 @@ class Instrument:
         """The measurement channel ``I_X = sum_x I_x``."""
         return self._total
 
-    def induced_observable(self, tol: Tolerance = DEFAULT_TOL) -> Observable:
-        """``x -> I*_x(1)``, not checked again (``tol`` is not used)."""
+    def induced_observable(self) -> Observable:
+        """``x -> I*_x(1)``, not checked again."""
         eye = np.eye(self.dim, dtype=complex)
         grams = np.array([_apply(op, eye, True) for op in self._operations])
         return Observable._derived(self._outcomes, _hermitian_parts(grams))
@@ -405,7 +396,7 @@ def _coupled_pointer(m: MeasurementScheme) -> np.ndarray:
 
 
 @_per_object
-def measured_observable(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
+def measured_observable(m: MeasurementScheme) -> Observable:
     """Effects ``Gamma_xi(E*(1 (x) Z(x)))`` of the scheme."""
     dS, dA = m.sys_dim, m.app_dim
     one_xi = np.kron(np.eye(dS), m.xi)
@@ -433,7 +424,7 @@ def restriction_maps(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Rest
 
 
 @_per_object
-def heisenberg_pointer(m: MeasurementScheme, tol: Tolerance = DEFAULT_TOL) -> Observable:
+def heisenberg_pointer(m: MeasurementScheme) -> Observable:
     """Coupled pointer ``Z^tau(x) = E*(1 (x) Z(x))`` on the composite."""
     return Observable._derived(m.pointer.outcomes, _hermitian_parts(_coupled_pointer(m)))
 
@@ -601,7 +592,7 @@ def _scheme_repeat_first_kind(
 ) -> tuple[float, float]:
     """Repeatability and first-kind defects (:func:`_repeat_first_kind`) of the
     scheme's instrument against its measured observable."""
-    return _repeat_first_kind(scheme_to_instrument(m, tol), measured_observable(m, tol))[:2]
+    return _repeat_first_kind(scheme_to_instrument(m, tol), measured_observable(m))[:2]
 
 
 def repeatability_report(
@@ -631,7 +622,7 @@ def repeatability_report(
     if missing:
         raise ValueError(f"instrument outcomes {missing} are not outcomes of the scheme's "
                          f"pointer {list(m.outcomes)}")
-    e_obs = inst.induced_observable(tol)
+    e_obs = inst.induced_observable()
     eye = np.eye(d)
 
     repeat_defect, fk_defect, per_outcome = _repeat_first_kind(inst, e_obs)
@@ -782,87 +773,3 @@ def repeatability_report(
         items=items,
         items_applicable=bool(repeatable),
     )
-
-
-# ---------------------------------------------------------------------------
-# JSON descriptors
-# ---------------------------------------------------------------------------
-
-
-def observable_from_json(obj: Any, where: str = "observable",
-                         tol: Tolerance = DEFAULT_TOL) -> Observable:
-    if not isinstance(obj, dict):
-        raise serialize.SchemaError(f"{where}: expected an object")
-    outcomes = obj.get("outcomes")
-    effects = obj.get("effects")
-    if not isinstance(outcomes, list) or not outcomes:
-        raise serialize.SchemaError(f"{where}.outcomes: expected a non-empty list")
-    if not isinstance(effects, list) or len(effects) != len(outcomes):
-        raise serialize.SchemaError(
-            f"{where}.effects: expected one effect per outcome"
-        )
-    mats = [
-        serialize.matrix_from_json(m, f"{where}.effects[{i}]") for i, m in enumerate(effects)
-    ]
-    try:
-        return Observable([str(x) for x in outcomes], mats, tol)
-    except ValueError as exc:
-        raise serialize.SchemaError(f"{where}: {exc}") from exc
-
-
-def observable_to_json(obs: Observable) -> dict:
-    return {
-        "outcomes": list(obs.outcomes),
-        "effects": [serialize.matrix_to_json(e) for e in obs._effects],
-    }
-
-
-def instrument_from_json(obj: Any, where: str = "instrument",
-                         tol: Tolerance = DEFAULT_TOL) -> Instrument:
-    if not isinstance(obj, dict):
-        raise serialize.SchemaError(f"{where}: expected an object")
-    outcomes = obj.get("outcomes")
-    operations = obj.get("operations")
-    if not isinstance(outcomes, list) or not outcomes:
-        raise serialize.SchemaError(f"{where}.outcomes: expected a non-empty list")
-    if not isinstance(operations, list) or len(operations) != len(outcomes):
-        raise serialize.SchemaError(f"{where}.operations: expected one operation per outcome")
-    ops = [
-        operation_from_json(o, f"{where}.operations[{i}]") for i, o in enumerate(operations)
-    ]
-    try:
-        return Instrument([str(x) for x in outcomes], ops, tol)
-    except ValueError as exc:
-        raise serialize.SchemaError(f"{where}: {exc}") from exc
-
-
-def instrument_to_json(inst: Instrument) -> dict:
-    return {
-        "outcomes": list(inst.outcomes),
-        "operations": [operation_to_json(op) for op in inst.operations],
-    }
-
-
-def scheme_from_json(obj: Any, sys_dim: int, where: str = "scheme",
-                     tol: Tolerance = DEFAULT_TOL) -> MeasurementScheme:
-    if not isinstance(obj, dict):
-        raise serialize.SchemaError(f"{where}: expected an object")
-    app_dim = obj.get("apparatus_dim")
-    if type(app_dim) is not int or app_dim < 1:
-        raise serialize.SchemaError(f"{where}.apparatus_dim: expected a positive integer")
-    xi = serialize.matrix_from_json(obj.get("xi"), f"{where}.xi")
-    coupling = operation_from_json(obj.get("coupling"), f"{where}.coupling")
-    pointer = observable_from_json(obj.get("pointer"), f"{where}.pointer", tol)
-    try:
-        return MeasurementScheme(sys_dim, app_dim, xi, coupling, pointer, tol)
-    except ValueError as exc:
-        raise serialize.SchemaError(f"{where}: {exc}") from exc
-
-
-def scheme_to_json(m: MeasurementScheme) -> dict:
-    return {
-        "apparatus_dim": m.app_dim,
-        "xi": serialize.matrix_to_json(m.xi),
-        "coupling": operation_to_json(m.coupling),
-        "pointer": observable_to_json(m.pointer),
-    }

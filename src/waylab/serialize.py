@@ -1,9 +1,14 @@
-"""JSON codecs with deterministic float formatting.
+"""All of waylab's JSON: the codecs of matrices and of every scenario object,
+and a report writer with deterministic float formatting.
 
-Matrices travel as row-major nested lists of ``[re, im]`` pairs.  Report
-emission goes through :func:`dumps`, a small recursive writer that renders
-every float with 17 significant digits so identical inputs produce
-byte-identical files; the stdlib ``json`` module cannot pin float formatting.
+Matrices travel as row-major nested lists of ``[re, im]`` pairs.  An object
+reader checks the JSON's shape and builds the object with its public
+constructor, whose failed check becomes a :class:`SchemaError` naming the
+object's path; the domain modules know nothing of JSON.  Report emission goes
+through :func:`dumps`, a small recursive writer that renders every float with
+17 significant digits so identical inputs produce byte-identical files (the
+stdlib ``json`` module cannot pin float formatting), a complex array as
+:func:`matrix_to_json` writes it and a real one as nested lists.
 
 The codecs cost per matrix, not per element: a well-formed matrix is read with
 one ``np.array`` call, and a matrix (or a list of float pairs) and a dict of
@@ -19,15 +24,31 @@ import math
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import add
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
+from .conserve import AdditiveQuantity
+from .cpmaps import OperationMap
+from .measure import Instrument, MeasurementScheme, Observable
+from .opcore import DEFAULT_TOL, Tolerance, _checked
+
 __all__ = [
+    "SchemaError",
+    "KINDS",
     "matrix_to_json",
     "matrix_from_json",
     "vector_to_json",
     "vector_from_json",
+    "operation_from_json",
+    "operation_to_json",
+    "observable_from_json",
+    "observable_to_json",
+    "instrument_from_json",
+    "instrument_to_json",
+    "scheme_from_json",
+    "scheme_to_json",
+    "object_from_json",
     "format_float",
     "dumps",
 ]
@@ -48,12 +69,20 @@ def format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _lists(a: np.ndarray) -> list:
+    """An array as nested lists, of ``[re, im]`` pairs of floats if it is complex."""
+    if np.iscomplexobj(a):
+        a = np.ascontiguousarray(a, dtype=complex)
+        return a.view(float).reshape(*a.shape, 2).tolist()
+    return a.tolist()
+
+
 def matrix_to_json(m) -> list[list[list[float]]]:
     """Row-major nested list of [re, im] pairs (plain floats, not strings)."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"matrix_to_json expects a 2-D array, got shape {a.shape}")
-    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
+    return _lists(a)
 
 
 def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
@@ -71,10 +100,7 @@ def matrix_from_json(obj: Any, where: str = "matrix") -> np.ndarray:
             ncols = len(row)
         elif len(row) != ncols:
             raise SchemaError(f"{where}[{i}]: ragged row (expected {ncols} entries)")
-        entries = []
-        for j, cell in enumerate(row):
-            entries.append(_entry_from_json(cell, f"{where}[{i}][{j}]"))
-        rows.append(entries)
+        rows.append([_entry_from_json(cell, f"{where}[{i}][{j}]") for j, cell in enumerate(row)])
     return np.array(rows, dtype=complex)
 
 
@@ -111,13 +137,136 @@ def _entry_from_json(cell: Any, where: str) -> complex:
 
 
 def vector_to_json(v) -> list[list[float]]:
-    return np.ascontiguousarray(v, dtype=complex).reshape(-1).view(float).reshape(-1, 2).tolist()
+    return _lists(np.asarray(v, dtype=complex).reshape(-1))
 
 
 def vector_from_json(obj: Any, where: str = "vector") -> np.ndarray:
     if not isinstance(obj, list) or not obj:
         raise SchemaError(f"{where}: expected a non-empty list of entries")
     return np.array([_entry_from_json(cell, f"{where}[{i}]") for i, cell in enumerate(obj)])
+
+
+# ---------------------------------------------------------------------------
+# scenario objects
+# ---------------------------------------------------------------------------
+
+# The kinds of a scenario's ``objects`` entries, in the README's order.
+KINDS = ("operator", "vector", "observable", "instrument", "channel", "scheme", "quantity")
+
+
+def _object(obj: Any, where: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return obj
+
+
+def _per_outcome(obj: dict, where: str, field: str, what: str) -> tuple[list[str], list]:
+    """The ``outcomes`` labels, as strings, and the ``field`` list: one ``what`` per outcome."""
+    outcomes, items = obj.get("outcomes"), obj.get(field)
+    if not isinstance(outcomes, list) or not outcomes:
+        raise SchemaError(f"{where}.outcomes: expected a non-empty list")
+    if not isinstance(items, list) or len(items) != len(outcomes):
+        raise SchemaError(f"{where}.{field}: expected one {what} per outcome")
+    return [str(x) for x in outcomes], items
+
+
+def _built(where: str, make: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+    """``make(*args, **kwargs)``, a public constructor (or check) whose
+    ValueError is re-raised as a :class:`SchemaError` naming ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
+def operation_from_json(obj: Any, where: str = "channel") -> OperationMap:
+    """Build from ``{"kraus": [matrix, ...]}`` or ``{"unitary": matrix}``."""
+    if "unitary" in _object(obj, where):
+        kraus = [matrix_from_json(obj["unitary"], f"{where}.unitary")]
+    elif "kraus" in obj:
+        ks = obj["kraus"]
+        if not isinstance(ks, list) or not ks:
+            raise SchemaError(f"{where}.kraus: expected a non-empty list")
+        kraus = [matrix_from_json(k, f"{where}.kraus[{i}]") for i, k in enumerate(ks)]
+    else:
+        raise SchemaError(f"{where}: needs a 'kraus' or 'unitary' field")
+    return _built(where, OperationMap, kraus)
+
+
+def operation_to_json(phi: OperationMap) -> dict:
+    return {"kraus": _lists(phi._kraus)}
+
+
+def observable_from_json(obj: Any, where: str = "observable",
+                         tol: Tolerance = DEFAULT_TOL) -> Observable:
+    outcomes, effects = _per_outcome(_object(obj, where), where, "effects", "effect")
+    mats = [matrix_from_json(m, f"{where}.effects[{i}]") for i, m in enumerate(effects)]
+    return _built(where, Observable, outcomes, mats, tol)
+
+
+def observable_to_json(obs: Observable) -> dict:
+    return {"outcomes": list(obs.outcomes), "effects": _lists(obs._effects)}
+
+
+def instrument_from_json(obj: Any, where: str = "instrument",
+                         tol: Tolerance = DEFAULT_TOL) -> Instrument:
+    outcomes, operations = _per_outcome(_object(obj, where), where, "operations", "operation")
+    ops = [operation_from_json(o, f"{where}.operations[{i}]") for i, o in enumerate(operations)]
+    return _built(where, Instrument, outcomes, ops, tol)
+
+
+def instrument_to_json(inst: Instrument) -> dict:
+    return {
+        "outcomes": list(inst.outcomes),
+        "operations": [operation_to_json(op) for op in inst.operations],
+    }
+
+
+def scheme_from_json(obj: Any, sys_dim: int, where: str = "scheme",
+                     tol: Tolerance = DEFAULT_TOL) -> MeasurementScheme:
+    app_dim = _object(obj, where).get("apparatus_dim")
+    if type(app_dim) is not int or app_dim < 1:
+        raise SchemaError(f"{where}.apparatus_dim: expected a positive integer")
+    xi = matrix_from_json(obj.get("xi"), f"{where}.xi")
+    coupling = operation_from_json(obj.get("coupling"), f"{where}.coupling")
+    pointer = observable_from_json(obj.get("pointer"), f"{where}.pointer", tol)
+    return _built(where, MeasurementScheme, sys_dim, app_dim, xi, coupling, pointer, tol)
+
+
+def scheme_to_json(m: MeasurementScheme) -> dict:
+    return {
+        "apparatus_dim": m.app_dim,
+        "xi": matrix_to_json(m.xi),
+        "coupling": operation_to_json(m.coupling),
+        "pointer": observable_to_json(m.pointer),
+    }
+
+
+def object_from_json(obj: Any, where: str, sys_dim: int, tol: Tolerance) -> tuple[str, Any]:
+    """The kind and the checked object of a scenario's ``objects`` entry, at
+    the scenario's system dimension and resolved tolerance."""
+    kind = _object(obj, where).get("kind")
+    if kind not in KINDS:
+        raise SchemaError(f"{where}.kind: expected one of {KINDS}, got {kind!r}")
+    if kind == "operator":
+        return kind, _built(where, _checked, matrix_from_json(obj.get("matrix"), f"{where}.matrix"))
+    if kind == "vector":
+        return kind, vector_from_json(obj.get("values"), f"{where}.values")
+    if kind == "observable":
+        return kind, observable_from_json(obj, where, tol)
+    if kind == "instrument":
+        return kind, instrument_from_json(obj, where, tol)
+    if kind == "channel":
+        phi = operation_from_json(obj, where)
+        if not phi.is_channel(tol):
+            raise SchemaError(f"{where}: Kraus operators do not form a channel")
+        return kind, phi
+    if kind == "scheme":
+        return kind, scheme_from_json(obj, sys_dim, where, tol)
+    # the last of KINDS: a quantity
+    n_sys = matrix_from_json(obj.get("system"), f"{where}.system")
+    n_app = matrix_from_json(obj.get("apparatus"), f"{where}.apparatus")
+    return kind, _built(where, AdditiveQuantity, n_sys, n_app, tol)
 
 
 @functools.lru_cache(maxsize=64)
@@ -235,12 +384,8 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
             isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
             for v in seq
         ):
-            parts = [
-                str(int(v))
-                if isinstance(v, (int, np.integer))
-                else format_float(float(v))
-                for v in seq
-            ]
+            parts = [str(int(v)) if isinstance(v, (int, np.integer)) else format_float(float(v))
+                     for v in seq]
             out.append("[" + ", ".join(parts) + "]")
             return
         out.append("[")
@@ -250,6 +395,8 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
             _write(v, out, indent, level + 1)
             sep = ",\n"
         out.append(f"\n{pad}]")
+    elif isinstance(obj, np.ndarray):
+        _write(_lists(obj), out, indent, level)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -82,7 +82,7 @@ def eigen_one_projectors(obs, tol):
 
 def reference_items(inst, m, tol=DEFAULT_TOL):
     d = inst.dim
-    e_obs = inst.induced_observable(tol)
+    e_obs = inst.induced_observable()
     ref = {"sandwich-own-effect": 0.0, "total-localizes": 0.0}
     for x, eff in zip(e_obs.outcomes, e_obs.effects):
         op, em = inst.operation(x), eff.mat
@@ -197,7 +197,7 @@ def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
 def reference_pair_items(inst, tol=DEFAULT_TOL):
     """``projector-exclusivity`` and ``output-orthogonality``, one pair at a time."""
     d = inst.dim
-    e_obs = inst.induced_observable(tol)
+    e_obs = inst.induced_observable()
     proj, _ = eigen_one_projectors(e_obs, tol)
     exclusivity = 0.0
     for x, pm in proj.items():

@@ -422,7 +422,7 @@ def test_scheme_instrument_keeps_its_completeness_check(tmp_path, capsys):
 
 
 # The keys each task op writes after "index", "op" and "ok", in order; the
-# README's "Command line" section lists the same.
+# README's "Command line" table lists the same (test_readme_lists_the_task_record_keys).
 TASK_RECORD_KEYS = {
     "disturbance-bounds": ["bounds_emitted"],
     "measurability-bounds": ["bounds_emitted"],
@@ -452,6 +452,28 @@ TASK_RECORD_KEYS = {
         "equivalence_consistent", "defect_gap",
     ],
 }
+
+
+def test_readme_lists_the_task_record_keys():
+    # each row of the README's key table names its ops and, in order, the keys
+    # every record of those ops holds (a conditional "and ... when ..." key and
+    # parenthetical notes aside)
+    text = README.read_text()
+    table = text[text.index("| `op` | keys after `ok` |"):].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        ops, keys = row.strip("|").split("|")
+        keys = re.sub(r"\([^)]*\)", "", keys).split(",")
+        always = [m.group(1) for k in keys if (m := re.fullmatch(r"\s*`(\w+)`\s*", k))]
+        for op in re.findall(r"`([\w-]+)`", ops):
+            listed[op] = always
+    assert listed == TASK_RECORD_KEYS
+
+
+def test_readme_lists_the_object_kinds():
+    text = README.read_text()
+    kinds = text[text.index("Object kinds:"):].split("Each object is checked")[0]
+    assert tuple(re.findall(r"`(\w+)`\s+\(`", kinds)) == serialize.KINDS
 
 
 def remaining_ops_scenario():
@@ -549,7 +571,7 @@ def test_repeatability_scheme_must_have_the_instrument_outcomes(tmp_path, capsys
     b = measure.Observable(["a", "b"], [0.5 * (np.eye(2) + 0.5 * SX), 0.5 * (np.eye(2) - 0.5 * SX)])
     scenario = cli._builtin_qubit_luders(argparse.Namespace(lam=0.5))
     scenario["objects"]["J"] = {
-        "kind": "instrument", **measure.instrument_to_json(measure.luders_instrument(b))
+        "kind": "instrument", **serialize.instrument_to_json(measure.luders_instrument(b))
     }
     scenario["tasks"] = [{"op": "repeatability", "instrument": "J", "scheme": "M"}]
     scn = tmp_path / "mismatch.json"
@@ -585,7 +607,7 @@ def test_repeatability_scheme_must_share_the_instrument_dimension(tmp_path, caps
     scenario = cli._builtin_qubit_luders(argparse.Namespace(lam=0.5))
     assert scenario["objects"]["M"]["pointer"]["outcomes"] == ["plus", "minus"]
     scenario["objects"]["J"] = {
-        "kind": "instrument", **measure.instrument_to_json(measure.luders_instrument(b))
+        "kind": "instrument", **serialize.instrument_to_json(measure.luders_instrument(b))
     }
     scenario["tasks"] = [{"op": "repeatability", "instrument": "J", "scheme": "M"}]
     scn = tmp_path / "dims.json"

@@ -9,15 +9,13 @@ from waylab.cpmaps import (
     apply_map,
     compose,
     dual_view,
-    operation_from_json,
-    operation_to_json,
     to_supermatrix,
     unvec,
     vec,
 )
 from waylab.opcore import DEFAULT_TOL, op_norm
 from waylab.rand import random_channel, random_hermitian, random_state
-from waylab.serialize import SchemaError
+from waylab.serialize import SchemaError, operation_from_json, operation_to_json
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

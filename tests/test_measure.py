@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from waylab import Observable, Operator, OperationMap, Tolerance, op_norm
 from waylab.bounds import _gamma_moment_defect
 from waylab.conserve import AdditiveQuantity, yanase_conditions
-from waylab.cpmaps import apply_dual, apply_map, operation_to_json, to_supermatrix
+from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
     analyze_fixed_points,
     nondisturbed_norm1_observable,
@@ -18,24 +20,27 @@ from waylab.measure import (
     _coupled_pointer,
     collapse_instrument,
     heisenberg_pointer,
-    instrument_from_json,
-    instrument_to_json,
     luders_instrument,
     measured_observable,
     normal_dilation,
-    observable_from_json,
-    observable_to_json,
     repeatability_report,
     restriction_maps,
-    scheme_from_json,
     scheme_to_instrument,
-    scheme_to_json,
     sharp_observable,
 )
 from waylab.opcore import is_state
 from waylab.rand import haar_unitary, random_channel, random_hermitian, random_povm, random_state
 from waylab import serialize
-from waylab.serialize import SchemaError
+from waylab.serialize import (
+    SchemaError,
+    instrument_from_json,
+    instrument_to_json,
+    observable_from_json,
+    observable_to_json,
+    operation_to_json,
+    scheme_from_json,
+    scheme_to_json,
+)
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SZ = np.diag([1.0, -1.0]).astype(complex)
@@ -82,9 +87,9 @@ BAD_POVMS = {
     "empty": (([], []), "observable needs at least one outcome"),
 }
 # bad (outcomes, operations) likewise
+# (a non-finite Kraus entry fails in OperationMap itself: see
+# test_operation_map_rejects_non_finite_kraus)
 BAD_INSTRUMENTS = {
-    "non-finite": ((["a", "b"], [HALF, OperationMap([NON_FINITE])]),
-                   "operation 'b' is not trace non-increasing"),
     "mixed-dims": ((["a", "b"], [HALF, OperationMap([np.eye(3)])]),
                    "instrument operations must be endomorphisms of one space"),
     "duplicate": ((["a", "a"], [HALF, HALF]), "outcome labels must be distinct"),
@@ -131,8 +136,6 @@ JSON_NON_FINITE = {
     "observable_from_json": "observable.effects[0][0][1]: entries must be finite, got [nan, 0.0]",
     "scheme_from_json":
         "scheme.pointer.effects[0][0][1]: entries must be finite, got [nan, 0.0]",
-    "instrument_from_json":
-        "instrument.operations[1].kraus[0][0][1]: entries must be finite, got [nan, 0.0]",
 }
 
 
@@ -150,6 +153,24 @@ def test_boundaries_reject_bad_input(entry, case):
     if case == "non-finite" and entry in JSON_NON_FINITE:
         expected = JSON_NON_FINITE[entry]
     assert str(caught.value) == expected
+
+
+def test_operation_map_rejects_non_finite_kraus():
+    # rejected when built, before a check's SVD meets the entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's RuntimeWarning included
+        for bad in (np.array([[1.0, 0.0], [0.0, np.inf]]), NON_FINITE):
+            with pytest.raises(ValueError, match="^Kraus operator entries must be finite$"):
+                OperationMap([np.eye(2), bad])
+
+
+def test_instrument_from_json_rejects_non_finite_kraus_entry():
+    # the JSON reader rejects the entry itself, by its path
+    operations = [operation_to_json(HALF), {"kraus": [serialize.matrix_to_json(NON_FINITE)]}]
+    with pytest.raises(SchemaError) as caught:
+        instrument_from_json({"outcomes": ["a", "b"], "operations": operations})
+    want = "instrument.operations[1].kraus[0][0][1]: entries must be finite, got [nan, 0.0]"
+    assert str(caught.value) == want
 
 
 def test_observable_validation():
@@ -374,9 +395,9 @@ def test_scheme_derivations_are_cached_per_tolerance():
     assert scheme_to_instrument(m, tol=tol) is inst
     other = scheme_to_instrument(m, Tolerance(eq_tol=1e-7, rank_tol=1e-8))
     assert other is not inst
-    assert measured_observable(m, tol) is measured_observable(m, tol)
+    assert measured_observable(m) is measured_observable(m)
     assert restriction_maps(m, tol) is restriction_maps(m, tol)
-    assert heisenberg_pointer(m, tol) is heisenberg_pointer(m, tol)
+    assert heisenberg_pointer(m) is heisenberg_pointer(m)
     # another scheme with the same fields keeps its own derivations
     assert scheme_to_instrument(cnot_scheme(), tol) is not inst
     # the fixed-point analysis is cached the same way on the (immutable) map
@@ -398,7 +419,7 @@ def test_scheme_derivations_are_cached_per_tolerance():
     # the measured observable and the coupled pointer share one E*(1 (x) Z) stack
     for derive in (measured_observable, heisenberg_pointer):
         fresh = cnot_scheme()
-        derive(fresh, tol)
+        derive(fresh)
         assert ("_coupled_pointer",) in fresh._memo
     coupled = _coupled_pointer(fresh)
     assert _coupled_pointer(fresh) is coupled and not coupled.flags.writeable

@@ -1,5 +1,7 @@
+import ast
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -354,3 +356,44 @@ def test_matrix_and_vector_to_json_keep_every_float():
                                                     [[0.0, 0.0], [1.0, 0.0]]]
     with pytest.raises(ValueError, match="2-D"):
         matrix_to_json(m[0])
+
+
+def test_dumps_writes_arrays_as_their_json_lists():
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    stack[0, 0, 0], stack[1, 2, 3], stack[2, 1, 1] = -0.0, complex(0.0, -0.0), complex(-0.0, -0.0)
+    stack.setflags(write=False)  # records hold read-only arrays
+    for m in (stack[0], stack[1].T, stack[:, :2, :3]):
+        assert dumps(m) == dumps([matrix_to_json(a) for a in m] if m.ndim == 3
+                                 else matrix_to_json(m))
+    assert dumps({"P": stack[2], "basis": stack}) == dumps(
+        {"P": matrix_to_json(stack[2]), "basis": [matrix_to_json(a) for a in stack]})
+    real = rng.random((3, 4))
+    real[1, 1] = -0.0
+    assert dumps(real) == dumps(real.tolist())
+    assert dumps({"matrix": real[:, :2]}) == dumps({"matrix": real[:, :2].tolist()})
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for arr in (stack.copy(), real.copy()):
+            arr.reshape(-1)[5] = bad
+            with pytest.raises(ValueError, match="cannot serialize non-finite float"):
+                dumps({"m": arr})
+
+
+def test_only_serialize_and_cli_know_the_json_schema():
+    # the domain modules are JSON-free: no other module imports serialize or
+    # names its SchemaError
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "waylab"
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("serialize", "cli"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or "", *(a.name for a in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                names = [node.id if isinstance(node, ast.Name) else node.attr]
+            else:
+                continue
+            bad = [n for n in names if n.split(".")[-1] in ("serialize", "SchemaError")]
+            assert not bad, f"{path.name}:{node.lineno} names {bad}"

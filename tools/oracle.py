@@ -91,7 +91,7 @@ LUDERS_SEEDS = (0, 97)
 
 def random_instrument_scenario() -> dict:
     from waylab import Instrument, OperationMap
-    from waylab.measure import instrument_to_json
+    from waylab.serialize import instrument_to_json
     from waylab.rand import random_channel
 
     kraus = random_channel(8, 8, 6, np.random.default_rng(9)).kraus
@@ -109,8 +109,9 @@ def random_instrument_scenario() -> dict:
 
 def luders_unsharp_scenario() -> dict:
     from waylab import Observable
-    from waylab.measure import instrument_to_json, luders_instrument
+    from waylab.measure import luders_instrument
     from waylab.rand import random_povm
+    from waylab.serialize import instrument_to_json
 
     effects = random_povm(10, 8, np.random.default_rng(10))
     inst = luders_instrument(Observable([f"x{i}" for i in range(8)], effects))
@@ -191,8 +192,8 @@ def cnot_extremal_scenario() -> dict:
 def conservation_unitary_scenario() -> dict:
     from waylab import serialize
     from waylab.conserve import conservative_unitary
-    from waylab.cpmaps import operation_to_json
     from waylab.rand import haar_unitary, random_channel, random_hermitian
+    from waylab.serialize import operation_to_json
 
     rng = np.random.default_rng(4)
     n = np.diag([1.0, 0.0, 0.0, -1.0])
@@ -216,7 +217,7 @@ def conservation_unitary_scenario() -> dict:
 
 def gram_window_scenario() -> dict:
     from waylab import OperationMap
-    from waylab.cpmaps import operation_to_json
+    from waylab.serialize import operation_to_json
 
     objects = {}
     for name, delta in (("Phi_in", 1.5e-6), ("Phi_out", 2.5e-6)):
