@@ -279,8 +279,8 @@ def run_scenario(scn: _Scenario, tasks: list[dict]) -> dict:
         except (ValueError, RuntimeError) as exc:
             raise SchemaError(f"tasks[{i}] ({task['op']}): {exc}") from exc
         records.append(record)
-        all_reports.extend(reports)
-    all_reports.sort(key=lambda r: (r.inputs_digest, r.bound_id, r.outcome))
+        # rows in task order, each task's sorted by (bound_id, outcome)
+        all_reports.extend(sorted(reports, key=lambda r: (r.bound_id, r.outcome)))
     summary = summarize(all_reports)
     summary["tasks_ok"] = sum(1 for r in records if r["ok"] is True)
     summary["tasks_failed"] = sum(1 for r in records if r["ok"] is False)

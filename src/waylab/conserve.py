@@ -210,23 +210,22 @@ def conservative_unitary(
     """Random unitary commuting with ``n``.
 
     Samples a Hermitian generator block-diagonal in the eigenspaces of ``n``
-    (eigenvalues clustered at ``rank_tol`` gaps) and exponentiates.
+    (eigenvalues clustered at ``rank_tol`` gaps) and exponentiates it block
+    by block, each block through its own ``eigh``.  One Newton-Schulz step
+    ``U (3 - U^dag U) / 2`` towards the unitary polar factor then takes
+    ``||U^dag U - 1||`` to the rounding of one product.
     """
     n = _require_hermitian(n, tol, "conserved quantity")
     w, v = np.linalg.eigh(_hermitian_parts(n))
     d = len(n)
-    h = np.zeros((d, d), dtype=complex)
+    e = np.zeros((d, d), dtype=complex)
     for idx in eigen_clusters(w, tol.rank_tol):
         k = len(idx)
         z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        block = 0.5 * strength * (z + z.conj().T)
-        rows = np.ix_(idx, idx)
-        h[rows] = block
-    h_full = v @ h @ v.conj().T
-    # imported at its one use: the import takes longer than all of waylab's
-    import scipy.linalg
-
-    return Operator(scipy.linalg.expm(1j * h_full))
+        theta, basis = np.linalg.eigh(0.5 * strength * (z + z.conj().T))
+        e[np.ix_(idx, idx)] = (basis * np.exp(1j * theta)) @ basis.conj().T
+    u = v @ e @ v.conj().T
+    return Operator(0.5 * u @ (3.0 * np.eye(d) - u.conj().T @ u))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .opcore import (
     _commutators,
     _hermitian_parts,
     _psd_sqrts,
+    _seeded_weights,
     eigen_clusters,
     hermitian_basis,
     max_op_norm,
@@ -97,6 +98,9 @@ _COMMUTANT_AGREE_FLOOR = 1e-8
 # combination only up to that basis's eigenvector error, which grows as the
 # cluster gaps shrink; a family that does not commute misses this by far.
 _JOINT_BLOCK_TOL = 1e-7
+# Seed of the diagonal weight and the functional that fix the basis of the
+# support of rho0 (``p_isometry``); any seed gives a basis of the same range.
+_SUPPORT_SEED = 1414
 
 
 @dataclasses.dataclass(frozen=True)
@@ -107,7 +111,11 @@ class FixedPointAnalysis:
     ``(fixed_dim, d, d)`` of Hermitian operators; ``fixed_states`` holds, as
     columns, an orthonormal vec-basis of the state-side fixed space
     ``{T : Phi(T) = T}`` (the left null vectors of ``M - 1`` from the same
-    SVD as the right ones, so ``fixed_dim`` columns).  Arrays are read-only.
+    SVD as the right ones, so ``fixed_dim`` columns).  ``basis``,
+    ``p_isometry`` (orthonormal columns spanning the support of ``rho0``) and
+    ``restricted_basis`` are canonical: each depends only on the space it
+    spans (:func:`opcore.hermitian_basis`, :func:`_support_isometry`), not on
+    the vectors a decomposition happened to return.  Arrays are read-only.
     """
 
     dim: int
@@ -303,6 +311,21 @@ def _closed_under_products(basis: np.ndarray, eq_tol: float) -> bool:
     return True
 
 
+def _support_isometry(w: np.ndarray) -> np.ndarray:
+    """The basis of the range of ``P = w w^dag`` (``w`` with orthonormal
+    columns) that depends only on ``P``: the eigenvectors of ``w^dag S w`` for a
+    fixed, seeded diagonal ``S``, each with the phase that makes a fixed,
+    seeded real functional positive.  ``eigh(rho0)`` alone picks arbitrary
+    vectors in a degenerate eigenspace of ``rho0``.  With a diagonal ``S`` and
+    a real functional, a range spanned by standard basis vectors gets those
+    vectors back, up to sign, so compressions of diagonal operators stay
+    exactly diagonal (their commutators exactly zero)."""
+    weight, functional = _seeded_weights(_SUPPORT_SEED, len(w))
+    w = w @ np.linalg.eigh((w.conj().T * weight) @ w)[1]
+    phase = functional @ w
+    return w * (np.abs(phase) / phase)
+
+
 @_per_object
 def analyze_fixed_points(
     phi: OperationMap, tol: Tolerance = DEFAULT_TOL
@@ -339,7 +362,7 @@ def analyze_fixed_points(
         )
     proj = right @ np.linalg.solve(lr, left.conj().T)
 
-    herm = np.array(hermitian_basis([unvec(right[:, i], d) for i in range(r)], tol.rank_tol))
+    herm = hermitian_basis(right.T.reshape(r, d, d).swapaxes(1, 2), tol.rank_tol)
     if len(herm) != r:
         raise ValueError(
             f"failed to build a Hermitian basis of the fixed space "
@@ -350,12 +373,12 @@ def analyze_fixed_points(
     rho0 = _hermitian_parts(unvec(proj.conj().T @ vec(np.eye(d) / d), d))
     w, v = np.linalg.eigh(rho0)
     mask = w > tol.rank_tol
-    w_iso = v[:, mask]
-    support = w_iso @ w_iso.conj().T
+    support = v[:, mask] @ v[:, mask].conj().T
+    w_iso = _support_isometry(v[:, mask])
     rp = int(mask.sum())
     faithful = rp == d
 
-    restricted = np.array(hermitian_basis(w_iso.conj().T @ herm @ w_iso, tol.rank_tol))
+    restricted = hermitian_basis(w_iso.conj().T @ herm @ w_iso, tol.rank_tol)
 
     certified = len(restricted) == r and max_defect <= tol.eq_tol
     if certified:
@@ -410,8 +433,9 @@ def check_minimal_support(
     Checks that the averaged dual maps ``P`` to the identity and its
     complement to zero, that it sandwiches every input invisibly, that all
     state-side fixed operators live inside ``P``, that no rank-one reduction
-    of ``P`` keeps the unitality property (minimality probe), and that the
-    one-step dual only expands ``P``.
+    of ``P`` keeps the unitality property (minimality probe, over the
+    projectors onto the columns of ``p_isometry``, a basis that depends only
+    on ``P``), and that the one-step dual only expands ``P``.
     """
     d = analysis.dim
     p = analysis.support_p

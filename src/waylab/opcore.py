@@ -18,8 +18,9 @@ system-apparatus space the system index varies slowest, which is exactly
 from __future__ import annotations
 
 import dataclasses
+import functools
 import sys
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -38,7 +39,6 @@ __all__ = [
     "eigenspace_projector",
     "commutator",
     "hermitian_basis",
-    "gram_schmidt_hs",
 ]
 
 MatrixLike = Union["Operator", np.ndarray, Sequence[Sequence[complex]]]
@@ -298,33 +298,54 @@ def _eigenspace_columns(
     return v[:, runs[0][0] : runs[-1][-1] + 1]
 
 
-def gram_schmidt_hs(
-    mats: Iterable[np.ndarray], rank_tol: float = DEFAULT_TOL.rank_tol
-) -> list[np.ndarray]:
-    """Hilbert-Schmidt Gram-Schmidt, dropping nearly dependent members."""
-    basis: list[np.ndarray] = []
-    for m in mats:
-        v = np.array(m, dtype=complex)
-        for b in basis:
-            v = v - np.vdot(b, v) * b
-        norm = float(np.linalg.norm(v))
-        if norm > rank_tol:
-            basis.append(v / norm)
-    return basis
+# Seed of the fixed, generic weights and sign functional that make
+# :func:`hermitian_basis` a function of the span alone; any seed gives a
+# basis of the same space.
+_CANONICAL_SEED = 3141
+
+
+@functools.cache
+def _seeded_weights(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A fixed positive weight in ``[1, 2)`` and a fixed functional on ``n``
+    coordinates, drawn from ``seed`` once per process: the generic choices
+    that make a basis canonical (read-only)."""
+    rng = np.random.default_rng(seed)
+    weight, functional = rng.uniform(1.0, 2.0, n), rng.standard_normal(n)
+    for a in (weight, functional):
+        a.setflags(write=False)
+    return weight, functional
 
 
 def hermitian_basis(
-    mats: Iterable[np.ndarray], rank_tol: float = DEFAULT_TOL.rank_tol
-) -> list[np.ndarray]:
-    """Orthonormal Hermitian basis of the *-closed span of ``mats``.
+    mats: Union[np.ndarray, Sequence[np.ndarray]], rank_tol: float = DEFAULT_TOL.rank_tol
+) -> np.ndarray:
+    """Orthonormal Hermitian basis, a stack ``(k, d, d)``, of the *-closed
+    span of ``mats``, which depends only on that span.
 
-    Splits each matrix into Hermitian and anti-Hermitian parts (times i) and
-    orthonormalizes in the Hilbert-Schmidt inner product.  Useful for fixed
-    spaces of dual channels, which are closed under adjoints.
+    Each matrix splits into its Hermitian part and its anti-Hermitian part
+    times ``-i``.  A Hermitian matrix is a real vector of ``2 d^2`` coordinates
+    (the real and imaginary parts of its entries), in which the dot product
+    is the Hilbert-Schmidt inner product.  One SVD of the stack of all parts
+    gives the rank, the singular values above ``rank_tol``, and an orthonormal
+    basis ``B`` of the real span, the leading right singular vectors.  A part
+    of small norm thus adds no direction of its own: only the span counts.
+
+    The basis is then made canonical.  For a fixed, seeded positive weight
+    ``D`` on the coordinates, the eigenvectors ``Q`` of the ``k x k`` Gram
+    matrix ``B D B^T`` give the rows of ``Q^T B``, in ascending order of the
+    eigenvalues, each with the sign that makes a fixed, seeded functional
+    positive.  A rotation ``O B`` of the basis turns the Gram matrix into
+    ``O (B D B^T) O^T``, whose eigenvectors are ``O Q``, so ``Q^T B`` is
+    unchanged; generic weights leave the eigenvalues distinct.
     """
-    parts: list[np.ndarray] = []
-    for m in mats:
-        a = np.asarray(m, dtype=complex)
-        parts.append(_hermitian_parts(a))
-        parts.append(0.5j * (a.conj().T - a))
-    return gram_schmidt_hs(parts, rank_tol)
+    a = np.asarray(mats, dtype=complex)
+    d = a.shape[-1]
+    h = _hermitian_parts(a)
+    parts = np.concatenate([h, -1j * (a - h)])
+    coords = parts.reshape(len(parts), d * d).view(float)
+    _, s, vh = np.linalg.svd(coords, full_matrices=False)
+    basis = vh[: int(np.sum(s > rank_tol))]
+    weight, functional = _seeded_weights(_CANONICAL_SEED, 2 * d * d)
+    basis = np.linalg.eigh((basis * weight) @ basis.T)[1].T @ basis
+    basis *= np.where(basis @ functional < 0.0, -1.0, 1.0)[:, None]
+    return _hermitian_parts(np.ascontiguousarray(basis).view(complex).reshape(-1, d, d))

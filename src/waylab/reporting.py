@@ -80,6 +80,22 @@ def make_report(
     )
 
 
+# Significant digits, counted from the largest entry of each array (or the
+# value of each float), that inputs_digest keeps: inputs that agree to them
+# digest alike, whatever their last bits.
+_DIGEST_DIGITS = 10
+
+
+def _rounded(arr: np.ndarray) -> bytes:
+    """The real and imaginary parts of ``arr`` as integer multiples of
+    ``10**e``, ``e`` putting ``_DIGEST_DIGITS`` digits in the largest part,
+    and ``e`` itself."""
+    x = np.ascontiguousarray(arr, dtype=complex).view(float)
+    top = float(np.abs(x).max(initial=0.0))
+    e = math.floor(math.log10(top)) + 1 - _DIGEST_DIGITS if top > 0.0 else 0
+    return b"%de" % e + np.rint(x * 10.0**-e).astype(np.int64).tobytes()
+
+
 def _feed(h: "hashlib._Hash", item: Any) -> None:
     if item is None:
         h.update(b"\x00none")
@@ -87,11 +103,11 @@ def _feed(h: "hashlib._Hash", item: Any) -> None:
         h.update(b"\x01s" + item.encode("utf-8"))
     elif isinstance(item, bool):
         h.update(b"\x02b" + (b"1" if item else b"0"))
-    elif isinstance(item, (int, float, complex)):
+    elif isinstance(item, int):
         h.update(b"\x03n" + repr(item).encode("ascii"))
-    elif isinstance(item, np.ndarray):
-        arr = np.ascontiguousarray(np.asarray(item, dtype=complex))
-        h.update(b"\x04m" + str(arr.shape).encode("ascii") + arr.tobytes())
+    elif isinstance(item, (float, complex, np.ndarray)):
+        arr = np.asarray(item)
+        h.update(b"\x04m" + str(arr.shape).encode("ascii") + _rounded(arr))
     elif isinstance(item, (list, tuple)):
         h.update(b"\x05l" + str(len(item)).encode("ascii"))
         for sub in item:
@@ -101,7 +117,10 @@ def _feed(h: "hashlib._Hash", item: Any) -> None:
 
 
 def digest_inputs(*items: Any) -> str:
-    """Short stable hash of the numeric inputs behind a batch of reports."""
+    """Short stable hash of the inputs behind a batch of reports: the first
+    12 hex digits of a SHA-256 over strings, bools and ints as they are and
+    over every float, complex and array rounded to ``_DIGEST_DIGITS``
+    significant digits of its largest entry."""
     h = hashlib.sha256()
     for item in items:
         _feed(h, item)

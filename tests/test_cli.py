@@ -70,9 +70,14 @@ def test_builtin_emit_run_matches_direct_run(tmp_path):
     assert report["summary"]["violated"] == 0
     assert report["summary"]["tasks_failed"] == 0
     assert report["bounds"]
-    # bounds come out sorted for reproducible diffs
-    keys = [(b["inputs_digest"], b["bound_id"], b["outcome"]) for b in report["bounds"]]
-    assert keys == sorted(keys)
+    # bounds come out in task order, each task's rows sorted by (bound_id, outcome)
+    keys = [(b["bound_id"], b["outcome"]) for b in report["bounds"]]
+    start = 0
+    for task in report["tasks"]:
+        stop = start + task.get("bounds_emitted", 0)
+        assert keys[start:stop] == sorted(keys[start:stop])
+        start = stop
+    assert start == len(keys)
 
 
 def test_run_is_deterministic(tmp_path):
@@ -691,14 +696,105 @@ def test_record_to_dict_matches_the_replaced_expressions(monkeypatch):
         assert serialize.dumps(new) == serialize.dumps(old), type(rec).__name__
 
 
-def test_importing_the_cli_leaves_scipy_out():
-    # scipy.linalg, imported inside conservative_unitary only, takes longer to
-    # import than all of waylab
-    code = "import sys, waylab, waylab.cli; print('scipy' in sys.modules)"
+def test_importing_the_cli_leaves_scipy_out(tmp_path):
+    # numpy is waylab's one runtime dependency: neither the import nor the
+    # suite nor a builtin with a conserving unitary loads scipy
+    code = (
+        "import sys, waylab, waylab.cli\n"
+        "for argv in (['suite'], ['builtin', 'conservative-scheme', '--run']):\n"
+        "    waylab.cli.main([*argv, '--quiet', '--out', 'report.json'])\n"
+        "print('scipy' in sys.modules)"
+    )
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, cwd=tmp_path,
     )
     assert out.stdout.strip() == "False"
+
+
+def luders_d12_scenario(seed):
+    """The benchmark's ``luders-d12`` scenario, the Lüders instrument of a
+    sharp observable in a random basis of C^12 with its two tasks, and the
+    exact fixed space of its channel, the operators diagonal in that basis."""
+    rng = np.random.default_rng([seed, 12])
+    z = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    basis, r = np.linalg.qr(z)
+    basis = basis * (np.diag(r) / np.abs(np.diag(r)))
+    projectors = [np.outer(basis[:, i], basis[:, i].conj()) for i in range(12)]
+    inst = measure.Instrument(
+        [f"x{i}" for i in range(12)], [cpmaps.OperationMap([p]) for p in projectors]
+    )
+    scenario = {
+        "schema": 1, "name": "luders-d12", "system_dim": 12,
+        "objects": {"I": {"kind": "instrument", **serialize.instrument_to_json(inst)}},
+        "tasks": [{"op": "fixed-points", "instrument": "I"}, {"op": "repeatability", "instrument": "I"}],
+    }
+    return scenario, np.array(projectors)
+
+
+def test_fixed_space_bases_span_the_null_space(tmp_path, monkeypatch):
+    # on the suite, each builtin and luders-d12 at seeds 0 and 97, the
+    # printed basis spans the right null space of M - 1, and on luders-d12
+    # the exact fixed space too
+    seen = []
+
+    def spy(phi, tol=opcore.DEFAULT_TOL):
+        analysis = fixpt.analyze_fixed_points(phi, tol)
+        seen.append((phi, tol, analysis))
+        return analysis
+
+    monkeypatch.setattr(cli, "analyze_fixed_points", spy)
+    out = str(tmp_path / "report.json")
+    runs = [["suite"], *(["builtin", name, "--run"] for name in sorted(cli._BUILTINS))]
+    exact = []
+    for seed in (0, 97):
+        scenario, projectors = luders_d12_scenario(seed)
+        path = tmp_path / f"luders-{seed}.json"
+        path.write_text(json.dumps(scenario))
+        runs.append(["run", str(path)])
+        exact.append(projectors)
+    for argv in runs:
+        assert cli.main([*argv, "--quiet", "--out", out]) in (0, 1)
+    # ten suite scenarios and its Cesaro check, five builtins, two luders runs
+    assert len(seen) == 11 + 5 + 2
+
+    def vecs(stack):
+        return stack.swapaxes(1, 2).reshape(len(stack), -1).T
+
+    for phi, tol, analysis in seen:
+        d = analysis.dim
+        right = fixpt._null_spaces(cpmaps.to_supermatrix(phi) - np.eye(d * d), tol.rank_tol)[0]
+        assert fixpt._projector_gap(right, vecs(analysis.basis)) <= 1e-12
+    for projectors, (_, _, analysis) in zip(exact, seen[-2:]):
+        assert fixpt._projector_gap(vecs(projectors), vecs(analysis.basis)) <= 1e-12
+
+
+def test_rounding_the_coupling_keeps_the_report(tmp_path):
+    # conservative-scheme with its coupling scaled by 1 + 1e-15: the same
+    # rows in the same order with the same digests, and the same fixed-space
+    # basis and minimality margin to 1e-12
+    scn = tmp_path / "scn.json"
+    assert cli.main(["builtin", "conservative-scheme", "--emit", str(scn), "--quiet"]) == 0
+    scenario = json.loads(scn.read_text())
+    coupling = scenario["objects"]["M"]["coupling"]["kraus"][0]
+    coupling[:] = [[[x * (1 + 1e-15) for x in pair] for pair in row] for row in coupling]
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(scenario))
+    reports = []
+    for i, path in enumerate((scn, scaled)):
+        out = tmp_path / f"report-{i}.json"
+        assert cli.main(["run", str(path), "--out", str(out), "--quiet"]) in (0, 1)
+        reports.append(json.loads(out.read_text()))
+    keys = [
+        [(b["bound_id"], b["outcome"], b["inputs_digest"]) for b in rep["bounds"]]
+        for rep in reports
+    ]
+    assert keys[0] == keys[1]
+    fixed = [next(t for t in rep["tasks"] if t["op"] == "fixed-points") for rep in reports]
+    bases = [np.array(f["analysis"]["basis"]) for f in fixed]
+    assert bases[0].shape == bases[1].shape
+    assert np.abs(bases[0] - bases[1]).max() <= 1e-12
+    margins = [f["support_checks"]["minimality_margin"] for f in fixed]
+    assert abs(margins[0] - margins[1]) <= 1e-12

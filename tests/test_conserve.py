@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waylab import Observable, Operator, OperationMap, commutator, op_norm
 from waylab.conserve import (
@@ -13,7 +15,8 @@ from waylab.conserve import (
     yanase_conditions,
 )
 from waylab.measure import MeasurementScheme
-from waylab.opcore import is_unitary
+from waylab.opcore import eigen_clusters, is_unitary, op_norm_mat
+from waylab.rand import haar_unitary
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
@@ -135,6 +138,37 @@ def test_conservative_unitary_commutes():
     # the degenerate block mixes, so the result is not diagonal
     assert abs(u.mat[0, 1]) > 1e-3
     assert abs(u.mat[0, 2]) <= 1e-12
+
+
+def expm_conservative_unitary(n, rng, strength, rank_tol=1e-8):
+    """The same draws as ``conservative_unitary``, exponentiated as one
+    matrix by ``scipy.linalg.expm``: the reference."""
+    w, v = np.linalg.eigh(n)
+    h = np.zeros((len(n), len(n)), dtype=complex)
+    for idx in eigen_clusters(w, rank_tol):
+        z = rng.standard_normal((len(idx), len(idx))) + 1j * rng.standard_normal((len(idx), len(idx)))
+        h[np.ix_(idx, idx)] = 0.5 * strength * (z + z.conj().T)
+    return scipy.linalg.expm(1j * (v @ h @ v.conj().T))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 24),
+       kind=st.sampled_from(["diagonal", "degenerate", "generic"]))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_conservative_unitary_is_unitary_to_rounding(seed, d, kind):
+    rng = np.random.default_rng(seed)
+    spectrum = rng.integers(-2, 3, size=d).astype(float)
+    if kind == "diagonal":
+        n = np.diag(spectrum)
+    else:
+        v = haar_unitary(d, rng).mat
+        n = v @ np.diag(spectrum if kind == "degenerate" else rng.standard_normal(d)) @ v.conj().T
+        n = 0.5 * (n + n.conj().T)
+    u = conservative_unitary(n, np.random.default_rng(seed), strength=1.5).mat
+    assert op_norm_mat(u.conj().T @ u - np.eye(d)) <= 1e-15
+    assert op_norm_mat(u @ n - n @ u) <= 1e-14
+    # the same draws as an expm of the whole generator
+    ref = expm_conservative_unitary(n, np.random.default_rng(seed), 1.5)
+    assert op_norm_mat(u - ref) <= 1e-12
 
 
 def test_yanase_cnot_pointer_choices():

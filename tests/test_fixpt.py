@@ -10,7 +10,9 @@ from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
     _closed_under_products,
     _joint_eigenprojectors,
+    _null_spaces,
     _projector_gap,
+    _support_isometry,
     analyze_fixed_points,
     cesaro_supermatrix,
     check_minimal_support,
@@ -247,6 +249,59 @@ def commutant_channel(kind, d, rng):
         return OperationMap([v @ np.diag(phases) @ v.conj().T])
     # every Hermitian combination is a multiple of 1: all d^2 candidates
     return OperationMap([np.eye(d)])
+
+
+def null_basis(phi, rank_tol=DEFAULT_TOL.rank_tol):
+    """The right null vectors of ``M - 1``, unvec'ed to a stack ``(r, d, d)``."""
+    d = phi.in_dim
+    right = _null_spaces(to_supermatrix(phi) - np.eye(d * d), rank_tol)[0]
+    return right.T.reshape(-1, d, d).swapaxes(1, 2)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 5), kind=st.sampled_from(COMMUTANT_KINDS))
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_printed_bases_depend_only_on_their_spaces(seed, d, kind):
+    # a unitarily rotated null basis gives the same fixed-space basis, and a
+    # rotated support isometry the same support basis
+    rng = np.random.default_rng(seed)
+    phi = commutant_channel(kind, d, rng)
+    analysis = analyze_fixed_points(phi)
+    null = null_basis(phi)
+    rotated = np.tensordot(haar_unitary(len(null), rng).mat, null, axes=1)
+    np.testing.assert_allclose(hermitian_basis(rotated), analysis.basis, atol=1e-12)
+    w = analysis.p_isometry
+    turned = _support_isometry(w @ haar_unitary(w.shape[1], rng).mat)
+    np.testing.assert_allclose(turned, w, atol=1e-12)
+
+
+def smeared_luders_channel(d, sizes, a0, log_gaps, seed):
+    """The Lüders channel of ``E(0) = sum_z a_z P(z)``, ``E(1) = 1 - E(0)``, for
+    the spectral projectors ``P(z)`` (of ranks ``sizes``) of a sharp
+    observable in a random basis.  Neighbouring ``a_z`` are chosen so that
+    their channel eigenvalue ``sqrt(a a') + sqrt((1 - a)(1 - a'))`` lies about
+    ``10**log_gap`` below 1."""
+    a = [a0]
+    for g in log_gaps:
+        a.append(a[-1] + np.sqrt(8 * a[-1] * (1 - a[-1]) * 10.0**g))
+    u = haar_unitary(d, np.random.default_rng(seed)).mat
+    e0 = (u * np.repeat(a, sizes)) @ u.conj().T
+    return luders_instrument(Observable(["0", "1"], [e0, np.eye(d) - e0])).total()
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(3, 6), data=st.data())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_near_unit_eigenvalues_keep_the_fixed_space_basis(seed, d, data):
+    # smearings of a degenerate sharp observable whose non-fixed channel
+    # eigenvalues lie 1e-9 to 1e-5 below 1, on both sides of rank_tol: the
+    # Hermitian basis has exactly the SVD's null count of directions
+    cuts = sorted(data.draw(st.sets(st.integers(1, d - 1), min_size=1, max_size=d - 2)))
+    sizes = np.diff([0, *cuts, d])
+    log_gaps = data.draw(st.lists(st.floats(-9, -5), min_size=len(cuts), max_size=len(cuts)))
+    phi = smeared_luders_channel(d, sizes, data.draw(st.floats(0.05, 0.6)), log_gaps, seed)
+    analysis = analyze_fixed_points(phi)
+    assert analysis.fixed_dim == len(null_basis(phi)) == len(analysis.basis)
+    gram = np.einsum("aij,bij->ab", analysis.basis.conj(), analysis.basis)
+    np.testing.assert_allclose(gram, np.eye(analysis.fixed_dim), atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),

@@ -12,7 +12,6 @@ from waylab.opcore import (
     eigen_clusters,
     eigenspace_projector,
     fidelity,
-    gram_schmidt_hs,
     hermitian_basis,
     is_hermitian,
     is_psd,
@@ -311,14 +310,33 @@ def test_one_hermiticity_rule(factor, accepted):
                 use()
 
 
-def test_gram_schmidt_hs_orthonormalizes():
-    vecs = [np.eye(2), SZ + np.eye(2), SX]
-    basis = gram_schmidt_hs(vecs)
-    assert len(basis) == 3
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            ip = np.trace(a.conj().T @ b)
-            assert ip == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
+def _assert_orthonormal(basis):
+    gram = np.einsum("aij,bij->ab", basis.conj(), basis)
+    np.testing.assert_allclose(gram, np.eye(len(basis)), atol=1e-12)
+
+
+def test_hermitian_basis_orthonormalizes():
+    basis = hermitian_basis([np.eye(2), SZ + np.eye(2), SX])
+    assert basis.shape == (3, 2, 2)
+    _assert_orthonormal(basis)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 6), data=st.data())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_hermitian_basis_depends_only_on_the_span(seed, d, data):
+    # a *-closed span of r random Hermitian matrices, given by two different
+    # complex bases of it: the basis out is the same
+    r = data.draw(st.integers(1, d * d))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((r, d, d)) + 1j * rng.standard_normal((r, d, d))
+    herm = z + z.conj().swapaxes(1, 2)
+    mix = rng.standard_normal((2, r, r)) + 1j * rng.standard_normal((2, r, r))
+    first, second = (np.tensordot(m, herm, axes=1) for m in mix)
+    basis = hermitian_basis(first)
+    assert basis.shape == (r, d, d)
+    _assert_orthonormal(basis)
+    np.testing.assert_array_equal(basis, basis.conj().swapaxes(1, 2))
+    np.testing.assert_allclose(hermitian_basis(second), basis, atol=1e-12)
 
 
 def test_hermitian_basis_spans_and_is_hermitian():
