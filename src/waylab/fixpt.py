@@ -7,7 +7,10 @@ For a channel ``Phi`` on a ``d``-dimensional system the dual fixed space
 ``Phi*_av`` exactly; its adjoint acts on states, giving the reference fixed
 state ``rho0 = Phi_av(1/d)`` whose support projection ``P`` carries the
 structure theory: compressed to ``P H`` the fixed space is an algebra, and
-the analysis certifies multiplicative closure numerically.
+the analysis certifies multiplicative closure numerically.  A unital channel
+skips the supermatrix: its fixed space is the commutant of its Kraus family,
+``Pi`` is the orthogonal projector onto it and ``rho0 = 1/d``, once a
+certificate shows that the supermatrix's rule would count the same space.
 
 On top of the analysis sit three consumers: necessary commutation conditions
 for nondisturbance/first-kindness/repeatability in the presence of an
@@ -19,7 +22,8 @@ decomposition of first-kind instruments.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Callable
+import math
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -101,6 +105,25 @@ _JOINT_BLOCK_TOL = 1e-7
 # Seed of the diagonal weight and the functional that fix the basis of the
 # support of rho0 (``p_isometry``); any seed gives a basis of the same range.
 _SUPPORT_SEED = 1414
+# A channel whose unit images ``Phi(1)`` and ``Phi*(1)`` lie this close to 1
+# is unital to rounding, and its fixed space may come from the commutant of
+# its Kraus family.  Not a Tolerance: it decides no property of the channel,
+# only which of two algorithms computes the one fixed space, and the report
+# may move by no more than rounding (1e-12) with that choice.  A defect
+# ``delta`` moves the dense path's ``rho0`` and state-side fixed space off
+# ``1/d`` and the commutant by about ``delta`` over the spectral gap, so the
+# bound sits just above the rounding of ``sum K K^dag`` (a few ``d eps``).
+_UNITAL_ROUNDING = 1e-13
+# The unital certificate clears ``rank_tol`` by this factor on both sides.
+_UNITAL_MARGIN = 4.0
+# A unital certificate that fails for a narrow candidate window retries with
+# the window widened until every direction outside it has ``||S X|| / ||X||``
+# this many times what the certificate needs, which leaves room for the
+# candidates' coupling to them.
+_UNITAL_WINDOW = 8.0
+# The dense SVD's singular values of ``M - 1`` (``||M - 1|| <= 2`` for a
+# unital channel) lie within this many ``d^2 eps`` of the exact ones.
+_DENSE_ROUNDING = 16.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -111,18 +134,24 @@ class FixedPointAnalysis:
     ``(fixed_dim, d, d)`` of Hermitian operators; ``fixed_states`` holds, as
     columns, an orthonormal vec-basis of the state-side fixed space
     ``{T : Phi(T) = T}`` (the left null vectors of ``M - 1`` from the same
-    SVD as the right ones, so ``fixed_dim`` columns).  ``basis``,
-    ``p_isometry`` (orthonormal columns spanning the support of ``rho0``) and
-    ``restricted_basis`` are canonical: each depends only on the space it
-    spans (:func:`opcore.hermitian_basis`, :func:`_support_isometry`), not on
-    the vectors a decomposition happened to return.  Arrays are read-only.
+    SVD as the right ones, or the commutant itself for a unital channel, so
+    ``fixed_dim`` columns).  The spectral projector is kept factored:
+    ``projector = proj_right @ proj_left``, with ``proj_right`` the right null
+    vectors ``R`` (``d^2 x fixed_dim``) and ``proj_left = (L^dag R)^{-1} L^dag``
+    (``fixed_dim x d^2``); for a unital channel ``R`` is the commutant ``C``
+    and ``proj_left = C^dag``.  ``basis``, ``p_isometry`` (orthonormal columns
+    spanning the support of ``rho0``) and ``restricted_basis`` are canonical:
+    each depends only on the space it spans (:func:`opcore.hermitian_basis`,
+    :func:`_support_isometry`), not on the vectors a decomposition happened
+    to return.  Arrays are read-only.
     """
 
     dim: int
     fixed_dim: int
     basis: np.ndarray
     fixed_states: np.ndarray
-    projector: np.ndarray
+    proj_right: np.ndarray
+    proj_left: np.ndarray
     rho0: np.ndarray
     support_p: np.ndarray
     p_isometry: np.ndarray
@@ -132,12 +161,23 @@ class FixedPointAnalysis:
     max_fixed_defect: float
     commutant_consistent: bool | None
 
+    @property
+    def projector(self) -> np.ndarray:
+        """The dense ``d^2 x d^2`` spectral projector ``R (L^dag R)^{-1} L^dag``
+        (``vec`` stacks columns), read-only."""
+        proj = self.proj_right @ self.proj_left
+        proj.setflags(write=False)
+        return proj
+
     def average_dual(self, a: Any) -> np.ndarray:
-        """Cesàro-averaged dual action ``Phi*_av(a)`` via the projector, on one
-        matrix or a stack ``(..., d, d)``; one matrix-vector product each."""
+        """Cesàro-averaged dual action ``Phi*_av(a)`` through the factored
+        projector, ``R (Lt vec a)``, on one matrix or a stack ``(..., d, d)``;
+        two matrix-vector products each, so a matrix's image does not depend
+        on the stack it comes in."""
         m = _as_matrix(a)
         vecs = m.swapaxes(-1, -2).reshape(*m.shape[:-2], self.dim**2, 1)
-        return (self.projector @ vecs).reshape(m.shape).swapaxes(-1, -2)
+        out = self.proj_right @ (self.proj_left @ vecs)
+        return out.reshape(m.shape).swapaxes(-1, -2)
 
     def compress(self, a: Any) -> np.ndarray:
         """``W^dag a W``: the P-block of an operator."""
@@ -170,7 +210,7 @@ def _null_spaces(a: np.ndarray, rank_tol: float) -> tuple[np.ndarray, np.ndarray
     if n_null == 0:
         raise ValueError("matrix has no null space at the requested tolerance")
     right = vh[-n_null:, :].conj().T
-    left = u[:, -n_null:]
+    left = u[:, -n_null:].copy()  # not a view that keeps all of u alive
     return right, left
 
 
@@ -233,6 +273,34 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     formed only then) when ``H`` is degenerate, e.g. for the identity
     channel, or at that edge.
     """
+    return _commutant(phi, rank_tol).basis
+
+
+class _Commutant(NamedTuple):
+    """What :func:`_commutant` finds: the orthonormal vec-basis ``basis``, the
+    restricted singular values ``singular`` (descending, the last ``n_null``
+    counted null), ``outside``, a lower bound of ``||S X|| / ||X||`` over the
+    directions ``X`` orthogonal to every candidate (``inf`` when the
+    candidates are the full stack), and ``s_bound >= ||S||_2``."""
+
+    basis: np.ndarray
+    singular: np.ndarray
+    n_null: int
+    outside: float
+    s_bound: float
+
+
+def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> _Commutant:
+    """:func:`kraus_commutant`'s two stages, with the data the unital
+    certificate of :func:`_unital_fixed_space` reads.
+
+    ``[H, X] = sum_i c_i [K_i, X] + conj(c_i) [K_i^dag, X]``, so
+    ``||[H, X]|| <= sqrt(2) ||c||_2 ||S X||`` (Cauchy-Schwarz), while a
+    direction orthogonal to every candidate has ``||[H, X]|| >= gap ||X||``
+    for the smallest ``gap = |w_a - w_b|`` left out of the window: its
+    ``||S X|| / ||X||`` is at least ``outside = gap / (sqrt(2) ||c||_2)``.
+    ``min_outside`` widens the window until ``outside`` reaches it.
+    """
     d = phi.in_dim
     if phi.out_dim != d:
         raise ValueError("commutant needs an endomorphism")
@@ -248,7 +316,11 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     w, v = np.linalg.eigh(m + m.conj().T)
     eps = np.finfo(float).eps
     tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
-    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    c_scale = np.sqrt(2) * float(np.linalg.norm(c))
+    tau = max(tau, min_outside * c_scale)
+    gaps = np.abs(w[:, None] - w[None, :])
+    a, b = np.nonzero(gaps <= tau)
+    outside = float(gaps[gaps > tau].min(initial=np.inf)) / c_scale
 
     def thresholds(scale):
         """The null threshold and the edge of the full-stack window."""
@@ -268,10 +340,12 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
         if len(a) == d * d or not np.any((s > thr) & (s <= edge)):
             break
         a, b = np.divmod(np.arange(d * d), d)  # every candidate: the full stack
+        outside = np.inf
 
     n_null = int(np.sum(s <= thr))
     basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
-    return basis @ vh[len(s) - n_null :].conj().T
+    return _Commutant(basis @ vh[len(s) - n_null :].conj().T, s, n_null, outside,
+                      float(bracket[1]))
 
 
 def _projector_gap(q: np.ndarray, c: np.ndarray) -> float:
@@ -326,23 +400,72 @@ def _support_isometry(w: np.ndarray) -> np.ndarray:
     return w * (np.abs(phase) / phase)
 
 
-@_per_object
-def analyze_fixed_points(
-    phi: OperationMap, tol: Tolerance = DEFAULT_TOL
-) -> FixedPointAnalysis:
-    """Fixed-point space, Cesàro projector, support, and algebra certificate.
+def _unital_fixed_space(phi: OperationMap, tol: Tolerance) -> np.ndarray | None:
+    """The commutant ``C`` of the Kraus family as the fixed space of a channel
+    unital to rounding, or None when the certificate below fails and the
+    dense SVD must decide.
 
-    Raises if ``phi`` is not a channel, or if the eigenvalue-1 spectral data
-    are numerically defective (the left/right null pairing ``L R`` fails to
-    invert at ``rank_tol``), which would make the projector meaningless.
-
-    The analysis is cached on the (immutable) map, once per tolerance, so
-    every task on one channel shares it; its arrays are read-only.
+    The supermatrix rule defines ``fixed_dim``: the count of singular values
+    of ``M - 1`` at most ``rank_tol``.  With ``delta`` the larger defect of
+    ``Phi(1)`` and ``Phi*(1)`` from 1 and ``S`` the commutator stack of
+    :func:`kraus_commutant`, the identity
+    ``||S X||^2 = <X, Q X> + <X, X Q> - 4 Re <X, Phi*(X)>``
+    (``Q = sum_F F^dag F = Phi*(1) + Phi(1)``) gives, for unit ``X``,
+    ``||(1 - Phi*) X|| >= Re <X, (1 - Phi*) X> >= ||S X||^2 / 4 - delta``,
+    and ``(1 - Phi*) X = sum_i K_i^dag [K_i, X] + (1 - Phi*(1)) X`` gives
+    ``||(1 - Phi*) X|| <= (1 + delta)^{1/2} ||S X|| + delta``.  So, by
+    min-max, the ``n`` directions the commutant counts have singular values
+    of ``M - 1`` at most ``(1 + delta)^{1/2} s_n + delta`` (``s_n`` the largest
+    restricted value counted null), and every further one is at least
+    ``beta^2 / 4 - delta``, ``beta`` a lower bound of ``||S X||`` over unit
+    ``X`` orthogonal to ``C``.  Write ``X = Y + Z`` with ``Y`` in the
+    candidates ``B`` (and orthogonal to ``C``, which lies in ``B``) and
+    ``Z`` orthogonal to ``B``: ``||S X|| >= s' ||Y|| - ||S||_2 ||Z||`` (``s'``
+    the smallest restricted value not counted null) and
+    ``||S X|| >= g ||Z||`` (``g``, :attr:`_Commutant.outside`), whose
+    minimum over ``||Y||^2 + ||Z||^2 = 1`` is
+    ``beta = g s' / ((g + ||S||_2)^2 + s'^2)^{1/2}``.  The dense SVD moves
+    each singular value by at most ``_DENSE_ROUNDING d^2 eps``; when the two
+    bounds clear ``rank_tol`` by ``_UNITAL_MARGIN`` on both sides the dense
+    rule counts exactly the commutant's ``n``, and the fixed space of ``Phi*``
+    and of ``Phi`` (their null spaces, which hold ``C``) is ``C``.  When the
+    certificate fails with ``g`` below ``_UNITAL_WINDOW`` times the ``beta``
+    it needs, the commutant is found once more with the candidate window
+    widened to reach that ``g``.
     """
-    if phi.in_dim != phi.out_dim:
-        raise ValueError("fixed-point analysis needs an endomorphism")
-    if not phi.is_channel(tol):
-        raise ValueError("fixed-point analysis requires a channel")
+    d = phi.in_dim
+    eye = np.eye(d)
+    delta = max(op_norms(np.array([_apply(phi, eye, False), phi.kraus_gram()]) - eye))
+    if delta > _UNITAL_ROUNDING:
+        return None
+    rounding = _DENSE_ROUNDING * d * d * np.finfo(float).eps
+
+    def certified(comm: _Commutant) -> bool:
+        s, n = comm.singular, comm.n_null
+        if n == 0:
+            return False
+        s_rest = s[len(s) - n - 1] if n < len(s) else np.inf
+        g = comm.outside
+        if np.isinf(s_rest) or np.isinf(g):
+            beta = min(g, s_rest)
+        else:
+            beta = g * s_rest / math.hypot(g + comm.s_bound, s_rest)
+        upper = math.sqrt(1 + delta) * s[len(s) - n] + delta + rounding
+        lower = beta**2 / 4 - delta - rounding
+        return _UNITAL_MARGIN * upper <= tol.rank_tol <= lower / _UNITAL_MARGIN
+
+    comm = _commutant(phi, tol.rank_tol)
+    need = 2 * math.sqrt(_UNITAL_MARGIN * tol.rank_tol + delta + rounding)  # of beta
+    if not certified(comm) and comm.outside < _UNITAL_WINDOW * need:
+        # the window may be what fails: widen it once
+        comm = _commutant(phi, tol.rank_tol, _UNITAL_WINDOW * need)
+    return comm.basis if certified(comm) else None
+
+
+def _dense_fixed_space(phi: OperationMap, tol: Tolerance) -> tuple[np.ndarray, ...]:
+    """The right and left null vectors ``R`` and ``L`` of ``M - 1`` from one
+    SVD of the supermatrix, and ``(L^dag R)^{-1} L^dag``; raises when the
+    eigenvalue-1 spectral data are numerically defective."""
     d = phi.in_dim
     gap = to_supermatrix(phi) - np.eye(d * d)
     right, left = _null_spaces(gap, tol.rank_tol)
@@ -360,9 +483,47 @@ def analyze_fixed_points(
             f"(pairing matrix smallest singular value {smin:.3e} at fixed dim {r}); "
             "cannot build the spectral projector"
         )
-    proj = right @ np.linalg.solve(lr, left.conj().T)
+    return right, left, np.linalg.solve(lr, left.conj().T)
 
-    herm = hermitian_basis(right.T.reshape(r, d, d).swapaxes(1, 2), tol.rank_tol)
+
+@_per_object
+def analyze_fixed_points(
+    phi: OperationMap, tol: Tolerance = DEFAULT_TOL
+) -> FixedPointAnalysis:
+    """Fixed-point space, Cesàro projector, support, and algebra certificate.
+
+    Raises if ``phi`` is not a channel, or if the eigenvalue-1 spectral data
+    are numerically defective (the left/right null pairing ``L R`` fails to
+    invert at ``rank_tol``), which would make the projector meaningless.
+
+    A channel unital to rounding takes its fixed space from the commutant
+    of its Kraus family when :func:`_unital_fixed_space` certifies that the
+    supermatrix rule would count the same space; then no supermatrix is
+    built, ``rho0 = 1/d`` and ``commutant_consistent`` compares the
+    Hermitian basis with the commutant it came from.
+
+    The analysis is cached on the (immutable) map, once per tolerance, so
+    every task on one channel shares it; its arrays are read-only.
+    """
+    if phi.in_dim != phi.out_dim:
+        raise ValueError("fixed-point analysis needs an endomorphism")
+    if not phi.is_channel(tol):
+        raise ValueError("fixed-point analysis requires a channel")
+    d = phi.in_dim
+    comm = _unital_fixed_space(phi, tol)
+    if comm is not None:
+        right = left = comm
+        proj_left = comm.conj().T
+        rho0 = np.eye(d, dtype=complex) / d
+    else:
+        right, left, proj_left = _dense_fixed_space(phi, tol)
+        # Phi_av(1/d) = Pi^dag vec(1/d), through the factors
+        coeffs = right.conj().T @ vec(np.eye(d) / d)
+        rho0 = _hermitian_parts(unvec(proj_left.conj().T @ coeffs, d))
+    r = right.shape[1]
+
+    herm = hermitian_basis(np.ascontiguousarray(right.T).reshape(r, d, d).swapaxes(1, 2),
+                           tol.rank_tol)
     if len(herm) != r:
         raise ValueError(
             f"failed to build a Hermitian basis of the fixed space "
@@ -370,7 +531,6 @@ def analyze_fixed_points(
         )
     max_defect = max_op_norm(_apply(phi, herm, True) - herm)
 
-    rho0 = _hermitian_parts(unvec(proj.conj().T @ vec(np.eye(d) / d), d))
     w, v = np.linalg.eigh(rho0)
     mask = w > tol.rank_tol
     support = v[:, mask] @ v[:, mask].conj().T
@@ -386,21 +546,23 @@ def analyze_fixed_points(
 
     commutant_consistent: bool | None = None
     if faithful:
-        comm = kraus_commutant(phi, tol.rank_tol)
+        if comm is None:
+            comm = kraus_commutant(phi, tol.rank_tol)
         # herm is Hilbert-Schmidt orthonormal: its vecs are orthonormal columns
         herm_vecs = herm.swapaxes(1, 2).reshape(r, d * d).T
         commutant_consistent = comm.shape[1] > 0 and bool(
             _projector_gap(herm_vecs, comm) <= max(tol.rank_tol, _COMMUTANT_AGREE_FLOOR)
         )
 
-    for a in (herm, left, proj, rho0, support, w_iso, restricted):
+    for a in (herm, right, left, proj_left, rho0, support, w_iso, restricted):
         a.setflags(write=False)
     return FixedPointAnalysis(
         dim=d,
         fixed_dim=r,
         basis=herm,
         fixed_states=left,
-        projector=proj,
+        proj_right=right,
+        proj_left=proj_left,
         rho0=rho0,
         support_p=support,
         p_isometry=w_iso,
@@ -445,11 +607,19 @@ def check_minimal_support(
     unital_defect = op_norm_mat(av(p) - np.eye(d))
     kernel_defect = op_norm_mat(av(p_perp))
 
-    # av(E_ij) is column i + j d of the projector (vec stacks columns), so
-    # the images of the units E_{k//d, k%d} are its columns, unvec'ed
-    unit_images = analysis.projector.reshape((d,) * 4).transpose(3, 2, 1, 0)
-    units = np.eye(d * d).reshape(d * d, d, d)
-    sandwich = max_op_norm(unit_images.reshape(d * d, d, d) - av(p @ units @ p))
+    # av(X) = sum_k R_k <L~_k, X>, R_k and L~_k the unvec'ed column k of R
+    # and conjugated row k of Lt, and <L~_k, P X P> = <P L~_k P, X>, so
+    # av(E_ij) - av(P E_ij P) = sum_k R_k conj(D_k)_ij, D_k = L~_k - P L~_k P;
+    # conj(D_k) is row k of Lt, unvec'ed, minus conj(P) (that) conj(P)
+    r = analysis.fixed_dim
+    rows = analysis.proj_left.reshape(r, d, d).swapaxes(1, 2)
+    p_t = p.T
+    coeffs = (rows - p_t @ rows @ p_t).swapaxes(1, 2).reshape(r, d * d)
+    sandwich = 0.0
+    per_block = max(1, _BLOCK // (d * d))
+    for lo in range(0, d * d, per_block):
+        images = (analysis.proj_right @ coeffs[:, lo : lo + per_block]).T
+        sandwich = max(sandwich, max_op_norm(images.reshape(-1, d, d).swapaxes(1, 2)))
 
     # the columns of fixed_states, unvec'ed
     states = analysis.fixed_states.T.reshape(-1, d, d).swapaxes(1, 2)

@@ -502,7 +502,8 @@ def _repeat_first_kind(
     induced observable, or the measured observable of the scheme behind it.
     """
     effects = e._effects
-    backs = np.array([_apply(inst.operation(x), eff, True) for x, eff in zip(e.outcomes, effects)])
+    kraus = _stack_families([inst.operation(x)._kraus for x in e.outcomes])
+    backs = (kraus.conj().swapaxes(-1, -2) @ effects[:, None] @ kraus).sum(axis=1)
     per_outcome = dict(zip(e.outcomes, op_norms(backs - effects)))
     first_kind = max_op_norm(_apply(inst.total(), effects, True) - effects)
     return op_norm_mat((effects - backs).sum(axis=0)), first_kind, per_outcome
@@ -575,12 +576,19 @@ def _dual_gap(
     # would copy them once more
     a = np.empty((n, n_f, m, cols, rows), dtype=complex)
     b = np.empty((n, n_f, m, rows, cols), dtype=complex)
-    first_h = first.conj().swapaxes(-1, -2)[:, None]
+    first_h = first.conj().swapaxes(-1, -2)
     if lefts is None:
-        a[:, :, :k], b[:, :, :k] = first_h, first[:, None]
+        a[:, :, :k], b[:, :, :k] = first_h[:, None], first[:, None]
     else:
-        np.matmul(first_h, lefts[:, :, None], out=a[:, :, :k])
-        np.matmul(rights[:, :, None], first[:, None], out=b[:, :, :k])
+        # one GEMM per family and side, not one per frame and Kraus operator:
+        # the Kraus operators stacked along the rows of F^dag and the columns
+        # of F, the frames along the columns of L and the rows of R
+        fl = first_h.reshape(n, k * cols, rows) @ lefts.transpose(0, 2, 1, 3).reshape(
+            n, rows, n_f * rows)
+        a[:, :, :k] = fl.reshape(n, k, cols, n_f, rows).transpose(0, 3, 1, 2, 4)
+        rf = rights.reshape(n, n_f * rows, rows) @ first.transpose(0, 2, 1, 3).reshape(
+            n, rows, k * cols)
+        b[:, :, :k] = rf.reshape(n, n_f, rows, k, cols).transpose(0, 1, 3, 2, 4)
     a[:, :, k:] = -second.conj().swapaxes(-1, -2)[:, None]
     b[:, :, k:] = second[:, None]
     return _max_unit_norm(a.reshape(n * n_f, m, cols, rows), b.reshape(n * n_f, m, rows, cols))
@@ -639,11 +647,15 @@ def repeatability_report(
     kraus = _stack_families([op._kraus for op in ops])
     items: dict[str, ItemCheck] = {}
 
-    # (i) I*_x(A) = I*_x(E(x) A) = I*_x(A E(x)) = I*_x(E(x) A E(x))
+    # (i) I*_x(A) = I*_x(E(x) A) = I*_x(A E(x)) = I*_x(E(x) A E(x)).  E(x) is
+    # exactly Hermitian and I*_y preserves adjoints, so the image of E_ij
+    # under the (1, E(x)) frame is the adjoint of the image of E_ji under the
+    # (E(x), 1) frame: the two frames have the same maximum, here and in
+    # (ii), and only (E(x), 1) and (E(x), E(x)) are checked
     e_mats = e_obs._effects
     eyes = np.broadcast_to(eye, e_mats.shape)
-    lefts = np.stack([e_mats, eyes, e_mats], axis=1)
-    rights = np.stack([eyes, e_mats, e_mats], axis=1)
+    lefts = np.stack([e_mats, e_mats], axis=1)
+    rights = np.stack([eyes, e_mats], axis=1)
     sandwich = _dual_gap(kraus, kraus, lefts, rights)
     items["sandwich-own-effect"] = ItemCheck(sandwich, sandwich <= tol.eq_tol)
 
@@ -689,7 +701,8 @@ def repeatability_report(
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         rho = g @ g.conj().T
         probes.append(rho / np.trace(rho))
-    outs = np.array([_apply(op, np.array(probes), False) for op in ops])
+    outs = (kraus[:, None] @ np.array(probes)[:, None] @ kraus[:, None].conj().swapaxes(-1, -2)
+            ).sum(axis=2)
     weights = np.real(np.trace(outs, axis1=-2, axis2=-1))
     products = []
     for outs_r, p_r in zip(outs.swapaxes(0, 1), weights.T):

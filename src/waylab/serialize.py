@@ -11,9 +11,10 @@ stdlib ``json`` module cannot pin float formatting), a complex array as
 :func:`matrix_to_json` writes it and a real one as nested lists.
 
 The codecs cost per matrix, not per element: a well-formed matrix is read with
-one ``np.array`` call, and a matrix (or a list of float pairs) and a dict of
-scalars are each written with one ``%`` format; any other input takes the
-per-element path, which also reports every malformed input.
+one ``np.array`` call, and a matrix (or a list of float pairs, or a complex
+array, straight from its floats) and a dict of scalars are each written with
+one ``%`` format; any other input takes the per-element path, which also
+reports every malformed input.
 """
 
 from __future__ import annotations
@@ -276,6 +277,25 @@ def _pair_template(n: int, pad_in: str, pad: str) -> str:
     return f"[\n{rows}\n{pad}]"
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_template(n_rows: int, n_cols: int, pad_in: str, pad: str, step: str) -> str:
+    """The ``%`` template of a matrix: ``n_rows`` lists of ``n_cols`` pairs."""
+    row = _pair_template(n_cols, pad_in + step, pad_in)
+    return "[\n" + ",\n".join([pad_in + row] * n_rows) + f"\n{pad}]"
+
+
+def _array_block(a: np.ndarray, pad_in: str, pad: str, step: str) -> str | None:
+    """The text of a non-empty complex array of 1 or 2 dimensions, as
+    :func:`_pair_block` writes its nested lists, with one ``%`` over its
+    floats and no lists built; None for a non-finite value."""
+    template = (_pair_template(len(a), pad_in, pad) if a.ndim == 1
+                else _grid_template(*a.shape, pad_in, pad, step))
+    # + 0.0 turns -0.0 into 0.0, written "0"; only "inf" and "nan" hold an "n"
+    floats = (np.ascontiguousarray(a, dtype=complex).view(float) + 0.0).ravel().tolist()
+    text = template % tuple(floats)
+    return None if "n" in text else text
+
+
 def _pair_block(seq: list, pad_in: str, pad: str, step: str) -> str | None:
     """The text of a list of ``[re, im]`` pairs of floats, or of a list of
     equal-length rows of them (a matrix), each float written as
@@ -288,8 +308,7 @@ def _pair_block(seq: list, pad_in: str, pad: str, step: str) -> str | None:
     if cells and set(map(type, cells)) == {list}:
         if len(set(map(len, seq))) != 1:
             return None
-        row = _pair_template(len(seq[0]), pad_in + step, pad_in)
-        template = "[\n" + ",\n".join([pad_in + row] * len(seq)) + f"\n{pad}]"
+        template = _grid_template(len(seq), len(seq[0]), pad_in, pad, step)
     else:
         cells, template = seq, _pair_template(len(seq), pad_in, pad)
     if set(map(len, cells)) != {2}:
@@ -396,7 +415,15 @@ def _write(obj: Any, out: list[str], indent: int, level: int) -> None:
             sep = ",\n"
         out.append(f"\n{pad}]")
     elif isinstance(obj, np.ndarray):
-        _write(_lists(obj), out, indent, level)
+        pairs = np.iscomplexobj(obj) and obj.size > 0
+        if pairs and obj.ndim > 2:
+            _write(list(obj), out, indent, level)  # the arrays of one dimension less
+            return
+        block = _array_block(obj, pad_in, pad, " " * indent) if pairs else None
+        if block is None:  # real, empty or non-finite (the per-element path raises)
+            _write(_lists(obj), out, indent, level)
+        else:
+            out.append(block)
     else:
         raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 

@@ -12,6 +12,8 @@ were first written; both must agree to 1e-12 on random instruments,
 channels and schemes, on both paths and on both sides of a map.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from waylab import Instrument, Observable, OperationMap
 from waylab.conserve import AdditiveQuantity, conservative_unitary
-from waylab.cpmaps import _SCREEN_MIN, _max_unit_norm, apply_dual, apply_map
+from waylab.cpmaps import _SCREEN_MIN, _max_unit_norm, _stack_families, apply_dual, apply_map
 from waylab.fixpt import (
     analyze_fixed_points,
     check_minimal_support,
@@ -27,6 +29,7 @@ from waylab.fixpt import (
 )
 from waylab.measure import (
     MeasurementScheme,
+    _dual_gap,
     luders_instrument,
     measured_observable,
     normal_dilation,
@@ -258,24 +261,31 @@ def test_pairwise_items_match_pair_loop(seed, d, kind):
     assert rep.items["output-orthogonality"].defect == orthogonality
 
 
-@given(seed=SEEDS, d=DIMS, extra=st.integers(0, 1), data=st.data())
+@given(seed=SEEDS, d=DIMS, extra=st.integers(0, 1), unital=st.booleans(), data=st.data())
 @SETTINGS
-def test_minimal_support_sandwich_matches_unit_loop(seed, d, extra, data):
+def test_minimal_support_sandwich_matches_unit_loop(seed, d, extra, unital, data):
     # a channel into an r-dimensional subspace, in a random basis, so the
-    # support projection P of its fixed states is a proper, complex projector
+    # support projection P of its fixed states is a proper, complex projector,
+    # or a mixture of unitaries, whose projector is the orthogonal one onto
+    # its Kraus commutant; then a random projector in place of P, which moves
+    # the defect from rounding level to order one
     rng = np.random.default_rng(seed)
     r = data.draw(st.integers(1, d - 1))
     u = haar_unitary(d, rng).mat
-    into = random_channel(d, r, -(-d // r) + extra, rng).kraus
-    phi = OperationMap([u @ np.vstack([k, np.zeros((d - r, d))]) @ u.conj().T for k in into])
+    if unital:
+        phi = OperationMap([np.sqrt(0.5) * haar_unitary(d, rng).mat for _ in range(1 + extra)]
+                           + [np.sqrt(0.5 - 0.5 * extra) * u])
+    else:
+        into = random_channel(d, r, -(-d // r) + extra, rng).kraus
+        phi = OperationMap([u @ np.vstack([k, np.zeros((d - r, d))]) @ u.conj().T for k in into])
     analysis = analyze_fixed_points(phi)
-    p = analysis.support_p
-    worst = 0.0
-    for a in units(d):
-        worst = max(
-            worst, op_norm(analysis.average_dual(a) - analysis.average_dual(p @ a @ p))
-        )
-    assert abs(check_minimal_support(analysis, phi).sandwich_defect - worst) <= AGREE
+    v = u[:, :r]
+    for p in (analysis.support_p, v @ v.conj().T):
+        moved = dataclasses.replace(analysis, support_p=p)
+        worst = 0.0
+        for a in units(d):
+            worst = max(worst, op_norm(moved.average_dual(a) - moved.average_dual(p @ a @ p)))
+        assert abs(check_minimal_support(moved, phi).sandwich_defect - worst) <= AGREE
 
 
 @given(seed=SEEDS, d_sys=DIMS, d_app=DIMS, dilation=st.booleans())
@@ -616,3 +626,28 @@ def test_non_repeatable_items_match_stacked_images(seed, d, sizes, norm_one):
         assert not rep.items["projector-sandwich"].evaluated
     else:
         assert abs(rep.items["projector-sandwich"].defect - projector) <= AGREE
+
+
+@given(seed=SEEDS, d=st.integers(2, 6), sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4))
+@SETTINGS
+def test_adjoint_frames_have_one_maximum(seed, d, sizes):
+    # repeatability_report drops the (1, E(x)) frame of its own-effect and
+    # total-localizes items: E(x) is exactly Hermitian, so that frame's image
+    # of E_ij is the adjoint of the (E(x), 1) frame's image of E_ji
+    rng = np.random.default_rng(seed)
+    kraus = random_channel(d, d, sum(sizes), rng).kraus
+    ends = np.cumsum(sizes)
+    inst = Instrument([f"x{i}" for i in range(len(sizes))],
+                      [OperationMap(kraus[end - k : end]) for k, end in zip(sizes, ends)])
+    own = _stack_families([op._kraus for op in inst.operations])
+    others = _stack_families([np.delete(np.array(kraus), np.s_[end - k : end], axis=0)
+                              for k, end in zip(sizes, ends)])
+    e = inst.induced_observable()._effects[:, None]
+    eyes = np.broadcast_to(np.eye(d), e.shape)
+    rep = repeatability_report(inst)
+    for item, first, second in (("sandwich-own-effect", own, own),
+                                ("total-localizes", others, others[:, :0])):
+        left_frame = _dual_gap(first, second, e, eyes)
+        assert abs(_dual_gap(first, second, eyes, e) - left_frame) <= AGREE
+        both = _dual_gap(first, second, e, e)
+        assert abs(rep.items[item].defect - max(left_frame, both)) <= AGREE

@@ -301,9 +301,11 @@ def test_memory_error_is_a_resource_limit(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-def test_fixed_points_task_builds_one_supermatrix(tmp_path, monkeypatch):
+def fixed_points_supermatrix_builds(tmp_path, monkeypatch, builtin):
+    """Run the ``fixed-points`` task of a builtin alone; returns how many
+    supermatrices it built."""
     scn = tmp_path / "scn.json"
-    assert cli.main(["builtin", "qubit-luders", "--emit", str(scn), "--quiet"]) == 0
+    assert cli.main(["builtin", builtin, "--emit", str(scn), "--quiet"]) == 0
     scenario = json.loads(scn.read_text())
     scenario["tasks"] = [t for t in scenario["tasks"] if t["op"] == "fixed-points"]
     assert len(scenario["tasks"]) == 1
@@ -320,7 +322,16 @@ def test_fixed_points_task_builds_one_supermatrix(tmp_path, monkeypatch):
     code, report = run_file(tmp_path, scenario)
     assert code == 0
     assert report["tasks"][0]["ok"]
-    assert len(calls) == 1
+    return len(calls)
+
+
+def test_unital_fixed_points_task_builds_no_supermatrix(tmp_path, monkeypatch):
+    # the Lueders channel is unital: its fixed space is the Kraus commutant
+    assert fixed_points_supermatrix_builds(tmp_path, monkeypatch, "qubit-luders") == 0
+
+
+def test_non_unital_fixed_points_task_builds_one_supermatrix(tmp_path, monkeypatch):
+    assert fixed_points_supermatrix_builds(tmp_path, monkeypatch, "rank1-collapse") == 1
 
 
 def test_scheme_run_builds_one_supermatrix(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from waylab import Observable, Operator, OperationMap, op_norm
+from waylab import Observable, Operator, OperationMap, fixpt, op_norm
 from waylab.conserve import AdditiveQuantity, conservative_unitary
 from waylab.cpmaps import apply_dual, apply_map, to_supermatrix
 from waylab.fixpt import (
@@ -302,6 +302,54 @@ def test_near_unit_eigenvalues_keep_the_fixed_space_basis(seed, d, data):
     assert analysis.fixed_dim == len(null_basis(phi)) == len(analysis.basis)
     gram = np.einsum("aij,bij->ab", analysis.basis.conj(), analysis.basis)
     np.testing.assert_allclose(gram, np.eye(analysis.fixed_dim), atol=1e-12)
+
+
+def unitary_mixture(d, rng, n=None):
+    """``rho -> sum_i p_i U_i rho U_i^dag`` for Haar ``U_i``: unital."""
+    n = int(rng.integers(1, 4)) if n is None else n
+    p = rng.dirichlet(np.ones(n))
+    return OperationMap([np.sqrt(w) * haar_unitary(d, rng).mat for w in p])
+
+
+def unital_channel(kind, d, rng):
+    if kind == "mixture":
+        return unitary_mixture(d, rng)
+    if kind == "luders":
+        n = int(rng.integers(2, 5))
+        return luders_instrument(Observable([f"x{i}" for i in range(n)],
+                                            random_povm(d, n, rng))).total()
+    if kind == "sum":
+        # a direct sum of two unitary mixtures, in a random basis: its
+        # commutant holds the two block projectors
+        r = int(rng.integers(1, d))
+        first, second = unitary_mixture(r, rng, 2), unitary_mixture(d - r, rng, 2)
+        u = haar_unitary(d, rng).mat
+        return OperationMap([u @ scipy.linalg.block_diag(a, b) @ u.conj().T
+                             for a, b in zip(first.kraus, second.kraus)])
+    # a smearing whose non-fixed eigenvalues lie 1e-11 to 1e-8 below 1,
+    # within the certificate's margin of rank_tol
+    cuts = sorted(rng.choice(np.arange(1, d), size=int(rng.integers(1, d)), replace=False))
+    sizes = np.diff([0, *cuts, d])
+    gaps = rng.uniform(-11, -8, size=len(cuts))
+    return smeared_luders_channel(d, sizes, rng.uniform(0.05, 0.6), gaps, int(rng.integers(2**31)))
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+       kind=st.sampled_from(["mixture", "luders", "sum", "near-unit"]))
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_unital_path_matches_dense_path(seed, d, kind):
+    phi = unital_channel(kind, d, np.random.default_rng(seed))
+    took = fixpt._unital_fixed_space(phi, DEFAULT_TOL) is not None
+    assert took == (kind != "near-unit")  # near-unit smearings fall back
+    got = analyze_fixed_points.__wrapped__(phi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixpt, "_unital_fixed_space", lambda phi, tol: None)
+        dense = analyze_fixed_points.__wrapped__(phi)
+    for field in ("fixed_dim", "faithful", "algebra_certified", "commutant_consistent"):
+        assert getattr(got, field) == getattr(dense, field), field
+    assert op_norm_mat(got.projector - dense.projector) <= 1e-10
+    np.testing.assert_allclose(got.basis, dense.basis, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got.rho0, dense.rho0, rtol=0, atol=1e-12)
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 6),

@@ -75,3 +75,18 @@ def report_value(report, path):
     for key in path:
         report = report[key]
     return report
+
+
+def test_report_diff_into_a_closed_pipe_exits_quietly(tmp_path):
+    # far more differing floats than a pipe buffer holds: the script is
+    # still writing when the reader goes away
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps([0.5] * 20000))
+    b.write_text(json.dumps([0.5 + 1e-9] * 20000))
+    proc = subprocess.Popen([sys.executable, str(SCRIPT), str(a), str(b)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline().startswith("differing floats: 20000,")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 1
+    assert proc.stderr.read() == ""
+    proc.stderr.close()

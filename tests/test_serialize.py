@@ -379,6 +379,34 @@ def test_dumps_writes_arrays_as_their_json_lists():
                 dumps({"m": arr})
 
 
+def pair_lists(a):
+    """A complex array as nested lists of ``[re, im]`` pairs of floats."""
+    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
+
+
+@given(shape=st.lists(st.integers(0, 4), min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1),
+       special=st.sampled_from([None, -0.0, complex(-0.0, -0.0), 1e300, float("nan"),
+                                float("inf"), complex(1.0, -float("inf"))]))
+@settings(derandomize=True, max_examples=80, deadline=None)
+def test_dumps_writes_complex_arrays_as_their_pair_lists(shape, seed, special):
+    # 1-D and 2-D arrays take one template; higher dimensions recurse into
+    # them; a non-finite value takes the per-element path, which raises
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if special is not None and a.size:
+        a.reshape(-1)[rng.integers(a.size)] = special
+    a.setflags(write=False)
+    for obj, ref in ((a, pair_lists(a)), ({"x": a, "y": [1.5, a]}, {"x": pair_lists(a),
+                                                                    "y": [1.5, pair_lists(a)]})):
+        try:
+            expected = dumps(ref)
+        except ValueError as err:
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                dumps(obj)
+        else:
+            assert dumps(obj) == expected
+
+
 def test_only_serialize_and_cli_know_the_json_schema():
     # the domain modules are JSON-free: no other module imports serialize or
     # names its SchemaError

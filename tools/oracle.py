@@ -48,6 +48,13 @@ the same files.  It writes:
   null thresholds of the two ends of the ``||S||_2`` bracket, so
   ``kraus_commutant`` takes ``||S||_2 = 2`` from the Gram and counts the
   value as null in the first channel only;
+* ``near-unit-smearing.json``: ``waylab run`` with a ``fixed-points`` task
+  on the Lüders instrument of a two-outcome smearing ``E(0) = a P +
+  a' (1 - P)`` at ``d = 4``, whose non-fixed channel eigenvalue
+  ``sqrt(a a') + sqrt((1 - a)(1 - a'))`` is about ``1 - 1e-9``: inside
+  ``rank_tol`` for the supermatrix rule, far outside it for the Kraus
+  commutant, so the unital path's certificate fails and the dense SVD counts
+  all 16 directions;
 * ``demo-<script>.txt``: each demo's standard output;
 * ``battery-<offset>.json``: every bound row of the four evaluators and the
   Yanase report for each of 200 random scenarios of the acceptance battery
@@ -229,6 +236,28 @@ def gram_window_scenario() -> dict:
             "tasks": [{"op": "fixed-points", "channel": name} for name in objects]}
 
 
+def near_unit_smearing_scenario() -> dict:
+    from waylab import Observable
+    from waylab.measure import luders_instrument
+    from waylab.rand import haar_unitary
+    from waylab.serialize import instrument_to_json
+
+    a = 0.3
+    # 1 - (sqrt(a a') + sqrt((1 - a)(1 - a'))) = (a' - a)^2 / (8 a (1 - a)) to
+    # leading order
+    a_next = a + np.sqrt(8 * a * (1 - a) * 1e-9)
+    u = haar_unitary(4, np.random.default_rng(12)).mat
+    e0 = (u * np.array([a, a, a_next, a_next])) @ u.conj().T
+    inst = luders_instrument(Observable(["0", "1"], [e0, np.eye(4) - e0]))
+    return {
+        "schema": 1,
+        "name": "near-unit-smearing",
+        "system_dim": 4,
+        "objects": {"I": {"kind": "instrument", **instrument_to_json(inst)}},
+        "tasks": [{"op": "fixed-points", "instrument": "I"}],
+    }
+
+
 def cli_outputs(out_dir: str) -> list[str]:
     """Run the CLI oracles; returns one ``name exit-code`` line per run."""
     from waylab import cli
@@ -250,6 +279,7 @@ def cli_outputs(out_dir: str) -> list[str]:
             random_instrument_scenario(), luders_unsharp_scenario(),
             unsharp_pointer_scenario(3, 4), unsharp_pointer_scenario(12, 3),
             cnot_extremal_scenario(), conservation_unitary_scenario(), gram_window_scenario(),
+            near_unit_smearing_scenario(),
         ):
             path = os.path.join(work, f"{scenario['name']}.json")
             with open(path, "w") as fh:

@@ -7,13 +7,15 @@ every float of one is within 1e-12 of the matching float (or integral
 number, which is how a float such as 0.0 is written) of the other;
 exits 1 otherwise, and 2 on a usage error.  Prints the number of floats
 that differ at all, the largest absolute difference, the path of each
-differing float, and the path of each mismatch of any other kind.
+differing float, and the path of each mismatch of any other kind; a reader
+that closes the pipe early (``| head``) ends the listing quietly.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import sys
 
 FLOAT_TOL = 1e-12
@@ -66,11 +68,17 @@ def main(argv: list[str]) -> int:
     mismatches: list[str] = []
     compare(a, b, "$", floats, mismatches)
     largest = max((d for _, d in floats), default=0.0)
-    print(f"differing floats: {len(floats)}, largest absolute difference: {largest:.3g}")
-    for path, diff in floats:
-        print(f"  {path}: {diff:.3g}")
-    for line in mismatches:
-        print(f"mismatch {line}")
+    try:
+        print(f"differing floats: {len(floats)}, largest absolute difference: {largest:.3g}")
+        for path, diff in floats:
+            print(f"  {path}: {diff:.3g}")
+        for line in mismatches:
+            print(f"mismatch {line}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (``report_diff.py A B | head``): send the
+        # rest, and the flush at exit, nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if not mismatches and largest <= FLOAT_TOL else 1
 
 
