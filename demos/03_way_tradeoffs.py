@@ -21,12 +21,18 @@ Four vignettes on qubit system + qubit apparatus:
 """
 
 import numpy as np
-import scipy.linalg
 
 from waylab import Observable, OperationMap
 from waylab.bounds import eval_measurability_bounds, eval_way
 from waylab.conserve import AdditiveQuantity, conservative_unitary, yanase_conditions
 from waylab.measure import MeasurementScheme, sharp_observable
+
+
+def exp_i(h, t):
+    """``exp(i t h)`` of a Hermitian ``h``, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(1j * t * w)) @ v.conj().T
+
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SY = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
@@ -73,7 +79,7 @@ def main():
 
     print("4. exchange coupling with an x-pointer: the Yanase condition fails")
     h = np.kron(SX, SX) + np.kron(SY, SY)
-    u_ex = scipy.linalg.expm(-0.7j * h)
+    u_ex = exp_i(h, -0.7)
     m_ex = MeasurementScheme(2, 2, ground, OperationMap([u_ex]), sharp_observable(SX))
     y = yanase_conditions(m_ex, q_both)
     print(f"  yanase defect {y.yanase_defect:.3f}, weak defect {y.weak_defect:.3f}")

@@ -41,6 +41,7 @@ from .opcore import (
     Tolerance,
     _BLOCK,
     _as_matrix,
+    _fro2,
     _sv_max,
     max_op_norm,
     op_norm_mat,
@@ -88,14 +89,24 @@ def _per_object(fn):
     """Cache ``fn(obj, ...)`` on its immutable first argument ``obj``, keyed by
     ``fn``'s name and its other arguments with defaults filled in, so each
     derivation of an object runs once per tolerance (and quantity); the
-    entries live in the object's ``_memo`` dict and die with it."""
+    entries live in the object's ``_memo`` dict and die with it.  The names
+    and defaults of the other parameters are read once, here; a call that
+    does not bind raises the ``TypeError`` of ``inspect.Signature.bind``."""
     sig = inspect.signature(fn)
+    params = list(sig.parameters.values())[1:]
+    if any(p.kind is not p.POSITIONAL_OR_KEYWORD for p in params):
+        raise TypeError(f"{fn.__name__}: only plain parameters can key the cache")
+    names = tuple(p.name for p in params)
+    defaults = tuple(p.default for p in params)
 
     @functools.wraps(fn)
     def cached(obj: Any, *args: Any, **kwargs: Any):
-        bound = sig.bind(obj, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__name__, *bound.args[1:])
+        n = len(args)
+        values = [kwargs.get(name, default) for name, default in zip(names[n:], defaults[n:])]
+        if (n > len(names) or (kwargs and not kwargs.keys() <= set(names[n:]))
+                or any(v is inspect.Parameter.empty for v in values)):
+            sig.bind(obj, *args, **kwargs)  # raises
+        key = (fn.__name__, *args, *values)
         if key not in obj._memo:
             obj._memo[key] = fn(obj, *args, **kwargs)
         return obj._memo[key]
@@ -208,60 +219,83 @@ def _apply(phi: OperationMap, x: np.ndarray, dual: bool) -> np.ndarray:
     return (left @ x[..., None, :, :] @ right).sum(axis=-3)
 
 
-def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """``max ||sum_m a[f, m] E_ij b[f, m]||`` over every ``f`` and every matrix
-    unit ``E_ij``, for finite factor stacks ``a`` ``(F, M, p, d)`` and ``b``
-    ``(F, M, d, q)``; 0.0 when ``F`` or ``M`` is 0.
+def _max_unit_norm(a: np.ndarray, *rights: np.ndarray | None, worst: float = 0.0) -> float:
+    """``max ||sum_m a[f, m] E_ij b[f, m]||`` over every ``f``, every right stack
+    ``b`` of ``rights`` and every matrix unit ``E_ij``, and ``worst``, for
+    finite factor stacks ``a`` ``(F, M, p, d)`` and ``b`` ``(F, M, d, q)``, or
+    ``(1, M, d, q)`` for one right stack shared by every ``f`` (one ``q`` for
+    all); a right stack None is the adjoint of the left one,
+    ``b[f, m] = a[f, m]^dag``.  The maximum over no image is 0.0.
 
     The image of ``E_ij`` is ``U_i W_j``, where ``U_i`` (``p x M``) has the
-    columns ``a[f, m][:, i]`` and ``W_j`` (``M x q``) the rows ``b[f, m][j, :]``.
-    When ``2 M <= min(p, q)``, thin QRs ``U_i = Q_i R_i`` and
+    columns ``a[f, m][:, i]`` and ``W_j`` (``M x q``) the rows
+    ``b[f, m][j, :]``; the right stacks share ``U_i`` and what is derived
+    from it.  When ``2 M <= min(p, q)``, thin QRs ``U_i = Q_i R_i`` and
     ``W_j^dag = Q'_j S_j`` give ``||U_i W_j|| = ||R_i S_j^dag||``: the norms of
-    ``d**2`` matrices ``M x M`` per ``f``, and no image is built.  Otherwise,
-    up to ``_SCREEN_MIN`` entries of images in all come from one GEMM with
-    inner dimension ``M`` (layout ``(d, p, d, q)``) and go to
-    ``opcore.max_op_norm``; more are screened, three ``f`` at a time:
+    ``d**2`` matrices ``M x M`` per ``f`` and right stack, and no image is
+    built.  Otherwise, up to ``_SCREEN_MIN`` entries of images in all come
+    from one GEMM per ``f`` and right stack with inner dimension ``M``
+    (layout ``(d, p, d, q)``) and go to ``opcore.max_op_norm``; more are
+    screened, in chunks of ``f`` of at most ``opcore._BLOCK`` Gram entries:
     ``||U_i W_j||_F**2 = tr(G_i H_j)`` with the ``M x M`` Grams
-    ``G_i = U_i^dag U_i`` and ``H_j = W_j W_j^dag``, and a margin
+    ``G_i = U_i^dag U_i`` and ``H_j = W_j W_j^dag`` (``G_j`` for the adjoint,
+    one set for a shared right stack), and a margin
     ``_GRAM_SLACK (M + p + q)**2 eps ||G_i||_F ||H_j||_F`` covers the rounding
     of the Grams, of the trace and of the image itself, so each bound is at
     least the computed norm of its image.  Images are built and their norms
     taken in descending order of the bound, in rounds of doubling size, until
     the next bound falls below the largest norm so far, which no image left
-    can exceed.  A built image is a window of the GEMM of all images, aligned
-    to ``_GEMM_ALIGN`` rows and columns, so its entries round as they do in
-    that GEMM (with the BLAS named there) and the maximum is the full
-    expression's over all images.
+    can exceed.  A built image is a window of the GEMM of all images of its
+    ``f`` and right stack, aligned to ``_GEMM_ALIGN`` rows and columns, so
+    its entries round as they do in that GEMM (with the BLAS named there)
+    and the maximum is the full expression's over all images.
     """
     n_f, m, p, d = a.shape
-    q = b.shape[-1]
+    q = next((b.shape[-1] for b in rights if b is not None), p)
+    rows = a.transpose(0, 3, 2, 1)  # U_i = rows[f, i]
     if 2 * m <= min(p, q):
-        r = np.linalg.qr(a.transpose(0, 3, 2, 1), mode="r")
-        s = np.linalg.qr(b.transpose(0, 2, 3, 1).conj(), mode="r")
-        # einsum, not matmul: a broadcast matmul of tiny matrices costs a
-        # BLAS call each
-        return max_op_norm(np.einsum("fiab,fjcb->fijac", r, s.conj()))
-    rows = a.transpose(0, 3, 2, 1).reshape(n_f, d * p, m)
-    cols = b.reshape(n_f, m, d * q)
-    if n_f * d * p * d * q <= _SCREEN_MIN:
-        images = (rows @ cols).reshape(n_f, d, p, d, q).transpose(0, 1, 3, 2, 4)
-        return max_op_norm(images)
+        r = np.linalg.qr(rows, mode="r")
+        for b in rights:
+            s = r if b is None else np.linalg.qr(b.transpose(0, 2, 3, 1).conj(), mode="r")
+            # einsum, not matmul: a broadcast matmul of tiny matrices costs a
+            # BLAS call each
+            s = np.broadcast_to(s, r.shape)
+            worst = max(worst, max_op_norm(np.einsum("fiab,fjcb->fijac", r, s.conj())))
+        return worst
+    rows = rows.reshape(n_f, d * p, m)
+    # W_j = cols[f, :, j q : (j + 1) q]; None for the adjoint, W_j = U_j^dag
+    cols = [None if b is None else b.reshape(len(b), m, d * q) for b in rights]
+    if n_f * len(cols) * d * p * d * q <= _SCREEN_MIN:
+        for c in cols:
+            images = rows @ (rows.conj().swapaxes(1, 2) if c is None else c)
+            images = images.reshape(n_f, d, p, d, q).transpose(0, 1, 3, 2, 4)
+            worst = max(worst, max_op_norm(images))
+        return worst
     slack = _GRAM_SLACK * (m + p + q) ** 2 * np.finfo(float).eps
-    bound = np.empty((n_f, d, d))
-    for lo in range(0, n_f, 3):
-        u = rows[lo : lo + 3].reshape(-1, p, m)
-        w = np.ascontiguousarray(cols[lo : lo + 3].reshape(-1, m, d, q).transpose(0, 2, 1, 3))
+
+    def grams(c: np.ndarray) -> np.ndarray:
+        """The Grams ``H_j = W_j W_j^dag`` of a ``cols`` stack, ``(F, d, M, M)``."""
+        w = np.ascontiguousarray(c.reshape(len(c), m, d, q).transpose(0, 2, 1, 3))
+        return w @ w.conj().swapaxes(-1, -2)
+
+    shared = [None if c is None or len(c) > 1 else grams(c) for c in cols]
+    bound = np.empty((n_f, len(cols), d, d))
+    per_chunk = max(1, _BLOCK // (d * m * m))
+    for lo in range(0, n_f, per_chunk):
+        u = rows[lo : lo + per_chunk].reshape(-1, p, m)
         g = (u.conj().swapaxes(-1, -2) @ u).reshape(-1, d, m, m)
-        h = (w @ w.conj().swapaxes(-1, -2)).reshape(-1, d, m, m)
         # tr(G_i H_j) = Re sum_kl G_i[k, l] conj(H_j[k, l]) (H_j is Hermitian):
         # one real GEMM over the (re, im) parts
         g_parts = g.view(float).reshape(-1, d, 2 * m * m)
-        fro2 = g_parts @ h.view(float).reshape(-1, d, 2 * m * m).swapaxes(1, 2)
-        margin = slack * np.sqrt(_fro2(g)[:, :, None] * _fro2(h)[:, None, :])
-        bound[lo : lo + 3] = np.sqrt(np.maximum(fro2, 0.0) + margin)
-    bound = bound.reshape(-1)
+        for r, (c, h) in enumerate(zip(cols, shared)):
+            if h is None:
+                h = g if c is None else grams(c[lo : lo + per_chunk])
+            fro2 = g_parts @ h.view(float).reshape(-1, d, 2 * m * m).swapaxes(1, 2)
+            margin = slack * np.sqrt(_fro2(g)[:, :, None] * _fro2(h)[:, None, :])
+            bound[lo : lo + per_chunk, r] = np.sqrt(np.maximum(fro2, 0.0) + margin)
+    shape, bound = bound.shape, bound.reshape(-1)
     order = np.argsort(-bound)  # descending, a nan bound (never built) last
-    worst, at, size = 0.0, 0, _SCREEN_BATCH
+    at, size = 0, _SCREEN_BATCH
     while at < len(order):
         batch = order[at : at + size]
         at, size = at + size, min(2 * size, _SCREEN_BATCH_MAX)
@@ -269,10 +303,15 @@ def _max_unit_norm(a: np.ndarray, b: np.ndarray) -> float:
         if not len(batch):
             break
         images = np.empty((len(batch), p, q), dtype=complex)
-        for slot, (fk, ik, jk) in enumerate(zip(*np.unravel_index(batch, (n_f, d, d)))):
+        for slot, (fk, rk, ik, jk) in enumerate(zip(*np.unravel_index(batch, shape))):
+            c = cols[rk]
             top, stop = _aligned(ik * p, p, d * p)
             left, right = _aligned(jk * q, q, d * q)
-            window = rows[fk, top:stop] @ cols[fk, :, left:right]
+            if c is None:
+                w = rows[fk, left:right].conj().T
+            else:
+                w = c[fk if len(c) > 1 else 0, :, left:right]
+            window = rows[fk, top:stop] @ w
             images[slot] = window[ik * p - top :][:p, jk * q - left :][:, :q]
         # a second screen before the SVDs: ||A||_2**2 <= ||A^dag A||_F
         sharper = np.sqrt(np.sqrt(_fro2(images.conj().swapaxes(-1, -2) @ images))
@@ -290,12 +329,6 @@ def _aligned(first: int, size: int, total: int) -> tuple[int, int]:
     ``range(first, first + size)``."""
     stop = -(-(first + size) // _GEMM_ALIGN) * _GEMM_ALIGN
     return first // _GEMM_ALIGN * _GEMM_ALIGN, min(stop, total)
-
-
-def _fro2(stack: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norms of a stack ``(..., r, c)`` of complex matrices."""
-    flat = np.ascontiguousarray(stack).reshape(*stack.shape[:-2], -1).view(float)
-    return np.einsum("...k,...k->...", flat, flat)
 
 
 def _stack_families(families: Sequence[np.ndarray]) -> np.ndarray:

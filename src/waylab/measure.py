@@ -73,6 +73,11 @@ __all__ = [
 ]
 
 
+# Entries of the left factor stack per block of families in ``_dual_gap``:
+# 16 MiB of complex, all outcomes of a Lüders instrument up to d = 32 at once.
+_FRAME_BLOCK = 2**20
+
+
 def _outcome_index(outcomes: tuple[str, ...], x: str) -> int:
     try:
         return outcomes.index(str(x))
@@ -199,11 +204,15 @@ class Instrument:
         for op in ops:
             if op.in_dim != d or op.out_dim != d:
                 raise ValueError("instrument operations must be endomorphisms of one space")
-        for x, op in zip(labels, ops):
-            if not op.is_operation(tol):
-                raise ValueError(f"operation {x!r} is not trace non-increasing")
+        # sum K^dag K <= 1 for every outcome (OperationMap.is_operation), by
+        # one batched eigvalsh
+        grams = _kraus_grams(ops)
+        gaps = np.eye(d) - grams
+        bad = ~(np.linalg.eigvalsh(_hermitian_parts(gaps))[:, 0] >= -tol.eq_tol)  # NaN is bad
+        if bad.any():
+            raise ValueError(f"operation {labels[int(np.argmax(bad))]!r} is not trace non-increasing")
         self._set(labels, ops)
-        gap = op_norm_mat(self._total.kraus_gram() - np.eye(d))
+        gap = op_norm_mat(grams.sum(axis=0) - np.eye(d))
         if gap > tol.eq_tol:
             raise ValueError(f"total map is not a channel (completeness defect {gap:.3e})")
 
@@ -239,9 +248,16 @@ class Instrument:
 
     def induced_observable(self) -> Observable:
         """``x -> I*_x(1)``, not checked again."""
-        eye = np.eye(self.dim, dtype=complex)
-        grams = np.array([_apply(op, eye, True) for op in self._operations])
-        return Observable._derived(self._outcomes, _hermitian_parts(grams))
+        return Observable._derived(self._outcomes, _hermitian_parts(_kraus_grams(self._operations)))
+
+
+def _kraus_grams(ops: Sequence[OperationMap]) -> np.ndarray:
+    """``I*_x(1) = sum_k K_k^dag K_k`` of every operation, ``(n, in, in)``: one
+    GEMM per operation over its Kraus operators stacked along the rows (the
+    families zero-padded to one length)."""
+    stack = _stack_families([op._kraus for op in ops])
+    stack = stack.reshape(len(stack), -1, stack.shape[-1])
+    return stack.conj().swapaxes(1, 2) @ stack
 
 
 class MeasurementScheme(_Immutable):
@@ -556,42 +572,61 @@ def _exclusivity_defect(proj: dict[str, np.ndarray], obs: Observable) -> float:
 def _dual_gap(
     first: np.ndarray,
     second: np.ndarray,
-    lefts: np.ndarray | None = None,
-    rights: np.ndarray | None = None,
+    left: np.ndarray | None = None,
+    rights: tuple[np.ndarray | None, ...] = (None,),
+    drop: np.ndarray | None = None,
 ) -> float:
     """``max ||sum F^dag L A R F - sum S^dag A S||`` over every matrix unit ``A``,
-    family ``i`` and frame ``f``: the defect of ``Phi_1 = Phi_2`` for the duals
+    family ``i`` and frame: the defect of ``Phi_1 = Phi_2`` for the duals
     ``Phi_1`` of ``first`` (framed) and ``Phi_2`` of ``second``.
 
     ``first[i]`` and ``second[i]`` are zero-padded Kraus stacks
-    (``(n, k, out, in)`` and ``(n, k', out, in)``; ``k' = 0`` is the zero map),
-    and the frames ``(L, R)`` are ``lefts[i, f]`` and ``rights[i, f]``
-    (``(n, f, out, out)``; none means one identity frame).  A state-side map
-    ``sum K A K^dag`` is the dual of the family ``K^dag``.  The factors of
-    :func:`cpmaps._max_unit_norm` are ``[F^dag L, -S^dag]`` and ``[R F, S]``.
+    (``(n, k, out, in)`` and ``(n, k', out, in)``; ``k' = 0`` is the zero map).
+    ``first`` may instead be one stack ``(1, k, out, in)`` for every family,
+    with ``drop[i]`` (``(n, k)`` bools) the operators family ``i`` leaves out.
+    The frames ``(L, R)`` of family ``i`` share ``L = left[i]``, and each of
+    ``rights`` gives one ``R = rights[r][i]`` (``(n, out, out)``; None is the
+    identity, for ``left`` too).  A state-side map ``sum K A K^dag`` is the
+    dual of the family ``K^dag``.  The factors of
+    :func:`cpmaps._max_unit_norm` are ``a = [F^dag L, -S^dag]`` and
+    ``b = [R F, S]``, one ``a`` for all frames: with no second family and
+    ``R`` the array ``left`` (Hermitian, as every frame here is), ``b`` is
+    the adjoint of ``a``, and with ``R`` the identity and one shared
+    ``first``, one ``b`` serves every family.  The
+    factors are built for blocks of families of at most ``_FRAME_BLOCK``
+    entries of ``a`` each, never for all families at once.
     """
-    n, k, rows, cols = first.shape
-    n_f, m = (1 if lefts is None else lefts.shape[1]), k + second.shape[1]
-    # the factors are written in place: a concatenation of the frames' stacks
-    # would copy them once more
-    a = np.empty((n, n_f, m, cols, rows), dtype=complex)
-    b = np.empty((n, n_f, m, rows, cols), dtype=complex)
+    n, k, rows, cols = len(second), *first.shape[1:]
+    m = k + second.shape[1]
     first_h = first.conj().swapaxes(-1, -2)
-    if lefts is None:
-        a[:, :, :k], b[:, :, :k] = first_h[:, None], first[:, None]
-    else:
-        # one GEMM per family and side, not one per frame and Kraus operator:
-        # the Kraus operators stacked along the rows of F^dag and the columns
-        # of F, the frames along the columns of L and the rows of R
-        fl = first_h.reshape(n, k * cols, rows) @ lefts.transpose(0, 2, 1, 3).reshape(
-            n, rows, n_f * rows)
-        a[:, :, :k] = fl.reshape(n, k, cols, n_f, rows).transpose(0, 3, 1, 2, 4)
-        rf = rights.reshape(n, n_f * rows, rows) @ first.transpose(0, 2, 1, 3).reshape(
-            n, rows, k * cols)
-        b[:, :, :k] = rf.reshape(n, n_f, rows, k, cols).transpose(0, 1, 3, 2, 4)
-    a[:, :, k:] = -second.conj().swapaxes(-1, -2)[:, None]
-    b[:, :, k:] = second[:, None]
-    return _max_unit_norm(a.reshape(n * n_f, m, cols, rows), b.reshape(n * n_f, m, rows, cols))
+    per_block = max(1, _FRAME_BLOCK // max(1, m * rows * cols))
+    worst = 0.0
+    for lo in range(0, n, per_block):
+        hi = min(lo + per_block, n)
+        own, own_h = (first, first_h) if len(first) == 1 else (first[lo:hi], first_h[lo:hi])
+        a = np.empty((hi - lo, m, cols, rows), dtype=complex)
+        if left is None:
+            a[:, :k] = own_h
+        else:
+            # one GEMM per family: the Kraus operators stacked along the rows of F^dag
+            fl = own_h.reshape(len(own_h), k * cols, rows) @ left[lo:hi]
+            a[:, :k] = fl.reshape(hi - lo, k, cols, rows)
+        if drop is not None:
+            a[:, :k][drop[lo:hi]] = 0.0
+        a[:, k:] = -second[lo:hi].conj().swapaxes(-1, -2)
+        bs = []
+        for right in rights:
+            if right is left and right is not None and m == k:
+                bs.append(None)  # R F = (F^dag L)^dag
+            elif right is None and len(first) == 1 and m == k:
+                bs.append(first)
+            else:
+                b = np.empty((hi - lo, m, rows, cols), dtype=complex)
+                b[:, :k] = own if right is None else (right[lo:hi, None] @ own)
+                b[:, k:] = second[lo:hi]
+                bs.append(b)
+        worst = _max_unit_norm(a, *bs, worst=worst)
+    return worst
 
 
 @_per_object
@@ -653,20 +688,15 @@ def repeatability_report(
     # (E(x), 1) frame: the two frames have the same maximum, here and in
     # (ii), and only (E(x), 1) and (E(x), E(x)) are checked
     e_mats = e_obs._effects
-    eyes = np.broadcast_to(eye, e_mats.shape)
-    lefts = np.stack([e_mats, e_mats], axis=1)
-    rights = np.stack([eyes, e_mats], axis=1)
-    sandwich = _dual_gap(kraus, kraus, lefts, rights)
+    sandwich = _dual_gap(kraus, kraus, e_mats, (None, e_mats))
     items["sandwich-own-effect"] = ItemCheck(sandwich, sandwich <= tol.eq_tol)
 
     # (ii) the total dual agrees with the single-outcome dual on E(x)-framed
-    # forms; their difference is the dual of the other outcomes' Kraus family
+    # forms; their difference is the dual of the other outcomes' Kraus family:
+    # the total family with the outcome's own operators dropped
     total = inst.total()._kraus
-    ends = np.cumsum([len(op) for op in ops])
-    others = _stack_families(
-        [np.delete(total, np.s_[end - len(op) : end], axis=0) for op, end in zip(ops, ends)]
-    )
-    localizes = _dual_gap(others, others[:, :0], lefts, rights)
+    own = np.repeat(np.eye(len(ops), dtype=bool), [len(op) for op in ops], axis=1)
+    localizes = _dual_gap(total[None], kraus[:, :0], e_mats, (None, e_mats), own)
     items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
     # (iv)/(v): eigenvalue-1 projectors of the effects and their exclusivity
@@ -685,9 +715,9 @@ def repeatability_report(
     worst = 0.0
     evaluated_vi = bool(proj)
     if proj:
-        p_mats = np.array(list(proj.values()))[:, None]
+        p_mats = np.array(list(proj.values()))
         own = [inst.outcomes.index(x) for x in proj]
-        worst = _dual_gap(kraus[own], kraus[own], p_mats, p_mats)
+        worst = _dual_gap(kraus[own], kraus[own], p_mats, (p_mats,))
     items["projector-sandwich"] = ItemCheck(
         worst, worst <= tol.eq_tol, evaluated=evaluated_vi,
         note="" if evaluated_vi else "no eigenvalue-1 projectors available",
@@ -704,13 +734,12 @@ def repeatability_report(
     outs = (kraus[:, None] @ np.array(probes)[:, None] @ kraus[:, None].conj().swapaxes(-1, -2)
             ).sum(axis=2)
     weights = np.real(np.trace(outs, axis1=-2, axis2=-1))
-    products = []
+    worst = 0.0
     for outs_r, p_r in zip(outs.swapaxes(0, 1), weights.T):
         seen = p_r > tol.rank_tol
         normed = outs_r[seen] / p_r[seen, None, None]
         i, j = np.triu_indices(len(normed), 1)
-        products.append(normed[i] @ normed[j])
-    worst = max_op_norm(np.concatenate(products))
+        worst = max(worst, max_op_norm(normed[i] @ normed[j]))
     items["output-orthogonality"] = ItemCheck(worst, worst <= tol.eq_tol)
 
     if m is not None:
@@ -746,10 +775,10 @@ def repeatability_report(
         )
 
         if qproj and not q_missing:
-            q_total = sum(qproj.values())[None, None]
+            q_total = sum(qproj.values())[None]
             # (vii) the apparatus restriction only sees the pointer support
             conj = maps.conj_channel._kraus[None]
-            worst = _dual_gap(conj, conj, q_total, q_total)
+            worst = _dual_gap(conj, conj, q_total, (q_total,))
             items["conjugate-pointer-support"] = ItemCheck(worst, worst <= tol.eq_tol)
 
             # (viii) I*_x(A) = Gamma^E_xi(A (x) Q(x)): with the eigenvalue-1

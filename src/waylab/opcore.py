@@ -148,6 +148,12 @@ def _sv_max(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[..., 0]
 
 
+def _fro2(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norms of a stack ``(..., r, c)`` of complex matrices."""
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(*stack.shape[:-2], -1).view(float)
+    return np.einsum("...k,...k->...", flat, flat)
+
+
 def op_norm_mat(m: np.ndarray) -> float:
     """Largest singular value of a raw matrix."""
     if m.size == 0:
@@ -178,7 +184,7 @@ def max_op_norm(stack: np.ndarray) -> float:
         return 0.0
     if stack.size <= _DIRECT_SVD * min(stack.shape[-2:]):
         return float(_sv_max(stack).max())
-    fro = np.linalg.norm(stack, axis=(-2, -1))
+    fro = np.sqrt(_fro2(stack))
     if not np.isfinite(fro).all():
         return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
     top = np.unravel_index(np.argmax(fro), fro.shape)

@@ -197,6 +197,34 @@ def test_repeatability_items_match_unit_loop(seed, d_sys, d_app, kind):
             assert not rep.items[key].evaluated, key
 
 
+@pytest.mark.parametrize("kind", ["sharp", "unsharp"])
+def test_total_localizes_at_d12_matches_unit_loop(kind):
+    # the Lüders instrument of the luders-d12 benchmark's kind of observable
+    # (images at rounding level), and of a 12-outcome unsharp one (images of
+    # order one): the shared-factor screen against one unit at a time
+    d = 12
+    rng = np.random.default_rng(12)
+    if kind == "sharp":
+        u = haar_unitary(d, rng).mat
+        effects = [np.outer(u[:, i], u[:, i].conj()) for i in range(d)]
+    else:
+        effects = random_povm(d, d, rng)
+    inst = luders_instrument(Observable([f"x{i}" for i in range(d)], effects))
+    n_kraus = len(inst.total().kraus)
+    assert 2 * n_kraus > d and 2 * len(effects) * d**4 > _SCREEN_MIN  # the screened path
+    total = inst.total()
+    expected = 0.0
+    for x, eff in zip(inst.outcomes, inst.induced_observable().effects):
+        op, em = inst.operation(x), eff.mat
+        for a in units(d):
+            for probe in (em @ a, em @ a @ em):  # the (E, 1) and (E, E) frames
+                gap = apply_dual(total, probe).mat - apply_dual(op, probe).mat
+                expected = max(expected, op_norm_mat(gap))
+    got = repeatability_report(inst).items["total-localizes"].defect
+    assert abs(got - expected) <= AGREE
+    assert (expected < 1e-12) == (kind == "sharp")
+
+
 def reference_pair_items(inst, tol=DEFAULT_TOL):
     """``projector-exclusivity`` and ``output-orthogonality``, one pair at a time."""
     d = inst.dim
@@ -550,6 +578,30 @@ def test_screened_max_unit_norm_far_down_the_bound_order(flat):
     assert got == dense_unit_max(a, b)
 
 
+@pytest.mark.parametrize("n_f,m", [(3, 2), (1, 6), (9, 6)])  # factored, one GEMM, screened
+def test_max_unit_norm_shares_the_left_factor(n_f, m):
+    # several right stacks against one left stack: the adjoint of the left
+    # one (None), a stack shared by every f and a stack per f, each against
+    # its explicit single-stack maximum and the GEMM of all images
+    rng = np.random.default_rng(n_f * 10 + m)
+    d = 8
+
+    def ginibre(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a = ginibre(n_f, m, d, d)
+    adjoint = a.conj().swapaxes(-1, -2)
+    shared, own = ginibre(1, m, d, d), ginibre(n_f, m, d, d)
+    spread = np.broadcast_to(shared, own.shape)
+    for b, explicit in ((None, adjoint), (shared, spread), (own, own)):
+        got = _max_unit_norm(a, b)
+        assert abs(got - _max_unit_norm(a, explicit)) <= AGREE * got
+        assert abs(got - dense_unit_max(a, explicit)) <= AGREE * got
+    both = _max_unit_norm(a, None, shared, own)
+    assert both == max(_max_unit_norm(a, b) for b in (None, shared, own))
+    assert _max_unit_norm(a, None, own, worst=2 * both) == 2 * both
+
+
 @pytest.mark.parametrize("shape", [(0, 2, 3, 3), (2, 0, 3, 3), (3, 0, 8, 8)])
 def test_max_unit_norm_of_no_map_is_zero(shape):
     f, m, p, d = shape
@@ -642,12 +694,13 @@ def test_adjoint_frames_have_one_maximum(seed, d, sizes):
     own = _stack_families([op._kraus for op in inst.operations])
     others = _stack_families([np.delete(np.array(kraus), np.s_[end - k : end], axis=0)
                               for k, end in zip(sizes, ends)])
-    e = inst.induced_observable()._effects[:, None]
-    eyes = np.broadcast_to(np.eye(d), e.shape)
+    e = inst.induced_observable()._effects
     rep = repeatability_report(inst)
     for item, first, second in (("sandwich-own-effect", own, own),
                                 ("total-localizes", others, others[:, :0])):
-        left_frame = _dual_gap(first, second, e, eyes)
-        assert abs(_dual_gap(first, second, eyes, e) - left_frame) <= AGREE
-        both = _dual_gap(first, second, e, e)
+        left_frame = _dual_gap(first, second, e)
+        assert abs(_dual_gap(first, second, None, (e,)) - left_frame) <= AGREE
+        # a copy of E as R: the explicit right factor R F, not the adjoint
+        # of the left one, which the report's total-localizes item takes
+        both = _dual_gap(first, second, e, (e.copy(),))
         assert abs(rep.items[item].defect - max(left_frame, both)) <= AGREE

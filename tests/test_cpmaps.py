@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from waylab.cpmaps import (
     OperationMap,
+    _per_object,
     apply_dual,
     apply_map,
     compose,
@@ -174,3 +175,37 @@ def test_supermatrix_matches_kron_sum_bitwise(seed, k, d_in, d_out, zeros):
     got = to_supermatrix(phi)
     assert got.shape == expected.shape
     assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_per_object_binds_every_call_form_to_one_entry():
+    # positional, keyword and default arguments make one key, as
+    # inspect.Signature.bind with apply_defaults did
+    calls = []
+
+    @_per_object
+    def derive(obj, q, tol=DEFAULT_TOL, scale=2.0):
+        calls.append((q, tol, scale))
+        return object()
+
+    phi = OperationMap([np.eye(2)])
+    first = derive(phi, "q")
+    for again in (
+        lambda: derive(phi, "q", DEFAULT_TOL),
+        lambda: derive(phi, q="q"),
+        lambda: derive(phi, "q", tol=DEFAULT_TOL),
+        lambda: derive(phi, "q", DEFAULT_TOL, 2.0),
+        lambda: derive(phi, scale=2.0, q="q", tol=DEFAULT_TOL),
+    ):
+        assert again() is first
+    assert calls == [("q", DEFAULT_TOL, 2.0)]
+    assert list(phi._memo) == [("derive", "q", DEFAULT_TOL, 2.0)]
+    assert derive(phi, "q", scale=3.0) is not first
+    for bad in (
+        lambda: derive(phi),  # q missing
+        lambda: derive(phi, "q", DEFAULT_TOL, 2.0, 1),  # one argument too many
+        lambda: derive(phi, "q", other=1),
+        lambda: derive(phi, "q", q="q"),
+    ):
+        with pytest.raises(TypeError):
+            bad()
+    assert len(calls) == 2

@@ -363,6 +363,20 @@ def test_kraus_commutant_matches_full_stack_svd(seed, d, kind, rank_tol):
     assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= 1e-12
 
 
+def candidate_window(phi, rank_tol):
+    """The eigenvectors ``v`` of ``kraus_commutant``'s random Hermitian
+    combination, the candidates ``(a, b)`` of its window and the window
+    ``tau``."""
+    kraus = np.stack(phi.kraus)
+    rng = np.random.default_rng(2718)
+    c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
+    m = np.tensordot(c, kraus, axes=1)
+    w, v = np.linalg.eigh(m + m.conj().T)
+    tau = max(np.sqrt(rank_tol), 100 * np.finfo(float).eps / rank_tol) * max(1.0, np.abs(w).max())
+    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    return v, a, b, tau
+
+
 def gram_commutant(phi, rank_tol):
     """``kraus_commutant`` with ``||S||_2`` always from the ``d^2 x d^2`` Gram
     and an economy SVD of the restricted stack: the scale that the bracket
@@ -375,12 +389,7 @@ def gram_commutant(phi, rank_tol):
     gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * sum(np.kron(f.conj(), f) for f in family)
     s_norm = np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     thr = rank_tol * max(1.0, s_norm)
-    rng = np.random.default_rng(2718)
-    c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
-    m = np.tensordot(c, kraus, axes=1)
-    w, v = np.linalg.eigh(m + m.conj().T)
-    tau = max(np.sqrt(rank_tol), 100 * np.finfo(float).eps / rank_tol) * max(1.0, np.abs(w).max())
-    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    v, a, b, tau = candidate_window(phi, rank_tol)
     edge = max(100.0, s_norm / tau) * thr
     while True:
         cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
@@ -391,7 +400,11 @@ def gram_commutant(phi, rank_tol):
         a, b = np.divmod(np.arange(d * d), d)
     n_null = int(np.sum(s <= thr))
     basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
-    return basis @ vh[len(s) - n_null :].conj().T
+    # the stack is formed to rounding, eps ||S||_2, which moves its null span
+    # by that over the smallest singular value not counted null (Wedin)
+    s_rest = s[len(s) - n_null - 1] if n_null < len(s) else np.inf
+    span_tol = 1e-12 + 16 * np.finfo(float).eps * s_norm / s_rest
+    return basis @ vh[len(s) - n_null :].conj().T, span_tol
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 10),
@@ -400,13 +413,73 @@ def gram_commutant(phi, rank_tol):
 @example(seed=0, d=10, kind="luders", rank_tol=1e-8)
 @example(seed=0, d=10, kind="unsharp", rank_tol=1e-8)
 @example(seed=1, d=5, kind="near-blocks", rank_tol=1e-8)  # the bracket cannot decide
+@example(seed=0, d=2, kind="near-blocks", rank_tol=1e-11)  # a null span fixed to 1e-9
 @settings(derandomize=True, max_examples=40, deadline=None)
 def test_kraus_commutant_bracket_matches_gram_scale(seed, d, kind, rank_tol):
     phi = commutant_channel(kind, d, np.random.default_rng(seed))
     got = kraus_commutant(phi, rank_tol)
-    expected = gram_commutant(phi, rank_tol)
+    expected, span_tol = gram_commutant(phi, rank_tol)
     assert got.shape == expected.shape  # same null count
-    assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= 1e-12
+    assert op_norm_mat(got @ got.conj().T - expected @ expected.conj().T) <= span_tol
+
+
+def algebra_channel(blocks, rng):
+    """A unitary mixture inside ``+_k M_{n_k} (x) 1_{m_k}`` (``blocks`` the
+    pairs ``(n_k, m_k)``) in a Haar-random basis: its commutant is
+    ``+_k 1_{n_k} (x) M_{m_k}``, and its random Hermitian combination has
+    eigenvalues of multiplicity ``m_k``."""
+    p = rng.dirichlet(np.ones(2))
+    u = haar_unitary(sum(n * m for n, m in blocks), rng).mat
+    return OperationMap([
+        np.sqrt(w) * u @ scipy.linalg.block_diag(
+            *[np.kron(haar_unitary(n, rng).mat, np.eye(m)) for n, m in blocks]) @ u.conj().T
+        for w in p
+    ])
+
+
+def degenerate_povm_channel(d, rng):
+    """The Lüders channel of a random smearing ``E(x) = sum_z p(x|z) P(z)`` of
+    the spectral projectors ``P(z)`` (random ranks) of a sharp observable in
+    a random basis: its commutant is ``+_z M_{rank P(z)}``."""
+    cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(1, d)), replace=False))
+    sizes = np.diff([0, *cuts, d])
+    n = int(rng.integers(2, 4))
+    p = rng.dirichlet(np.ones(n), size=len(sizes)).T  # p[x, z]
+    u = haar_unitary(d, rng).mat
+    effects = [(u * np.repeat(row, sizes)) @ u.conj().T for row in p]
+    return luders_instrument(Observable([f"x{i}" for i in range(n)], effects)).total()
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 8),
+       kind=st.sampled_from(["mixture", "degenerate-povm", "algebra"]))
+@example(seed=3, d=8, kind="algebra")
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_commutant_matches_dense_full_stack(seed, d, kind):
+    # the cluster-block rows of _commutant against the dense SVD of the whole
+    # (2k d^2) x d^2 commutator stack S, restricted to the same candidates B
+    rng = np.random.default_rng(seed)
+    if kind == "mixture":
+        phi = unitary_mixture(d, rng)
+    elif kind == "degenerate-povm":
+        phi = degenerate_povm_channel(d, rng)
+    else:
+        n_blocks = int(rng.integers(1, 3))
+        blocks = [(int(rng.integers(1, 3)), int(rng.integers(1, 4))) for _ in range(n_blocks)]
+        phi = algebra_channel(blocks, rng)
+        d = phi.in_dim
+    got = fixpt._commutant(phi, DEFAULT_TOL.rank_tol)
+    stack = full_stack(phi)
+    if len(got.singular) == d * d:
+        cand = np.eye(d * d)
+    else:
+        v, a, b, _ = candidate_window(phi, DEFAULT_TOL.rank_tol)
+        cand = (v[:, b].conj()[:, None, :] * v[:, a][None, :, :]).reshape(d * d, len(a))
+    scale = max(1.0, np.linalg.norm(stack, 2))
+    restricted = np.linalg.svd(stack @ cand, compute_uv=False)
+    np.testing.assert_allclose(got.singular, restricted, rtol=0, atol=1e-12 * scale)
+    expected = full_stack_commutant(phi, DEFAULT_TOL.rank_tol)
+    assert got.n_null == expected.shape[1]
+    assert op_norm_mat(got.basis @ got.basis.conj().T - expected @ expected.conj().T) <= 1e-10
 
 
 def gram_eigvalsh_calls(phi, rank_tol):

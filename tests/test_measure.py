@@ -96,6 +96,13 @@ BAD_INSTRUMENTS = {
     "empty": (([], []), "instrument needs at least one outcome"),
     "trace-increasing": ((["a", "b"], [OperationMap([1.2 * P0]), OperationMap([P1])]),
                          "operation 'a' is not trace non-increasing"),
+    # Kraus families of different lengths, two outcomes that increase the
+    # trace: the error names the first of them
+    "trace-increasing-later": ((["a", "b", "c"],
+                                [OperationMap([0.5 * np.eye(2), 0.5 * np.eye(2)]),
+                                 OperationMap([P0, 0.5 * P0, 0.1 * P1]),
+                                 OperationMap([1.1 * P1])]),
+                               "operation 'b' is not trace non-increasing"),
     "incomplete": ((["a", "b"], [HALF, OperationMap([0.1 * np.eye(2)])]),
                    "total map is not a channel (completeness defect 4.900e-01)"),
 }

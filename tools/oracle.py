@@ -25,6 +25,11 @@ the same files.  It writes:
   unsharp observable at ``d = 10``: its ``total-localizes`` item takes the
   screened long-family matrix-unit path with O(1) images, and its trivial
   commutant comes out of restricted singular values of order one;
+* ``luders-rank2-d8.json``: ``waylab run`` with ``fixed-points`` and
+  ``repeatability`` tasks on the Lüders instrument of a sharp observable
+  with four rank-2 projectors at ``d = 8`` in a random basis: a unital
+  channel whose Kraus commutant is a sum of four ``M_2`` blocks, so the
+  commutant's candidate window holds eigenvalue clusters of size 2;
 * ``unsharp-pointer-3x4.json``, ``unsharp-pointer-12x3.json``: ``waylab run``
   with a ``repeatability`` task on a scheme (random unitary coupling, rank-2
   ``xi``) whose two unsharp pointer effects each have eigenvalue 1 on one
@@ -126,6 +131,27 @@ def luders_unsharp_scenario() -> dict:
         "schema": 1,
         "name": "luders-unsharp-d10",
         "system_dim": 10,
+        "objects": {"I": {"kind": "instrument", **instrument_to_json(inst)}},
+        "tasks": [
+            {"op": "fixed-points", "instrument": "I"},
+            {"op": "repeatability", "instrument": "I"},
+        ],
+    }
+
+
+def luders_rank2_scenario() -> dict:
+    from waylab import Observable
+    from waylab.measure import luders_instrument
+    from waylab.rand import haar_unitary
+    from waylab.serialize import instrument_to_json
+
+    u = haar_unitary(8, np.random.default_rng(13)).mat
+    projectors = [u[:, 2 * i : 2 * i + 2] @ u[:, 2 * i : 2 * i + 2].conj().T for i in range(4)]
+    inst = luders_instrument(Observable([f"x{i}" for i in range(4)], projectors))
+    return {
+        "schema": 1,
+        "name": "luders-rank2-d8",
+        "system_dim": 8,
         "objects": {"I": {"kind": "instrument", **instrument_to_json(inst)}},
         "tasks": [
             {"op": "fixed-points", "instrument": "I"},
@@ -276,7 +302,7 @@ def cli_outputs(out_dir: str) -> list[str]:
             os.mkdir(seed_dir)
             runs.append((f"luders-d12-s{seed}", ["run", Luders(seed, seed_dir).path]))
         for scenario in (
-            random_instrument_scenario(), luders_unsharp_scenario(),
+            random_instrument_scenario(), luders_unsharp_scenario(), luders_rank2_scenario(),
             unsharp_pointer_scenario(3, 4), unsharp_pointer_scenario(12, 3),
             cnot_extremal_scenario(), conservation_unitary_scenario(), gram_window_scenario(),
             near_unit_smearing_scenario(),
