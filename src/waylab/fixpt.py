@@ -253,16 +253,14 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        ||S||_2 / tau)`` times the threshold, all ``d^2`` candidates, the
        full stack, give the count and basis instead.
     2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
-       ``(2k d^2) x n'`` matrix ``S B``, which is not built: in the
-       eigenbasis its rows come from the family ``V^dag F V`` (two GEMMs),
-       and each touches the candidates of two clusters of the window only,
-       so the rows of each pair of clusters reduce to a small R factor
-       (:func:`_cluster_rows`; one weighted row for two single
-       eigenvalues, :func:`_singleton_rows`).  The SVD of the stacked
-       factors, which have the Gram of ``S B``, gives the singular values
-       and the null vectors ``V_null`` by the same null-count rule.  The
-       full stack of all ``d^2`` candidates is built densely, and its QR's
-       ``d^2 x d^2`` R factor takes the SVD.
+       ``(2k d^2) x n'`` matrix ``S B``; a QR and the SVD of its ``n' x n'``
+       R factor give the singular values and the null vectors ``V_null`` by
+       the same null-count rule.  When every cluster of the window is one
+       eigenvalue (``n' = d``, the candidates the projectors
+       ``v_a v_a^dag``), ``S B`` is not built: in the eigenbasis its rows
+       come from the family ``V^dag F V`` (two GEMMs), and the rows of each
+       pair of eigenvalues reduce to one weighted row
+       (:func:`_singleton_rows`), whose SVD takes the place of the QR's.
 
     ``||S||_2`` sets the scales only, and it is bracketed before it is
     computed: ``||S B||_2 <= ||S||_2`` (the largest restricted singular
@@ -276,13 +274,11 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
 
     ``B V_null`` is orthonormal.  For a generic family every cluster is a
     single eigenvalue and ``n' = d``: the cost is ``k d^3`` for the rotation
-    and the SVD of a real ``d(d + 1)/2 x d`` matrix.  A cluster of ``c``
-    eigenvalues and ``n_c`` candidates adds, with each cluster of ``c'`` and
-    ``n_c'`` it pairs with, a QR of ``4 k c c'`` rows and ``n_c + n_c'``
-    columns, and the stacked factors a QR with ``n'`` columns before the
-    SVD (``k d^4`` more for the Gram, when it is needed).  When all ``d^2``
-    candidates are needed (``H`` a multiple of 1, e.g. for the identity
-    channel, or at that edge) the dense full stack costs ``k d^6``.
+    and the SVD of a real ``d(d + 1)/2 x d`` matrix.  Otherwise the
+    commutators cost ``k n' d^3`` and the QR ``k n'^2 d^2`` (``k d^4`` more
+    for the Gram, when it is needed); ``n' = d^2`` (the size of the full
+    stack, formed only then) when ``H`` is a multiple of 1, e.g. for the
+    identity channel, or at that edge.
     """
     return _commutant(phi, rank_tol).basis
 
@@ -339,17 +335,13 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
         thr = rank_tol * np.maximum(1.0, scale)
         return thr, np.maximum(_COMMUTANT_EDGE, scale / tau) * thr
 
-    ft = v.conj().T @ family @ v  # the family in the eigenbasis of H
     while True:
-        if len(a) == d * d:  # the full stack, dense
-            cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
+        cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
+        if len(a) == d:  # every cluster of the window is one eigenvalue
+            rows = _singleton_rows(v.conj().T @ family @ v)
+        else:  # the stack S B, reduced to its n' x n' R factor
             comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
             rows = np.linalg.qr(comm.reshape(-1, len(a)), mode="r")
-        elif len(a) == d:  # every cluster of the window is one eigenvalue
-            rows = _singleton_rows(ft)
-        else:
-            labels = np.concatenate([[0], np.cumsum(np.diff(w) > tau)])  # the clusters
-            rows = _cluster_rows(ft, labels, a, b)
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
         if s_norm is None:
             bracket[0] = max(bracket[0], s[0])
@@ -363,84 +355,27 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
         outside = np.inf
 
     n_null = int(np.sum(s <= thr))
-    cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
     basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
     return _Commutant(basis @ vh[len(s) - n_null :].conj().T, s, n_null, outside,
                       float(bracket[1]))
 
 
 def _singleton_rows(ft: np.ndarray) -> np.ndarray:
-    """Rows with the Gram of :func:`_cluster_rows` when every cluster is one
-    eigenvalue, so the candidates are the ``d`` projectors ``v_a v_a^dag`` in
-    order: ``(sum_F |ft_ij|^2 + |ft_ji|^2)^{1/2} (e_j - e_i)`` for ``i <= j``
-    (a singleton's own pair is a zero row, and there are at least ``d``
-    rows).  No QR follows: at small ``d`` it costs more than it saves."""
+    """Rows with the Gram of the restricted stack ``S B`` when every cluster of
+    the window is one eigenvalue, so the candidates are the ``d`` projectors
+    ``v_a v_a^dag`` in order, from the family ``ft = V^dag F V`` in the
+    eigenbasis of ``H``.
+
+    There row ``(F, i, j)`` of ``S B`` is ``ft[F, i, j] (e_j - e_i)``, so the
+    rows of ``{i, j}`` reduce to ``(sum_F |ft_ij|^2 + |ft_ji|^2)^{1/2}
+    (e_j - e_i)`` for ``i <= j`` (a zero row for ``i = j``, so there are at
+    least ``d`` rows).  No QR follows: at small ``d`` it costs more than it
+    saves."""
     d = ft.shape[-1]
     power = np.einsum("fij,fij->ij", ft.conj(), ft).real  # sum_F |ft_ij|^2
     idx = np.arange(d)
     eye = np.eye(d)
     return (np.sqrt(power + power.T)[:, :, None] * (eye - eye[:, None]))[idx[:, None] <= idx]
-
-
-def _cluster_rows(ft: np.ndarray, labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """An ``n' x n'`` matrix whose Gram is ``(S B)^dag (S B)``, the commutator
-    stack restricted to the ``n'`` candidates ``v_a v_b^dag`` (columns in
-    candidate order), from the family ``ft = V^dag F V`` in the eigenbasis of
-    ``H``: its SVD gives their singular values and null vectors.
-
-    In that basis row ``(F, i, j)`` of the stack is
-    ``ft[F, i, a] [b = j] - [i = a] ft[F, b, j]``, and a candidate's ``a`` and
-    ``b`` lie in one cluster of the window (``labels``), so the row touches
-    only the candidates of the clusters of ``i`` and ``j``.  The rows of each
-    pair of clusters are reduced to their R factor on those candidates, by
-    one batched QR for each cluster of several eigenvalues with all the
-    singletons and one per shape of the other row groups.  For two
-    singleton clusters ``{i}``, ``{j}`` that factor is the single row
-    ``(sum_F |ft_ij|^2 + |ft_ji|^2)^{1/2} (e_j - e_i)``
-    (:func:`_singleton_rows`).  A last QR reduces the stacked factors.
-    """
-    d, n = len(labels), len(a)
-    sizes = np.bincount(labels)
-    col = np.zeros((d, d), dtype=int)
-    col[a, b] = np.arange(n)
-    single = np.flatnonzero(sizes[labels] == 1)
-    # the pairs of singletons, on the columns of their projectors
-    blocks = [(_singleton_rows(ft[:, single[:, None], single]), col[single, single])]
-
-    def reduce(rows_i: np.ndarray, rows_j: np.ndarray, cols: np.ndarray) -> None:
-        """R factors of row groups ``(rows_i[g], rows_j[g])`` on the candidates
-        ``cols[g]``, stacked along ``g``."""
-        ri, rj, ca, cb = rows_i[:, :, None], rows_j[:, :, None], a[cols][:, None], b[cols][:, None]
-        group = ft[:, ri, ca] * (cb == rj) - (ri == ca) * ft[:, cb, rj]  # (F, g, rows, cols)
-        shape = (len(cols), -1, cols.shape[1])
-        blocks.extend(zip(np.linalg.qr(group.swapaxes(0, 1).reshape(shape), mode="r"), cols))
-
-    multi = np.flatnonzero(sizes > 1)
-    pairs: dict[tuple[int, int], list] = {}  # groups of two multi clusters, by shape
-    for c1 in multi:
-        first = np.flatnonzero(labels == c1)
-        if len(single):  # (first, s) and (s, first) for every singleton s
-            ones = np.repeat(single[:, None], len(first), axis=1)
-            many = np.broadcast_to(first, ones.shape)
-            own = np.flatnonzero(labels[a] == c1)
-            cols = np.hstack([np.broadcast_to(own, (len(single), len(own))),
-                              col[single, single][:, None]])
-            reduce(np.hstack([many, ones]), np.hstack([ones, many]), cols)
-        for c2 in multi[multi >= c1]:
-            second = np.flatnonzero(labels == c2)
-            rows_i, rows_j = np.repeat(first, len(second)), np.tile(second, len(first))
-            if c2 != c1:  # and the rows (j, i)
-                rows_i, rows_j = np.hstack([rows_i, rows_j]), np.hstack([rows_j, rows_i])
-            cols = np.flatnonzero((labels[a] == c1) | (labels[a] == c2))
-            pairs.setdefault((len(rows_i), len(cols)), []).append((rows_i, rows_j, cols))
-    for stacked in pairs.values():
-        reduce(*(np.stack(part) for part in zip(*stacked)))
-    out = np.zeros((max(n, sum(len(r) for r, _ in blocks)), n), dtype=complex)
-    at = 0
-    for r, cols in blocks:
-        out[at : at + len(r), cols] = r
-        at += len(r)
-    return np.linalg.qr(out, mode="r")  # n x n: the SVD forms no tall U
 
 
 def _projector_gap(q: np.ndarray, c: np.ndarray) -> float:

@@ -22,7 +22,7 @@ Everything indexes composite spaces with the system slowest, matching
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Sequence
+from typing import Any, Literal, Sequence
 
 import numpy as np
 
@@ -573,7 +573,7 @@ def _dual_gap(
     first: np.ndarray,
     second: np.ndarray,
     left: np.ndarray | None = None,
-    rights: tuple[np.ndarray | None, ...] = (None,),
+    rights: tuple[np.ndarray | Literal["adjoint"] | None, ...] = (None,),
     drop: np.ndarray | None = None,
 ) -> float:
     """``max ||sum F^dag L A R F - sum S^dag A S||`` over every matrix unit ``A``,
@@ -585,19 +585,21 @@ def _dual_gap(
     ``first`` may instead be one stack ``(1, k, out, in)`` for every family,
     with ``drop[i]`` (``(n, k)`` bools) the operators family ``i`` leaves out.
     The frames ``(L, R)`` of family ``i`` share ``L = left[i]``, and each of
-    ``rights`` gives one ``R = rights[r][i]`` (``(n, out, out)``; None is the
-    identity, for ``left`` too).  A state-side map ``sum K A K^dag`` is the
-    dual of the family ``K^dag``.  The factors of
+    ``rights`` gives one ``R``: ``rights[r][i]`` for an array (``(n, out,
+    out)``), the identity for None (as for ``left``), and ``L^dag`` for
+    ``"adjoint"``, which needs ``k' = 0``.  A state-side map
+    ``sum K A K^dag`` is the dual of the family ``K^dag``.  The factors of
     :func:`cpmaps._max_unit_norm` are ``a = [F^dag L, -S^dag]`` and
-    ``b = [R F, S]``, one ``a`` for all frames: with no second family and
-    ``R`` the array ``left`` (Hermitian, as every frame here is), ``b`` is
-    the adjoint of ``a``, and with ``R`` the identity and one shared
-    ``first``, one ``b`` serves every family.  The
-    factors are built for blocks of families of at most ``_FRAME_BLOCK``
-    entries of ``a`` each, never for all families at once.
+    ``b = [R F, S]``, one ``a`` for all frames: for ``"adjoint"`` ``b`` is
+    the adjoint of ``a``, so the two share their Grams, and with ``R`` the
+    identity and one shared ``first``, one ``b`` serves every family of a
+    block.  The factors are built for blocks of families of at most
+    ``_FRAME_BLOCK`` entries of ``a`` each, never for all families at once.
     """
     n, k, rows, cols = len(second), *first.shape[1:]
     m = k + second.shape[1]
+    if m > k and any(isinstance(right, str) for right in rights):
+        raise ValueError("the adjoint frame needs an empty second family")
     first_h = first.conj().swapaxes(-1, -2)
     per_block = max(1, _FRAME_BLOCK // max(1, m * rows * cols))
     worst = 0.0
@@ -616,8 +618,8 @@ def _dual_gap(
         a[:, k:] = -second[lo:hi].conj().swapaxes(-1, -2)
         bs = []
         for right in rights:
-            if right is left and right is not None and m == k:
-                bs.append(None)  # R F = (F^dag L)^dag
+            if isinstance(right, str):
+                bs.append(None)  # L^dag F = (F^dag L)^dag
             elif right is None and len(first) == 1 and m == k:
                 bs.append(first)
             else:
@@ -693,10 +695,12 @@ def repeatability_report(
 
     # (ii) the total dual agrees with the single-outcome dual on E(x)-framed
     # forms; their difference is the dual of the other outcomes' Kraus family:
-    # the total family with the outcome's own operators dropped
+    # the total family with the outcome's own operators dropped.  With no
+    # second family, the (E(x), E(x)) frame's right factor E(x) F is the
+    # adjoint of the left one F^dag E(x)
     total = inst.total()._kraus
     own = np.repeat(np.eye(len(ops), dtype=bool), [len(op) for op in ops], axis=1)
-    localizes = _dual_gap(total[None], kraus[:, :0], e_mats, (None, e_mats), own)
+    localizes = _dual_gap(total[None], kraus[:, :0], e_mats, (None, "adjoint"), own)
     items["total-localizes"] = ItemCheck(localizes, localizes <= tol.eq_tol)
 
     # (iv)/(v): eigenvalue-1 projectors of the effects and their exclusivity

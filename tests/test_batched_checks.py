@@ -700,7 +700,10 @@ def test_adjoint_frames_have_one_maximum(seed, d, sizes):
                                 ("total-localizes", others, others[:, :0])):
         left_frame = _dual_gap(first, second, e)
         assert abs(_dual_gap(first, second, None, (e,)) - left_frame) <= AGREE
-        # a copy of E as R: the explicit right factor R F, not the adjoint
-        # of the left one, which the report's total-localizes item takes
-        both = _dual_gap(first, second, e, (e.copy(),))
+        # E as R: the explicit right factor R F, not the adjoint of the left
+        # one ("adjoint"), which the report's total-localizes item takes
+        both = _dual_gap(first, second, e, (e,))
         assert abs(rep.items[item].defect - max(left_frame, both)) <= AGREE
+    assert abs(_dual_gap(others, others[:, :0], e, ("adjoint",)) - both) <= AGREE
+    with pytest.raises(ValueError, match="adjoint frame"):
+        _dual_gap(own, own, e, ("adjoint",))
