@@ -253,14 +253,16 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        ||S||_2 / tau)`` times the threshold, all ``d^2`` candidates, the
        full stack, give the count and basis instead.
     2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
-       ``(2k d^2) x n'`` matrix ``S B``; a QR and the SVD of its ``n' x n'``
-       R factor give the singular values and the null vectors ``V_null`` by
-       the same null-count rule.  When every cluster of the window is one
-       eigenvalue (``n' = d``, the candidates the projectors
-       ``v_a v_a^dag``), ``S B`` is not built: in the eigenbasis its rows
-       come from the family ``V^dag F V`` (two GEMMs), and the rows of each
-       pair of eigenvalues reduce to one weighted row
-       (:func:`_singleton_rows`), whose SVD takes the place of the QR's.
+       ``(2k d^2) x n'`` matrix ``S B``, which is not built: in the
+       eigenbasis its rows come from the family ``V^dag F V`` (two GEMMs),
+       and each touches the candidates of two clusters of the window only,
+       so the rows of each pair of clusters reduce to a small R factor
+       (:func:`_cluster_rows`; one weighted row for two single
+       eigenvalues, :func:`_singleton_rows`).  The SVD of the stacked
+       factors, which have the Gram of ``S B``, gives the singular values
+       and the null vectors ``V_null`` by the same null-count rule.  The
+       full stack of all ``d^2`` candidates is built densely, and its QR's
+       ``d^2 x d^2`` R factor takes the SVD.
 
     ``||S||_2`` sets the scales only, and it is bracketed before it is
     computed: ``||S B||_2 <= ||S||_2`` (the largest restricted singular
@@ -274,11 +276,13 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
 
     ``B V_null`` is orthonormal.  For a generic family every cluster is a
     single eigenvalue and ``n' = d``: the cost is ``k d^3`` for the rotation
-    and the SVD of a real ``d(d + 1)/2 x d`` matrix.  Otherwise the
-    commutators cost ``k n' d^3`` and the QR ``k n'^2 d^2`` (``k d^4`` more
-    for the Gram, when it is needed); ``n' = d^2`` (the size of the full
-    stack, formed only then) when ``H`` is a multiple of 1, e.g. for the
-    identity channel, or at that edge.
+    and the SVD of a real ``d(d + 1)/2 x d`` matrix.  A pair of clusters of
+    ``c`` and ``c'`` eigenvalues adds a QR of ``4 k c c'`` rows (``2 k c^2``
+    for a cluster with itself) on the candidates of the two, and the
+    stacked factors a QR with ``n'`` columns before the SVD (``k d^4`` more
+    for the Gram, when it is needed).  When all ``d^2`` candidates are
+    needed (``H`` a multiple of 1, e.g. for the identity channel, or at
+    that edge) the dense full stack costs ``k d^6``.
     """
     return _commutant(phi, rank_tol).basis
 
@@ -337,11 +341,14 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
 
     while True:
         cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
-        if len(a) == d:  # every cluster of the window is one eigenvalue
-            rows = _singleton_rows(v.conj().T @ family @ v)
-        else:  # the stack S B, reduced to its n' x n' R factor
+        if len(a) == d * d:  # the full stack S, reduced to its d^2 x d^2 R factor
             comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
             rows = np.linalg.qr(comm.reshape(-1, len(a)), mode="r")
+        elif len(a) == d:  # every cluster of the window is one eigenvalue
+            rows = _singleton_rows(v.conj().T @ family @ v)
+        else:
+            labels = np.concatenate([[0], np.cumsum(np.diff(w) > tau)])  # the clusters
+            rows = _cluster_rows(v.conj().T @ family @ v, labels, a, b)
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
         if s_norm is None:
             bracket[0] = max(bracket[0], s[0])
@@ -361,21 +368,54 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
 
 
 def _singleton_rows(ft: np.ndarray) -> np.ndarray:
-    """Rows with the Gram of the restricted stack ``S B`` when every cluster of
-    the window is one eigenvalue, so the candidates are the ``d`` projectors
-    ``v_a v_a^dag`` in order, from the family ``ft = V^dag F V`` in the
-    eigenbasis of ``H``.
-
-    There row ``(F, i, j)`` of ``S B`` is ``ft[F, i, j] (e_j - e_i)``, so the
-    rows of ``{i, j}`` reduce to ``(sum_F |ft_ij|^2 + |ft_ji|^2)^{1/2}
-    (e_j - e_i)`` for ``i <= j`` (a zero row for ``i = j``, so there are at
-    least ``d`` rows).  No QR follows: at small ``d`` it costs more than it
-    saves."""
+    """Rows with the Gram of :func:`_cluster_rows` when every cluster is one
+    eigenvalue, so the candidates are the ``d`` projectors ``v_a v_a^dag`` in
+    order: ``(sum_F |ft_ij|^2 + |ft_ji|^2)^{1/2} (e_j - e_i)`` for ``i <= j``
+    (a singleton's own pair is a zero row, and there are at least ``d``
+    rows).  No QR follows: at small ``d`` it costs more than it saves."""
     d = ft.shape[-1]
     power = np.einsum("fij,fij->ij", ft.conj(), ft).real  # sum_F |ft_ij|^2
     idx = np.arange(d)
     eye = np.eye(d)
     return (np.sqrt(power + power.T)[:, :, None] * (eye - eye[:, None]))[idx[:, None] <= idx]
+
+
+def _cluster_rows(ft: np.ndarray, labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """An ``n' x n'`` matrix with the Gram of the restricted stack ``S B`` (columns
+    in the order of the candidates ``v_a v_b^dag``), from the family
+    ``ft = V^dag F V`` in the eigenbasis of ``H`` and the clusters ``labels``
+    of the window.
+
+    There row ``(F, i, j)`` of ``S B`` is ``ft[F, i, a] [b = j] - [i = a]
+    ft[F, b, j]``, and ``a`` and ``b`` of a candidate lie in one cluster, so
+    the row touches only the candidates of the clusters of ``i`` and ``j``.
+    The rows of each pair of clusters are reduced to their R factor on those
+    candidates, by one batched QR per shape of the row groups, and a last QR
+    reduces the stacked factors.
+    """
+    n = len(a)
+    members = np.split(np.arange(len(labels)), np.flatnonzero(np.diff(labels)) + 1)
+    groups: dict[tuple[int, int], list] = {}  # (rows i, rows j, columns) by shape
+    for c1, first in enumerate(members):
+        for c2, second in enumerate(members[c1:], c1):
+            rows_i, rows_j = np.repeat(first, len(second)), np.tile(second, len(first))
+            if c2 != c1:  # and the rows (j, i)
+                rows_i, rows_j = np.r_[rows_i, rows_j], np.r_[rows_j, rows_i]
+            cols = np.flatnonzero((labels[a] == c1) | (labels[a] == c2))
+            groups.setdefault((len(rows_i), len(cols)), []).append((rows_i, rows_j, cols))
+    blocks = []
+    for parts in groups.values():
+        rows_i, rows_j, cols = (np.stack(part) for part in zip(*parts))
+        ri, rj, ca, cb = rows_i[:, :, None], rows_j[:, :, None], a[cols][:, None], b[cols][:, None]
+        group = ft[:, ri, ca] * (cb == rj) - (ri == ca) * ft[:, cb, rj]  # (F, g, rows, cols)
+        shape = (len(cols), -1, cols.shape[1])
+        blocks.extend(zip(np.linalg.qr(group.swapaxes(0, 1).reshape(shape), mode="r"), cols))
+    out = np.zeros((max(n, sum(len(r) for r, _ in blocks)), n), dtype=complex)
+    at = 0
+    for r, cols in blocks:
+        out[at : at + len(r), cols] = r
+        at += len(r)
+    return np.linalg.qr(out, mode="r")  # n' x n': the SVD forms no tall U
 
 
 def _projector_gap(q: np.ndarray, c: np.ndarray) -> float:
