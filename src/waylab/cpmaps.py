@@ -59,12 +59,13 @@ __all__ = [
 ]
 
 
-# ``_max_unit_norm``'s screen, timed against one GEMM of all images on the
+# ``_max_unit_norm``'s screen, timed against building all images on the
 # ``total-localizes`` factors of sharp, unsharp and random instruments at
 # d = 4..24, one BLAS thread.
-# - ``_SCREEN_MIN``: the image entries up to which that GEMM costs less,
-#   whatever the images' norms (the screen lost at d = 5-6, 5600-23000
-#   entries, and won from d = 7, 36000).
+# - ``_SCREEN_MIN``: the image entries up to which building all of them costs
+#   less, whatever the images' norms (the screen lost at d = 5-6, 5600-23000
+#   entries, and won from d = 7, 36000; measured with one GEMM of all images,
+#   which costs about what one product per image does at these sizes).
 # - ``_GRAM_SLACK``: the rounding margin of the Gram bound, in units of
 #   ``(M + p + q)**2 eps ||G||_F ||H||_F``.
 # - The images built per round start at ``_SCREEN_BATCH`` and double up to
@@ -72,17 +73,10 @@ __all__ = [
 #   factors, where a larger one only costs more, and where hundreds of images
 #   reach the running maximum the doubling rounds cost about 15 % less in all
 #   than rounds of 16.
-# - ``_GEMM_ALIGN``: the alignment of the GEMM windows that build the images,
-#   so each entry of a window takes the kernel it takes in the GEMM of all
-#   images and rounds the same.  It was found by experiment, not derived, for
-#   the zgemm of OpenBLAS 0.3.31 on a SkylakeX core, one thread; with another
-#   BLAS, kernel or thread split a window may differ from that GEMM at
-#   rounding level, and the maximum with it.
 _SCREEN_MIN = 2**15
 _GRAM_SLACK = 16.0
 _SCREEN_BATCH = 16
 _SCREEN_BATCH_MAX = 64
-_GEMM_ALIGN = 8
 
 
 def _per_object(fn):
@@ -233,10 +227,13 @@ def _max_unit_norm(a: np.ndarray, *rights: np.ndarray | None, worst: float = 0.0
     from it.  When ``2 M <= min(p, q)``, thin QRs ``U_i = Q_i R_i`` and
     ``W_j^dag = Q'_j S_j`` give ``||U_i W_j|| = ||R_i S_j^dag||``: the norms of
     ``d**2`` matrices ``M x M`` per ``f`` and right stack, and no image is
-    built.  Otherwise, up to ``_SCREEN_MIN`` entries of images in all come
-    from one GEMM per ``f`` and right stack with inner dimension ``M``
-    (layout ``(d, p, d, q)``) and go to ``opcore.max_op_norm``; more are
-    screened, in chunks of ``f`` of at most ``opcore._BLOCK`` Gram entries:
+    built.  Otherwise every image that is built is the product ``U_i W_j``
+    of its own factor slices, so it rounds the same whichever other images
+    are built with it, and the maximum is exact up to the rounding of that
+    one product.  Up to ``_SCREEN_MIN`` entries of images in all are built,
+    as one broadcast product per right stack, and go to
+    ``opcore.max_op_norm``; more are screened, in chunks of ``f`` of at most
+    ``opcore._BLOCK`` Gram entries:
     ``||U_i W_j||_F**2 = tr(G_i H_j)`` with the ``M x M`` Grams
     ``G_i = U_i^dag U_i`` and ``H_j = W_j W_j^dag`` (``G_j`` for the adjoint,
     one set for a shared right stack), and a margin
@@ -245,10 +242,7 @@ def _max_unit_norm(a: np.ndarray, *rights: np.ndarray | None, worst: float = 0.0
     least the computed norm of its image.  Images are built and their norms
     taken in descending order of the bound, in rounds of doubling size, until
     the next bound falls below the largest norm so far, which no image left
-    can exceed.  A built image is a window of the GEMM of all images of its
-    ``f`` and right stack, aligned to ``_GEMM_ALIGN`` rows and columns, so
-    its entries round as they do in that GEMM (with the BLAS named there)
-    and the maximum is the full expression's over all images.
+    can exceed.
     """
     n_f, m, p, d = a.shape
     q = next((b.shape[-1] for b in rights if b is not None), p)
@@ -262,20 +256,19 @@ def _max_unit_norm(a: np.ndarray, *rights: np.ndarray | None, worst: float = 0.0
             s = np.broadcast_to(s, r.shape)
             worst = max(worst, max_op_norm(np.einsum("fiab,fjcb->fijac", r, s.conj())))
         return worst
-    rows = rows.reshape(n_f, d * p, m)
-    # W_j = cols[f, :, j q : (j + 1) q]; None for the adjoint, W_j = U_j^dag
-    cols = [None if b is None else b.reshape(len(b), m, d * q) for b in rights]
+    rows = np.ascontiguousarray(rows)
+    # W_j = cols[f, j]; None for the adjoint, W_j = U_j^dag
+    cols = [None if b is None else b.swapaxes(1, 2) for b in rights]
     if n_f * len(cols) * d * p * d * q <= _SCREEN_MIN:
         for c in cols:
-            images = rows @ (rows.conj().swapaxes(1, 2) if c is None else c)
-            images = images.reshape(n_f, d, p, d, q).transpose(0, 1, 3, 2, 4)
-            worst = max(worst, max_op_norm(images))
+            w = rows.conj().swapaxes(-1, -2) if c is None else c
+            worst = max(worst, max_op_norm(rows[:, :, None] @ w[:, None]))
         return worst
     slack = _GRAM_SLACK * (m + p + q) ** 2 * np.finfo(float).eps
 
     def grams(c: np.ndarray) -> np.ndarray:
         """The Grams ``H_j = W_j W_j^dag`` of a ``cols`` stack, ``(F, d, M, M)``."""
-        w = np.ascontiguousarray(c.reshape(len(c), m, d, q).transpose(0, 2, 1, 3))
+        w = np.ascontiguousarray(c)
         return w @ w.conj().swapaxes(-1, -2)
 
     shared = [None if c is None or len(c) > 1 else grams(c) for c in cols]
@@ -305,14 +298,8 @@ def _max_unit_norm(a: np.ndarray, *rights: np.ndarray | None, worst: float = 0.0
         images = np.empty((len(batch), p, q), dtype=complex)
         for slot, (fk, rk, ik, jk) in enumerate(zip(*np.unravel_index(batch, shape))):
             c = cols[rk]
-            top, stop = _aligned(ik * p, p, d * p)
-            left, right = _aligned(jk * q, q, d * q)
-            if c is None:
-                w = rows[fk, left:right].conj().T
-            else:
-                w = c[fk if len(c) > 1 else 0, :, left:right]
-            window = rows[fk, top:stop] @ w
-            images[slot] = window[ik * p - top :][:p, jk * q - left :][:, :q]
+            w = rows[fk, jk].conj().T if c is None else c[fk if len(c) > 1 else 0, jk]
+            images[slot] = rows[fk, ik] @ w
         # a second screen before the SVDs: ||A||_2**2 <= ||A^dag A||_F
         sharper = np.sqrt(np.sqrt(_fro2(images.conj().swapaxes(-1, -2) @ images))
                           + slack * _fro2(images))
@@ -322,13 +309,6 @@ def _max_unit_norm(a: np.ndarray, *rights: np.ndarray | None, worst: float = 0.0
         rest[top] = False
         worst = float(_sv_max(images[rest]).max(initial=worst))
     return worst
-
-
-def _aligned(first: int, size: int, total: int) -> tuple[int, int]:
-    """The ``_GEMM_ALIGN``-aligned window of ``range(total)`` around
-    ``range(first, first + size)``."""
-    stop = -(-(first + size) // _GEMM_ALIGN) * _GEMM_ALIGN
-    return first // _GEMM_ALIGN * _GEMM_ALIGN, min(stop, total)
 
 
 def _stack_families(families: Sequence[np.ndarray]) -> np.ndarray:
@@ -370,26 +350,13 @@ def to_supermatrix(phi: OperationMap) -> np.ndarray:
     """The dual supermatrix ``sum_i K_i^T kron K_i^dag``, read-only: ``m @ vec(a)
     == vec(apply_dual(phi, a))``, shape ``(in_dim**2, out_dim**2)``.
 
-    Each chunk of the Kraus axis (at most ``opcore._BLOCK`` entries of
-    products) is one broadcast product of the ``K^T`` and ``K^dag`` stacks,
-    the ``kron`` of each pair, added to the running sum one operator at a
-    time in Kraus order from ``+0.0``, so the sum rounds as
-    ``sum(np.kron(k.T, k.conj().T) for k in phi.kraus)`` does, bit for bit.
+    Entry ``((a, b), (c, e))`` is ``sum_i K_i[c, a] conj(K_i[e, b])``: one GEMM
+    over the Kraus axis of the flattened stack, reshaped.
     """
-    # Not built through _apply: the kernel's BLAS products differ from these at
-    # rounding level, enough to rotate the SVD null-space basis of a degenerate
-    # fixed space, which the fixed-point report prints.
     k = phi._kraus
     n_in, n_out = phi.in_dim, phi.out_dim
-    kt = np.ascontiguousarray(k.swapaxes(1, 2))[:, :, None, :, None]
-    kh = np.ascontiguousarray(k.conj().swapaxes(1, 2))[:, None, :, None, :]
-    per_chunk = max(1, _BLOCK // (n_in * n_out) ** 2)
-    prods = np.empty((min(per_chunk, len(k)), n_in, n_in, n_out, n_out), dtype=complex)
-    total = np.zeros(prods.shape[1:], dtype=complex)
-    for lo in range(0, len(k), per_chunk):
-        n = len(k[lo : lo + per_chunk])
-        np.multiply(kt[lo : lo + n], kh[lo : lo + n], out=prods[:n])
-        for prod in prods[:n]:  # in order: a reduction may sum pairwise
-            total += prod
+    flat = k.reshape(len(k), n_out * n_in)
+    total = (flat.T @ flat.conj()).reshape(n_out, n_in, n_out, n_in).transpose(1, 3, 0, 2)
+    total = total.reshape(n_in * n_in, n_out * n_out)
     total.setflags(write=False)
-    return total.reshape(n_in * n_in, n_out * n_out)
+    return total

@@ -219,10 +219,9 @@ def _stack_norm(family: np.ndarray, q: np.ndarray) -> float:
     adjoint-closed family, from the largest eigenvalue of the ``d^2 x d^2``
     Gram ``S^dag S = conj(Q) (x) 1 + 1 (x) Q - 2 sum_F conj(F) (x) F``,
     ``Q = sum_F F^dag F``."""
-    d = q.shape[0]
-    flat = family.reshape(len(family), d * d)
-    cross = (flat.conj().T @ flat).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    eye = np.eye(d)
+    eye = np.eye(q.shape[0])
+    # sum_F conj(F) (x) F is the adjoint of the family's dual supermatrix
+    cross = to_supermatrix(OperationMap(family)).conj().T
     gram = np.kron(q.conj(), eye) + np.kron(eye, q) - 2 * cross
     return float(np.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)))
 
@@ -238,8 +237,12 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        ``H = M + M^dag``, ``M = sum_i c_i K_i`` for fixed-seed random complex
        ``c``.  In the eigenbasis ``H = sum_a w_a v_a v_a^dag``,
        ``[H, X]`` has entries ``(w_a - w_b) <v_a, X v_b>``, so the commutant
-       lies in ``span{v_a v_b^dag : |w_a - w_b| <= tau}``, an orthonormal
-       vec-basis ``B`` of ``n'`` candidates.  The window is
+       lies in ``span{v_a v_b^dag : |w_a - w_b| <= tau}``.  The eigenvalues
+       chain into clusters at gap ``tau`` (:func:`opcore.eigen_clusters`: a
+       cluster ends where the next eigenvalue lies more than ``tau`` above),
+       and the candidates are every ``v_a v_b^dag`` with ``a`` and ``b`` in one
+       cluster, a superset of that span with an orthonormal vec-basis ``B``
+       of ``n'`` candidates.  The window is
        ``tau = max(sqrt(rank_tol), 100 eps / rank_tol) * max(1, ||H||)``:
        eigenvalues of ``H`` that are equal come out within ``eps ||H||`` of
        each other, far inside it, and the eigenvectors of clusters more
@@ -250,8 +253,9 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        part, which raises its restricted singular value (restricting ``S``
        to ``B`` never lowers one) up to about ``||S||_2 / tau`` times (Davis-
        Kahan); when a restricted value lies within ``max(_COMMUTANT_EDGE,
-       ||S||_2 / tau)`` times the threshold, all ``d^2`` candidates, the
-       full stack, give the count and basis instead.
+       ||S||_2 / tau)`` times the threshold, all ``d^2`` candidates (one
+       cluster of all ``d`` eigenvalues: the full stack) give the count and
+       basis instead.
     2. The commutators of the candidates, ``[F, v_a v_b^dag]``, form the
        ``(2k d^2) x n'`` matrix ``S B``, which is not built: in the
        eigenbasis its rows come from the family ``V^dag F V`` (two GEMMs),
@@ -261,8 +265,8 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
        eigenvalues, :func:`_singleton_rows`).  The SVD of the stacked
        factors, which have the Gram of ``S B``, gives the singular values
        and the null vectors ``V_null`` by the same null-count rule.  The
-       full stack of all ``d^2`` candidates is built densely, and its QR's
-       ``d^2 x d^2`` R factor takes the SVD.
+       full stack is one cluster, whose ``d^2 x d^2`` R factor takes the SVD
+       directly.
 
     ``||S||_2`` sets the scales only, and it is bracketed before it is
     computed: ``||S B||_2 <= ||S||_2`` (the largest restricted singular
@@ -282,7 +286,7 @@ def kraus_commutant(phi: OperationMap, rank_tol: float = DEFAULT_TOL.rank_tol) -
     stacked factors a QR with ``n'`` columns before the SVD (``k d^4`` more
     for the Gram, when it is needed).  When all ``d^2`` candidates are
     needed (``H`` a multiple of 1, e.g. for the identity channel, or at
-    that edge) the dense full stack costs ``k d^6``.
+    that edge) the QR of the one cluster costs ``k d^6``.
     """
     return _commutant(phi, rank_tol).basis
 
@@ -308,7 +312,7 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
     ``[H, X] = sum_i c_i [K_i, X] + conj(c_i) [K_i^dag, X]``, so
     ``||[H, X]|| <= sqrt(2) ||c||_2 ||S X||`` (Cauchy-Schwarz), while a
     direction orthogonal to every candidate has ``||[H, X]|| >= gap ||X||``
-    for the smallest ``gap = |w_a - w_b|`` left out of the window: its
+    for the smallest gap ``|w_a - w_b|`` between two clusters: its
     ``||S X|| / ||X||`` is at least ``outside = gap / (sqrt(2) ||c||_2)``.
     ``min_outside`` widens the window until ``outside`` reaches it.
     """
@@ -330,9 +334,10 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
     tau = max(np.sqrt(rank_tol), 100 * eps / rank_tol) * max(1.0, float(np.abs(w).max()))
     c_scale = np.sqrt(2) * float(np.linalg.norm(c))
     tau = max(tau, min_outside * c_scale)
-    gaps = np.abs(w[:, None] - w[None, :])
-    a, b = np.nonzero(gaps <= tau)
-    outside = float(gaps[gaps > tau].min(initial=np.inf)) / c_scale
+    clusters = eigen_clusters(w, tau)
+    steps = np.diff(w)
+    outside = float(steps[steps > tau].min(initial=np.inf)) / c_scale
+    ft = v.conj().T @ family @ v
 
     def thresholds(scale):
         """The null threshold and the edge of the full-stack window."""
@@ -340,15 +345,13 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
         return thr, np.maximum(_COMMUTANT_EDGE, scale / tau) * thr
 
     while True:
-        cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
-        if len(a) == d * d:  # the full stack S, reduced to its d^2 x d^2 R factor
-            comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
-            rows = np.linalg.qr(comm.reshape(-1, len(a)), mode="r")
-        elif len(a) == d:  # every cluster of the window is one eigenvalue
-            rows = _singleton_rows(v.conj().T @ family @ v)
+        # the candidates v_a v_b^dag: every pair (a, b) inside one cluster
+        a = np.concatenate([np.repeat(idx, len(idx)) for idx in clusters])
+        b = np.concatenate([np.tile(idx, len(idx)) for idx in clusters])
+        if len(clusters) == d:  # every cluster of the window is one eigenvalue
+            rows = _singleton_rows(ft)
         else:
-            labels = np.concatenate([[0], np.cumsum(np.diff(w) > tau)])  # the clusters
-            rows = _cluster_rows(v.conj().T @ family @ v, labels, a, b)
+            rows = _cluster_rows(ft, clusters, a, b)
         _, s, vh = np.linalg.svd(rows, full_matrices=False)
         if s_norm is None:
             bracket[0] = max(bracket[0], s[0])
@@ -356,12 +359,13 @@ def _commutant(phi: OperationMap, rank_tol: float, min_outside: float = 0.0) -> 
             if np.any(((s > thr[0]) & (s <= thr[1])) | ((s > edge[0]) & (s <= edge[1]))):
                 s_norm = _stack_norm(family, q)
         thr, edge = thresholds(s_norm) if s_norm is not None else (thr[1], edge[1])
-        if len(a) == d * d or not np.any((s > thr) & (s <= edge)):
+        if len(clusters) == 1 or not np.any((s > thr) & (s <= edge)):
             break
-        a, b = np.divmod(np.arange(d * d), d)  # every candidate: the full stack
+        clusters = [np.arange(d)]  # every candidate: the full stack
         outside = np.inf
 
     n_null = int(np.sum(s <= thr))
+    cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]  # v_a v_b^dag
     basis = cand.transpose(0, 2, 1).reshape(len(a), d * d).T
     return _Commutant(basis @ vh[len(s) - n_null :].conj().T, s, n_null, outside,
                       float(bracket[1]))
@@ -380,28 +384,30 @@ def _singleton_rows(ft: np.ndarray) -> np.ndarray:
     return (np.sqrt(power + power.T)[:, :, None] * (eye - eye[:, None]))[idx[:, None] <= idx]
 
 
-def _cluster_rows(ft: np.ndarray, labels: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cluster_rows(ft: np.ndarray, clusters: list[np.ndarray], a: np.ndarray,
+                  b: np.ndarray) -> np.ndarray:
     """An ``n' x n'`` matrix with the Gram of the restricted stack ``S B`` (columns
     in the order of the candidates ``v_a v_b^dag``), from the family
-    ``ft = V^dag F V`` in the eigenbasis of ``H`` and the clusters ``labels``
-    of the window.
+    ``ft = V^dag F V`` in the eigenbasis of ``H`` and the ``clusters`` of the
+    window.
 
     There row ``(F, i, j)`` of ``S B`` is ``ft[F, i, a] [b = j] - [i = a]
     ft[F, b, j]``, and ``a`` and ``b`` of a candidate lie in one cluster, so
     the row touches only the candidates of the clusters of ``i`` and ``j``.
     The rows of each pair of clusters are reduced to their R factor on those
     candidates, by one batched QR per shape of the row groups, and a last QR
-    reduces the stacked factors.
+    reduces the stacked factors; a single cluster (the full stack) is one
+    R factor already.
     """
     n = len(a)
-    members = np.split(np.arange(len(labels)), np.flatnonzero(np.diff(labels)) + 1)
+    owner = np.repeat(np.arange(len(clusters)), [len(c) for c in clusters])[a]
     groups: dict[tuple[int, int], list] = {}  # (rows i, rows j, columns) by shape
-    for c1, first in enumerate(members):
-        for c2, second in enumerate(members[c1:], c1):
+    for c1, first in enumerate(clusters):
+        for c2, second in enumerate(clusters[c1:], c1):
             rows_i, rows_j = np.repeat(first, len(second)), np.tile(second, len(first))
             if c2 != c1:  # and the rows (j, i)
                 rows_i, rows_j = np.r_[rows_i, rows_j], np.r_[rows_j, rows_i]
-            cols = np.flatnonzero((labels[a] == c1) | (labels[a] == c2))
+            cols = np.flatnonzero((owner == c1) | (owner == c2))
             groups.setdefault((len(rows_i), len(cols)), []).append((rows_i, rows_j, cols))
     blocks = []
     for parts in groups.values():
@@ -410,6 +416,8 @@ def _cluster_rows(ft: np.ndarray, labels: np.ndarray, a: np.ndarray, b: np.ndarr
         group = ft[:, ri, ca] * (cb == rj) - (ri == ca) * ft[:, cb, rj]  # (F, g, rows, cols)
         shape = (len(cols), -1, cols.shape[1])
         blocks.extend(zip(np.linalg.qr(group.swapaxes(0, 1).reshape(shape), mode="r"), cols))
+    if len(blocks) == 1:
+        return blocks[0][0]
     out = np.zeros((max(n, sum(len(r) for r, _ in blocks)), n), dtype=complex)
     at = 0
     for r, cols in blocks:

@@ -1,7 +1,8 @@
 """Test-suite setup: the BLAS is pinned to one thread before numpy loads, as
-in ``perfbench`` and ``tools/oracle.py``.  Several tests compare a kernel bit
-for bit with a reference that takes the same BLAS products, and a threaded
-BLAS may split the two products between its threads differently."""
+in ``perfbench`` and ``tools/oracle.py``, so the tests run the kernels as the
+benchmark and the oracle do.  A few tests compare a kernel bit for bit with a
+reference that takes the same BLAS product on the same operands (each
+matrix-unit image of ``cpmaps._max_unit_norm``, for one)."""
 
 import os
 

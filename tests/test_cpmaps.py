@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from waylab.cpmaps import (
     OperationMap,
+    _apply,
     _per_object,
     apply_dual,
     apply_map,
@@ -158,23 +159,30 @@ def test_operation_json_round_trip():
 
 @given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80), d_in=st.integers(1, 12),
        d_out=st.integers(1, 12), zeros=st.sampled_from([0.0, 0.3, 0.9]))
-@example(seed=0, k=80, d_in=12, d_out=12, zeros=0.3)  # chunks of 3 Kraus operators
+@example(seed=0, k=80, d_in=12, d_out=12, zeros=0.3)
 @example(seed=1, k=72, d_in=4, d_out=4, zeros=0.0)
-@example(seed=2, k=1, d_in=3, d_out=2, zeros=0.9)  # entries that are -0.0 in every term
+@example(seed=2, k=1, d_in=3, d_out=2, zeros=0.9)
 @settings(derandomize=True, max_examples=30, deadline=None)
-def test_supermatrix_matches_kron_sum_bitwise(seed, k, d_in, d_out, zeros):
+def test_supermatrix_matches_kron_sum(seed, k, d_in, d_out, zeros):
     rng = np.random.default_rng(seed)
     kraus = rng.standard_normal((k, d_out, d_in)) + 1j * rng.standard_normal((k, d_out, d_in))
-    # signed zeros in either part of some entries: the sum must give each
-    # zero the sign that kron's products and their sum from 0 give it
-    for part in (kraus.real, kraus.imag):
-        hit = rng.random(kraus.shape) < zeros
-        part[hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    for part in (kraus.real, kraus.imag):  # sparse families: zeros in either part
+        part[rng.random(kraus.shape) < zeros] = 0.0
     phi = OperationMap(list(kraus))
     expected = sum(np.kron(m.T, m.conj().T) for m in phi.kraus)
     got = to_supermatrix(phi)
     assert got.shape == expected.shape
-    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    assert not got.flags.writeable
+    # each entry sums k products, each of modulus at most ||K||_F**2, in the
+    # GEMM's order rather than kron's
+    eps = np.finfo(float).eps
+    weight = float(np.sum(np.abs(kraus) ** 2))
+    assert np.abs(got - expected).max() <= k * eps * weight
+    # and it is the dual action, out != in included
+    a = rng.standard_normal((d_out, d_out)) + 1j * rng.standard_normal((d_out, d_out))
+    want = vec(_apply(phi, a, True))
+    scale = (k + d_out**2) * eps * weight * np.linalg.norm(a)
+    assert np.abs(got @ vec(a) - want).max() <= scale
 
 
 def test_per_object_binds_every_call_form_to_one_entry():

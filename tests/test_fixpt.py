@@ -1,6 +1,7 @@
+import dataclasses
+
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +56,16 @@ SWAP = np.array(
     ],
     dtype=complex,
 )
+
+
+def block_diag(*blocks):
+    """The direct sum of square blocks, in order."""
+    out = np.zeros((sum(len(b) for b in blocks),) * 2, dtype=complex)
+    at = 0
+    for b in blocks:
+        out[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return out
 
 
 def unsharp_x(lam):
@@ -140,6 +151,52 @@ def test_fixed_points_amplitude_damping():
     assert lem.all_pass
 
 
+def test_minimal_support_passes_only_when_every_check_does():
+    # amplitude damping: P = |0><0|, and each swapped-in field below fails
+    # exactly one check of the report
+    p = 0.3
+    k0 = np.array([[1.0, 0.0], [0.0, np.sqrt(1.0 - p)]], dtype=complex)
+    k1 = np.array([[0.0, np.sqrt(p)], [0.0, 0.0]], dtype=complex)
+    phi = OperationMap([k0, k1])
+    fp = analyze_fixed_points(phi)
+    tol = DEFAULT_TOL.eq_tol
+    defects = ("support_unital_defect", "kernel_annihilated_defect", "sandwich_defect",
+               "fixed_states_supported_defect", "expanding_defect")
+
+    def failing(report):
+        failed = [name for name in defects if getattr(report, name) > tol]
+        return failed + (["minimality_margin"] if report.minimality_margin <= tol else [])
+
+    assert failing(check_minimal_support(fp, phi)) == []
+    # P = 1 keeps every identity, but |1><1| lies in the kernel of the
+    # averaged dual, so P minus it still averages to 1: P is not minimal
+    whole = dataclasses.replace(fp, support_p=np.eye(2), p_isometry=np.eye(2, dtype=complex))
+    # a fixed state outside P
+    stray = dataclasses.replace(fp, fixed_states=P1.reshape(4, 1))
+    for analysis, check in ((whole, "minimality_margin"),
+                            (stray, "fixed_states_supported_defect")):
+        report = check_minimal_support(analysis, phi)
+        assert failing(report) == [check]
+        assert not report.all_pass
+
+
+def test_compress_and_embed_on_a_complex_support():
+    # a qutrit decaying from |2> into span{|0>, |1>}, in a Haar basis: the
+    # support isometry W is complex in every phase convention (W^T W != 1),
+    # so a transpose in place of the adjoint breaks each identity below
+    u = haar_unitary(3, np.random.default_rng(5)).mat
+    e = np.eye(3, dtype=complex)
+    kraus = [np.diag([1.0, 1.0, np.sqrt(0.6)]), np.sqrt(0.4) * np.outer(e[:, 0], e[:, 2])]
+    fp = analyze_fixed_points(OperationMap([u @ k @ u.conj().T for k in kraus]))
+    w = fp.p_isometry
+    assert w.shape == (3, 2)
+    assert op_norm_mat(w.T @ w - np.eye(2)) > 0.1
+    np.testing.assert_allclose(fp.compress(fp.support_p), np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(fp.embed(np.eye(2)), fp.support_p, atol=1e-12)
+    b = random_hermitian(2, np.random.default_rng(6)).mat
+    np.testing.assert_allclose(fp.compress(fp.embed(b)), b, atol=1e-12)
+
+
 def test_fixed_points_validation():
     with pytest.raises(ValueError, match="endomorphism"):
         analyze_fixed_points(OperationMap([np.ones((3, 2)) / np.sqrt(3.0)]))
@@ -183,7 +240,7 @@ def block_channel(d, rng):
     first, second = random_channel(r, r, 2, rng), random_channel(d - r, d - r, 2, rng)
     u = haar_unitary(d, rng).mat
     return OperationMap(
-        [u @ scipy.linalg.block_diag(a, b) @ u.conj().T for a, b in zip(first.kraus, second.kraus)]
+        [u @ block_diag(a, b) @ u.conj().T for a, b in zip(first.kraus, second.kraus)]
     )
 
 
@@ -324,7 +381,7 @@ def unital_channel(kind, d, rng):
         r = int(rng.integers(1, d))
         first, second = unitary_mixture(r, rng, 2), unitary_mixture(d - r, rng, 2)
         u = haar_unitary(d, rng).mat
-        return OperationMap([u @ scipy.linalg.block_diag(a, b) @ u.conj().T
+        return OperationMap([u @ block_diag(a, b) @ u.conj().T
                              for a, b in zip(first.kraus, second.kraus)])
     # a smearing whose non-fixed eigenvalues lie 1e-11 to 1e-8 below 1,
     # within the certificate's margin of rank_tol
@@ -366,14 +423,16 @@ def test_kraus_commutant_matches_full_stack_svd(seed, d, kind, rank_tol):
 def candidate_window(phi, rank_tol):
     """The eigenvectors ``v`` of ``kraus_commutant``'s random Hermitian
     combination, the candidates ``(a, b)`` of its window and the window
-    ``tau``."""
+    ``tau``: the eigenvalues chain into clusters wherever neighbours lie at
+    most ``tau`` apart, and the candidates are every pair inside a cluster."""
     kraus = np.stack(phi.kraus)
     rng = np.random.default_rng(2718)
     c = rng.standard_normal(len(kraus)) + 1j * rng.standard_normal(len(kraus))
     m = np.tensordot(c, kraus, axes=1)
     w, v = np.linalg.eigh(m + m.conj().T)
     tau = max(np.sqrt(rank_tol), 100 * np.finfo(float).eps / rank_tol) * max(1.0, np.abs(w).max())
-    a, b = np.nonzero(np.abs(w[:, None] - w[None, :]) <= tau)
+    labels = np.concatenate([[0], np.cumsum(np.diff(w) > tau)])
+    a, b = np.nonzero(labels[:, None] == labels[None, :])
     return v, a, b, tau
 
 
@@ -383,11 +442,12 @@ def gram_commutant(phi, rank_tol):
     stands for, computed every time.  The stack is formed as
     ``kraus_commutant`` forms it, from the same rows when every candidate is
     a projector ``v_a v_a^dag`` (``test_commutant_matches_dense_full_stack``
-    checks those rows): the rounding of the formed stack, ``eps ||S||_2``,
-    moves its null span by that over the smallest singular value not
-    counted null (Wedin), so two formations put the null span of a
-    near-blocks family up to 1e-9 apart, and only the scale may differ
-    here."""
+    checks those rows), and the full stack of all ``d^2`` candidates in the
+    eigenbasis of the combination, ``[V^dag F V, e_a e_b^T]``: the rounding
+    of the formed stack, ``eps ||S||_2``, moves its null span by that over
+    the smallest singular value not counted null (Wedin), so two formations
+    put the null span of a near-blocks family up to 1e-9 apart, and only the
+    scale may differ here."""
     d = phi.in_dim
     kraus = np.stack(phi.kraus)
     family = np.concatenate([kraus, kraus.conj().swapaxes(1, 2)])
@@ -398,10 +458,15 @@ def gram_commutant(phi, rank_tol):
     thr = rank_tol * max(1.0, s_norm)
     v, a, b, tau = candidate_window(phi, rank_tol)
     edge = max(100.0, s_norm / tau) * thr
+    ft = v.conj().T @ family @ v
     while True:
         cand = v[:, a].T[:, :, None] * v[:, b].conj().T[:, None, :]
         if len(a) == d:  # the candidates are the projectors v_a v_a^dag
-            rows = fixpt._singleton_rows(v.conj().T @ family @ v)
+            rows = fixpt._singleton_rows(ft)
+        elif len(a) == d * d:  # the units e_a e_b^T of the eigenbasis
+            units = np.eye(d * d).reshape(d * d, d, d)
+            comm = (ft[:, None] @ units - units @ ft[:, None]).transpose(0, 2, 3, 1)
+            rows = comm.reshape(-1, d * d)
         else:
             comm = (family[:, None] @ cand - cand @ family[:, None]).transpose(0, 2, 3, 1)
             rows = comm.reshape(-1, len(a))
@@ -438,7 +503,7 @@ def algebra_channel(blocks, rng):
     p = rng.dirichlet(np.ones(2))
     u = haar_unitary(sum(n * m for n, m in blocks), rng).mat
     return OperationMap([
-        np.sqrt(w) * u @ scipy.linalg.block_diag(
+        np.sqrt(w) * u @ block_diag(
             *[np.kron(haar_unitary(n, rng).mat, np.eye(m)) for n, m in blocks]) @ u.conj().T
         for w in p
     ])
@@ -532,7 +597,7 @@ def test_kraus_commutant_null_count_scale_is_stack_norm(seed, d, inside):
     r = int(rng.integers(1, d))
     blocks = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for n in (r, d - r)]
     u = haar_unitary(d, rng).mat
-    family = [10 * np.diag([1.0] * r + [0.0] * (d - r)), 1e-6 * scipy.linalg.block_diag(*blocks)]
+    family = [10 * np.diag([1.0] * r + [0.0] * (d - r)), 1e-6 * block_diag(*blocks)]
     phi = OperationMap([u @ k @ u.conj().T for k in family])
     s = np.linalg.svd(full_stack(phi), compute_uv=False)
     rank_tol = s[-3] / s[0] * (1 + 1e-6 if inside else 1 - 1e-6)

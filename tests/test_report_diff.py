@@ -90,3 +90,60 @@ def test_report_diff_into_a_closed_pipe_exits_quietly(tmp_path):
     assert proc.wait(timeout=60) == 1
     assert proc.stderr.read() == ""
     proc.stderr.close()
+
+
+def oracle_dirs(tmp_path):
+    """Two equal directories of a report and a text file, as
+    ``tools/oracle.py`` writes them."""
+    dirs = tmp_path / "a", tmp_path / "b"
+    for d in dirs:
+        (d / "sub").mkdir(parents=True)
+        (d / "r.json").write_text(json.dumps({"x": 0.5, "ok": True, "rows": [1, 2.5]}))
+        (d / "sub" / "demo.txt").write_text("fixed to 3.97e-16\n")
+    return dirs
+
+
+def test_report_diff_directories(tmp_path):
+    a, b = oracle_dirs(tmp_path)
+    same = report_diff(a, b)
+    assert (same.returncode, same.stdout) == (0, "")
+
+    # a float moved within 1e-12 passes, and is listed
+    (b / "r.json").write_text(json.dumps({"x": 0.5 + 2**-40, "ok": True, "rows": [1, 2.5]}))
+    res = report_diff(a, b)
+    assert res.returncode == 0
+    assert res.stdout.splitlines() == [
+        "r.json: passes, differing floats: 1, largest absolute difference: 9.09e-13, "
+        "other mismatches: 0"]
+
+    # beyond it, or a flipped bool, fails
+    for edit in ({"x": 0.5 + 1e-9, "ok": True, "rows": [1, 2.5]},
+                 {"x": 0.5, "ok": False, "rows": [1, 2.5]}):
+        (b / "r.json").write_text(json.dumps(edit))
+        res = report_diff(a, b)
+        assert res.returncode == 1
+        assert res.stdout.startswith("r.json: FAILS,")
+        assert len(res.stdout.splitlines()) == 1
+    (b / "r.json").write_text((a / "r.json").read_text())
+
+    # any other file is compared byte for byte
+    (b / "sub" / "demo.txt").write_text("fixed to 4.97e-16\n")
+    res = report_diff(a, b)
+    assert (res.returncode, res.stdout) == (1, "sub/demo.txt: bytes differ\n")
+
+    # a file on one side only
+    (b / "sub" / "demo.txt").unlink()
+    (b / "extra.json").write_text("{}")
+    res = report_diff(a, b)
+    assert res.returncode == 1
+    assert res.stdout.splitlines() == [f"extra.json: missing from {a}",
+                                       f"sub/demo.txt: missing from {b}"]
+
+
+def test_report_diff_usage_errors(tmp_path):
+    a, b = oracle_dirs(tmp_path)
+    for args in ([a], [a, b, b], [a, b / "r.json"], [a, tmp_path / "nowhere"]):
+        res = subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                             capture_output=True, text=True)
+        assert res.returncode == 2
+        assert res.stderr.startswith("usage:")

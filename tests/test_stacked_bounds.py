@@ -10,6 +10,7 @@ matches rows by label, which catches a stack zipped with the wrong labels.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,36 @@ def assert_rows(reports, expected):
             assert rows[key].rhs == rhs, key
 
 
+def gamma_moment_defect(m, q):
+    """``||Gamma(E*(N^2)) - Gamma(E*(N))^2||`` for the composite ``N`` of ``q``,
+    with ``E*(B) = sum_L L^dag B L`` one Kraus operator at a time and
+    ``Gamma(B) = tr_A[B (1 (x) xi)]``."""
+    ds, da = m.sys_dim, m.app_dim
+    n = np.kron(q.n_sys, np.eye(da)) + np.kron(np.eye(ds), q.n_app)
+    one_xi = np.kron(np.eye(ds), m.xi)
+
+    def restricted(b):
+        heis = sum(k.conj().T @ b @ k for k in m.coupling.kraus)
+        return np.einsum("iaja->ij", (heis @ one_xi).reshape(ds, da, ds, da))
+
+    first = restricted(n)
+    return op_norm(restricted(n @ n) - first @ first), op_norm(n @ n)
+
+
+def assert_gamma_rows(reports, expected, m, q):
+    """Each expected ``(bound_id, outcome) -> (base, factor)`` is a row whose
+    rhs is ``base + 2 sqrt(defect) factor`` for the reference
+    :func:`gamma_moment_defect`, to within that defect's rounding (1e-12
+    of ``||N^2||``); the rhs rises with the defect, so the two ends bracket
+    it."""
+    defect, scale = gamma_moment_defect(m, q)
+    rows = rows_by_key(reports)
+    for key, (base, factor) in expected.items():
+        lo, hi = (base + 2.0 * np.sqrt(max(defect + s * 1e-12 * scale, 0.0)) * factor
+                  for s in (-1, 1))
+        assert lo - 1e-12 * abs(lo) <= rows[key].rhs <= hi + 1e-12 * abs(hi), key
+
+
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
 @SETTINGS
 def test_profiles_match_outcome_loop(seed, kind, dims):
@@ -196,6 +227,7 @@ def test_disturbance_rows_match_outcome_loop(seed, kind, dims):
     reports = eval_disturbance_bounds(m, f, q, assert_extremal=True)
     full = any(r.bound_id == "conserve-disturb-qfi" for r in reports)
     assert full == (kind == "conserving")
+    gamma_rows = {}
     for y, fy in effects(f):
         comm = commutator(fy, q.n_sys)
         lhs = op_norm(comm.mat - dual(comm))
@@ -205,7 +237,18 @@ def test_disturbance_rows_match_outcome_loop(seed, kind, dims):
             families += ["conserve-disturb-qfi", "conserve-disturb-qfi-extremal"]
         for bound_id in families:
             expected[bound_id, y] = (lhs, None)
+        img, img_sq = dual(fy), dual(fy @ fy)
+        delta = op_norm(img - fy)
+        base = 2.0 * op_norm(q.n_sys) * delta
+        gamma_rows["conserve-disturb-commutator", y] = (base, np.sqrt(op_norm(img_sq - img @ img)))
+        gamma_rows["conserve-disturb-commutator-nondisturbing", y] = (
+            base, np.sqrt(op_norm(img_sq - fy @ fy))
+        )
+        gamma_rows["conserve-disturb-unsharpness", y] = (
+            base, np.sqrt(2.0 * delta + unsharpness(fy))
+        )
     assert_rows(reports, expected)
+    assert_gamma_rows(reports, gamma_rows, m, q)
 
 
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
@@ -216,17 +259,23 @@ def test_measurability_rows_match_outcome_loop(seed, kind, dims):
     reports = eval_measurability_bounds(m, target, q, assert_extremal=True)
     full = kind == "conserving"
     qval = qfi(q.n_app, m.xi)
-    expected = {}
+    expected, gamma_rows = {}, {}
+    measured = measured_observable(m)
     for x, tx in effects(target):
         transferred = apply_map(maps.conj_dual, commutator(m.pointer.effect(x), q.n_app))
         lhs = op_norm(commutator(tx, q.n_sys).mat - transferred.mat)
         expected["measure-error-commutator", x] = (lhs, None)
+        eps = op_norm(measured.effect(x).mat - tx)
+        gamma_rows["measure-error-commutator", x] = (
+            2.0 * op_norm(q.n_sys) * eps, np.sqrt(2.0 * eps + unsharpness(tx))
+        )
         if full:
             expected["measure-error-qfi", x] = (lhs, None)
             expected["measure-error-qfi-extremal", x] = (
                 lhs, np.sqrt(qval) * np.sqrt(unsharpness(tx))
             )
     assert_rows(reports, expected)
+    assert_gamma_rows(reports, gamma_rows, m, q)
 
 
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
@@ -235,7 +284,7 @@ def test_way_rows_match_outcome_loop(seed, kind, dims):
     m, _, q, _, _, _ = scenario(seed, kind, dims)
     reports = eval_way(m, q)
     var_xi = variance(q.n_app, m.xi)
-    expected = {}
+    expected, gamma_rows = {}, {}
     for x, ex in effects(measured_observable(m)):
         lhs = op_norm(commutator(ex, q.n_sys))
         ue = np.sqrt(unsharpness(ex))
@@ -243,7 +292,9 @@ def test_way_rows_match_outcome_loop(seed, kind, dims):
         expected["way-weak-yanase-qfi", x] = (lhs, None)
         if any(r.bound_id == "way-unsharpness" for r in reports):
             expected["way-unsharpness", x] = (lhs, None)
+            gamma_rows["way-unsharpness", x] = (0.0, ue)
     assert_rows(reports, expected)
+    assert_gamma_rows(reports, gamma_rows, m, q)
 
 
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
@@ -282,6 +333,45 @@ def test_distinguishability_rows_match_outcome_loop(seed, kind, dims):
     if kind == "dilation":
         assert ("repeat-commutant", e_obs.outcomes[0]) in expected
     assert_rows(reports, expected)
+
+
+def test_compat_commutator_needs_every_effect_undisturbed():
+    # f(0) = 1/2 is fixed by every channel, f(1) and f(2) are disturbed: the
+    # joint-measurability hypothesis takes the largest ||delta(y)||, the
+    # nondisturbing rows each their own
+    m, _, q, _, _, _ = scenario(3, "channel", (2, 3))
+    v = haar_unitary(2, np.random.default_rng(3)).mat[:, :1]
+    p = v @ v.conj().T
+    half = 0.5 * np.eye(2)
+    f = Observable(["f0", "f1", "f2"], [half, 0.5 * p, half - 0.5 * p])
+    total = scheme_to_instrument(m).total()
+    dy = [op_norm(apply_dual(total, fy).mat - fy) for _, fy in effects(f)]
+    assert dy[0] <= DEFAULT_TOL.eq_tol < min(dy[1:])
+    rows = eval_disturbance_bounds(m, f)
+    compat = [r for r in rows if r.bound_id == "compat-commutator"]
+    assert compat and not any(r.hypothesis_satisfied for r in compat)
+    # outcome "(x,fy)": each y's own hypothesis, the same for every x
+    nondisturbing = {(r.outcome[-3:-1], r.hypothesis_satisfied) for r in rows
+                     if r.bound_id == "disturb-commutator-nondisturbing"}
+    assert nondisturbing == {("f0", True), ("f1", False), ("f2", False)}
+
+
+def test_norm_gap_skips_trivial_effects():
+    # CNOT copies the system's z basis onto a qubit pointer read by
+    # (1/2, |0><0|/2, |1><1|/2): E(half) = 1/2 is trivial (a = b), E(z0) =
+    # |0><0|/2 has a = 1/2 on psi = |0> and b = 0 on phi = |1>
+    p0, p1 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    cnot = OperationMap([np.eye(4)[[0, 1, 3, 2]]])
+    pointer = Observable(["half", "z0", "z1"], [0.5 * np.eye(2), 0.5 * p0, 0.5 * p1])
+    m = MeasurementScheme(2, 2, p0, cnot, pointer)
+    q = AdditiveQuantity(np.diag([0.5, -0.5]), np.zeros((2, 2)))
+    psi, phi = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+    rows = [r for r in eval_distinguishability_bounds(m, q, psi, phi)
+            if r.bound_id == "distinguish-norm-gap"]
+    assert [r.outcome for r in rows] == ["z0"]
+    assert rows[0].rhs == 0.5 * np.sqrt(0.5)
+    with pytest.raises(ValueError, match="trivial"):
+        eval_distinguishability_bounds(m, q, psi, phi, thm7_outcome="half")
 
 
 def permuted(obs, order):

@@ -2,8 +2,8 @@
 
     python3 tools/oracle.py OUT_DIR [SRC_DIR]
 
-Run it on two checkouts; ``diff -r`` of the two directories is then the
-byte-identity check between them.  With ``SRC_DIR``, waylab is imported from
+Run it on two checkouts; ``tools/report_diff.py DIR_A DIR_B`` then compares
+the two directories (JSON to 1e-12, every other file byte for byte).  With ``SRC_DIR``, waylab is imported from
 that directory (another checkout's ``src/``) while the oracle's own inputs,
 the battery generator and the benchmark's workloads stay this checkout's, so
 a newer oracle can be run against older code and the two directories hold
