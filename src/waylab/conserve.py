@@ -190,15 +190,10 @@ def qfi(n: Any, state: Any, tol: Tolerance = DEFAULT_TOL) -> float:
     w, v = np.linalg.eigh(_hermitian_parts(rho))
     w = np.clip(w, 0.0, None)
     nmat = v.conj().T @ n @ v
-    total = 0.0
-    for i in range(len(w)):
-        for j in range(len(w)):
-            s = w[i] + w[j]
-            if s <= tol.rank_tol:
-                continue
-            diff = w[i] - w[j]
-            total += (diff * diff / s) * float(abs(nmat[i, j]) ** 2)
-    return 2.0 * total
+    s = w[:, None] + w
+    keep = s > tol.rank_tol
+    diff = (w[:, None] - w)[keep]
+    return 2.0 * float(np.sum(diff * diff / s[keep] * np.abs(nmat[keep]) ** 2))
 
 
 def conservative_unitary(

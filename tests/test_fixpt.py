@@ -664,7 +664,7 @@ def star_algebra_basis(blocks, rng):
 
 @given(seed=st.integers(0, 2**32 - 1),
        blocks=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=1, max_size=3),
-       perturb=st.sampled_from([0.0, 1e-13, 1e-6, 1e-2]))
+       perturb=st.sampled_from([0.0, 1e-13, 1e-11, 1e-6, 1e-4, 1e-2]))
 @example(seed=1, blocks=[(3, 2), (3, 2), (2, 3)], perturb=0.0)  # several blocks of products
 @example(seed=1, blocks=[(3, 2), (3, 2), (2, 3)], perturb=1e-6)
 @settings(derandomize=True, max_examples=30, deadline=None)
@@ -679,6 +679,23 @@ def test_closure_blocks_match_product_loop(seed, blocks, perturb):
     got = _closed_under_products(np.array(basis), DEFAULT_TOL.eq_tol)
     assert got == loop_closed(basis, DEFAULT_TOL.eq_tol)
     assert got == (full or perturb < 1e-9)
+
+
+@pytest.mark.parametrize("n, rank", [(2, 1), (4, 1), (4, 3)])
+def test_closure_needs_the_identity(n, rank):
+    # span{P}, P a projector of rank < n in a random basis: P P = P, but the
+    # identity is not in the span
+    v = haar_unitary(n, np.random.default_rng(n + rank)).mat[:, :rank]
+    basis = hermitian_basis([v @ v.conj().T])
+    assert not _closed_under_products(np.array(basis), DEFAULT_TOL.eq_tol)
+    assert not loop_closed(basis, DEFAULT_TOL.eq_tol)
+
+
+def test_identity_channel_fixed_space_is_certified():
+    # every operator is fixed: the certificate spans all of M_12 (r = 144)
+    fp = analyze_fixed_points(OperationMap([np.eye(12)]))
+    assert fp.fixed_dim == 144
+    assert fp.algebra_certified
 
 
 @pytest.mark.parametrize("mult", [1, 2, 3])

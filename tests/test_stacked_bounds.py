@@ -5,8 +5,11 @@ operator norm from one batched norm of a stack of outcomes
 (``opcore.op_norms``).  The references here walk the outcomes one at a time
 through numpy arithmetic on each effect matrix and ``op_norm``, the way the
 evaluators were first written.  The arithmetic is the same, so every value
-must agree exactly.  A last property reorders the declared outcomes and
-matches rows by label, which catches a stack zipped with the wrong labels.
+must agree exactly, except the right-hand sides built from the moment defect
+of ``Gamma`` or from the quantum Fisher information, whose references sum in
+another order and agree within a relative 1e-12.  A last property reorders
+the declared outcomes and matches rows by label, which catches a stack
+zipped with the wrong labels.
 """
 
 import numpy as np
@@ -26,7 +29,6 @@ from waylab.bounds import (
 from waylab.conserve import (
     AdditiveQuantity,
     conservative_unitary,
-    qfi,
     variance,
     yanase_conditions,
 )
@@ -134,6 +136,31 @@ def gamma_moment_defect(m, q):
     return op_norm(restricted(n @ n) - first @ first), op_norm(n @ n)
 
 
+def qfi_loop(n, rho, rank_tol=DEFAULT_TOL.rank_tol):
+    """``2 sum_{i,j} (l_i - l_j)^2 / (l_i + l_j) |<i|N|j>|^2`` one eigenpair of
+    the state at a time, skipping pairs with ``l_i + l_j <= rank_tol``."""
+    w, v = np.linalg.eigh(_hermitian_parts(np.asarray(rho)))
+    w = np.clip(w, 0.0, None)
+    nmat = v.conj().T @ np.asarray(n) @ v
+    total = 0.0
+    for i in range(len(w)):
+        for j in range(len(w)):
+            s = w[i] + w[j]
+            if s <= rank_tol:
+                continue
+            diff = w[i] - w[j]
+            total += (diff * diff / s) * float(abs(nmat[i, j]) ** 2)
+    return 2.0 * total
+
+
+def assert_rhs_near(reports, expected):
+    """Each expected ``(bound_id, outcome) -> rhs`` is a row whose rhs agrees
+    within a relative 1e-12: the references sum in another order."""
+    rows = rows_by_key(reports)
+    for key, rhs in expected.items():
+        assert abs(rows[key].rhs - rhs) <= 1e-12 * abs(rhs), key
+
+
 def assert_gamma_rows(reports, expected, m, q):
     """Each expected ``(bound_id, outcome) -> (base, factor)`` is a row whose
     rhs is ``base + 2 sqrt(defect) factor`` for the reference
@@ -227,7 +254,8 @@ def test_disturbance_rows_match_outcome_loop(seed, kind, dims):
     reports = eval_disturbance_bounds(m, f, q, assert_extremal=True)
     full = any(r.bound_id == "conserve-disturb-qfi" for r in reports)
     assert full == (kind == "conserving")
-    gamma_rows = {}
+    qval = qfi_loop(q.n_app, m.xi)
+    gamma_rows, qfi_rows = {}, {}
     for y, fy in effects(f):
         comm = commutator(fy, q.n_sys)
         lhs = op_norm(comm.mat - dual(comm))
@@ -247,8 +275,14 @@ def test_disturbance_rows_match_outcome_loop(seed, kind, dims):
         gamma_rows["conserve-disturb-unsharpness", y] = (
             base, np.sqrt(2.0 * delta + unsharpness(fy))
         )
+        if full:
+            qfi_rows["conserve-disturb-qfi", y] = base + 0.5 * np.sqrt(qval)
+            qfi_rows["conserve-disturb-qfi-extremal", y] = base + np.sqrt(qval) * np.sqrt(
+                op_norm(img_sq - img @ img)
+            )
     assert_rows(reports, expected)
     assert_gamma_rows(reports, gamma_rows, m, q)
+    assert_rhs_near(reports, qfi_rows)
 
 
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
@@ -258,24 +292,24 @@ def test_measurability_rows_match_outcome_loop(seed, kind, dims):
     maps = restriction_maps(m)
     reports = eval_measurability_bounds(m, target, q, assert_extremal=True)
     full = kind == "conserving"
-    qval = qfi(q.n_app, m.xi)
-    expected, gamma_rows = {}, {}
+    qval = qfi_loop(q.n_app, m.xi)
+    expected, gamma_rows, qfi_rows = {}, {}, {}
     measured = measured_observable(m)
     for x, tx in effects(target):
         transferred = apply_map(maps.conj_dual, commutator(m.pointer.effect(x), q.n_app))
         lhs = op_norm(commutator(tx, q.n_sys).mat - transferred.mat)
         expected["measure-error-commutator", x] = (lhs, None)
         eps = op_norm(measured.effect(x).mat - tx)
-        gamma_rows["measure-error-commutator", x] = (
-            2.0 * op_norm(q.n_sys) * eps, np.sqrt(2.0 * eps + unsharpness(tx))
-        )
+        base = 2.0 * op_norm(q.n_sys) * eps
+        gamma_rows["measure-error-commutator", x] = (base, np.sqrt(2.0 * eps + unsharpness(tx)))
         if full:
             expected["measure-error-qfi", x] = (lhs, None)
-            expected["measure-error-qfi-extremal", x] = (
-                lhs, np.sqrt(qval) * np.sqrt(unsharpness(tx))
-            )
+            expected["measure-error-qfi-extremal", x] = (lhs, None)
+            qfi_rows["measure-error-qfi", x] = base + 0.5 * np.sqrt(qval)
+            qfi_rows["measure-error-qfi-extremal", x] = np.sqrt(qval) * np.sqrt(unsharpness(tx))
     assert_rows(reports, expected)
     assert_gamma_rows(reports, gamma_rows, m, q)
+    assert_rhs_near(reports, qfi_rows)
 
 
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
@@ -284,17 +318,20 @@ def test_way_rows_match_outcome_loop(seed, kind, dims):
     m, _, q, _, _, _ = scenario(seed, kind, dims)
     reports = eval_way(m, q)
     var_xi = variance(q.n_app, m.xi)
-    expected, gamma_rows = {}, {}
+    weak_qfi = 0.5 * np.sqrt(qfi_loop(q.n_app, m.xi))
+    expected, gamma_rows, qfi_rows = {}, {}, {}
     for x, ex in effects(measured_observable(m)):
         lhs = op_norm(commutator(ex, q.n_sys))
         ue = np.sqrt(unsharpness(ex))
         expected["way-weak-yanase-variance", x] = (lhs, 2.0 * np.sqrt(var_xi) * ue)
         expected["way-weak-yanase-qfi", x] = (lhs, None)
+        qfi_rows["way-weak-yanase-qfi", x] = weak_qfi
         if any(r.bound_id == "way-unsharpness" for r in reports):
             expected["way-unsharpness", x] = (lhs, None)
             gamma_rows["way-unsharpness", x] = (0.0, ue)
     assert_rows(reports, expected)
     assert_gamma_rows(reports, gamma_rows, m, q)
+    assert_rhs_near(reports, qfi_rows)
 
 
 @given(seed=SEEDS, kind=KINDS, dims=DIMS)
